@@ -5,17 +5,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .functions import TestFunction, sinc_ratio, _maybe_scalar
 from .kernels import dirichlet, n_terms
-from .quadrature import (QuadratureNonConvergence, QuadratureSpec, integrate)
+from .quadrature import (QuadratureNonConvergence, QuadratureSpec, _nodes,
+                         integrate)
 
 _LEWITAN_TAIL_TARGET = 1e-8
 _LEWITAN_MAX_AUTO_K = 10 ** 7
+# Most integrand samples (panels x panel_order) one level of the panel rule
+# in fourier_coefficients may take: 2^22 complex samples are 64 MiB, and the
+# FFT and the level it is compared against hold a few more copies.
+MAX_COEFF_NODES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -41,17 +46,32 @@ class TrigApproximant:
         return complex(self.coefficients[k + self.N])
 
     def evaluate(self, x):
-        """Evaluate the sum, grouping the k and -k terms pairwise so
-        conjugate symmetry of the coefficients is preserved numerically."""
-        theta = np.asarray(x, dtype=float) * (math.pi / self.tau)
-        flat = np.atleast_1d(theta).ravel()
-        out = np.full(flat.shape, self.coefficients[self.N], dtype=complex)
+        """Evaluate the sum at the abscissae ``x`` (scalar or array).
+
+        With z = e^{i pi x / tau}, B = isqrt(N) and A = ceil(N / B), each
+        power z^k, 1 <= k <= N, is split as z^{aB} * z^{b+1} with k - 1 =
+        aB + b, so one point costs A + B exponentials and the inner sums
+        are one (M x B) @ (B x 2A) product.  The k and -k terms share both
+        factors and combine as S+ + conj(S-), which keeps the result
+        numerically real for conjugate-symmetric coefficients.
+        """
+        theta = np.atleast_1d(np.asarray(x, dtype=float)).ravel() \
+            * (math.pi / self.tau)
+        out = np.full(theta.shape, self.coefficients[self.N], dtype=complex)
         if self.N > 0:
-            k = np.arange(1, self.N + 1)
-            phase = np.exp(1j * flat[:, None] * k)
-            cpos = self.coefficients[self.N + 1:]
-            cneg = self.coefficients[self.N - 1::-1]
-            out = out + (phase * cpos + np.conj(phase) * cneg).sum(axis=1)
+            B = math.isqrt(self.N)
+            A = -(-self.N // B)
+            blocks = np.zeros((2, A * B), dtype=complex)
+            blocks[0, :self.N] = self.coefficients[self.N + 1:]
+            blocks[1, :self.N] = np.conj(self.coefficients[self.N - 1::-1])
+            # blocks[s, a*B + b] -> table[b, s*A + a]
+            table = blocks.reshape(2, A, B).transpose(2, 0, 1).reshape(B, 2 * A)
+            inner = np.exp(1j * theta[:, None] * np.arange(1, B + 1))
+            outer = np.exp(1j * theta[:, None] * (B * np.arange(A)))
+            sums = (inner @ table).reshape(-1, 2, A)
+            pos = (sums[:, 0] * outer).sum(axis=1)
+            neg = (sums[:, 1] * outer).sum(axis=1)
+            out = out + (pos + np.conj(neg))
         out = out.reshape(np.shape(x))
         return _maybe_scalar(out, x)
 
@@ -94,35 +114,68 @@ def fourier_coefficients(f: TestFunction, tau: float,
     """c_k = (1/2 tau) * integral_{-tau}^{tau} f(t) e^{-i pi k t / tau} dt
     for |k| <= N, each to absolute accuracy quad.abs_tol.
 
-    All coefficients are computed in one vector-valued adaptive pass; the
-    initial panel width resolves the fastest integrand oscillation.
+    Method: a composite Gauss-Legendre rule of order ``quad.panel_order``
+    on P equal panels, with all coefficients taken from one FFT of the
+    samples along the panel axis (the FFT Fourier integral of Numerical
+    Recipes 13.9).  P starts at ceil(2 tau / width), where the initial
+    panel width resolves the fastest integrand oscillation, so P > 2N and
+    the FFT does not alias.
+
+    Error contract: P doubles until the largest difference between the
+    coefficients on P and on 2P panels is at most ``quad.abs_tol``; the
+    2P values are returned.  After ``quad.max_depth`` doublings, or when
+    the next level would need more than ``MAX_COEFF_NODES`` samples,
+    :class:`QuadratureNonConvergence` is raised.  A ValueError is raised
+    before any sampling when the first two levels do not fit that limit.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
     quad = quad or QuadratureSpec()
     N = n_terms(f.sigma, tau)
-    k = np.arange(-N, N + 1)
-    freq = math.pi * k / tau
     width = min(1.0, tau / (2.0 * (N + 1)))
+    xq, wq = _nodes(quad.panel_order)
+    span = 2.0 * tau / width  # may overflow to inf for huge N
+    if span > MAX_COEFF_NODES or 2 * math.ceil(span) * xq.size > MAX_COEFF_NODES:
+        raise ValueError(
+            f"coefficients for tau={tau:g} (N={float(N):.6g}) need "
+            f"{2.0 * span * xq.size:.3g} quadrature nodes, above the limit "
+            f"of {MAX_COEFF_NODES}")
+    panels = math.ceil(span)
+    k = np.arange(-N, N + 1)
 
-    def integrand(t):
-        ft = np.asarray(f.eval_real(t))
-        return ft[:, None] * np.exp(-1j * t[:, None] * freq) / (2.0 * tau)
+    prev = _panel_fft_coefficients(f, tau, panels, k, xq, wq)
+    for _ in range(quad.max_depth):
+        panels *= 2
+        coeffs = _panel_fft_coefficients(f, tau, panels, k, xq, wq)
+        gap = float(np.max(np.abs(coeffs - prev)))
+        if gap <= quad.abs_tol:
+            return TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
+                                   coefficients=coeffs,
+                                   coeff_error=(2 * N + 1) * quad.abs_tol)
+        if 2 * panels * xq.size > MAX_COEFF_NODES:
+            break
+        prev = coeffs
+    raise QuadratureNonConvergence(
+        f"coefficient quadrature for tau={tau:g} did not converge: the "
+        f"coefficients on {panels // 2} and {panels} panels differ by "
+        f"{gap:.3g} > abs_tol {quad.abs_tol:.3g}")
 
-    # Refinement must be driven by the absolute per-coefficient tolerance.
-    spec_abs = replace(quad, rel_tol=1e-14)
-    try:
-        coeffs, _err = integrate(integrand, -tau, tau, spec_abs,
-                                 max_panel_width=width)
-    except QuadratureNonConvergence as exc:
-        offending = "" if exc.component is None else f" for k={k[exc.component]}"
-        raise QuadratureNonConvergence(
-            f"coefficient quadrature failed{offending}: {exc}",
-            midpoint=exc.midpoint, component=exc.component) from exc
 
-    return TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
-                           coefficients=coeffs,
-                           coeff_error=(2 * N + 1) * quad.abs_tol)
+def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int, k,
+                            xq, wq):
+    """Composite Gauss estimate of c_k on ``panels`` equal panels.
+
+    With half-width hw = tau / P and midpoints m_j = -tau + (2j + 1) hw,
+    e^{-i pi k m_j / tau} = (-1)^k e^{-i pi k / P} e^{-2 pi i j k / P}, so
+    the sum over panels is entry k mod P of the FFT along the panel axis.
+    """
+    hw = tau / panels
+    mids = -tau + hw * (2.0 * np.arange(panels) + 1.0)
+    samples = np.asarray(f.eval_real((mids[:, None] + hw * xq).ravel()))
+    spectrum = np.fft.fft(samples.reshape(panels, xq.size), axis=0)[k % panels]
+    node_phase = np.exp((-1j * math.pi / panels) * np.outer(k, xq))
+    shift = np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * math.pi * k / panels)
+    return (hw / (2.0 * tau)) * shift * ((spectrum * node_phase) @ wq)
 
 
 def evaluate_sum(a: TrigApproximant, x):

@@ -112,8 +112,8 @@ class TestFunction:
 
 def make_sinc(sigma: float) -> TestFunction:
     """f(x) = sin(sigma x) / (pi x), type sigma, peak sigma/pi at 0."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < INF:
+        raise ValueError("sigma must be positive and finite")
     s = float(sigma)
 
     def ev(x):
@@ -139,6 +139,8 @@ def make_complex_exponential(omega: float) -> TestFunction:
     """f(x) = e^{i omega x}; bounded, no decay, member of B^inf only."""
     if omega == 0:
         raise ValueError("omega must be nonzero (constants are out of catalog)")
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     w = float(omega)
 
     def ev(x):
@@ -162,8 +164,8 @@ def make_complex_exponential(omega: float) -> TestFunction:
 
 def make_fejer_square(sigma: float) -> TestFunction:
     """f(x) = (sin(sigma x / 2) / (sigma x / 2))^2, type sigma, f(0) = 1."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < INF:
+        raise ValueError("sigma must be positive and finite")
     s = float(sigma)
 
     def ev(x):
@@ -202,6 +204,8 @@ def mollify(f: TestFunction, rho: float) -> TestFunction:
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")
+    if not math.isfinite(f.sigma):
+        raise ValueError("the base function must have a finite type")
     r = float(rho)
     shrink = 1.0 - r * r
 

@@ -17,6 +17,9 @@ def n_terms(sigma: float, tau: float) -> int:
     """N = floor(sigma * tau / pi), nudged when the product lands within
     1e-12 of the next integer so exact-integer intents survive rounding."""
     x = sigma * tau / math.pi
+    if not math.isfinite(x):
+        raise ValueError(f"sigma * tau must be finite (sigma={sigma:g}, "
+                         f"tau={tau:g})")
     n = math.floor(x)
     if x - n > 1.0 - 1e-12:
         n += 1

@@ -1,7 +1,7 @@
 """Adaptive Gauss-Legendre quadrature with explicit error accounting.
 
-The engine integrates scalar-, complex- or vector-valued integrands over a
-finite interval.  Each panel is estimated twice (one Gauss rule over the
+The engine integrates scalar real or complex integrands over a finite
+interval.  Each panel is estimated twice (one Gauss rule over the
 whole panel, and the same rule over its two halves); the difference drives
 both refinement and the reported error bound.  Panels that fail to converge
 within ``max_depth`` bisections raise :class:`QuadratureNonConvergence`.
@@ -19,11 +19,9 @@ import numpy as np
 class QuadratureNonConvergence(RuntimeError):
     """A panel could not meet its tolerance within the allowed depth."""
 
-    def __init__(self, message: str, midpoint: float | None = None,
-                 component: int | None = None):
+    def __init__(self, message: str, midpoint: float | None = None):
         super().__init__(message)
         self.midpoint = midpoint
-        self.component = component
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,8 @@ class QuadratureSpec:
     panel_order: int = 15
 
     def __post_init__(self):
+        if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
+            raise ValueError("tolerances must be finite")
         if self.abs_tol < 1e-14 or self.rel_tol < 1e-14:
             raise ValueError("tolerances below 1e-14 are not supported")
         if not 1 <= self.max_depth <= 60:
@@ -67,10 +67,9 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
               max_panel_width: float | None = None):
     """Adaptively integrate ``g`` over [a, b].
 
-    ``g`` receives a 1-D numpy array of abscissae and must return an array
-    of shape ``(n,)`` or ``(n, m)`` for an ``m``-component integrand.
-    Returns ``(value, err)`` where ``err`` mirrors the component shape of
-    ``value`` and bounds the accumulated panel-estimate differences.
+    ``g`` receives a 1-D numpy array of abscissae and must return a real or
+    complex array of the same shape.  Returns ``(value, err)`` where ``err``
+    bounds the accumulated panel-estimate differences.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -88,38 +87,32 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
 
     xg, wg = _nodes(spec.panel_order)
     total_width = b - a
-    value = None
-    err = None
+    value = 0.0
+    err = 0.0
     scale = None
 
     while lefts.size:
-        fine, diff, metric = _panel_estimates(g, lefts, rights, xg, wg,
-                                              scale_out := [])
+        coarse, fine = _panel_estimates(g, lefts, rights, xg, wg)
         if scale is None:
-            scale = scale_out[0]
+            scale = float(np.abs(coarse).sum())
+        diff = np.abs(coarse - fine)
         widths = rights - lefts
         tol = max(spec.abs_tol, spec.rel_tol * scale) * widths / total_width
-        ok = metric <= tol
+        ok = diff <= tol
 
-        if value is None:
-            value = np.zeros(fine.shape[1:], dtype=fine.dtype)
-            err = np.zeros(fine.shape[1:], dtype=float)
         if ok.any():
-            value = value + fine[ok].sum(axis=0)
-            err = err + diff[ok].sum(axis=0)
+            value = value + fine[ok].sum()
+            err = err + float(diff[ok].sum())
 
         bad = ~ok
         stuck = bad & (depths >= spec.max_depth)
         if stuck.any():
-            i = int(np.argmax(np.where(stuck, metric, -np.inf)))
+            i = int(np.argmax(np.where(stuck, diff, -np.inf)))
             mid = 0.5 * (lefts[i] + rights[i])
-            comp = None
-            if diff.ndim > 1:
-                comp = int(np.argmax(diff[i].reshape(-1)))
             raise QuadratureNonConvergence(
                 f"quadrature did not converge near x={mid:.6g} "
-                f"(panel error {metric[i]:.3g} > tol {tol[i]:.3g})",
-                midpoint=mid, component=comp)
+                f"(panel error {diff[i]:.3g} > tol {tol[i]:.3g})",
+                midpoint=mid)
 
         l, r, d = lefts[bad], rights[bad], depths[bad]
         mids = 0.5 * (l + r)
@@ -127,15 +120,12 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         rights = np.concatenate([mids, r])
         depths = np.concatenate([d + 1, d + 1])
 
-    if value is None:  # cannot happen: at least one panel always exists
-        raise RuntimeError("no panels processed")
-    if value.ndim == 0:
-        return value[()], float(err[()])
     return value, err
 
 
-def _panel_estimates(g, lefts, rights, xg, wg, scale_out):
-    npan = lefts.size
+def _panel_estimates(g, lefts, rights, xg, wg):
+    """Per-panel (coarse, fine) estimates: one Gauss rule over each panel
+    and the same rule over its two halves."""
     order = xg.size
     mids = 0.5 * (lefts + rights)
     hw = 0.5 * (rights - lefts)
@@ -145,19 +135,8 @@ def _panel_estimates(g, lefts, rights, xg, wg, scale_out):
     xr = 0.5 * (mids + rights)[:, None] + 0.5 * hw[:, None] * xg
     x_all = np.concatenate([xc, xl, xr], axis=1)
 
-    y = np.asarray(g(x_all.ravel()))
-    comps = y.shape[1:]
-    y = y.reshape((npan, 3 * order) + comps)
-
-    w = wg.reshape((1, order) + (1,) * len(comps))
-    hw_b = hw.reshape((npan,) + (1,) * len(comps))
-    coarse = (y[:, :order] * w).sum(axis=1) * hw_b
-    fine = ((y[:, order:2 * order] + y[:, 2 * order:]) * w).sum(axis=1) \
-        * (0.5 * hw_b)
-
-    diff = np.abs(coarse - fine)
-    metric = diff.reshape(npan, -1).max(axis=1)
-    if not scale_out:
-        mags = np.abs(coarse).sum(axis=0)
-        scale_out.append(float(np.max(mags)) if mags.ndim else float(mags))
-    return fine, diff, metric
+    y = np.asarray(g(x_all.ravel())).reshape(lefts.size, 3 * order)
+    coarse = (y[:, :order] * wg).sum(axis=1) * hw
+    fine = ((y[:, order:2 * order] + y[:, 2 * order:]) * wg).sum(axis=1) \
+        * (0.5 * hw)
+    return coarse, fine

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bandlim.approximation import (TrigApproximant, evaluate_convolution,
-                                   fourier_coefficients, lewitan,
-                                   lewitan_weights, truncated)
+from bandlim.approximation import (MAX_COEFF_NODES, TrigApproximant,
+                                   evaluate_convolution, fourier_coefficients,
+                                   lewitan, lewitan_weights, truncated)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (TestFunction, make_complex_exponential,
                                make_fejer_square, make_sinc)
-from bandlim.quadrature import QuadratureSpec
+from bandlim.quadrature import QuadratureNonConvergence, QuadratureSpec
 
 QUAD = QuadratureSpec()
 
@@ -73,8 +73,62 @@ class TestFourierCoefficients:
         with pytest.raises(ValueError):
             fourier_coefficients(make_sinc(1.0), 0.0, QUAD)
 
+    @pytest.mark.parametrize("tau", [320.4, 1280.3])
+    def test_exponential_at_large_tau(self, tau):
+        a = fourier_coefficients(make_complex_exponential(1.0), tau, QUAD)
+        ref = exp_coefficients(tau)
+        assert a.N == ref.N
+        assert np.max(np.abs(a.coefficients - ref.coefficients)) \
+            <= QUAD.abs_tol
+
+    def test_discontinuity_stops_at_node_limit(self):
+        largest = []
+
+        def step(x):
+            x = np.asarray(x, dtype=float)
+            largest.append(x.size)
+            return np.sign(x - 0.1234)
+
+        base = make_sinc(1.0)
+        f = TestFunction(id="step", sigma=1.0, eval_real=step,
+                         eval_complex=None, decay=base.decay,
+                         p_membership=base.p_membership)
+        with pytest.raises(QuadratureNonConvergence, match="tau=10"):
+            fourier_coefficients(f, 10.0, QUAD)
+        assert max(largest) <= MAX_COEFF_NODES
+
+
+def reference_sum(a: TrigApproximant, x):
+    """Plain per-k sum, one term at a time."""
+    theta = np.asarray(x, dtype=float) * (math.pi / a.tau)
+    total = np.zeros(np.shape(theta), dtype=complex)
+    for k in range(-a.N, a.N + 1):
+        total = total + a.coefficients[k + a.N] * np.exp(1j * k * theta)
+    return total
+
 
 class TestEvaluate:
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 15, 16, 17, 2000])
+    def test_matches_reference_sum(self, N):
+        rng = np.random.default_rng(N)
+        tau = 7.5
+        coeffs = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+        a = TrigApproximant(tau=tau, sigma=math.pi * N / tau, N=N,
+                            coefficients=coeffs, coeff_error=0.0)
+        # The phase of term k is rounded differently (k theta against
+        # aB theta + (b+1) theta), by a few ulps of |k theta| <= 3 pi N
+        # for |x| <= 3 tau.
+        tol = 4.0 * np.finfo(float).eps * 3.0 * math.pi * (N + 1) \
+            * np.sum(np.abs(coeffs))
+        scalar = a.evaluate(2.3)
+        assert np.ndim(scalar) == 0
+        assert abs(scalar - reference_sum(a, 2.3)) <= tol
+        for x in (rng.uniform(-3 * tau, 3 * tau, 41),
+                  rng.uniform(-3 * tau, 3 * tau, (5, 7))):
+            got = np.asarray(a.evaluate(x))
+            assert got.shape == x.shape
+            assert np.max(np.abs(got - reference_sum(a, x))) <= tol
+
     def test_zero_coefficients(self):
         a = TrigApproximant(tau=5.0, sigma=1.0, N=1,
                             coefficients=np.zeros(3, dtype=complex),

@@ -82,6 +82,20 @@ class TestCoeffs:
         assert doc["N"] == 3
         assert len(doc["coefficients"]) == 7
 
+    @pytest.mark.parametrize("fn", ["sinc:sigma=inf", "sinc:sigma=nan"])
+    def test_non_finite_parameter_is_usage_error(self, fn, capsys):
+        status, out, err = run_capture(["coeffs", "--fn", fn, "--tau", "1"],
+                                       capsys)
+        assert status == 2
+        assert "--fn:" in err
+
+    def test_size_limit_checked_before_allocating(self, capsys):
+        status, out, err = run_capture(
+            ["coeffs", "--fn", "sinc:sigma=1e300", "--tau", "1"], capsys)
+        assert status == 1
+        assert "quadrature nodes, above the limit" in err
+        assert "Maximum allowed size" not in err
+
 
 class TestCounterexample:
     def test_rows(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -136,6 +137,22 @@ class TestMollify:
                 mollify(f, rho)
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("factory", [
+        make_sinc, make_fejer_square, make_complex_exponential,
+        lambda v: mollify(make_sinc(1.0), v),
+    ], ids=["sinc", "fejer_square", "expi", "mollify"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, factory, value):
+        with pytest.raises(ValueError):
+            factory(value)
+
+    def test_mollify_rejects_base_of_infinite_type(self):
+        wide = dataclasses.replace(make_sinc(1.0), sigma=INF)
+        with pytest.raises(ValueError):
+            mollify(wide, 0.1)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("f", catalog_members(), ids=lambda f: f.id)
     def test_decay_envelope_on_log_grid(self, f):
@@ -200,6 +217,11 @@ class TestCatalogIds:
         "mollify:rho=0.1",
         "mollify:base=mollify,rho=0.1",
         "expi:omega=0",
+        "sinc:sigma=nan",
+        "sinc:sigma=inf",
+        "fejer_square:sigma=inf",
+        "expi:omega=nan",
+        "mollify:base=sinc,sigma=inf,rho=0.1",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(UnknownFunctionError):

@@ -25,6 +25,16 @@ class TestNTerms:
     def test_values(self, sigma, tau, expected):
         assert n_terms(sigma, tau) == expected
 
+    @pytest.mark.parametrize("sigma, tau", [
+        (math.inf, 1.0),
+        (math.nan, 1.0),
+        (1.0, math.inf),
+        (1e300, 1e10),
+    ])
+    def test_rejects_non_finite_product(self, sigma, tau):
+        with pytest.raises(ValueError):
+            n_terms(sigma, tau)
+
 
 class TestDirichlet:
     def test_at_zero(self):
