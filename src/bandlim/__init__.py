@@ -18,8 +18,7 @@ from .analysis import (ConvergenceRecord, InequalityCheck, NormEstimate,
                        decomposition_F123, exp_coefficients, lp_norm_interval,
                        lp_norm_line, sup_norm_certified)
 from .approximation import (TrigApproximant, evaluate_convolution,
-                            evaluate_sum, fourier_coefficients, lewitan,
-                            truncated)
+                            fourier_coefficients, lewitan)
 from .functions import (DecayEnvelope, PMembership, TestFunction, from_id,
                         make_complex_exponential, make_fejer_square,
                         make_sinc, mollify)
@@ -36,9 +35,9 @@ __all__ = [
     "TestFunction", "TrigApproximant", "check_nikolskii",
     "check_plancherel_polya", "check_poly_nikolskii", "convergence_study",
     "counterexample_run", "decomposition_F123", "dirichlet",
-    "evaluate_convolution", "evaluate_sum", "exp_coefficients", "from_id",
+    "evaluate_convolution", "exp_coefficients", "from_id",
     "fourier_coefficients", "integrate", "kernel_gap", "kernel_gap_bound",
     "kernel_gap_scan", "lewitan", "lp_norm_interval", "lp_norm_line",
     "make_complex_exponential", "make_fejer_square", "make_sinc", "mollify",
-    "omega", "sinc_kernel", "sup_norm_certified", "truncated",
+    "omega", "sinc_kernel", "sup_norm_certified",
 ]

@@ -54,7 +54,7 @@ class ConvergenceRecord:
     interior_error: NormEstimate
     tail_error: NormEstimate
     total_error: float
-    sup_error: Optional[SupNormCertificate] = None
+    sup_error: SupNormCertificate
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,11 @@ def lp_norm_interval(g: Callable, p: float, a: float, b: float,
                         p=p, domain=f"[{a:g},{b:g}]", tail_bound=0.0)
 
 
+def _osc_width(sigma: float) -> float:
+    """Quadrature panel width for integrands oscillating at frequency sigma."""
+    return min(1.0, math.pi / (2.0 * max(sigma, 1.0)))
+
+
 def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
                       quad: QuadratureSpec, osc_width: float) -> NormEstimate:
     """Real-line L^p norm of g with the tail beyond the quadrature window
@@ -138,8 +143,8 @@ def lp_norm_line(f: TestFunction, p: float,
     if not f.p_membership.contains(p):
         raise ValueError(f"{f.id} is not a member of B^{p:g}")
     quad = quad or QuadratureSpec()
-    width = min(1.0, math.pi / (2.0 * max(f.sigma, 1.0)))
-    return _lp_norm_envelope(f.eval_real, f.decay, p, quad, width)
+    return _lp_norm_envelope(f.eval_real, f.decay, p, quad,
+                             _osc_width(f.sigma))
 
 
 def sup_norm_certified(F: Callable, sigma_eff: float, a: float, b: float,
@@ -164,8 +169,7 @@ def sup_norm_certified(F: Callable, sigma_eff: float, a: float, b: float,
                               certified_bound=grid_max / (1.0 - contraction))
 
 
-def _sup_norm_line(f: TestFunction,
-                   target_contraction: float = 0.1) -> tuple[float, SupNormCertificate]:
+def _sup_norm_line(f: TestFunction) -> float:
     """Upper bound for sup |f| over the whole real line: a certificate on
     [-X, X] plus the decay envelope beyond X."""
     env = f.decay
@@ -173,9 +177,21 @@ def _sup_norm_line(f: TestFunction,
         raise ValueError("decay envelope too weak for a real-line sup bound")
     cutoff = (env.C / _SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
-    cert = sup_norm_certified(f.eval_real, f.sigma, -cutoff, cutoff,
-                              target_contraction)
-    return max(cert.certified_bound, float(env.bound(cutoff))), cert
+    cert = sup_norm_certified(f.eval_real, f.sigma, -cutoff, cutoff, 0.1)
+    return max(cert.certified_bound, float(env.bound(cutoff)))
+
+
+def _line_norm(f: TestFunction, p: float,
+               quad: QuadratureSpec) -> tuple[float, float]:
+    """(value, error bound) of ||f||_p on the real line: the catalog's known
+    norm when it has one, else the quadrature estimate, or for p = inf the
+    certified upper bound (already conservative, so its error is 0)."""
+    if p in f.known_norms:
+        return f.known_norms[p], 0.0
+    if p == INF:
+        return _sup_norm_line(f), 0.0
+    est = lp_norm_line(f, p, quad)
+    return est.value, est.error_bound
 
 
 def check_plancherel_polya(f: TestFunction, y: float, p: float,
@@ -195,14 +211,9 @@ def check_plancherel_polya(f: TestFunction, y: float, p: float,
     # |x| >= 1, which is all the envelope is used for here).
     env_line = DecayEnvelope(C=f.decay.C * math.exp(f.sigma * abs(y)),
                              alpha=f.decay.alpha)
-    width = min(1.0, math.pi / (2.0 * max(f.sigma, 1.0)))
-    lhs = _lp_norm_envelope(along_line, env_line, p, quad, width)
-
-    if p in f.known_norms:
-        base, base_err = f.known_norms[p], 0.0
-    else:
-        est = lp_norm_line(f, p, quad)
-        base, base_err = est.value, est.error_bound
+    lhs = _lp_norm_envelope(along_line, env_line, p, quad,
+                            _osc_width(f.sigma))
+    base, base_err = _line_norm(f, p, quad)
     growth = math.exp(f.sigma * abs(y))
     rhs = base * growth
     return InequalityCheck(
@@ -219,22 +230,8 @@ def check_nikolskii(f: TestFunction, r1: float, r2: float,
     if not f.p_membership.contains(r1):
         raise ValueError(f"{f.id} is not a member of B^{r1:g}")
     quad = quad or QuadratureSpec()
-
-    def norm(p):
-        if p in f.known_norms:
-            return f.known_norms[p], 0.0
-        est = lp_norm_line(f, p, quad)
-        return est.value, est.error_bound
-
-    base, base_err = norm(r1)
-    if r2 == INF:
-        if INF in f.known_norms:
-            lhs, lhs_err = f.known_norms[INF], 0.0
-        else:
-            lhs, _cert = _sup_norm_line(f)
-            lhs_err = 0.0  # certified upper bound, already conservative
-    else:
-        lhs, lhs_err = norm(r2)
+    base, base_err = _line_norm(f, r1, quad)
+    lhs, lhs_err = _line_norm(f, r2, quad)
 
     inv1 = 0.0 if r1 == INF else 1.0 / r1
     inv2 = 0.0 if r2 == INF else 1.0 / r2
@@ -310,12 +307,10 @@ def decomposition_F123(f: TestFunction, tau: float, delta: float, x: float,
 
 
 def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
-                      quad: Optional[QuadratureSpec] = None, *,
-                      with_sup: bool = True,
-                      target_contraction: float = 0.25) -> list[ConvergenceRecord]:
+                      quad: Optional[QuadratureSpec] = None) -> list[ConvergenceRecord]:
     """Per-tau error decomposition of f - phi_{f,tau}: interior L^p error
-    on [-tau, tau], analytic envelope tail on |x| > tau, and optionally a
-    certified sup bound of f - f_tau on [-tau, tau]."""
+    on [-tau, tau], analytic envelope tail on |x| > tau, and a certified
+    sup bound of f - f_tau on [-tau, tau]."""
     if not 1 < p < INF:
         raise ValueError("p must satisfy 1 < p < inf")
     if not f.p_membership.contains(p):
@@ -333,19 +328,15 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
         def diff(x, _a=a):
             return np.asarray(f.eval_real(x)) - np.asarray(_a.evaluate(x))
 
-        width = min(1.0, math.pi / (2.0 * max(f.sigma, 1.0)))
         interior = lp_norm_interval(diff, p, -tau, tau, quad,
-                                    max_panel_width=width)
+                                    max_panel_width=_osc_width(f.sigma))
         tail_integral = f.decay.tail_lp(tau, p)
         tail_value = tail_integral ** (1.0 / p)
         tail = NormEstimate(value=tail_value, error_bound=tail_value,
                             p=p, domain=f"|x|>{tau:g}", tail_bound=tail_value)
         total = (interior.value ** p + tail_integral) ** (1.0 / p)
-        sup_cert = None
-        if with_sup:
-            sigma_eff = max(f.sigma, math.pi * a.N / tau)
-            sup_cert = sup_norm_certified(diff, sigma_eff, -tau, tau,
-                                          target_contraction)
+        sigma_eff = max(f.sigma, math.pi * a.N / tau)
+        sup_cert = sup_norm_certified(diff, sigma_eff, -tau, tau)
         records.append(ConvergenceRecord(tau=float(tau), p=float(p),
                                          interior_error=interior,
                                          tail_error=tail,

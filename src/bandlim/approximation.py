@@ -178,21 +178,11 @@ def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int, k,
     return (hw / (2.0 * tau)) * shift * ((spectrum * node_phase) @ wq)
 
 
-def evaluate_sum(a: TrigApproximant, x):
-    """Module-level alias for TrigApproximant.evaluate."""
-    return a.evaluate(x)
-
-
-def truncated(a: TrigApproximant, x):
-    """Module-level alias for TrigApproximant.truncated."""
-    return a.truncated(x)
-
-
 def evaluate_convolution(f: TestFunction, tau: float, x: float,
                          quad: Optional[QuadratureSpec] = None):
     """(1/2 tau) * integral_{-tau}^{tau} f(t) D_N(pi (x - t)/tau) dt.
 
-    Independent cross-check path for evaluate_sum.  Returns
+    Independent cross-check path for TrigApproximant.evaluate.  Returns
     ``(value, err_bound)``.
     """
     if tau <= 0:
@@ -210,21 +200,6 @@ def evaluate_convolution(f: TestFunction, tau: float, x: float,
     return complex(value), float(err)
 
 
-def lewitan_weights(u, K: int, normalization: str = "verbatim"):
-    """Weights of the periodization sum at offsets u + k, |k| <= K."""
-    scale = _weight_scale(normalization)
-    k = np.arange(-K, K + 1)
-    return sinc_ratio(scale * (np.asarray(u, dtype=float)[..., None] + k)) ** 2
-
-
-def _weight_scale(normalization: str) -> float:
-    if normalization == "verbatim":
-        return 1.0
-    if normalization == "classical":
-        return math.pi
-    raise ValueError("normalization must be 'verbatim' or 'classical'")
-
-
 def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
             normalization: str = "verbatim"):
     """Symmetric partial sum of sum_k f(x + k tau) * w(x/tau + k).
@@ -238,7 +213,9 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
         raise ValueError("tau must be positive")
     if K < 0:
         raise ValueError("K must be nonnegative (0 = auto)")
-    scale = _weight_scale(normalization)
+    if normalization not in ("verbatim", "classical"):
+        raise ValueError("normalization must be 'verbatim' or 'classical'")
+    scale = math.pi if normalization == "classical" else 1.0
     beta = abs(x) / tau
     env = f.decay
 

@@ -7,45 +7,30 @@ line endings so identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import analysis, approximation, functions, kernels
 from .quadrature import QuadratureNonConvergence, QuadratureSpec
 
-_SUBCOMMANDS = ("converge", "lemma2", "counterexample", "inequalities",
-                "coeffs", "lewitan")
-
 _LEMMA2_DEFAULT_SIGMAS = (0.5, 1.0, math.pi, 5.0)
 _LEMMA2_DEFAULT_TAUS = (1.0, 5.0, 10.0, 40.0)
 _LEMMA2_DEFAULT_DELTAS = (0.0, 0.25, 0.5, 0.9)
 
+_CONSTANTS = {"pi": math.pi, "e": math.e}
+_OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg,
+              ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv}
+
 
 class UsageError(ValueError):
     """Invalid flags or parameter values; maps to exit status 2."""
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    function_id: Optional[str] = None
-    p: float = 2.0
-    delta: float = 0.5
-    tau_list: list = field(default_factory=list)
-    m_list: list = field(default_factory=list)
-    sigma: Optional[float] = None
-    x_list: list = field(default_factory=list)
-    K: int = 0
-    n_points: int = 1000
-    normalization: str = "verbatim"
-    output_path: Optional[str] = None
-    format: str = "csv"
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
 
 
 def _fmt(x) -> str:
@@ -70,16 +55,36 @@ def _parse_float_list(text: str, flag: str) -> list:
 
 
 def _parse_number(item: str) -> float:
-    # Accept pi-expressions like "pi/2+2*pi" for convenience in tau lists.
+    """A finite number or pi-expression such as "pi/2+2*pi": numeric
+    literals, pi, e, unary + -, binary + - * / and parentheses."""
     if any(ch not in "0123456789.+-*/()pie " for ch in item):
         raise ValueError(f"malformed number {item!r}")
-    if "pi" in item or "e" in item:
+    try:
+        value = float(item)  # also takes literals such as 010 that ast rejects
+    except ValueError:
+        # Deeply nested input makes the parser or the walker raise
+        # MemoryError or RecursionError instead of SyntaxError.
         try:
-            return float(eval(item, {"__builtins__": {}},
-                              {"pi": math.pi, "e": math.e}))
-        except Exception as exc:
+            value = float(_eval_number(ast.parse(item, mode="eval").body))
+        except (SyntaxError, ValueError, ArithmeticError, MemoryError,
+                RecursionError) as exc:
             raise ValueError(f"malformed number {item!r}") from exc
-    return float(item)
+    if not math.isfinite(value):
+        raise ValueError(f"{item!r} is not a finite number")
+    return value
+
+
+def _eval_number(node):
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _CONSTANTS[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_eval_number(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_eval_number(node.left),
+                                         _eval_number(node.right))
+    raise ValueError("unsupported expression")
 
 
 def _parse_m_list(text: str) -> list:
@@ -109,160 +114,88 @@ def _parse_m_list(text: str) -> list:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bandlim",
-        description="Trigonometric-sum approximation experiments for "
-                    "bandlimited functions")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--output", dest="output_path", default=None,
-                        help="output file path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--abs-tol", type=float, default=1e-10)
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
-        sp.add_argument("--max-depth", type=int, default=40)
-
-    sp = sub.add_parser("converge", help="truncation-error decay study")
-    sp.add_argument("--fn", required=True, help="catalog id, e.g. sinc:sigma=1")
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--tau", required=True, help="comma-separated tau ladder")
-    add_common(sp)
-
-    sp = sub.add_parser("lemma2", help="kernel-gap bound scan")
-    sp.add_argument("--sigma", default=None)
-    sp.add_argument("--tau", default=None)
-    sp.add_argument("--delta", default=None)
-    sp.add_argument("--n-points", type=int, default=1000)
-    add_common(sp)
-
-    sp = sub.add_parser("counterexample", help="p = inf counterexample run")
-    sp.add_argument("--m", required=True, help="e.g. 1..5 or 1,3,7")
-    add_common(sp)
-
-    sp = sub.add_parser("inequalities", help="inequality checker matrix")
-    add_common(sp)
-
-    sp = sub.add_parser("coeffs", help="Fourier coefficients of f_tau")
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--tau", required=True)
-    add_common(sp)
-
-    sp = sub.add_parser("lewitan", help="Lewitan periodization values")
-    sp.add_argument("--fn", required=True)
-    sp.add_argument("--tau", required=True)
-    sp.add_argument("--x", required=True, help="comma-separated abscissae")
-    sp.add_argument("--K", type=int, default=0, help="cutoff (0 = auto)")
-    sp.add_argument("--normalization", choices=("verbatim", "classical"),
-                    default="verbatim")
-    add_common(sp)
-
-    return parser
+def _check_converge(ns):
+    if not 1 < ns.p < math.inf:
+        raise UsageError("p must satisfy 1 < p < inf")
+    ns.tau_list = _parse_float_list(ns.tau, "--tau")
+    if ns.tau_list != sorted(ns.tau_list):
+        raise UsageError("--tau values must be increasing")
+    if any(t <= 0 for t in ns.tau_list):
+        raise UsageError("--tau values must be positive")
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    try:
-        quad = QuadratureSpec(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
-                              max_depth=ns.max_depth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    cfg = RunConfig(subcommand=ns.subcommand, output_path=ns.output_path,
-                    format=ns.format, quad=quad)
-
-    if ns.subcommand == "converge":
-        cfg.function_id = ns.fn
-        cfg.p = ns.p
-        if not 1 < cfg.p < math.inf:
-            raise UsageError("p must satisfy 1 < p < inf")
-        cfg.tau_list = _parse_float_list(ns.tau, "--tau")
-        if cfg.tau_list != sorted(cfg.tau_list):
-            raise UsageError("--tau values must be increasing")
-        if any(t <= 0 for t in cfg.tau_list):
-            raise UsageError("--tau values must be positive")
-    elif ns.subcommand == "lemma2":
-        given = (ns.sigma, ns.tau, ns.delta)
-        if any(v is not None for v in given) and not all(v is not None
-                                                        for v in given):
-            raise UsageError("lemma2 needs --sigma, --tau and --delta "
-                             "together (or none for the default matrix)")
-        if ns.sigma is not None:
-            cfg.sigma = _parse_float_list(ns.sigma, "--sigma")[0]
-            cfg.tau_list = [_parse_float_list(ns.tau, "--tau")[0]]
-            cfg.delta = _parse_float_list(ns.delta, "--delta")[0]
-            if cfg.sigma <= 0 or cfg.tau_list[0] <= 0:
-                raise UsageError("sigma and tau must be positive")
-            if not 0 <= cfg.delta < 1:
-                raise UsageError("delta must lie in [0, 1)")
-        if ns.n_points < 1000:
-            raise UsageError("--n-points must be at least 1000")
-        cfg.n_points = ns.n_points
-    elif ns.subcommand == "counterexample":
-        cfg.m_list = _parse_m_list(ns.m)
-    elif ns.subcommand == "coeffs":
-        cfg.function_id = ns.fn
-        cfg.tau_list = [_parse_float_list(ns.tau, "--tau")[0]]
-        if cfg.tau_list[0] <= 0:
-            raise UsageError("--tau must be positive")
-    elif ns.subcommand == "lewitan":
-        cfg.function_id = ns.fn
-        cfg.tau_list = [_parse_float_list(ns.tau, "--tau")[0]]
-        if cfg.tau_list[0] <= 0:
-            raise UsageError("--tau must be positive")
-        cfg.x_list = _parse_float_list(ns.x, "--x")
-        if ns.K < 0:
-            raise UsageError("--K must be nonnegative")
-        cfg.K = ns.K
-        cfg.normalization = ns.normalization
-
-    if cfg.function_id is not None:
-        try:
-            functions.from_id(cfg.function_id)
-        except functions.UnknownFunctionError as exc:
-            raise UsageError(f"--fn: {exc}") from exc
-    return cfg
+def _check_lemma2(ns):
+    given = [v is not None for v in (ns.sigma, ns.tau, ns.delta)]
+    if any(given) and not all(given):
+        raise UsageError("lemma2 needs --sigma, --tau and --delta "
+                         "together (or none for the default matrix)")
+    if ns.sigma is None:
+        ns.cells = [(s, t, d)
+                    for s in _LEMMA2_DEFAULT_SIGMAS
+                    for t in _LEMMA2_DEFAULT_TAUS
+                    for d in _LEMMA2_DEFAULT_DELTAS]
+    else:
+        sigma = _parse_float_list(ns.sigma, "--sigma")[0]
+        ns.tau_list = [_parse_float_list(ns.tau, "--tau")[0]]
+        delta = _parse_float_list(ns.delta, "--delta")[0]
+        if sigma <= 0 or ns.tau_list[0] <= 0:
+            raise UsageError("sigma and tau must be positive")
+        if not 0 <= delta < 1:
+            raise UsageError("delta must lie in [0, 1)")
+        ns.cells = [(sigma, ns.tau_list[0], delta)]
+    if ns.n_points < 1000:
+        raise UsageError("--n-points must be at least 1000")
 
 
-def _run_converge(cfg: RunConfig):
-    f = functions.from_id(cfg.function_id)
-    records = analysis.convergence_study(f, cfg.p, cfg.tau_list, cfg.quad)
+def _check_counterexample(ns):
+    ns.m_list = _parse_m_list(ns.m)
+
+
+def _check_tau(ns):
+    ns.tau_list = [_parse_float_list(ns.tau, "--tau")[0]]
+    if ns.tau_list[0] <= 0:
+        raise UsageError("--tau must be positive")
+
+
+def _check_lewitan(ns):
+    _check_tau(ns)
+    ns.x_list = _parse_float_list(ns.x, "--x")
+    if ns.K < 0:
+        raise UsageError("--K must be nonnegative")
+
+
+def _run_converge(ns):
+    f = functions.from_id(ns.function_id)
+    records = analysis.convergence_study(f, ns.p, ns.tau_list, ns.quad)
     columns = ["tau", "p", "interior", "interior_err", "tail", "total",
                "sup_cert", "sup_grid"]
     rows = [[r.tau, r.p, r.interior_error.value, r.interior_error.error_bound,
              r.tail_error.value, r.total_error,
              r.sup_error.certified_bound, r.sup_error.grid_max]
             for r in records]
-    return columns, rows
+    return columns, rows, None
 
 
-def _run_lemma2(cfg: RunConfig):
-    if cfg.sigma is not None:
-        cells = [(cfg.sigma, cfg.tau_list[0], cfg.delta)]
-    else:
-        cells = [(s, t, d)
-                 for s in _LEMMA2_DEFAULT_SIGMAS
-                 for t in _LEMMA2_DEFAULT_TAUS
-                 for d in _LEMMA2_DEFAULT_DELTAS]
+def _run_lemma2(ns):
     columns = ["sigma", "tau", "delta", "n_points", "observed_max", "argmax",
                "bound", "ratio"]
     rows = []
-    for s, t, d in cells:
-        rep = kernels.kernel_gap_scan(s, t, d, cfg.n_points)
+    for s, t, d in ns.cells:
+        rep = kernels.kernel_gap_scan(s, t, d, ns.n_points)
         rows.append([rep.sigma, rep.tau, rep.delta, rep.n_points,
                      rep.observed_max, rep.argmax, rep.bound, rep.ratio])
-    return columns, rows
+    return columns, rows, None
 
 
-def _run_counterexample(cfg: RunConfig):
-    results = analysis.counterexample_run(cfg.m_list)
+def _run_counterexample(ns):
+    results = analysis.counterexample_run(ns.m_list)
     columns = ["m", "tau", "imag_gap"]
-    rows = [[m, tau, gap] for m, (tau, gap) in zip(cfg.m_list, results)]
-    return columns, rows
+    rows = [[m, tau, gap] for m, (tau, gap) in zip(ns.m_list, results)]
+    return columns, rows, None
 
 
-def _inequality_matrix(quad: QuadratureSpec):
+def _run_inequalities(ns):
+    quad = ns.quad
     sinc1 = functions.make_sinc(1.0)
     fejer2 = functions.make_fejer_square(2.0)
     checks = []
@@ -279,37 +212,106 @@ def _inequality_matrix(quad: QuadratureSpec):
     for p in (1.5, 2.0):
         a = approximation.fourier_coefficients(sinc1, 10.0, quad)
         checks.append(analysis.check_poly_nikolskii(a, p, quad))
-    return checks
-
-
-def _run_inequalities(cfg: RunConfig):
     columns = ["check", "function", "params", "lhs", "rhs", "margin"]
     rows = []
-    for c in _inequality_matrix(cfg.quad):
+    for c in checks:
         params = ";".join(f"{k}={_fmt(float(v))}" for k, v in c.params.items())
         rows.append([c.name, c.function_id, params, c.lhs, c.rhs, c.margin])
-    return columns, rows
+    return columns, rows, None
 
 
-def _run_coeffs(cfg: RunConfig):
-    f = functions.from_id(cfg.function_id)
-    a = approximation.fourier_coefficients(f, cfg.tau_list[0], cfg.quad)
+def _run_coeffs(ns):
+    f = functions.from_id(ns.function_id)
+    a = approximation.fourier_coefficients(f, ns.tau_list[0], ns.quad)
     columns = ["k", "re", "im", "abs_error"]
-    rows = [[k - a.N, float(c.real), float(c.imag), cfg.quad.abs_tol]
+    rows = [[k - a.N, float(c.real), float(c.imag), ns.quad.abs_tol]
             for k, c in enumerate(a.coefficients)]
-    return columns, rows, a
+    # The coeffs JSON form is the approximant save/load document.
+    return columns, rows, a.to_json_dict()
 
 
-def _run_lewitan(cfg: RunConfig):
-    f = functions.from_id(cfg.function_id)
+def _run_lewitan(ns):
+    f = functions.from_id(ns.function_id)
     columns = ["x", "re", "im", "tail_bound"]
     rows = []
-    for x in cfg.x_list:
-        value, tail = approximation.lewitan(f, cfg.tau_list[0], x, cfg.K,
-                                            cfg.normalization)
+    for x in ns.x_list:
+        value, tail = approximation.lewitan(f, ns.tau_list[0], x, ns.K,
+                                            ns.normalization)
         value = complex(value)
         rows.append([x, value.real, value.imag, tail])
-    return columns, rows
+    return columns, rows, None
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand; each carries its validator ``check``
+    and its runner ``execute``, which returns (columns, rows, document),
+    with document None for the standard JSON form."""
+    parser = argparse.ArgumentParser(
+        prog="bandlim",
+        description="Trigonometric-sum approximation experiments for "
+                    "bandlimited functions")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    sp = sub.add_parser("converge", help="truncation-error decay study")
+    sp.add_argument("--fn", dest="function_id", metavar="FN", required=True,
+                    help="catalog id, e.g. sinc:sigma=1")
+    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--tau", required=True, help="comma-separated tau ladder")
+    sp.set_defaults(check=_check_converge, execute=_run_converge)
+
+    sp = sub.add_parser("lemma2", help="kernel-gap bound scan")
+    sp.add_argument("--sigma", default=None)
+    sp.add_argument("--tau", default=None)
+    sp.add_argument("--delta", default=None)
+    sp.add_argument("--n-points", type=int, default=1000)
+    sp.set_defaults(check=_check_lemma2, execute=_run_lemma2)
+
+    sp = sub.add_parser("counterexample", help="p = inf counterexample run")
+    sp.add_argument("--m", required=True, help="e.g. 1..5 or 1,3,7")
+    sp.set_defaults(check=_check_counterexample, execute=_run_counterexample)
+
+    sp = sub.add_parser("inequalities", help="inequality checker matrix")
+    sp.set_defaults(check=lambda ns: None, execute=_run_inequalities)
+
+    sp = sub.add_parser("coeffs", help="Fourier coefficients of f_tau")
+    sp.add_argument("--fn", dest="function_id", metavar="FN", required=True)
+    sp.add_argument("--tau", required=True)
+    sp.set_defaults(check=_check_tau, execute=_run_coeffs)
+
+    sp = sub.add_parser("lewitan", help="Lewitan periodization values")
+    sp.add_argument("--fn", dest="function_id", metavar="FN", required=True)
+    sp.add_argument("--tau", required=True)
+    sp.add_argument("--x", required=True, help="comma-separated abscissae")
+    sp.add_argument("--K", type=int, default=0, help="cutoff (0 = auto)")
+    sp.add_argument("--normalization", choices=("verbatim", "classical"),
+                    default="verbatim")
+    sp.set_defaults(check=_check_lewitan, execute=_run_lewitan)
+
+    for sp in sub.choices.values():
+        sp.add_argument("--output", dest="output_path", default=None,
+                        help="output file path (default: stdout)")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        sp.add_argument("--abs-tol", type=float, default=1e-10)
+        sp.add_argument("--rel-tol", type=float, default=1e-10)
+        sp.add_argument("--max-depth", type=int, default=40)
+    return parser
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parsed and validated flags; raises UsageError on bad input."""
+    ns = build_parser().parse_args(argv)
+    try:
+        ns.quad = QuadratureSpec(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
+                                 max_depth=ns.max_depth)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    ns.check(ns)
+    if getattr(ns, "function_id", None) is not None:
+        try:
+            functions.from_id(ns.function_id)
+        except functions.UnknownFunctionError as exc:
+            raise UsageError(f"--fn: {exc}") from exc
+    return ns
 
 
 def _write_csv(out, columns, rows):
@@ -319,58 +321,39 @@ def _write_csv(out, columns, rows):
         writer.writerow([_fmt(v) for v in row])
 
 
-def _json_document(cfg: RunConfig, columns, rows) -> dict:
-    params = {"quad": {"abs_tol": cfg.quad.abs_tol,
-                       "rel_tol": cfg.quad.rel_tol,
-                       "max_depth": cfg.quad.max_depth}}
-    if cfg.function_id is not None:
-        params["fn"] = cfg.function_id
-    if cfg.tau_list:
-        params["tau"] = cfg.tau_list
-    if cfg.m_list:
-        params["m"] = cfg.m_list
-    return {"subcommand": cfg.subcommand, "params": params,
+def _json_document(ns: argparse.Namespace, columns, rows) -> dict:
+    params = {"quad": {"abs_tol": ns.quad.abs_tol,
+                       "rel_tol": ns.quad.rel_tol,
+                       "max_depth": ns.quad.max_depth}}
+    for key, attr in (("fn", "function_id"), ("tau", "tau_list"),
+                      ("m", "m_list")):
+        if getattr(ns, attr, None):
+            params[key] = getattr(ns, attr)
+    return {"subcommand": ns.subcommand, "params": params,
             "columns": columns,
             "rows": [[v if not isinstance(v, float) else float(_fmt(v))
                       for v in row] for row in rows]}
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a validated config; returns the process exit status."""
+def run(ns: argparse.Namespace) -> int:
+    """Execute a namespace from parse_args; returns the process exit status."""
     try:
-        approximant = None
-        if cfg.subcommand == "converge":
-            columns, rows = _run_converge(cfg)
-        elif cfg.subcommand == "lemma2":
-            columns, rows = _run_lemma2(cfg)
-        elif cfg.subcommand == "counterexample":
-            columns, rows = _run_counterexample(cfg)
-        elif cfg.subcommand == "inequalities":
-            columns, rows = _run_inequalities(cfg)
-        elif cfg.subcommand == "coeffs":
-            columns, rows, approximant = _run_coeffs(cfg)
-        elif cfg.subcommand == "lewitan":
-            columns, rows = _run_lewitan(cfg)
-        else:
-            raise UsageError(f"unknown subcommand {cfg.subcommand!r}")
+        columns, rows, document = ns.execute(ns)
     except (QuadratureNonConvergence, ValueError) as exc:
-        print(f"bandlim {cfg.subcommand}: {exc}", file=sys.stderr)
+        print(f"bandlim {ns.subcommand}: {exc}", file=sys.stderr)
         return 1
 
     buf = io.StringIO()
-    if cfg.format == "json":
-        if cfg.subcommand == "coeffs":
-            # The coeffs JSON form is the approximant save/load document.
-            json.dump(approximant.to_json_dict(), buf, indent=2)
-        else:
-            json.dump(_json_document(cfg, columns, rows), buf, indent=2)
+    if ns.format == "json":
+        json.dump(document or _json_document(ns, columns, rows), buf,
+                  indent=2)
         buf.write("\n")
     else:
         _write_csv(buf, columns, rows)
 
     text = buf.getvalue()
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
+    if ns.output_path:
+        with open(ns.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -380,11 +363,11 @@ def run(cfg: RunConfig) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = parse_args(argv)
+        ns = parse_args(argv)
     except UsageError as exc:
         print(f"bandlim: {exc}", file=sys.stderr)
         return 2
-    return run(cfg)
+    return run(ns)
 
 
 if __name__ == "__main__":

@@ -98,16 +98,9 @@ class TestFunction:
     decay: DecayEnvelope
     p_membership: PMembership
     known_norms: Mapping[float, float] = field(default_factory=dict)
-    # Exponential type actually computed for derived members (may differ
-    # from the nominal sigma claimed by construction).
-    computed_type: Optional[float] = None
 
     def __call__(self, x):
         return self.eval_real(x)
-
-    @property
-    def supports_complex(self) -> bool:
-        return self.eval_complex is not None
 
 
 def make_sinc(sigma: float) -> TestFunction:
@@ -197,10 +190,9 @@ def mollify(f: TestFunction, rho: float) -> TestFunction:
 
     The weight has type 2*rho and the dilated factor type
     (1 - rho^2)*sigma, so the product has type 2*rho + (1 - rho^2)*sigma.
-    That value is stored as both sigma and computed_type: it can exceed
-    the original sigma, and undershooting the type would break the
-    bandwidth-dependent machinery built on top (coefficient counts,
-    certificate spacings).
+    That value is stored as sigma: it can exceed the original sigma, and
+    undershooting the type would break the bandwidth-dependent machinery
+    built on top (coefficient counts, certificate spacings).
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")
@@ -233,7 +225,6 @@ def mollify(f: TestFunction, rho: float) -> TestFunction:
         decay=DecayEnvelope(C=new_c, alpha=env.alpha + 2.0),
         p_membership=PMembership(1.0, min_inclusive=True),
         known_norms={},
-        computed_type=ctype,
     )
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from bandlim.approximation import (MAX_COEFF_NODES, TrigApproximant,
                                    evaluate_convolution, fourier_coefficients,
-                                   lewitan, lewitan_weights, truncated)
+                                   lewitan)
 from bandlim.analysis import exp_coefficients
-from bandlim.functions import (TestFunction, make_complex_exponential,
-                               make_fejer_square, make_sinc)
+from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
+                               make_complex_exponential, make_fejer_square,
+                               make_sinc)
 from bandlim.quadrature import QuadratureNonConvergence, QuadratureSpec
 
 QUAD = QuadratureSpec()
@@ -169,16 +170,16 @@ class TestEvaluate:
 class TestTruncated:
     def test_boundary_included(self):
         a = exp_coefficients(10.0)
-        assert truncated(a, 10.0) == pytest.approx(a.evaluate(10.0))
+        assert a.truncated(10.0) == pytest.approx(a.evaluate(10.0))
 
     def test_outside_support(self):
         a = exp_coefficients(10.0)
-        assert truncated(a, 10.0 + 1e-9) == 0.0
-        assert truncated(a, -10.0 - 1e-9) == 0.0
+        assert a.truncated(10.0 + 1e-9) == 0.0
+        assert a.truncated(-10.0 - 1e-9) == 0.0
 
     def test_at_zero_is_coefficient_sum(self):
         a = exp_coefficients(10.0)
-        assert truncated(a, 0.0) == pytest.approx(
+        assert a.truncated(0.0) == pytest.approx(
             complex(np.sum(a.coefficients)), abs=1e-14)
 
 
@@ -243,14 +244,20 @@ class TestLewitan:
             sups.append(max(errs))
         assert sups[0] > sups[1] > sups[2] > sups[3]
 
+    # On f = 1 with tau = 1 and x = u, the periodization sum is the sum of
+    # the weights at offsets u + k, |k| <= K.
+    ONE = TestFunction(id="one", sigma=0.0, eval_real=np.ones_like,
+                       eval_complex=None, decay=DecayEnvelope(1.0, 0.0),
+                       p_membership=PMembership(math.inf))
+
     def test_classical_weights_partition_of_unity(self):
         for u in (0.0, 0.3, -0.77, 0.499):
-            w = lewitan_weights(u, 20_000, "classical")
-            assert float(np.sum(w)) == pytest.approx(1.0, abs=1e-4)
+            total, tail = lewitan(self.ONE, 1.0, u, 20_000, "classical")
+            assert total == pytest.approx(1.0, abs=1e-4)
 
     def test_verbatim_weights_are_not_partition(self):
-        w = lewitan_weights(0.5, 20_000, "verbatim")
-        assert abs(float(np.sum(w)) - 1.0) > 0.1
+        total, tail = lewitan(self.ONE, 1.0, 0.5, 20_000, "verbatim")
+        assert abs(total - 1.0) > 0.1
 
     def test_rejects_bad_arguments(self):
         f = make_sinc(1.0)

@@ -51,11 +51,35 @@ class TestParsing:
         ["coeffs", "--fn", "sinc:sigma=1", "--tau", "-3"],
         ["lewitan", "--fn", "sinc:sigma=1", "--tau", "10", "--x", "0",
          "--K", "-2"],
+        ["coeffs", "--fn", "sinc:sigma=1", "--tau", "pi**2"],
+        ["coeffs", "--fn", "sinc:sigma=1", "--tau", "1e309"],
+        ["coeffs", "--fn", "sinc:sigma=1", "--tau", "("],
+        ["coeffs", "--fn", "sinc:sigma=1", "--tau", "pi/0"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         status, out, err = run_capture(argv, capsys)
         assert status == 2
         assert err != ""
+
+    @pytest.mark.parametrize("text", ["pi**2", "1e309", "(", "pi/0"])
+    def test_rejected_number_names_the_flag(self, text, capsys):
+        status, out, err = run_capture(
+            ["lewitan", "--fn", "sinc:sigma=1", "--tau", "10", "--x", text],
+            capsys)
+        assert status == 2
+        assert err.startswith("bandlim: --x: ")
+
+    @pytest.mark.parametrize("text, value", [
+        ("pi/2+2*pi", math.pi / 2 + 2 * math.pi),
+        ("-pi", -math.pi),
+        ("1e-3", 1e-3),
+        ("(1+pi)*2", (1 + math.pi) * 2),
+        (".5", 0.5),
+    ])
+    def test_accepts_number_grammar(self, text, value):
+        cfg = cli.parse_args(["lewitan", "--fn", "sinc:sigma=1", "--tau", "10",
+                              f"--x={text}"])
+        assert cfg.x_list == [value]
 
 
 class TestCoeffs:
@@ -140,6 +164,27 @@ class TestLemma2:
              "--format", "json"], capsys)
         assert status == 0
         jsonschema.validate(json.loads(out), load_schema("output.schema.json"))
+
+
+class TestJsonParams:
+    @pytest.mark.parametrize("argv, keys", [
+        (["converge", "--fn", "sinc:sigma=1", "--tau", "5"],
+         {"fn", "quad", "tau"}),
+        (["lemma2", "--sigma", "1", "--tau", "5", "--delta", "0"],
+         {"quad", "tau"}),
+        (["lemma2"], {"quad"}),
+        (["counterexample", "--m", "1,2"], {"m", "quad"}),
+        (["inequalities"], {"quad"}),
+        (["lewitan", "--fn", "sinc:sigma=1", "--tau", "20", "--x", "0"],
+         {"fn", "quad", "tau"}),
+    ])
+    def test_document_and_params_keys(self, argv, keys, capsys):
+        status, out, err = run_capture(argv + ["--format", "json"], capsys)
+        assert status == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("output.schema.json"))
+        assert doc["subcommand"] == argv[0]
+        assert set(doc["params"]) == keys
 
 
 class TestLewitan:

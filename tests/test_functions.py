@@ -123,8 +123,7 @@ class TestMollify:
 
     def test_records_computed_type(self):
         g = mollify(make_sinc(1.0), 0.1)
-        assert g.computed_type == pytest.approx(2 * 0.1 + (1 - 0.01) * 1.0)
-        assert g.sigma == g.computed_type
+        assert g.sigma == pytest.approx(2 * 0.1 + (1 - 0.01) * 1.0)
 
     def test_gains_l1_membership(self):
         g = mollify(make_sinc(1.0), 0.1)
@@ -198,7 +197,7 @@ class TestCatalogIds:
 
     def test_parse_mollify(self):
         f = from_id("mollify:base=sinc,sigma=1,rho=0.1")
-        assert f.computed_type is not None
+        assert f.sigma == pytest.approx(2 * 0.1 + (1 - 0.01) * 1.0)
         assert f.decay.alpha == 3.0
 
     def test_roundtrip_ids(self):
