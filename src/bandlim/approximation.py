@@ -16,7 +16,9 @@ from .quadrature import (QuadratureNonConvergence, QuadratureSpec, _nodes,
                          integrate)
 
 _LEWITAN_TAIL_TARGET = 1e-8
-_LEWITAN_MAX_AUTO_K = 10 ** 7
+# Largest Lewitan cutoff K, given or automatic: the sum takes 2K + 1 terms
+# and holds a few float64 arrays of that length (about 1 GB at the limit).
+MAX_LEWITAN_K = 10 ** 7
 # Most integrand samples (panels x panel_order) one level of the panel rule
 # in fourier_coefficients may take: 2^22 complex samples are 64 MiB, and the
 # FFT and the level it is compared against hold a few more copies.
@@ -207,16 +209,18 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
     In 'verbatim' mode the weight is sin^2(u)/u^2; 'classical' uses the
     partition-of-unity weight sin^2(pi u)/(pi u)^2.  ``K = 0`` picks the
     cutoff from the decay envelope so the returned tail bound is below
-    1e-8.  Returns ``(value, tail_bound)``.
+    1e-8.  K is at most ``MAX_LEWITAN_K``.  Returns ``(value, tail_bound)``.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if K < 0:
-        raise ValueError("K must be nonnegative (0 = auto)")
+    if not 0 <= K <= MAX_LEWITAN_K:
+        raise ValueError(f"K must lie in [0, {MAX_LEWITAN_K}] (0 = auto)")
     if normalization not in ("verbatim", "classical"):
         raise ValueError("normalization must be 'verbatim' or 'classical'")
     scale = math.pi if normalization == "classical" else 1.0
     beta = abs(x) / tau
+    if not beta < MAX_LEWITAN_K - 2:
+        raise ValueError(f"|x| / tau must stay below {MAX_LEWITAN_K - 2}")
     env = f.decay
 
     if K == 0:
@@ -251,14 +255,14 @@ def _tail_bound(env, tau: float, beta: float, scale: float, K: int) -> float:
 def _auto_cutoff(env, tau: float, beta: float, scale: float) -> int:
     target = _LEWITAN_TAIL_TARGET
     if env.alpha == 0:
-        K = math.ceil(beta + 2.0 * env.C / (scale ** 2 * target))
+        reach = beta + 2.0 * env.C / (scale ** 2 * target)
     else:
         gap = (2.0 * env.C
                / (scale ** 2 * tau ** env.alpha * (env.alpha + 1.0)
                   * target)) ** (1.0 / (env.alpha + 1.0))
-        K = math.ceil(beta + gap)
-    if K > _LEWITAN_MAX_AUTO_K:
+        reach = beta + gap
+    if not reach <= MAX_LEWITAN_K:
         raise ValueError(
             "decay envelope too weak for the automatic Lewitan cutoff; "
             "pass K explicitly")
-    return max(K, math.ceil(beta) + 2)
+    return max(math.ceil(reach), math.ceil(beta) + 2)

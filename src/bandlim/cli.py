@@ -23,6 +23,9 @@ _LEMMA2_DEFAULT_SIGMAS = (0.5, 1.0, math.pi, 5.0)
 _LEMMA2_DEFAULT_TAUS = (1.0, 5.0, 10.0, 40.0)
 _LEMMA2_DEFAULT_DELTAS = (0.0, 0.25, 0.5, 0.9)
 
+# Most values one --m list may hold, counted before any range is expanded.
+MAX_M_VALUES = 10 ** 5
+
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 _OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg,
               ast.Add: operator.add, ast.Sub: operator.sub,
@@ -101,12 +104,15 @@ def _parse_m_list(text: str) -> list:
                 raise UsageError(f"--m: malformed range {item!r}") from exc
             if hi_i < lo_i:
                 raise UsageError(f"--m: empty range {item!r}")
-            out.extend(range(lo_i, hi_i + 1))
+            values = range(lo_i, hi_i + 1)
         else:
             try:
-                out.append(int(item))
+                values = [int(item)]
             except ValueError as exc:
                 raise UsageError(f"--m: malformed integer {item!r}") from exc
+        if len(out) + len(values) > MAX_M_VALUES:
+            raise UsageError(f"--m: more than {MAX_M_VALUES} values")
+        out.extend(values)
     if not out:
         raise UsageError("--m requires at least one value")
     if any(m < 1 for m in out):
@@ -143,8 +149,9 @@ def _check_lemma2(ns):
         if not 0 <= delta < 1:
             raise UsageError("delta must lie in [0, 1)")
         ns.cells = [(sigma, ns.tau_list[0], delta)]
-    if ns.n_points < 1000:
-        raise UsageError("--n-points must be at least 1000")
+    if not 1000 <= ns.n_points <= kernels.MAX_SCAN_POINTS:
+        raise UsageError(f"--n-points: must lie in "
+                         f"[1000, {kernels.MAX_SCAN_POINTS}]")
 
 
 def _check_counterexample(ns):
@@ -160,8 +167,9 @@ def _check_tau(ns):
 def _check_lewitan(ns):
     _check_tau(ns)
     ns.x_list = _parse_float_list(ns.x, "--x")
-    if ns.K < 0:
-        raise UsageError("--K must be nonnegative")
+    if not 0 <= ns.K <= approximation.MAX_LEWITAN_K:
+        raise UsageError(f"--K: must lie in "
+                         f"[0, {approximation.MAX_LEWITAN_K}] (0 = auto)")
 
 
 def _run_converge(ns):

@@ -29,9 +29,12 @@ def sinc_ratio(u):
     u = np.asarray(u)
     small = np.abs(u) < _SERIES_CUTOFF
     safe = np.where(small, 1.0, u)
-    u2 = u * u
-    series = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
-    return np.where(small, series, np.sin(safe) / safe)
+    out = np.asarray(np.sin(safe) / safe)
+    if small.any():
+        u2 = u[small] * u[small]
+        out[small] = (1.0 - u2 / 6.0 + u2 * u2 / 120.0
+                      - u2 * u2 * u2 / 5040.0)
+    return out
 
 
 def _maybe_scalar(res, x):

@@ -11,6 +11,9 @@ from .functions import sinc_ratio, _maybe_scalar
 
 _RATIO_CUTOFF = 1e-8
 _OMEGA_CUTOFF = 0.1
+# Most grid points kernel_gap_scan may take, given or widened: 2^22 float64
+# points are 32 MiB per array, and the kernel evaluation holds about ten.
+MAX_SCAN_POINTS = 2 ** 22
 
 
 def n_terms(sigma: float, tau: float) -> int:
@@ -106,25 +109,30 @@ class KernelGapReport:
         return self.observed_max / self.bound
 
 
-def _golden_max(h, a: float, b: float, iters: int = 70):
-    """Golden-section maximization of h on [a, b]."""
+def _golden_max(h, a, b, iters: int = 70):
+    """Golden-section maximization of h on the brackets [a[i], b[i]].
+
+    All brackets advance in lockstep, so h is called once per step on the
+    array of new points; each bracket follows exactly the iterates of a
+    scalar search on its own.  Returns the arrays (argmax, max).
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     hc = h(c)
     hd = h(d)
     for _ in range(iters):
-        if hc < hd:
-            a, c, hc = c, d, hd
-            d = a + invphi * (b - a)
-            hd = h(d)
-        else:
-            b, d, hd = d, c, hc
-            c = b - invphi * (b - a)
-            hc = h(c)
-    if hc >= hd:
-        return c, hc
-    return d, hd
+        up = hc < hd
+        a = np.where(up, c, a)
+        b = np.where(up, b, d)
+        x = np.where(up, a + invphi * (b - a), b - invphi * (b - a))
+        hx = h(x)
+        c, d = np.where(up, d, x), np.where(up, x, c)
+        hc, hd = np.where(up, hd, hx), np.where(up, hx, hc)
+    keep_c = hc >= hd
+    return np.where(keep_c, c, d), np.where(keep_c, hc, hd)
 
 
 def kernel_gap_scan(sigma: float, tau: float, delta: float,
@@ -132,19 +140,24 @@ def kernel_gap_scan(sigma: float, tau: float, delta: float,
     """Scan |kernel_gap| over [-(1+delta) tau, (1+delta) tau].
 
     The grid is widened if needed so the fastest oscillation is sampled at
-    least 16 times per period, then the top 5 grid maxima are sharpened by
-    golden-section refinement.
+    least 16 times per period (at most ``MAX_SCAN_POINTS`` points), then the
+    top 5 grid maxima are sharpened by one golden-section search that
+    refines their five brackets in lockstep.
     """
     if sigma <= 0 or tau <= 0:
         raise ValueError("sigma and tau must be positive")
     if not 0 <= delta < 1:
         raise ValueError("delta must lie in [0, 1)")
-    if n_points < 1000:
-        raise ValueError("n_points must be at least 1000")
+    if not 1000 <= n_points <= MAX_SCAN_POINTS:
+        raise ValueError(f"n_points must lie in [1000, {MAX_SCAN_POINTS}]")
     N = n_terms(sigma, tau)
-    needed = math.ceil(16.0 * (1.0 + delta) * tau
-                       * max(sigma, math.pi * N / tau + 1.0) / math.pi)
-    n = max(n_points, needed)
+    needed = (16.0 * (1.0 + delta) * tau
+              * max(sigma, math.pi * N / tau + 1.0) / math.pi)
+    if needed > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"the grid for sigma={sigma:g}, tau={tau:g} needs {needed:.3g} "
+            f"points, more than {MAX_SCAN_POINTS}")
+    n = max(n_points, math.ceil(needed))
     half_span = (1.0 + delta) * tau
     v = np.linspace(-half_span, half_span, n)
     vals = np.abs(kernel_gap(sigma, tau, v))
@@ -154,12 +167,12 @@ def kernel_gap_scan(sigma: float, tau: float, delta: float,
     arg = float(v[order[-1]])
 
     def h(x):
-        return abs(kernel_gap(sigma, tau, float(x)))
+        return np.abs(kernel_gap(sigma, tau, x))
 
-    for i in order[-5:]:
-        lo = float(v[max(i - 1, 0)])
-        hi = float(v[min(i + 1, n - 1)])
-        x, y = _golden_max(h, lo, hi)
+    top = order[-5:]
+    xs, ys = _golden_max(h, v[np.maximum(top - 1, 0)],
+                         v[np.minimum(top + 1, n - 1)])
+    for x, y in zip(xs, ys):
         if y > best:
             best, arg = float(y), float(x)
 

@@ -15,9 +15,17 @@ from functools import lru_cache
 
 import numpy as np
 
+# Most integrand points one ``integrate`` call may evaluate, summed over its
+# passes (each pass costs 3 * panel_order points per open panel).  The
+# largest call in the test suite and the benchmark workloads takes about
+# 1.15M points, so 2^24 leaves a wide margin while stopping a refinement
+# whose panel count keeps doubling before it exhausts memory.
+MAX_INTEGRAND_POINTS = 2 ** 24
+
 
 class QuadratureNonConvergence(RuntimeError):
-    """A panel could not meet its tolerance within the allowed depth."""
+    """A panel could not meet its tolerance within the allowed depth, or
+    the call would exceed ``MAX_INTEGRAND_POINTS``."""
 
     def __init__(self, message: str, midpoint: float | None = None):
         super().__init__(message)
@@ -69,7 +77,9 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
 
     ``g`` receives a 1-D numpy array of abscissae and must return a real or
     complex array of the same shape.  Returns ``(value, err)`` where ``err``
-    bounds the accumulated panel-estimate differences.
+    bounds the accumulated panel-estimate differences.  A pass that would
+    take the call above ``MAX_INTEGRAND_POINTS`` raises
+    :class:`QuadratureNonConvergence` before its abscissae are built.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -80,6 +90,9 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         if max_panel_width <= 0:
             raise ValueError("max_panel_width must be positive")
         n0 = max(1, math.ceil((b - a) / max_panel_width))
+    per_panel = 3 * spec.panel_order
+    if n0 * per_panel > MAX_INTEGRAND_POINTS:
+        raise _over_budget(a, b, n0 * per_panel)
     edges = np.linspace(a, b, n0 + 1)
     lefts = edges[:-1].copy()
     rights = edges[1:].copy()
@@ -90,8 +103,12 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
     value = 0.0
     err = 0.0
     scale = None
+    points = 0
 
     while lefts.size:
+        points += per_panel * lefts.size
+        if points > MAX_INTEGRAND_POINTS:
+            raise _over_budget(a, b, points)
         coarse, fine = _panel_estimates(g, lefts, rights, xg, wg)
         if scale is None:
             scale = float(np.abs(coarse).sum())
@@ -121,6 +138,12 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         depths = np.concatenate([d + 1, d + 1])
 
     return value, err
+
+
+def _over_budget(a: float, b: float, points: int):
+    return QuadratureNonConvergence(
+        f"quadrature over [{a:.6g}, {b:.6g}] needs {points} integrand "
+        f"points, more than the budget of {MAX_INTEGRAND_POINTS}")
 
 
 def _panel_estimates(g, lefts, rights, xg, wg):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bandlim.approximation import (MAX_COEFF_NODES, TrigApproximant,
-                                   evaluate_convolution, fourier_coefficients,
-                                   lewitan)
+from bandlim.approximation import (MAX_COEFF_NODES, MAX_LEWITAN_K,
+                                   TrigApproximant, evaluate_convolution,
+                                   fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
                                make_complex_exponential, make_fejer_square,
@@ -267,6 +267,13 @@ class TestLewitan:
             lewitan(f, 10.0, 0.1, -1)
         with pytest.raises(ValueError):
             lewitan(f, 10.0, 0.1, 10, "other")
+        with pytest.raises(ValueError, match="K must lie in"):
+            lewitan(f, 10.0, 0.1, MAX_LEWITAN_K + 1)
+
+    @pytest.mark.parametrize("tau, x", [(1e-10, 1.0), (1e-300, 1e300)])
+    def test_rejects_abscissa_beyond_cutoff_limit(self, tau, x):
+        with pytest.raises(ValueError, match=r"\|x\| / tau"):
+            lewitan(make_sinc(1.0), tau, x, 5)
 
 
 class TestJsonRoundTrip:

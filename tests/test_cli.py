@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from bandlim import cli
+from bandlim import approximation, cli, kernels
 
 
 def run_capture(argv, capsys):
@@ -60,6 +60,24 @@ class TestParsing:
         status, out, err = run_capture(argv, capsys)
         assert status == 2
         assert err != ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["lemma2", "--n-points", str(kernels.MAX_SCAN_POINTS + 1)],
+         "--n-points"),
+        (["lewitan", "--fn", "sinc:sigma=1", "--tau", "10", "--x", "0",
+          "--K", str(approximation.MAX_LEWITAN_K + 1)], "--K"),
+        (["counterexample", "--m", "1..1000000000"], "--m"),
+        (["counterexample", "--m", "7,1..100000"], "--m"),
+    ])
+    def test_size_limit_names_the_flag(self, argv, flag, capsys):
+        status, out, err = run_capture(argv, capsys)
+        assert status == 2
+        assert err.startswith(f"bandlim: {flag}: ")
+
+    def test_m_limit_is_inclusive(self):
+        cfg = cli.parse_args(["counterexample", "--m",
+                              f"1..{cli.MAX_M_VALUES}"])
+        assert len(cfg.m_list) == cli.MAX_M_VALUES
 
     @pytest.mark.parametrize("text", ["pi**2", "1e309", "(", "pi/0"])
     def test_rejected_number_names_the_flag(self, text, capsys):

@@ -35,6 +35,48 @@ class TestSincRatio:
     def test_at_zero(self):
         assert float(sinc_ratio(0.0)) == 1.0
 
+    @staticmethod
+    def whole_array_formula(u):
+        """Oracle: the series and the ratio on every element, then a select."""
+        u = np.asarray(u)
+        small = np.abs(u) < 1e-4
+        safe = np.where(small, 1.0, u)
+        u2 = u * u
+        series = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
+        return np.where(small, series, np.sin(safe) / safe)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", [(40,), (5, 8)])
+    def test_mixed_array_matches_whole_array_formula(self, dtype, shape):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(-30.0, 30.0, shape).astype(dtype)
+        if dtype is complex:
+            u += 1j * rng.uniform(-3.0, 3.0, shape)
+        flat = u.reshape(-1)
+        flat[::3] *= 1e-5       # |u| < 1e-4
+        flat[1] = 0.0
+        flat[4] = 9.99e-5
+        flat[7] = 1.001e-4
+        got = sinc_ratio(u)
+        want = self.whole_array_formula(u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_array_without_small_elements(self):
+        u = np.linspace(0.5, 40.0, 17)
+        assert np.array_equal(sinc_ratio(u), self.whole_array_formula(u))
+        assert np.array_equal(sinc_ratio(u + 0.25j),
+                              self.whole_array_formula(u + 0.25j))
+
+    @pytest.mark.parametrize("u", [0.0, 3e-5, 0.5, -7.0, 2e-5j, 1.5 + 0.5j,
+                                   np.float64(0.25)])
+    def test_scalar_input_stays_zero_dimensional(self, u):
+        got = sinc_ratio(u)
+        want = self.whole_array_formula(u)
+        assert type(got) is type(want)
+        assert np.ndim(got) == 0
+        assert got == want
+
 
 class TestSinc:
     def test_removable_singularity(self):

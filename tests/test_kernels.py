@@ -3,9 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from bandlim.kernels import (KernelGapReport, dirichlet, kernel_gap,
-                             kernel_gap_bound, kernel_gap_scan, n_terms,
-                             omega, sinc_kernel)
+from bandlim import kernels
+from bandlim.kernels import (MAX_SCAN_POINTS, KernelGapReport, dirichlet,
+                             kernel_gap, kernel_gap_bound, kernel_gap_scan,
+                             n_terms, omega, sinc_kernel)
+
+
+def scalar_golden_max(h, a, b, iters=70):
+    """Oracle: the scalar golden-section search on one bracket, whose
+    iterates the lockstep search must follow exactly."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    hc = h(c)
+    hd = h(d)
+    for _ in range(iters):
+        if hc < hd:
+            a, c, hc = c, d, hd
+            d = a + invphi * (b - a)
+            hd = h(d)
+        else:
+            b, d, hd = d, c, hc
+            c = b - invphi * (b - a)
+            hc = h(c)
+    if hc >= hd:
+        return c, hc
+    return d, hd
 
 
 def dirichlet_direct(N, xi):
@@ -180,3 +203,25 @@ class TestScan:
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
             kernel_gap_scan(1.0, 10.0, 0.5, n_points=999)
+
+    @pytest.mark.parametrize("sigma, tau", [
+        (1.0, 10.0), (math.pi, 5.0), (5.0, 40.0), (0.5, 1.0)])
+    def test_lockstep_matches_scalar_golden(self, sigma, tau):
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(-1.5 * tau, 1.5 * tau, 5)
+        hi = lo + rng.uniform(1e-3, 0.5, 5)
+        xs, ys = kernels._golden_max(
+            lambda x: np.abs(kernel_gap(sigma, tau, x)), lo, hi)
+        for i in range(5):
+            x, y = scalar_golden_max(
+                lambda t: abs(kernel_gap(sigma, tau, float(t))),
+                float(lo[i]), float(hi[i]))
+            assert (xs[i], ys[i]) == (x, y)
+
+    def test_rejects_oversized_grid(self):
+        with pytest.raises(ValueError, match="n_points must lie in"):
+            kernel_gap_scan(1.0, 10.0, 0.5, n_points=MAX_SCAN_POINTS + 1)
+
+    def test_rejects_oversized_automatic_grid(self):
+        with pytest.raises(ValueError, match="more than"):
+            kernel_gap_scan(1e6, 1e6, 0.0)

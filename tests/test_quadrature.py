@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bandlim.quadrature import (QuadratureNonConvergence, QuadratureSpec,
-                                gauss_panel, integrate)
+from bandlim import quadrature
+from bandlim.quadrature import (MAX_INTEGRAND_POINTS, QuadratureNonConvergence,
+                                QuadratureSpec, gauss_panel, integrate)
 
 
 class TestSpec:
@@ -74,6 +75,30 @@ class TestAdaptive:
         spec = QuadratureSpec(max_depth=3, abs_tol=1e-13, rel_tol=1e-14)
         with pytest.raises(QuadratureNonConvergence):
             integrate(lambda x: np.abs(x - 0.1234) ** 0.2, -1.0, 1.0, spec)
+
+    def test_budget_stops_runaway_refinement(self, monkeypatch):
+        # Every panel fails, so the open panel count doubles each pass.
+        monkeypatch.setattr(quadrature, "MAX_INTEGRAND_POINTS", 10_000)
+        calls = []
+
+        def g(x):
+            calls.append(x.size)
+            return np.sin(1e9 * x)
+
+        with pytest.raises(QuadratureNonConvergence,
+                           match=r"over \[0, 1\] needs \d+ integrand points"
+                                 r", more than the budget of 10000"):
+            integrate(g, 0.0, 1.0)
+        assert 0 < sum(calls) <= 10_000
+
+    def test_budget_checked_before_first_pass(self):
+        def g(x):
+            raise AssertionError("integrand evaluated")
+
+        with pytest.raises(QuadratureNonConvergence,
+                           match=f"more than the budget of "
+                                 f"{MAX_INTEGRAND_POINTS}"):
+            integrate(g, 0.0, 1.0, max_panel_width=1e-12)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
