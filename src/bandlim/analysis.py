@@ -15,12 +15,18 @@ from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
 from .quadrature import QuadratureSpec, integrate
 
-# Hard cap on the quadrature window for real-line norms; beyond it the
-# analytic envelope tail is folded into the error bound instead.
+# Hard cap on the window for real-line norms; beyond it the analytic
+# envelope tail is folded into the error bound instead.
 _X_MAX = 1.0e4
 # Cap for the sup-norm search window on the real line.
 _SUP_X_MAX = 1.0e6
 _SUP_ENVELOPE_FLOOR = 1e-6
+# Most nodes the sampling sum of an even-p real-line norm may evaluate in
+# its one call: 2^22 complex samples are 64 MiB.
+MAX_LINE_SAMPLES = 2 ** 22
+# Most coefficients (2N + 1) exp_coefficients may build: 2^22 complex
+# values are 64 MiB, and the index and phase arrays hold a few more copies.
+MAX_EXP_COEFFS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -119,17 +125,55 @@ def _osc_width(sigma: float) -> float:
 
 
 def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
-                      quad: QuadratureSpec, osc_width: float) -> NormEstimate:
-    """Real-line L^p norm of g with the tail beyond the quadrature window
-    bounded analytically from the decay envelope."""
+                      quad: QuadratureSpec, sigma: float) -> NormEstimate:
+    """Real-line L^p norm of g, of exponential type <= sigma with
+    |g| <= env, over the window [-X, X] plus the envelope tail beyond it,
+    X = clamp(env.cutoff_for_tail(abs_tol^p, p), 50, _X_MAX).
+
+    Even integer p takes the exact sampling sum.  Theorem (Plancherel and
+    Polya 1937; Boas, *Entire Functions*, 1954, ch. 6): if G is entire of
+    exponential type <= T and integrable on the real line, then
+    integral G dx = h sum_n G(nh) for every 0 < h < 2 pi / T (Poisson
+    summation; the shifted spectra of G do not overlap).  Its hypotheses
+    hold for G = (g g*)^{p/2}, g*(z) = conj(g(conj z)), which is |g|^p on
+    the real line: with g(x) = f(x + iy) and f entire of type <= sigma,
+    x -> g(x) and g* are entire of type <= sigma, so G is entire of type
+    <= p sigma, and G is integrable: it is continuous, and |G| <= env^p
+    with alpha p > 1.  The step is h = pi / (p sigma), half the Nyquist limit,
+    and the sum is taken in one call of g on the 2M + 1 nodes |n| <= M =
+    floor(X / h), at most ``MAX_LINE_SAMPLES``.  The terms are positive
+    and env decreases, so the omitted ones add at most the envelope tail
+    integral beyond Mh: the norm lies between S^{1/p} and
+    S^{1/p} + tail_lp(Mh, p)^{1/p}, and the error bound adds a
+    (2M + 1) eps S rounding term to that tail.
+
+    Other p, for which the theorem does not apply (|g|^p is not entire),
+    take adaptive quadrature on the window with panels resolving the
+    oscillation at frequency sigma.
+    """
     if env.alpha * p <= 1:
         raise ValueError("non-integrable tail envelope")
     cutoff = env.cutoff_for_tail(quad.abs_tol ** p, p)
     cutoff = max(50.0, min(_X_MAX, cutoff))
-    tail_integral = env.tail_lp(cutoff, p)
+    if p % 2 == 0 and sigma > 0:
+        h = math.pi / (p * sigma)
+        n_samples = 2.0 * (cutoff / h) + 1.0
+        if not n_samples <= MAX_LINE_SAMPLES:
+            raise ValueError(
+                f"the L^{p:g} sampling sum for type {sigma:g} needs "
+                f"{n_samples:.3g} samples, above the limit of "
+                f"{MAX_LINE_SAMPLES}")
+        M = math.floor(cutoff / h)
+        nodes = h * np.arange(-M, M + 1)
+        total = h * float(np.sum(np.abs(np.asarray(g(nodes))) ** p))
+        tail = env.tail_lp(M * h, p) ** (1.0 / p)
+        rounding = (2 * M + 1) * math.ulp(1.0) * total
+        return NormEstimate(value=total ** (1.0 / p),
+                            error_bound=tail + _root_error(total, rounding, p),
+                            p=p, domain="real-line", tail_bound=tail)
+    tail = env.tail_lp(cutoff, p) ** (1.0 / p)
     inner = lp_norm_interval(g, p, -cutoff, cutoff, quad,
-                             max_panel_width=osc_width)
-    tail = tail_integral ** (1.0 / p)
+                             max_panel_width=_osc_width(sigma))
     return NormEstimate(value=inner.value,
                         error_bound=inner.error_bound + tail,
                         p=p, domain="real-line", tail_bound=tail)
@@ -143,8 +187,7 @@ def lp_norm_line(f: TestFunction, p: float,
     if not f.p_membership.contains(p):
         raise ValueError(f"{f.id} is not a member of B^{p:g}")
     quad = quad or QuadratureSpec()
-    return _lp_norm_envelope(f.eval_real, f.decay, p, quad,
-                             _osc_width(f.sigma))
+    return _lp_norm_envelope(f.eval_real, f.decay, p, quad, f.sigma)
 
 
 def sup_norm_certified(F: Callable, sigma_eff: float, a: float, b: float,
@@ -211,8 +254,7 @@ def check_plancherel_polya(f: TestFunction, y: float, p: float,
     # |x| >= 1, which is all the envelope is used for here).
     env_line = DecayEnvelope(C=f.decay.C * math.exp(f.sigma * abs(y)),
                              alpha=f.decay.alpha)
-    lhs = _lp_norm_envelope(along_line, env_line, p, quad,
-                            _osc_width(f.sigma))
+    lhs = _lp_norm_envelope(along_line, env_line, p, quad, f.sigma)
     base, base_err = _line_norm(f, p, quad)
     growth = math.exp(f.sigma * abs(y))
     rhs = base * growth
@@ -347,11 +389,18 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
 
 def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:
     """Closed-form coefficients of e^{i omega x}:
-    c_k = sinc(omega tau - pi k) = (-1)^k sin(omega tau) / (omega tau - pi k)."""
+    c_k = sinc(omega tau - pi k) = (-1)^k sin(omega tau) / (omega tau - pi k).
+
+    At most ``MAX_EXP_COEFFS`` coefficients; more raise ValueError before
+    any array is built."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     sigma = abs(omega)
     N = n_terms(sigma, tau)
+    if 2 * N + 1 > MAX_EXP_COEFFS:
+        raise ValueError(
+            f"e^(i omega x) at tau={tau:g} needs {2 * N + 1} coefficients, "
+            f"above the limit of {MAX_EXP_COEFFS}")
     k = np.arange(-N, N + 1)
     coeffs = np.asarray(sinc_ratio(omega * tau - math.pi * k), dtype=complex)
     return TrigApproximant(tau=float(tau), sigma=sigma, N=N,

@@ -222,9 +222,10 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
     if not beta < MAX_LEWITAN_K - 2:
         raise ValueError(f"|x| / tau must stay below {MAX_LEWITAN_K - 2}")
     env = f.decay
+    tau_alpha = _tau_power(tau, env.alpha)
 
     if K == 0:
-        K = _auto_cutoff(env, tau, beta, scale)
+        K = _auto_cutoff(env, tau_alpha, beta, scale)
     if K <= beta + 1:
         K = math.ceil(beta) + 2
 
@@ -233,32 +234,49 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
     weights = sinc_ratio(scale * u) ** 2
     samples = np.asarray(f.eval_real(x + k * tau))
     value = np.sum(samples * weights)
-    tail = _tail_bound(env, tau, beta, scale, K)
+    tail = _tail_bound(env, tau_alpha, beta, scale, K)
     if np.iscomplexobj(value):
         return complex(value), tail
     return float(value), tail
 
 
-def _tail_bound(env, tau: float, beta: float, scale: float, K: int) -> float:
+def _tau_power(tau: float, alpha: float) -> float:
+    """tau ** alpha, the scale of the envelope tail terms.  Overflow gives
+    inf (the tail is then below every float); underflow to 0 would make
+    the tail bound infinite, so it raises ValueError."""
+    try:
+        value = tau ** alpha
+    except OverflowError:
+        return math.inf
+    if value == 0.0:
+        raise ValueError(f"tau={tau:g} is too small: tau ** {alpha:g} "
+                         f"underflows, so the envelope tail bound is not "
+                         f"finite")
+    return value
+
+
+def _tail_bound(env, tau_alpha: float, beta: float, scale: float,
+                K: int) -> float:
     """Bound on the discarded |k| > K terms via the decay envelope and the
-    1/u^2 weight decay; requires K > beta."""
+    1/u^2 weight decay; requires K > beta.  ``tau_alpha`` is
+    tau ** env.alpha."""
     gap = K - beta
     if gap <= 0:
         return math.inf
     if env.alpha == 0:
         return 2.0 * env.C / (scale ** 2 * gap)
     return (2.0 * env.C
-            / (scale ** 2 * tau ** env.alpha * (env.alpha + 1.0)
+            / (scale ** 2 * tau_alpha * (env.alpha + 1.0)
                * gap ** (env.alpha + 1.0)))
 
 
-def _auto_cutoff(env, tau: float, beta: float, scale: float) -> int:
+def _auto_cutoff(env, tau_alpha: float, beta: float, scale: float) -> int:
     target = _LEWITAN_TAIL_TARGET
     if env.alpha == 0:
         reach = beta + 2.0 * env.C / (scale ** 2 * target)
     else:
         gap = (2.0 * env.C
-               / (scale ** 2 * tau ** env.alpha * (env.alpha + 1.0)
+               / (scale ** 2 * tau_alpha * (env.alpha + 1.0)
                   * target)) ** (1.0 / (env.alpha + 1.0))
         reach = beta + gap
     if not reach <= MAX_LEWITAN_K:

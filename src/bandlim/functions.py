@@ -50,6 +50,10 @@ class DecayEnvelope:
     C: float
     alpha: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.C) and math.isfinite(self.alpha)):
+            raise ValueError("decay envelope constants must be finite")
+
     def bound(self, x):
         return self.C / (1.0 + np.abs(x)) ** self.alpha
 
@@ -178,7 +182,7 @@ def make_fejer_square(sigma: float) -> TestFunction:
         eval_real=ev,
         eval_complex=evc,
         # Conservative constant: 4/sigma^2 alone fails near |x| = 1.
-        decay=DecayEnvelope(C=max(4.0, 16.0 / (s * s)), alpha=2.0),
+        decay=DecayEnvelope(C=max(4.0, 16.0 / s / s), alpha=2.0),
         p_membership=PMembership(1.0, min_inclusive=True),
         known_norms={
             1.0: 2.0 * math.pi / s,
@@ -218,7 +222,7 @@ def mollify(f: TestFunction, rho: float) -> TestFunction:
 
     ctype = 2.0 * r + shrink * f.sigma
     env = f.decay
-    new_c = 4.0 * env.C / (r * r * shrink ** env.alpha)
+    new_c = 4.0 * env.C / r / r / shrink ** env.alpha
     base_id = f.id
     return TestFunction(
         id=f"mollify:base={base_id.replace(':', ',', 1)},rho={r:g}",

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bandlim import analysis
 from bandlim.analysis import (DecompositionValues, check_nikolskii,
                               check_plancherel_polya, check_poly_nikolskii,
                               convergence_study, counterexample_run,
@@ -68,6 +69,71 @@ class TestLpNorms:
             lp_norm_interval(np.cos, 0.5, 0.0, 1.0)
         with pytest.raises(ValueError):
             lp_norm_interval(np.cos, 2.0, 1.0, 1.0)
+
+
+def sampling_nodes(env, p, sigma, quad=QUAD):
+    """Node count 2M + 1 of the even-p sampling sum."""
+    cutoff = max(50.0, min(analysis._X_MAX,
+                           env.cutoff_for_tail(quad.abs_tol ** p, p)))
+    return 2 * math.floor(cutoff * p * sigma / math.pi) + 1
+
+
+class TestLineNormSampling:
+    def test_sinc_p4_closed_form(self):
+        # ||sinc||_4^4 = 2 / (3 pi^3) for sin(x) / (pi x)
+        exact = (2.0 / (3.0 * math.pi ** 3)) ** 0.25
+        est = lp_norm_line(make_sinc(1.0), 4.0, QUAD)
+        assert abs(est.value - exact) <= est.error_bound
+        # the truncated sum of positive terms sits below the whole line
+        assert -1e-12 <= exact - est.value <= est.error_bound
+
+    def test_fejer_real_line_matches_known_norm(self):
+        f = make_fejer_square(2.0)
+        chk = check_plancherel_polya(f, 0.0, 2.0, QUAD)
+        assert abs(chk.lhs - f.known_norms[2.0]) <= chk.error_bound
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_one_call_on_all_nodes(self, p):
+        f = make_sinc(1.0)
+        sizes = []
+
+        def g(x):
+            sizes.append(np.size(x))
+            return f.eval_real(x)
+
+        analysis._lp_norm_envelope(g, f.decay, p, QUAD, f.sigma)
+        assert sizes == [sampling_nodes(f.decay, p, f.sigma)]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_other_p_take_adaptive_quadrature(self, p, monkeypatch):
+        calls = []
+
+        def counting(g, a, b, quad, **kw):
+            calls.append((a, b))
+            return 1.0, 0.0
+
+        monkeypatch.setattr(analysis, "integrate", counting)
+        lp_norm_line(make_fejer_square(2.0), p, QUAD)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("f, p", [(make_sinc(1.0), 2.0),
+                                      (make_sinc(1.0), 4.0),
+                                      (make_fejer_square(2.0), 2.0)])
+    def test_tail_and_error_bounds(self, f, p):
+        est = lp_norm_line(f, p, QUAD)
+        assert est.tail_bound > 0.0
+        assert est.error_bound >= est.tail_bound
+
+    def test_sample_limit_checked_before_sampling(self, monkeypatch):
+        f = make_sinc(1.0)
+        monkeypatch.setattr(analysis, "MAX_LINE_SAMPLES",
+                            sampling_nodes(f.decay, 2.0, f.sigma) - 1)
+
+        def g(x):
+            raise AssertionError("sampled past the limit")
+
+        with pytest.raises(ValueError, match="above the limit"):
+            analysis._lp_norm_envelope(g, f.decay, 2.0, QUAD, f.sigma)
 
 
 class TestSupCertificate:
@@ -219,6 +285,18 @@ class TestCounterexample:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             counterexample_run([0])
+
+    def test_coefficient_limit_checked_before_allocating(self, monkeypatch):
+        # N = 31 at tau = 100, so 63 coefficients
+        monkeypatch.setattr(analysis, "MAX_EXP_COEFFS", 62)
+        with pytest.raises(ValueError, match="63 coefficients, above the limit"):
+            exp_coefficients(100.0)
+        monkeypatch.setattr(analysis, "MAX_EXP_COEFFS", 63)
+        assert exp_coefficients(100.0).N == 31
+
+    def test_huge_m_rejected(self):
+        with pytest.raises(ValueError, match="above the limit"):
+            counterexample_run([10 ** 8])
 
 
 class TestConvergenceStudy:

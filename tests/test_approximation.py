@@ -270,6 +270,16 @@ class TestLewitan:
         with pytest.raises(ValueError, match="K must lie in"):
             lewitan(f, 10.0, 0.1, MAX_LEWITAN_K + 1)
 
+    @pytest.mark.parametrize("K", [0, 5])
+    def test_rejects_tau_whose_power_underflows(self, K):
+        # tau ** alpha = 1e-400 underflows to 0 for fejer_square (alpha 2)
+        with pytest.raises(ValueError, match="tau=1e-200 is too small"):
+            lewitan(make_fejer_square(2.0), 1e-200, 0.0, K)
+
+    def test_huge_tau_has_zero_tail(self):
+        value, tail = lewitan(make_fejer_square(2.0), 1e300, 0.0)
+        assert value == pytest.approx(1.0) and tail == 0.0
+
     @pytest.mark.parametrize("tau, x", [(1e-10, 1.0), (1e-300, 1e300)])
     def test_rejects_abscissa_beyond_cutoff_limit(self, tau, x):
         with pytest.raises(ValueError, match=r"\|x\| / tau"):

@@ -218,6 +218,19 @@ class TestLewitan:
             assert float(cells[3]) <= 1e-8
 
 
+class TestNumericalFailures:
+    @pytest.mark.parametrize("argv, text", [
+        (["lewitan", "--fn", "fejer_square:sigma=2", "--tau", "1e-200",
+          "--x", "0"], "is too small"),
+        (["counterexample", "--m", "100000000"], "above the limit"),
+    ])
+    def test_exit_1_with_message(self, argv, text, capsys):
+        status, out, err = run_capture(argv, capsys)
+        assert status == 1
+        assert err.startswith(f"bandlim {argv[0]}: ")
+        assert text in err and out == ""
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -1,0 +1,95 @@
+"""Property tests for the input validators: each accepts what it documents
+and rejects everything else with its own error type."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bandlim import cli
+from bandlim.functions import TestFunction, UnknownFunctionError, from_id
+from bandlim.quadrature import QuadratureSpec
+
+# A fixed example count and seed keep the run short and repeatable.
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+# Number-like text: float reprs (nan, inf, subnormals), integers, and
+# short strings over the characters number literals use.
+number_text = st.one_of(
+    any_float.map(repr),
+    st.integers().map(str),
+    st.text(alphabet="0123456789.eE+-_naif", max_size=12),
+)
+
+
+def supported_tol(t: float) -> bool:
+    return math.isfinite(t) and t >= 1e-14
+
+
+class TestQuadratureSpec:
+    @SETTINGS
+    @given(bad=any_float.filter(lambda t: not supported_tol(t)),
+           good=st.floats(min_value=1e-14, max_value=1e3),
+           bad_is_abs=st.booleans())
+    def test_rejects_unsupported_tolerance(self, bad, good, bad_is_abs):
+        abs_tol, rel_tol = (bad, good) if bad_is_abs else (good, bad)
+        with pytest.raises(ValueError, match="tolerances"):
+            QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
+
+    @SETTINGS
+    @given(abs_tol=st.floats(min_value=1e-14, max_value=1e300),
+           rel_tol=st.floats(min_value=1e-14, max_value=1e300))
+    def test_accepts_supported_tolerances(self, abs_tol, rel_tol):
+        spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
+        assert spec.abs_tol == abs_tol and spec.rel_tol == rel_tol
+
+
+def builds_or_rejects(text: str):
+    """from_id(text) is a finite-type catalog member, or the call raised
+    UnknownFunctionError; any other exception fails the test."""
+    try:
+        f = from_id(text)
+    except UnknownFunctionError:
+        return None
+    assert isinstance(f, TestFunction)
+    assert 0 < f.sigma < math.inf
+    assert math.isfinite(f.decay.C) and math.isfinite(f.decay.alpha)
+    return f
+
+
+class TestFromId:
+    @SETTINGS
+    @given(name=st.sampled_from(["sinc", "fejer_square"]), value=number_text)
+    def test_sigma_parameter(self, name, value):
+        builds_or_rejects(f"{name}:sigma={value}")
+
+    @SETTINGS
+    @given(value=number_text)
+    def test_omega_parameter(self, value):
+        builds_or_rejects(f"expi:omega={value}")
+
+    @SETTINGS
+    @given(base=st.sampled_from(["sinc:sigma", "fejer_square:sigma",
+                                 "expi:omega"]),
+           value=number_text, rho=number_text)
+    def test_mollify_parameters(self, base, value, rho):
+        name, key = base.split(":")
+        builds_or_rejects(f"mollify:base={name},{key}={value},rho={rho}")
+
+    @SETTINGS
+    @given(text=st.text(max_size=40))
+    def test_arbitrary_text(self, text):
+        builds_or_rejects(text)
+
+
+class TestNumberParser:
+    @SETTINGS
+    @given(text=st.text(alphabet="0123456789.+-*/()pie ", max_size=24))
+    def test_finite_value_or_value_error(self, text):
+        try:
+            value = cli._parse_number(text)
+        except ValueError:
+            return
+        assert math.isfinite(value)
