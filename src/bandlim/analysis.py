@@ -5,19 +5,23 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .approximation import TrigApproximant, fourier_coefficients
+from .approximation import (TrigApproximant, _panel_geometry,
+                            fourier_coefficients)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import QuadratureSpec, _nodes, integrate
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
 _X_MAX = 1.0e4
+# Largest t with e^t finite.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Cap for the sup-norm search window on the real line.
 _SUP_X_MAX = 1.0e6
 _SUP_ENVELOPE_FLOOR = 1e-6
@@ -27,6 +31,10 @@ MAX_LINE_SAMPLES = 2 ** 22
 # Most coefficients (2N + 1) exp_coefficients may build: 2^22 complex
 # values are 64 MiB, and the index and phase arrays hold a few more copies.
 MAX_EXP_COEFFS = 2 ** 22
+# Most nodes (panels x panel_order) the finer level of the FFT first pass
+# of the interior L^p rule in convergence_study may take: it holds a few
+# complex arrays of that size, 64 MiB each at 2^22 nodes.
+MAX_INTERIOR_NODES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -239,7 +247,11 @@ def _line_norm(f: TestFunction, p: float,
 
 def check_plancherel_polya(f: TestFunction, y: float, p: float,
                            quad: Optional[QuadratureSpec] = None) -> InequalityCheck:
-    """||f(. + iy)||_p <= ||f||_p * e^{sigma |y|}."""
+    """||f(. + iy)||_p <= ||f||_p * e^{sigma |y|}.  A sigma |y| for which
+    e^{sigma |y|} overflows raises ValueError."""
+    if not f.sigma * abs(y) <= _LOG_FLOAT_MAX:
+        raise ValueError(f"e^(sigma |y|) overflows for sigma={f.sigma:g}, "
+                         f"y={y:g}")
     if f.eval_complex is None:
         raise ValueError(f"{f.id} does not support complex evaluation")
     if p == INF or not f.p_membership.contains(p):
@@ -370,8 +382,7 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
         def diff(x, _a=a):
             return np.asarray(f.eval_real(x)) - np.asarray(_a.evaluate(x))
 
-        interior = lp_norm_interval(diff, p, -tau, tau, quad,
-                                    max_panel_width=_osc_width(f.sigma))
+        interior = _interior_lp(f, a, p, quad)
         tail_integral = f.decay.tail_lp(tau, p)
         tail_value = tail_integral ** (1.0 / p)
         tail = NormEstimate(value=tail_value, error_bound=tail_value,
@@ -385,6 +396,60 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
                                          total_error=total,
                                          sup_error=sup_cert))
     return records
+
+
+def _interior_lp(f: TestFunction, a: TrigApproximant, p: float,
+                 quad: QuadratureSpec) -> NormEstimate:
+    """||f - f_tau||_{L^p[-tau, tau]} by :func:`integrate`, with the first
+    pass taken from f_tau on panel nodes by inverse FFT.
+
+    The first pass has n0 >= 2N + 1 equal panels of width at most
+    ``_osc_width(sigma)``.  Its coarse Gauss values come from level n0 and
+    its fine ones (two halves per panel) from level 2 n0, each level one
+    call of f and one :meth:`TrigApproximant.on_panels`.  integrate then
+    accepts each panel against its usual per-panel tolerance and bisects
+    the rest, sampling f_tau there with :meth:`TrigApproximant.evaluate`.
+    For even p, |f - f_tau|^p is smooth and every panel passes the first
+    pass; for other p it has kinks where f - f_tau vanishes, and only the
+    few panels holding them are refined.
+
+    The finer level of the first pass, 2 n0 panels, may hold at most
+    ``MAX_INTERIOR_NODES`` nodes; more raise ValueError before any
+    sampling.
+    """
+    tau = a.tau
+    xq, wq = _nodes(quad.panel_order)
+    width = min(_osc_width(f.sigma), 2.0 * tau / (2 * a.N + 1))
+    span = 2.0 * tau / width
+    if (span > MAX_INTERIOR_NODES
+            or 2 * math.ceil(span) * xq.size > MAX_INTERIOR_NODES):
+        raise ValueError(
+            f"the interior L^{p:g} error at tau={tau:g} needs "
+            f"{2.0 * span * xq.size:.3g} quadrature nodes, above the limit "
+            f"of {MAX_INTERIOR_NODES}")
+
+    def level(n):
+        hw, mids, _ = _panel_geometry(tau, n)
+        x = (mids[:, None] + hw * xq).ravel()
+        diff = (np.asarray(f.eval_real(x)).reshape(n, xq.size)
+                - a.on_panels(n, xq))
+        return hw * (np.abs(diff) ** p @ wq)
+
+    def first_pass(n):
+        halves = level(2 * n)
+        return level(n), halves[0::2] + halves[1::2]
+
+    def integrand(x):
+        return np.abs(np.asarray(f.eval_real(x))
+                      - np.asarray(a.evaluate(x))) ** p
+
+    integral, err = integrate(integrand, -tau, tau, quad,
+                              max_panel_width=width, first_pass=first_pass)
+    integral = float(integral)
+    err = float(err)
+    return NormEstimate(value=integral ** (1.0 / p),
+                        error_bound=_root_error(integral, err, p),
+                        p=p, domain=f"[{-tau:g},{tau:g}]")
 
 
 def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:

@@ -77,6 +77,30 @@ class TrigApproximant:
         out = out.reshape(np.shape(x))
         return _maybe_scalar(out, x)
 
+    def on_panels(self, panels: int, xq):
+        """f_tau at m_j + hw x_q on ``panels`` equal panels of [-tau, tau],
+        hw = tau / P and m_j = -tau + (2j + 1) hw, for reference nodes
+        ``xq`` in [-1, 1], as a (P, Q) complex array.
+
+        The transpose of the panel FFT in :func:`fourier_coefficients`:
+        f_tau(m_j + hw x_q) = sum_k c_k s_k e^{i pi k x_q / P}
+        e^{2 pi i j k / P} with s_k = (-1)^k e^{i pi k / P}, which is P
+        times entry j of the inverse FFT along the panel axis once each
+        term sits in bin k mod P.  P > 2N puts every k in a bin of its
+        own, and a smaller P raises ValueError.  O(Q (N + P log P)) time
+        and O(PQ) memory.
+        """
+        if not panels > 2 * self.N:
+            raise ValueError(f"need more than 2N = {2 * self.N} panels, "
+                             f"got {panels}")
+        xq = np.atleast_1d(np.asarray(xq, dtype=float))
+        k = np.arange(-self.N, self.N + 1)
+        _, _, shift = _panel_geometry(self.tau, panels, k)
+        bins = np.zeros((panels, xq.size), dtype=complex)
+        bins[k % panels] = ((self.coefficients * np.conj(shift))[:, None]
+                            * np.exp((1j * math.pi / panels) * np.outer(k, xq)))
+        return panels * np.fft.ifft(bins, axis=0)
+
     def truncated(self, x):
         """f_tau * indicator of the closed interval [-tau, tau]."""
         inside = np.abs(np.asarray(x, dtype=float)) <= self.tau
@@ -163,20 +187,28 @@ def fourier_coefficients(f: TestFunction, tau: float,
         f"{gap:.3g} > abs_tol {quad.abs_tol:.3g}")
 
 
-def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int, k,
-                            xq, wq):
-    """Composite Gauss estimate of c_k on ``panels`` equal panels.
-
-    With half-width hw = tau / P and midpoints m_j = -tau + (2j + 1) hw,
-    e^{-i pi k m_j / tau} = (-1)^k e^{-i pi k / P} e^{-2 pi i j k / P}, so
-    the sum over panels is entry k mod P of the FFT along the panel axis.
-    """
+def _panel_geometry(tau: float, panels: int, k=()):
+    """Half-width hw = tau / P, midpoints m_j = -tau + (2j + 1) hw of P
+    equal panels on [-tau, tau], and the shift s_k = (-1)^k e^{-i pi k / P}
+    for the wavenumbers ``k``, so that e^{-i pi k m_j / tau} =
+    s_k e^{-2 pi i j k / P}.  The forward panel FFT takes s_k, its
+    transpose :meth:`TrigApproximant.on_panels` the conjugate."""
     hw = tau / panels
     mids = -tau + hw * (2.0 * np.arange(panels) + 1.0)
+    k = np.asarray(k)
+    shift = np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * math.pi * k / panels)
+    return hw, mids, shift
+
+
+def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int, k,
+                            xq, wq):
+    """Composite Gauss estimate of c_k on ``panels`` equal panels: by
+    :func:`_panel_geometry` the sum over panels is s_k times entry k mod P
+    of the FFT along the panel axis."""
+    hw, mids, shift = _panel_geometry(tau, panels, k)
     samples = np.asarray(f.eval_real((mids[:, None] + hw * xq).ravel()))
     spectrum = np.fft.fft(samples.reshape(panels, xq.size), axis=0)[k % panels]
     node_phase = np.exp((-1j * math.pi / panels) * np.outer(k, xq))
-    shift = np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * math.pi * k / panels)
     return (hw / (2.0 * tau)) * shift * ((spectrum * node_phase) @ wq)
 
 

@@ -58,21 +58,42 @@ class DecayEnvelope:
         return self.C / (1.0 + np.abs(x)) ** self.alpha
 
     def tail_lp(self, cutoff: float, p: float) -> float:
-        """Integral of bound(x)^p over |x| > cutoff (requires alpha*p > 1)."""
+        """Integral of bound(x)^p over |x| > cutoff (requires alpha*p > 1).
+        A value beyond the float range raises ValueError."""
         ap = self.alpha * p
         if ap <= 1:
             raise ValueError("non-integrable tail envelope")
-        return 2.0 * self.C ** p * (1.0 + cutoff) ** (1.0 - ap) / (ap - 1.0)
+        try:
+            value = (2.0 * self.C ** p * (1.0 + cutoff) ** (1.0 - ap)
+                     / (ap - 1.0))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(
+                f"the envelope tail integral for C={self.C:g}, "
+                f"alpha={self.alpha:g}, p={p:g} beyond {cutoff:g} "
+                f"overflows")
+        return value
 
     def cutoff_for_tail(self, budget: float, p: float) -> float:
-        """Smallest X with tail_lp(X, p) <= budget."""
+        """Smallest X with tail_lp(X, p) <= budget, computed in logs so that
+        a large C ** p does not overflow; inf when X is beyond the float
+        range or the budget is not positive."""
         ap = self.alpha * p
         if ap <= 1:
             raise ValueError("non-integrable tail envelope")
-        base = 2.0 * self.C ** p / ((ap - 1.0) * budget)
-        if base <= 1.0:
+        if self.C == 0:
             return 0.0
-        return base ** (1.0 / (ap - 1.0)) - 1.0
+        if not budget > 0:
+            return math.inf
+        log_base = (math.log(2.0 / (ap - 1.0)) + p * math.log(self.C)
+                    - math.log(budget))
+        if log_base <= 0.0:
+            return 0.0
+        try:
+            return math.expm1(log_base / (ap - 1.0))
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

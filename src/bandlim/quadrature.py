@@ -72,7 +72,7 @@ def gauss_panel(g, a: float, b: float, order: int = 15):
 
 
 def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
-              max_panel_width: float | None = None):
+              max_panel_width: float | None = None, first_pass=None):
     """Adaptively integrate ``g`` over [a, b].
 
     ``g`` receives a 1-D numpy array of abscissae and must return a real or
@@ -80,6 +80,11 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
     bounds the accumulated panel-estimate differences.  A pass that would
     take the call above ``MAX_INTEGRAND_POINTS`` raises
     :class:`QuadratureNonConvergence` before its abscissae are built.
+
+    ``first_pass``, if given, is called with the number n0 of initial
+    panels (the n0 equal panels of [a, b]) and returns their coarse and
+    fine estimates, each of length n0, in place of sampling ``g`` there;
+    ``g`` is then sampled only on the panels that need refinement.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -109,7 +114,10 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         points += per_panel * lefts.size
         if points > MAX_INTEGRAND_POINTS:
             raise _over_budget(a, b, points)
-        coarse, fine = _panel_estimates(g, lefts, rights, xg, wg)
+        if scale is None and first_pass is not None:
+            coarse, fine = first_pass(n0)
+        else:
+            coarse, fine = _panel_estimates(g, lefts, rights, xg, wg)
         if scale is None:
             scale = float(np.abs(coarse).sum())
         diff = np.abs(coarse - fine)

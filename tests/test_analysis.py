@@ -13,9 +13,10 @@ from bandlim.analysis import (DecompositionValues, check_nikolskii,
                               sup_norm_certified)
 from bandlim.approximation import (TrigApproximant, evaluate_convolution,
                                    fourier_coefficients)
-from bandlim.functions import (INF, TestFunction, make_complex_exponential,
-                               make_fejer_square, make_sinc)
-from bandlim.kernels import kernel_gap_bound
+from bandlim.functions import (INF, TestFunction, from_id,
+                               make_complex_exponential, make_fejer_square,
+                               make_sinc)
+from bandlim.kernels import kernel_gap_bound, n_terms
 from bandlim.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec()
@@ -188,6 +189,20 @@ class TestPlancherelPolya:
         with pytest.raises(ValueError):
             check_plancherel_polya(zero_function(), 0.5, 2.0, QUAD)
 
+    def test_growth_overflow_rejected_before_sampling(self):
+        base = make_sinc(1.0)
+
+        def refuse(z):
+            raise AssertionError("sampled an overflowing line")
+
+        f = TestFunction(id="sinc", sigma=1.0, eval_real=refuse,
+                         eval_complex=refuse, decay=base.decay,
+                         p_membership=base.p_membership,
+                         known_norms=base.known_norms)
+        for y in (800.0, -800.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="overflows"):
+                check_plancherel_polya(f, y, 2.0, QUAD)
+
 
 class TestNikolskii:
     def test_equal_exponents_factor_two(self):
@@ -319,3 +334,101 @@ class TestConvergenceStudy:
             convergence_study(make_sinc(1.0), 2.0, [10.0, 5.0], QUAD)
         with pytest.raises(ValueError):
             convergence_study(make_sinc(1.0), 1.0, [5.0, 10.0], QUAD)
+
+
+def sinc_parseval(tau):
+    """(||f - f_tau||_{L^2[-tau,tau]}, ||f||_{L^2[-tau,tau]}) for
+    f = sin(x) / (pi x) by the Parseval identity
+    ||f - f_tau||^2 = ||f||^2 - 2 tau sum |c_k|^2, with
+    ||f||^2 = 2 (Si(2 tau) - sin^2(tau) / tau) / pi^2 and
+    c_k = (Si((1 + w) tau) + Si((1 - w) tau)) / (2 pi tau), w = pi k / tau,
+    at 40 digits."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        t = mp.mpf(tau)
+        norm2 = 2 * (mp.si(2 * t) - mp.sin(t) ** 2 / t) / mp.pi ** 2
+        csum = mp.mpf(0)
+        for k in range(n_terms(1.0, tau) + 1):
+            w = mp.pi * k / t
+            c = (mp.si((1 + w) * t) + mp.si((1 - w) * t)) / (2 * mp.pi * t)
+            csum += c * c if k == 0 else 2 * c * c
+        return float(mp.sqrt(norm2 - 2 * t * csum)), float(mp.sqrt(norm2))
+
+
+def interior_by_adaptive_rule(f, a, p):
+    """Oracle for the interior rule: ||f - f_tau||_{L^p[-tau,tau]} by
+    adaptive quadrature with f_tau from evaluate on every node."""
+    def diff(x):
+        return np.asarray(f.eval_real(x)) - np.asarray(a.evaluate(x))
+
+    return lp_norm_interval(diff, p, -a.tau, a.tau, QUAD,
+                            max_panel_width=analysis._osc_width(f.sigma))
+
+
+class TestInteriorRule:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("fn_id", ["fejer_square:sigma=2",
+                                       "mollify:base=sinc,sigma=1,rho=0.1"])
+    def test_matches_adaptive_oracle(self, fn_id, p):
+        f = from_id(fn_id)
+        for tau in (12.3, 61.7):
+            a = fourier_coefficients(f, tau, QUAD)
+            got = analysis._interior_lp(f, a, p, QUAD)
+            ref = interior_by_adaptive_rule(f, a, p)
+            # f_tau values of both paths are rounded to a few eps sum |c_k|
+            # at each node, which moves the L^p norm by at most that much
+            # times (2 tau)^{1/p}
+            rounding = (16.0 * np.finfo(float).eps
+                        * float(np.sum(np.abs(a.coefficients)))
+                        * (2.0 * tau) ** (1.0 / p))
+            assert abs(got.value - ref.value) \
+                <= got.error_bound + ref.error_bound + rounding
+            assert got.domain == ref.domain
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_even_p_takes_no_evaluate_call(self, p, monkeypatch):
+        f = make_fejer_square(2.0)
+        calls = []
+        original = TrigApproximant.evaluate
+
+        def counting(self, x):
+            calls.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(TrigApproximant, "evaluate", counting)
+        taus = [10.0, 40.0]
+        convergence_study(f, p, taus, QUAD)
+        sup_grid_calls = len(taus)
+        assert len(calls) == sup_grid_calls
+
+    def test_node_limit_checked_before_sampling(self, monkeypatch):
+        base = make_sinc(1.0)
+        tau = 40.0
+        a = fourier_coefficients(base, tau, QUAD)
+        # first pass: 80 panels, and the level of 160 it is compared with
+        fine_level = 2 * 80 * QUAD.panel_order
+        monkeypatch.setattr(analysis, "MAX_INTERIOR_NODES", fine_level - 1)
+
+        def refuse(x):
+            raise AssertionError("sampled past the node limit")
+
+        f = TestFunction(id="sinc", sigma=1.0, eval_real=refuse,
+                         eval_complex=None, decay=base.decay,
+                         p_membership=base.p_membership)
+        with pytest.raises(ValueError, match="above the limit"):
+            analysis._interior_lp(f, a, 2.0, QUAD)
+        monkeypatch.setattr(analysis, "MAX_INTERIOR_NODES", fine_level)
+        est = analysis._interior_lp(base, a, 2.0, QUAD)
+        assert est.value == pytest.approx(
+            interior_by_adaptive_rule(base, a, 2.0).value, rel=1e-12)
+
+    # frac(tau / pi) near 0.05, 0.5 and 0.95, around tau 80 and 1280
+    @pytest.mark.parametrize("tau", [78.7, 80.11, 81.52,
+                                     1278.79, 1280.2, 1281.61])
+    def test_parseval_oracle(self, tau):
+        (rec,) = convergence_study(make_sinc(1.0), 2.0, [tau], QUAD)
+        interior, fnorm = sinc_parseval(tau)
+        tol = (rec.interior_error.error_bound
+               + 16.0 * np.finfo(float).eps * fnorm)
+        assert abs(rec.interior_error.value - interior) <= tol

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from bandlim.approximation import (MAX_COEFF_NODES, MAX_LEWITAN_K,
-                                   TrigApproximant, evaluate_convolution,
+                                   TrigApproximant, _panel_geometry,
+                                   evaluate_convolution,
                                    fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
                                make_complex_exponential, make_fejer_square,
                                make_sinc)
-from bandlim.quadrature import QuadratureNonConvergence, QuadratureSpec
+from bandlim.quadrature import QuadratureNonConvergence, QuadratureSpec, _nodes
 
 QUAD = QuadratureSpec()
 
@@ -106,6 +107,37 @@ def reference_sum(a: TrigApproximant, x):
     for k in range(-a.N, a.N + 1):
         total = total + a.coefficients[k + a.N] * np.exp(1j * k * theta)
     return total
+
+
+class TestOnPanels:
+    @pytest.mark.parametrize("Q", [1, 15])
+    @pytest.mark.parametrize("extra", ["2N+1", "2N+2", "4N+7"])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 16, 2000])
+    def test_matches_evaluate(self, N, extra, Q):
+        panels = {"2N+1": 2 * N + 1, "2N+2": 2 * N + 2,
+                  "4N+7": 4 * N + 7}[extra]
+        rng = np.random.default_rng(N)
+        tau = 7.5
+        coeffs = rng.normal(size=2 * N + 1) + 1j * rng.normal(size=2 * N + 1)
+        a = TrigApproximant(tau=tau, sigma=math.pi * N / tau, N=N,
+                            coefficients=coeffs, coeff_error=0.0)
+        xq = _nodes(Q)[0] if Q > 1 else np.array([0.37])
+        hw, mids, _ = _panel_geometry(tau, panels)
+        got = a.on_panels(panels, xq)
+        assert got.shape == (panels, Q)
+        expect = np.asarray(a.evaluate(mids[:, None] + hw * xq))
+        # the rounding tolerance of test_matches_reference_sum
+        tol = 4.0 * np.finfo(float).eps * 3.0 * math.pi * (N + 1) \
+            * np.sum(np.abs(coeffs))
+        assert np.max(np.abs(got - expect)) <= tol
+
+    @pytest.mark.parametrize("N", [0, 1, 16])
+    def test_rejects_too_few_panels(self, N):
+        a = TrigApproximant(tau=5.0, sigma=math.pi * N / 5.0, N=N,
+                            coefficients=np.ones(2 * N + 1), coeff_error=0.0)
+        for panels in (2 * N, N):
+            with pytest.raises(ValueError, match="panels"):
+                a.on_panels(panels, _nodes(15)[0])
 
 
 class TestEvaluate:

@@ -223,6 +223,8 @@ class TestNumericalFailures:
         (["lewitan", "--fn", "fejer_square:sigma=2", "--tau", "1e-200",
           "--x", "0"], "is too small"),
         (["counterexample", "--m", "100000000"], "above the limit"),
+        (["converge", "--fn", "mollify:base=fejer_square,sigma=1e-100,rho=0.5",
+          "--p", "2", "--tau", "10"], "overflows"),
     ])
     def test_exit_1_with_message(self, argv, text, capsys):
         status, out, err = run_capture(argv, capsys)

@@ -194,6 +194,35 @@ class TestNonFiniteParameters:
             mollify(wide, 0.1)
 
 
+class TestDecayEnvelope:
+    def test_overflowing_tail_raises_value_error(self):
+        # mollify(fejer_square(sigma=1e-100), 0.5): C ** 2 is beyond floats
+        env = mollify(make_fejer_square(1e-100), 0.5).decay
+        assert env.C > 1e200
+        with pytest.raises(ValueError, match="overflows"):
+            env.tail_lp(10.0, 2.0)
+
+    def test_cutoff_for_tail_in_logs(self):
+        env = mollify(make_fejer_square(1e-100), 0.5).decay
+        ap = env.alpha * 2.0
+        cutoff = env.cutoff_for_tail(1e-20, 2.0)
+        # log10 of X + 1 = (log10(2 C^2 / (ap - 1)) + 20) / (ap - 1)
+        expect = (math.log10(2.0 / (ap - 1.0)) + 2.0 * math.log10(env.C)
+                  + 20.0) / (ap - 1.0)
+        assert math.log10(cutoff + 1.0) == pytest.approx(expect, rel=1e-13)
+        assert env.cutoff_for_tail(1e-20, (1.0 + 1e-12) / env.alpha) \
+            == math.inf
+
+    @pytest.mark.parametrize("f", catalog_members()[:2] + catalog_members()[3:],
+                             ids=lambda f: f.id)
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    def test_cutoff_meets_budget(self, f, p):
+        env = f.decay
+        budget = 1e-9
+        cutoff = env.cutoff_for_tail(budget, p)
+        assert env.tail_lp(cutoff, p) == pytest.approx(budget, rel=1e-12)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("f", catalog_members(), ids=lambda f: f.id)
     def test_decay_envelope_on_log_grid(self, f):

@@ -100,6 +100,30 @@ class TestAdaptive:
                                  f"{MAX_INTEGRAND_POINTS}"):
             integrate(g, 0.0, 1.0, max_panel_width=1e-12)
 
+    @pytest.mark.parametrize("g", [np.cos, lambda x: np.abs(x - 0.3) ** 1.5],
+                             ids=["smooth", "kink"])
+    def test_first_pass_replaces_initial_sampling(self, g):
+        sizes = []
+
+        def counting(x):
+            sizes.append(x.size)
+            return g(x)
+
+        def first_pass(n):
+            edges = np.linspace(-1.0, 2.0, n + 1)
+            return quadrature._panel_estimates(
+                g, edges[:-1], edges[1:], *quadrature._nodes(15))
+
+        ref = integrate(counting, -1.0, 2.0, max_panel_width=0.25)
+        ref_sizes = list(sizes)
+        sizes.clear()
+        got = integrate(counting, -1.0, 2.0, max_panel_width=0.25,
+                        first_pass=first_pass)
+        assert got == ref
+        # the 12 initial panels are not sampled; later passes are unchanged
+        assert ref_sizes[0] == 12 * 3 * 15
+        assert sizes == ref_sizes[1:]
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 1.0)
