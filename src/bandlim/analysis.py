@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .approximation import (TrigApproximant, _panel_geometry,
+from .approximation import (TrigApproximant, _first_panels, _panel_geometry,
                             fourier_coefficients)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
@@ -31,10 +31,6 @@ MAX_LINE_SAMPLES = 2 ** 22
 # Most coefficients (2N + 1) exp_coefficients may build: 2^22 complex
 # values are 64 MiB, and the index and phase arrays hold a few more copies.
 MAX_EXP_COEFFS = 2 ** 22
-# Most nodes (panels x panel_order) the finer level of the FFT first pass
-# of the interior L^p rule in convergence_study may take: it holds a few
-# complex arrays of that size, 64 MiB each at 2^22 nodes.
-MAX_INTERIOR_NODES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -52,12 +48,11 @@ class SupNormCertificate:
 
     Any point is within h/2 of a grid node, so by the Bernstein modulus
     bound |F(x)| <= grid_max + 2 sin(sigma h / 4) ||F||_inf, giving
-    ||F||_inf <= grid_max / (1 - contraction).
+    ||F||_inf <= grid_max / (1 - 2 sin(sigma h / 4)), with h = spacing.
     """
 
     grid_max: float
     spacing: float
-    contraction: float
     certified_bound: float
 
 
@@ -172,9 +167,9 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
                 f"{n_samples:.3g} samples, above the limit of "
                 f"{MAX_LINE_SAMPLES}")
         M = math.floor(cutoff / h)
+        tail = env.tail_lp(M * h, p) ** (1.0 / p)
         nodes = h * np.arange(-M, M + 1)
         total = h * float(np.sum(np.abs(np.asarray(g(nodes))) ** p))
-        tail = env.tail_lp(M * h, p) ** (1.0 / p)
         rounding = (2 * M + 1) * math.ulp(1.0) * total
         return NormEstimate(value=total ** (1.0 / p),
                             error_bound=tail + _root_error(total, rounding, p),
@@ -216,7 +211,6 @@ def sup_norm_certified(F: Callable, sigma_eff: float, a: float, b: float,
     vals = np.abs(np.asarray(F(grid)))
     grid_max = float(vals.max())
     return SupNormCertificate(grid_max=grid_max, spacing=h,
-                              contraction=contraction,
                               certified_bound=grid_max / (1.0 - contraction))
 
 
@@ -414,19 +408,14 @@ def _interior_lp(f: TestFunction, a: TrigApproximant, p: float,
     few panels holding them are refined.
 
     The finer level of the first pass, 2 n0 panels, may hold at most
-    ``MAX_INTERIOR_NODES`` nodes; more raise ValueError before any
-    sampling.
+    ``approximation.MAX_PANEL_NODES`` nodes; more raise ValueError before
+    any sampling.
     """
     tau = a.tau
     xq, wq = _nodes(quad.panel_order)
     width = min(_osc_width(f.sigma), 2.0 * tau / (2 * a.N + 1))
-    span = 2.0 * tau / width
-    if (span > MAX_INTERIOR_NODES
-            or 2 * math.ceil(span) * xq.size > MAX_INTERIOR_NODES):
-        raise ValueError(
-            f"the interior L^{p:g} error at tau={tau:g} needs "
-            f"{2.0 * span * xq.size:.3g} quadrature nodes, above the limit "
-            f"of {MAX_INTERIOR_NODES}")
+    _first_panels(tau, width, xq.size,
+                  f"the interior L^{p:g} error at tau={tau:g} needs")
 
     def level(n):
         hw, mids, _ = _panel_geometry(tau, n)

@@ -131,29 +131,33 @@ class TestFunction:
         return self.eval_real(x)
 
 
+def _from_formula(formula: Callable, complex_ok: bool = True,
+                  **fields) -> TestFunction:
+    """A TestFunction whose evaluators apply ``formula`` to the input cast
+    to float64 (eval_real) or complex (eval_complex, None unless
+    ``complex_ok``); 0-d input gives a numpy scalar."""
+
+    def evaluator(dtype):
+        def ev(x):
+            x = np.asarray(x, dtype=dtype)
+            return _maybe_scalar(formula(x), x)
+        return ev
+
+    evc = evaluator(complex) if complex_ok else None
+    return TestFunction(eval_real=evaluator(float), eval_complex=evc, **fields)
+
+
 def make_sinc(sigma: float) -> TestFunction:
     """f(x) = sin(sigma x) / (pi x), type sigma, peak sigma/pi at 0."""
     if not 0 < sigma < INF:
         raise ValueError("sigma must be positive and finite")
     s = float(sigma)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(s / math.pi * sinc_ratio(s * x), x)
-
-    def evc(z):
-        z = np.asarray(z, dtype=complex)
-        return _maybe_scalar(s / math.pi * sinc_ratio(s * z), z)
-
-    return TestFunction(
-        id=f"sinc:sigma={s:g}",
-        sigma=s,
-        eval_real=ev,
-        eval_complex=evc,
+    return _from_formula(
+        lambda x: s / math.pi * sinc_ratio(s * x),
+        id=f"sinc:sigma={s:g}", sigma=s,
         decay=DecayEnvelope(C=2.0 * max(1.0, s) / math.pi, alpha=1.0),
         p_membership=PMembership(1.0, min_inclusive=False),
-        known_norms={2.0: math.sqrt(s / math.pi), INF: s / math.pi},
-    )
+        known_norms={2.0: math.sqrt(s / math.pi), INF: s / math.pi})
 
 
 def make_complex_exponential(omega: float) -> TestFunction:
@@ -163,24 +167,12 @@ def make_complex_exponential(omega: float) -> TestFunction:
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
     w = float(omega)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(np.exp(1j * w * x), x)
-
-    def evc(z):
-        z = np.asarray(z, dtype=complex)
-        return _maybe_scalar(np.exp(1j * w * z), z)
-
-    return TestFunction(
-        id=f"expi:omega={w:g}",
-        sigma=abs(w),
-        eval_real=ev,
-        eval_complex=evc,
+    return _from_formula(
+        lambda x: np.exp(1j * w * x),
+        id=f"expi:omega={w:g}", sigma=abs(w),
         decay=DecayEnvelope(C=1.0, alpha=0.0),
         p_membership=PMembership(INF, min_inclusive=True),
-        known_norms={INF: 1.0},
-    )
+        known_norms={INF: 1.0})
 
 
 def make_fejer_square(sigma: float) -> TestFunction:
@@ -188,29 +180,14 @@ def make_fejer_square(sigma: float) -> TestFunction:
     if not 0 < sigma < INF:
         raise ValueError("sigma must be positive and finite")
     s = float(sigma)
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        return _maybe_scalar(sinc_ratio(0.5 * s * x) ** 2, x)
-
-    def evc(z):
-        z = np.asarray(z, dtype=complex)
-        return _maybe_scalar(sinc_ratio(0.5 * s * z) ** 2, z)
-
-    return TestFunction(
-        id=f"fejer_square:sigma={s:g}",
-        sigma=s,
-        eval_real=ev,
-        eval_complex=evc,
+    return _from_formula(
+        lambda x: sinc_ratio(0.5 * s * x) ** 2,
+        id=f"fejer_square:sigma={s:g}", sigma=s,
         # Conservative constant: 4/sigma^2 alone fails near |x| = 1.
         decay=DecayEnvelope(C=max(4.0, 16.0 / s / s), alpha=2.0),
         p_membership=PMembership(1.0, min_inclusive=True),
-        known_norms={
-            1.0: 2.0 * math.pi / s,
-            2.0: math.sqrt(4.0 * math.pi / (3.0 * s)),
-            INF: 1.0,
-        },
-    )
+        known_norms={1.0: 2.0 * math.pi / s,
+                     2.0: math.sqrt(4.0 * math.pi / (3.0 * s)), INF: 1.0})
 
 
 def mollify(f: TestFunction, rho: float) -> TestFunction:
@@ -229,31 +206,18 @@ def mollify(f: TestFunction, rho: float) -> TestFunction:
     r = float(rho)
     shrink = 1.0 - r * r
 
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        w = sinc_ratio(r * x) ** 2
-        return _maybe_scalar(w * np.asarray(f.eval_real(shrink * x)), x)
+    def formula(x):
+        base = f.eval_complex if np.iscomplexobj(x) else f.eval_real
+        return sinc_ratio(r * x) ** 2 * np.asarray(base(shrink * x))
 
-    evc = None
-    if f.eval_complex is not None:
-        def evc(z):
-            z = np.asarray(z, dtype=complex)
-            w = sinc_ratio(r * z) ** 2
-            return _maybe_scalar(w * np.asarray(f.eval_complex(shrink * z)), z)
-
-    ctype = 2.0 * r + shrink * f.sigma
     env = f.decay
-    new_c = 4.0 * env.C / r / r / shrink ** env.alpha
-    base_id = f.id
-    return TestFunction(
-        id=f"mollify:base={base_id.replace(':', ',', 1)},rho={r:g}",
-        sigma=ctype,
-        eval_real=ev,
-        eval_complex=evc,
-        decay=DecayEnvelope(C=new_c, alpha=env.alpha + 2.0),
-        p_membership=PMembership(1.0, min_inclusive=True),
-        known_norms={},
-    )
+    return _from_formula(
+        formula, complex_ok=f.eval_complex is not None,
+        id=f"mollify:base={f.id.replace(':', ',', 1)},rho={r:g}",
+        sigma=2.0 * r + shrink * f.sigma,
+        decay=DecayEnvelope(C=4.0 * env.C / r / r / shrink ** env.alpha,
+                            alpha=env.alpha + 2.0),
+        p_membership=PMembership(1.0, min_inclusive=True))
 
 
 class UnknownFunctionError(ValueError):

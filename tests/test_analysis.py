@@ -1,10 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from bandlim import analysis
+from bandlim import analysis, approximation
 from bandlim.analysis import (DecompositionValues, check_nikolskii,
                               check_plancherel_polya, check_poly_nikolskii,
                               convergence_study, counterexample_run,
@@ -188,6 +189,14 @@ class TestPlancherelPolya:
     def test_requires_complex_evaluator(self):
         with pytest.raises(ValueError):
             check_plancherel_polya(zero_function(), 0.5, 2.0, QUAD)
+
+    def test_tail_overflow_rejected_before_sampling(self):
+        # e^700 C overflows the envelope tail; it must raise before |g|^p
+        # is summed, so that numpy never warns about the power overflowing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                check_plancherel_polya(make_sinc(1.0), 700.0, 2.0, QUAD)
 
     def test_growth_overflow_rejected_before_sampling(self):
         base = make_sinc(1.0)
@@ -408,7 +417,7 @@ class TestInteriorRule:
         a = fourier_coefficients(base, tau, QUAD)
         # first pass: 80 panels, and the level of 160 it is compared with
         fine_level = 2 * 80 * QUAD.panel_order
-        monkeypatch.setattr(analysis, "MAX_INTERIOR_NODES", fine_level - 1)
+        monkeypatch.setattr(approximation, "MAX_PANEL_NODES", fine_level - 1)
 
         def refuse(x):
             raise AssertionError("sampled past the node limit")
@@ -418,7 +427,7 @@ class TestInteriorRule:
                          p_membership=base.p_membership)
         with pytest.raises(ValueError, match="above the limit"):
             analysis._interior_lp(f, a, 2.0, QUAD)
-        monkeypatch.setattr(analysis, "MAX_INTERIOR_NODES", fine_level)
+        monkeypatch.setattr(approximation, "MAX_PANEL_NODES", fine_level)
         est = analysis._interior_lp(base, a, 2.0, QUAD)
         assert est.value == pytest.approx(
             interior_by_adaptive_rule(base, a, 2.0).value, rel=1e-12)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bandlim.approximation import (MAX_COEFF_NODES, MAX_LEWITAN_K,
+from bandlim.approximation import (MAX_PANEL_NODES, MAX_LEWITAN_K,
                                    TrigApproximant, _panel_geometry,
                                    evaluate_convolution,
                                    fourier_coefficients, lewitan)
@@ -97,7 +97,7 @@ class TestFourierCoefficients:
                          p_membership=base.p_membership)
         with pytest.raises(QuadratureNonConvergence, match="tau=10"):
             fourier_coefficients(f, 10.0, QUAD)
-        assert max(largest) <= MAX_COEFF_NODES
+        assert max(largest) <= MAX_PANEL_NODES
 
 
 def reference_sum(a: TrigApproximant, x):

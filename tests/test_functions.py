@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bandlim.analysis import lp_norm_line
+from bandlim.analysis import check_plancherel_polya, lp_norm_line
 from bandlim.functions import (INF, PMembership, UnknownFunctionError,
                                from_id, make_complex_exponential,
                                make_fejer_square, make_sinc, mollify,
@@ -239,6 +239,37 @@ class TestInvariants:
         re = np.asarray(f.eval_real(x), dtype=complex)
         cx = np.asarray(f.eval_complex(x.astype(complex)))
         assert np.allclose(re, cx, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("f", catalog_members(), ids=lambda f: f.id)
+    def test_scalar_in_scalar_out(self, f):
+        assert isinstance(f.eval_real(0.7), np.generic)
+        assert isinstance(f.eval_complex(0.7 + 0.2j), np.generic)
+
+    @pytest.mark.parametrize("f", catalog_members(), ids=lambda f: f.id)
+    def test_shape_kept(self, f):
+        x = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+        assert np.shape(f.eval_real(x)) == (3, 4)
+        assert np.shape(f.eval_complex(x + 0.5j)) == (3, 4)
+
+    @pytest.mark.parametrize("f", catalog_members(), ids=lambda f: f.id)
+    def test_result_dtypes(self, f):
+        x = np.linspace(-4.0, 4.0, 9)
+        if not f.id.startswith("expi"):
+            assert np.asarray(f.eval_real(x)).dtype == np.float64
+            assert np.asarray(f.eval_real(0.7)).dtype == np.float64
+        assert np.asarray(f.eval_complex(x)).dtype == np.complex128
+        assert np.asarray(f.eval_complex(0.7)).dtype == np.complex128
+
+    def test_mollify_without_complex_evaluator(self):
+        base = dataclasses.replace(make_sinc(1.0), eval_complex=None)
+        g = mollify(base, 0.2)
+        assert g.eval_complex is None
+        x = np.linspace(-3.0, 3.0, 7)
+        assert np.array_equal(g.eval_real(x),
+                              mollify(make_sinc(1.0), 0.2).eval_real(x))
+        with pytest.raises(ValueError,
+                           match="does not support complex evaluation"):
+            check_plancherel_polya(g, 0.5, 2.0, QUAD)
 
     def test_membership_is_up_set(self):
         for f in catalog_members():
