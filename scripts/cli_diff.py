@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Compare the bandlim CLI of two source trees, argv by argv.
+
+Each argv is run through ``bandlim.cli.main`` in a fresh Python process,
+once with OLD_SRC and once with NEW_SRC first on ``sys.path``.  Every argv
+whose stdout, stderr or exit status differs is reported; the exit status is
+1 if any differs, else 0.  Run from the repository root:
+
+    python3 scripts/cli_diff.py OLD_SRC NEW_SRC [ARGV_FILE]
+
+OLD_SRC and NEW_SRC are directories holding the ``bandlim`` package, such
+as the ``src`` of a ``git clone`` of the parent commit and ``src``.
+ARGV_FILE holds one argv per line in shell syntax; blank lines and lines
+starting with ``#`` are skipped.  Without it the default list is used:
+every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``) and the
+``lemma2`` cases below.
+"""
+
+from __future__ import annotations
+
+import argparse
+import pathlib
+import shlex
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+LEMMA2_CASES = [
+    ["lemma2"],
+    ["lemma2", "--format", "json"],
+    ["lemma2", "--sigma", "1", "--tau", "10", "--delta", "0.5"],
+    ["lemma2", "--sigma", "1", "--tau", "10", "--delta", "0.5",
+     "--n-points", "5000"],
+    ["lemma2", "--sigma", "5", "--tau", "40", "--delta", "0.9"],
+    ["lemma2", "--sigma", "3", "--tau", "1000", "--delta", "0.5"],
+    ["lemma2", "--sigma", "1", "--tau", "3.14159265358979",
+     "--delta", "0.9"],
+    ["lemma2", "--n-points", "999"],
+    ["lemma2", "--sigma", "1e6", "--tau", "1e6", "--delta", "0"],
+]
+
+# -P keeps the working directory off sys.path, so only SRC supplies bandlim.
+RUNNER = ("import sys; sys.path.insert(0, sys.argv[1]); "
+          "from bandlim.cli import main; sys.exit(main(sys.argv[2:]))")
+
+
+def default_argvs() -> list[list[str]]:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, argv_for
+
+    out = []
+    for argv in ([a for seed in range(1, 6) for w in WORKLOADS
+                  for a in argv_for(w, seed)] + LEMMA2_CASES):
+        if argv not in out:
+            out.append(argv)
+    return out
+
+
+def read_argvs(path: str) -> list[list[str]]:
+    with open(path, encoding="utf-8") as fh:
+        return [shlex.split(line) for line in fh
+                if line.strip() and not line.lstrip().startswith("#")]
+
+
+def run_cli(src: str, argv: list[str]) -> tuple[int, str, str]:
+    proc = subprocess.run([sys.executable, "-P", "-c", RUNNER, src, *argv],
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("argv_file", nargs="?")
+    args = parser.parse_args()
+    argvs = read_argvs(args.argv_file) if args.argv_file else default_argvs()
+
+    differing = 0
+    for argv in argvs:
+        old = run_cli(args.old_src, argv)
+        new = run_cli(args.new_src, argv)
+        fields = [name for name, a, b in zip(
+            ("status", "stdout", "stderr"), old, new) if a != b]
+        if fields:
+            differing += 1
+            print(f"DIFF in {', '.join(fields)} (exit {old[0]} -> {new[0]}): "
+                  f"{shlex.join(argv)}")
+        else:
+            print(f"same (exit {new[0]}, {len(new[1])} bytes): "
+                  f"{shlex.join(argv)}")
+    print(f"{differing} of {len(argvs)} argv differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,8 @@ from .functions import (DecayEnvelope, PMembership, TestFunction, from_id,
                         make_complex_exponential, make_fejer_square,
                         make_sinc, mollify)
 from .kernels import (KernelGapReport, dirichlet, kernel_gap,
-                      kernel_gap_bound, kernel_gap_scan, omega, sinc_kernel)
+                      kernel_gap_bound, kernel_gap_scan, kernel_gap_scans,
+                      omega, sinc_kernel)
 from .quadrature import QuadratureNonConvergence, QuadratureSpec, integrate
 
 __version__ = "0.1.0"
@@ -37,7 +38,7 @@ __all__ = [
     "counterexample_run", "decomposition_F123", "dirichlet",
     "evaluate_convolution", "exp_coefficients", "from_id",
     "fourier_coefficients", "integrate", "kernel_gap", "kernel_gap_bound",
-    "kernel_gap_scan", "lewitan", "lp_norm_interval", "lp_norm_line",
-    "make_complex_exponential", "make_fejer_square", "make_sinc", "mollify",
-    "omega", "sinc_kernel", "sup_norm_certified",
+    "kernel_gap_scan", "kernel_gap_scans", "lewitan", "lp_norm_interval",
+    "lp_norm_line", "make_complex_exponential", "make_fejer_square",
+    "make_sinc", "mollify", "omega", "sinc_kernel", "sup_norm_certified",
 ]

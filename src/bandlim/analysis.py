@@ -441,6 +441,17 @@ def _interior_lp(f: TestFunction, a: TrigApproximant, p: float,
                         p=p, domain=f"[{-tau:g},{tau:g}]")
 
 
+def _exp_n_terms(sigma: float, tau: float) -> int:
+    """N of e^(i omega x) at tau, |omega| = sigma; ValueError when its
+    2N + 1 coefficients exceed ``MAX_EXP_COEFFS``."""
+    N = n_terms(sigma, tau)
+    if 2 * N + 1 > MAX_EXP_COEFFS:
+        raise ValueError(
+            f"e^(i omega x) at tau={tau:g} needs {2 * N + 1} coefficients, "
+            f"above the limit of {MAX_EXP_COEFFS}")
+    return N
+
+
 def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:
     """Closed-form coefficients of e^{i omega x}:
     c_k = sinc(omega tau - pi k) = (-1)^k sin(omega tau) / (omega tau - pi k).
@@ -450,11 +461,7 @@ def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:
     if tau <= 0:
         raise ValueError("tau must be positive")
     sigma = abs(omega)
-    N = n_terms(sigma, tau)
-    if 2 * N + 1 > MAX_EXP_COEFFS:
-        raise ValueError(
-            f"e^(i omega x) at tau={tau:g} needs {2 * N + 1} coefficients, "
-            f"above the limit of {MAX_EXP_COEFFS}")
+    N = _exp_n_terms(sigma, tau)
     k = np.arange(-N, N + 1)
     coeffs = np.asarray(sinc_ratio(omega * tau - math.pi * k), dtype=complex)
     return TrigApproximant(tau=float(tau), sigma=sigma, N=N,
@@ -465,13 +472,21 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
     """Im(f - f_{tau_m})(tau_m) for f = e^{ix}, tau_m = pi/2 + 2 pi m.
 
     The identity forces the value 1 for every m, witnessing the failure of
-    sup-norm convergence for p = inf.
+    sup-norm convergence for p = inf.  Every m, and its coefficient count,
+    is checked before any coefficients are built.
     """
-    out = []
+    taus = []
     for m in m_list:
-        if int(m) != m or m < 1:
+        if not (1 <= m < math.inf and int(m) == m):
             raise ValueError("m_list must contain positive integers")
-        tau = 0.5 * math.pi + 2.0 * math.pi * int(m)
+        try:
+            taus.append(0.5 * math.pi + 2.0 * math.pi * int(m))
+        except OverflowError:
+            raise ValueError("m_list holds a value beyond the float "
+                             "range") from None
+        _exp_n_terms(1.0, taus[-1])
+    out = []
+    for tau in taus:
         a = exp_coefficients(tau)
         gap = (cmath.exp(1j * tau) - complex(a.evaluate(tau))).imag
         out.append((tau, float(gap)))

@@ -187,11 +187,9 @@ def _run_converge(ns):
 def _run_lemma2(ns):
     columns = ["sigma", "tau", "delta", "n_points", "observed_max", "argmax",
                "bound", "ratio"]
-    rows = []
-    for s, t, d in ns.cells:
-        rep = kernels.kernel_gap_scan(s, t, d, ns.n_points)
-        rows.append([rep.sigma, rep.tau, rep.delta, rep.n_points,
-                     rep.observed_max, rep.argmax, rep.bound, rep.ratio])
+    rows = [[rep.sigma, rep.tau, rep.delta, rep.n_points,
+             rep.observed_max, rep.argmax, rep.bound, rep.ratio]
+            for rep in kernels.kernel_gap_scans(ns.cells, ns.n_points)]
     return columns, rows, None
 
 

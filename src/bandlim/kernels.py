@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,18 +40,27 @@ def dirichlet(N: int, xi):
     if N < 0:
         raise ValueError("N must be a nonnegative integer")
     flat = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-    s = np.sin(0.5 * flat)
-    near = np.abs(s) < _RATIO_CUTOFF
-    safe = np.where(near, 1.0, s)
-    out = np.sin((N + 0.5) * flat) / safe
-    if near.any():
-        if N == 0:
-            out[near] = 1.0
-        else:
-            k = np.arange(1, N + 1)
-            out[near] = 1.0 + 2.0 * np.cos(flat[near, None] * k).sum(axis=1)
-    out = out.reshape(np.shape(xi))
+    out = _dirichlet(N, flat).reshape(np.shape(xi))
     return _maybe_scalar(out, xi)
+
+
+def _dirichlet(N, xi):
+    """D_N at the points of the 1-d array xi; N is a nonnegative integer
+    or an integer array of the same length, one term count per point."""
+    s = np.sin(0.5 * xi)
+    near = np.abs(s) < _RATIO_CUTOFF
+    half = N + 0.5
+    out = np.sin(half * xi) / np.where(near, 1.0, s)
+    if near.any():
+        # Points are grouped by the float N + 1/2, not by the integer N: an
+        # integer comparison is one more numpy loop whose code pages add
+        # about 64 KiB to the resident size of a short run.
+        half = np.broadcast_to(half, xi.shape)
+        for h in set(half[near].tolist()):
+            sel = near & (half == h)
+            k = np.arange(1, int(h) + 1)
+            out[sel] = 1.0 + 2.0 * np.cos(xi[sel, None] * k).sum(axis=1)
+    return out
 
 
 def sinc_kernel(sigma: float, v):
@@ -75,14 +85,23 @@ def omega(t: float) -> float:
 
 
 def kernel_gap(sigma: float, tau: float, v):
-    """sin(sigma v)/(pi v) - D_N(pi v / tau)/(2 tau) with N = floor(sigma tau/pi)."""
+    """sin(sigma v)/(pi v) - D_N(pi v / tau)/(2 tau), N = floor(sigma tau/pi).
+
+    Value sigma/pi - (2N+1)/(2 tau) at v = 0."""
     if sigma <= 0 or tau <= 0:
         raise ValueError("sigma and tau must be positive")
     N = n_terms(sigma, tau)
     v_arr = np.asarray(v, dtype=float)
-    gap = (np.asarray(sinc_kernel(sigma, v_arr))
-           - np.asarray(dirichlet(N, math.pi * v_arr / tau)) / (2.0 * tau))
+    gap = _gap(sigma, tau, N, v_arr.ravel()).reshape(v_arr.shape)
     return _maybe_scalar(gap, v)
+
+
+def _gap(sigma, tau, N, v):
+    """kernel_gap at the points of the 1-d array v; sigma, tau and N are
+    scalars or arrays of the same length, one cell per point.  Every
+    element takes the same float operations whichever form it comes in."""
+    return (sigma / math.pi * sinc_ratio(sigma * v)
+            - _dirichlet(N, math.pi * v / tau) / (2.0 * tau))
 
 
 def kernel_gap_bound(sigma: float, tau: float, delta: float) -> float:
@@ -135,15 +154,9 @@ def _golden_max(h, a, b, iters: int = 70):
     return np.where(keep_c, c, d), np.where(keep_c, hc, hd)
 
 
-def kernel_gap_scan(sigma: float, tau: float, delta: float,
-                    n_points: int = 1000) -> KernelGapReport:
-    """Scan |kernel_gap| over [-(1+delta) tau, (1+delta) tau].
-
-    The grid is widened if needed so the fastest oscillation is sampled at
-    least 16 times per period (at most ``MAX_SCAN_POINTS`` points), then the
-    top 5 grid maxima are sharpened by one golden-section search that
-    refines their five brackets in lockstep.
-    """
+def _scan_size(sigma: float, tau: float, delta: float,
+               n_points: int) -> tuple[int, int]:
+    """Check one scan cell; returns N and the (possibly widened) grid size."""
     if sigma <= 0 or tau <= 0:
         raise ValueError("sigma and tau must be positive")
     if not 0 <= delta < 1:
@@ -157,26 +170,56 @@ def kernel_gap_scan(sigma: float, tau: float, delta: float,
         raise ValueError(
             f"the grid for sigma={sigma:g}, tau={tau:g} needs {needed:.3g} "
             f"points, more than {MAX_SCAN_POINTS}")
-    n = max(n_points, math.ceil(needed))
-    half_span = (1.0 + delta) * tau
-    v = np.linspace(-half_span, half_span, n)
-    vals = np.abs(kernel_gap(sigma, tau, v))
+    return N, max(n_points, math.ceil(needed))
 
-    order = np.argsort(vals)
-    best = float(vals[order[-1]])
-    arg = float(v[order[-1]])
 
-    def h(x):
-        return np.abs(kernel_gap(sigma, tau, x))
+def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
+                     n_points: int = 1000) -> list[KernelGapReport]:
+    """Scan |kernel_gap| over [-(1+delta) tau, (1+delta) tau] for each
+    (sigma, tau, delta) in ``cells``; one report per cell, in order.
 
-    top = order[-5:]
-    xs, ys = _golden_max(h, v[np.maximum(top - 1, 0)],
-                         v[np.minimum(top + 1, n - 1)])
-    for x, y in zip(xs, ys):
-        if y > best:
-            best, arg = float(y), float(x)
+    Every cell is checked before any grid is built.  Each grid is widened
+    if needed so the fastest oscillation is sampled at least 16 times per
+    period (at most ``MAX_SCAN_POINTS`` points).  The top 5 grid maxima of
+    every cell are then sharpened by one golden-section search that refines
+    all their brackets in lockstep, so each step is one gap evaluation over
+    5 points per cell; each bracket follows exactly the iterates of its own
+    scalar search.
+    """
+    sizes = [_scan_size(s, t, d, n_points) for s, t, d in cells]
+    grid_best = []
+    lo = np.empty((len(cells), 5))
+    hi = np.empty((len(cells), 5))
+    for i, ((sigma, tau, delta), (N, n)) in enumerate(zip(cells, sizes)):
+        half_span = (1.0 + delta) * tau
+        v = np.linspace(-half_span, half_span, n)
+        vals = np.abs(_gap(sigma, tau, N, v))
+        order = np.argsort(vals)
+        grid_best.append((float(vals[order[-1]]), float(v[order[-1]])))
+        top = order[-5:]
+        lo[i] = v[np.maximum(top - 1, 0)]
+        hi[i] = v[np.minimum(top + 1, n - 1)]
 
-    return KernelGapReport(sigma=float(sigma), tau=float(tau),
-                           delta=float(delta), n_points=int(n),
-                           observed_max=best, argmax=arg,
-                           bound=kernel_gap_bound(sigma, tau, delta))
+    sig = np.repeat(np.array([s for s, _, _ in cells], dtype=float), 5)
+    taus = np.repeat(np.array([t for _, t, _ in cells], dtype=float), 5)
+    Ns = np.repeat([N for N, _ in sizes], 5)
+    xs, ys = _golden_max(lambda x: np.abs(_gap(sig, taus, Ns, x)),
+                         lo.ravel(), hi.ravel())
+
+    reports = []
+    for (sigma, tau, delta), (_, n), (best, arg), x5, y5 in zip(
+            cells, sizes, grid_best, xs.reshape(-1, 5), ys.reshape(-1, 5)):
+        for x, y in zip(x5, y5):
+            if y > best:
+                best, arg = float(y), float(x)
+        reports.append(KernelGapReport(
+            sigma=float(sigma), tau=float(tau), delta=float(delta),
+            n_points=int(n), observed_max=best, argmax=arg,
+            bound=kernel_gap_bound(sigma, tau, delta)))
+    return reports
+
+
+def kernel_gap_scan(sigma: float, tau: float, delta: float,
+                    n_points: int = 1000) -> KernelGapReport:
+    """The :func:`kernel_gap_scans` report of one cell (sigma, tau, delta)."""
+    return kernel_gap_scans([(sigma, tau, delta)], n_points)[0]

@@ -322,6 +322,23 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="above the limit"):
             counterexample_run([10 ** 8])
 
+    @pytest.mark.parametrize("m_list, text", [
+        ([1, 2, 10 ** 8], "above the limit"),
+        ([1, 2, 0], "positive integers"),
+        ([1, 2.5], "positive integers"),
+        ([1, math.nan], "positive integers"),
+        ([1, math.inf], "positive integers"),
+        ([1, 10 ** 400], "beyond the float range"),
+    ])
+    def test_every_m_checked_before_any_coefficients(self, m_list, text,
+                                                     monkeypatch):
+        built = []
+        monkeypatch.setattr(analysis, "exp_coefficients",
+                            lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=text):
+            counterexample_run(m_list)
+        assert built == []
+
 
 class TestConvergenceStudy:
     def test_totals_decrease(self):

@@ -14,6 +14,12 @@ def run_capture(argv, capsys):
     return status, out.out, out.err
 
 
+def lemma2_row(rep):
+    return ",".join(cli._fmt(v) for v in (
+        rep.sigma, rep.tau, rep.delta, rep.n_points, rep.observed_max,
+        rep.argmax, rep.bound, rep.ratio))
+
+
 def load_schema(name):
     ref = resources.files("bandlim") / "schemas" / name
     return json.loads(ref.read_text(encoding="utf-8"))
@@ -183,6 +189,38 @@ class TestLemma2:
         assert status == 0
         jsonschema.validate(json.loads(out), load_schema("output.schema.json"))
 
+    def test_default_matrix_rows_match_per_cell_scans(self, capsys):
+        status, out, err = run_capture(["lemma2"], capsys)
+        assert status == 0 and err == ""
+        lines = out.strip().split("\n")[1:]
+        cells = [(s, t, d)
+                 for s in cli._LEMMA2_DEFAULT_SIGMAS
+                 for t in cli._LEMMA2_DEFAULT_TAUS
+                 for d in cli._LEMMA2_DEFAULT_DELTAS]
+        assert len(lines) == len(cells)
+        for line, cell in zip(lines, cells):
+            assert line == lemma2_row(kernels.kernel_gap_scan(*cell))
+
+    def test_n_points_single_cell(self, capsys):
+        status, out, err = run_capture(
+            ["lemma2", "--sigma", "1", "--tau", "10", "--delta", "0.5",
+             "--n-points", "5000"], capsys)
+        assert status == 0 and err == ""
+        assert out.split("\n")[1] == lemma2_row(
+            kernels.kernel_gap_scan(1.0, 10.0, 0.5, 5000))
+
+    @pytest.mark.parametrize("argv, status, message", [
+        (["--n-points", "999"], 2, "bandlim: --n-points: must lie in "
+         f"[1000, {kernels.MAX_SCAN_POINTS}]\n"),
+        (["--sigma", "1e6", "--tau", "1e6", "--delta", "0"], 1,
+         "bandlim lemma2: the grid for sigma=1e+06, tau=1e+06 needs 5.09e+12 "
+         f"points, more than {kernels.MAX_SCAN_POINTS}\n"),
+    ])
+    def test_rejected_input_status_and_message(self, argv, status, message,
+                                               capsys):
+        got = run_capture(["lemma2"] + argv, capsys)
+        assert got == (status, "", message)
+
 
 class TestJsonParams:
     @pytest.mark.parametrize("argv, keys", [
@@ -223,6 +261,7 @@ class TestNumericalFailures:
         (["lewitan", "--fn", "fejer_square:sigma=2", "--tau", "1e-200",
           "--x", "0"], "is too small"),
         (["counterexample", "--m", "100000000"], "above the limit"),
+        (["counterexample", "--m", "1" + "0" * 400], "beyond the float range"),
         (["converge", "--fn", "mollify:base=fejer_square,sigma=1e-100,rho=0.5",
           "--p", "2", "--tau", "10"], "overflows"),
     ])

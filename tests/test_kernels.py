@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from bandlim import kernels
+from bandlim import cli, kernels
 from bandlim.kernels import (MAX_SCAN_POINTS, KernelGapReport, dirichlet,
                              kernel_gap, kernel_gap_bound, kernel_gap_scan,
-                             n_terms, omega, sinc_kernel)
+                             kernel_gap_scans, n_terms, omega, sinc_kernel)
+
+DEFAULT_CELLS = [(s, t, d)
+                 for s in cli._LEMMA2_DEFAULT_SIGMAS
+                 for t in cli._LEMMA2_DEFAULT_TAUS
+                 for d in cli._LEMMA2_DEFAULT_DELTAS]
 
 
 def scalar_golden_max(h, a, b, iters=70):
@@ -29,6 +34,41 @@ def scalar_golden_max(h, a, b, iters=70):
     if hc >= hd:
         return c, hc
     return d, hd
+
+
+def scan_reference(sigma, tau, delta, n_points=1000):
+    """Oracle: one cell scanned on its own, the grid by one kernel_gap call
+    and each of the top 5 brackets by scalar_golden_max."""
+    N = n_terms(sigma, tau)
+    needed = (16.0 * (1.0 + delta) * tau
+              * max(sigma, math.pi * N / tau + 1.0) / math.pi)
+    n = max(n_points, math.ceil(needed))
+    v = np.linspace(-(1.0 + delta) * tau, (1.0 + delta) * tau, n)
+    vals = np.abs(kernel_gap(sigma, tau, v))
+    order = np.argsort(vals)
+    best, arg = float(vals[order[-1]]), float(v[order[-1]])
+    for i in order[-5:]:
+        x, y = scalar_golden_max(
+            lambda t: abs(kernel_gap(sigma, tau, float(t))),
+            float(v[max(i - 1, 0)]), float(v[min(i + 1, n - 1)]))
+        if y > best:
+            best, arg = float(y), float(x)
+    return KernelGapReport(sigma=sigma, tau=tau, delta=delta, n_points=n,
+                           observed_max=best, argmax=arg,
+                           bound=kernel_gap_bound(sigma, tau, delta))
+
+
+def count_gap_calls(monkeypatch):
+    """Wrap kernels._gap; returns the list of point counts it was called on."""
+    calls = []
+    gap = kernels._gap
+
+    def counted(sigma, tau, N, v):
+        calls.append(np.size(v))
+        return gap(sigma, tau, N, v)
+
+    monkeypatch.setattr(kernels, "_gap", counted)
+    return calls
 
 
 def dirichlet_direct(N, xi):
@@ -155,6 +195,26 @@ class TestKernelGap:
         assert kernel_gap(1.0, 10.0, 3.7) == pytest.approx(ref["value"],
                                                            rel=1e-13)
 
+    def test_broadcast_formula_matches_scalar_calls(self):
+        # Mixed cells with different N (N = 0, 3, 4, 31), each with points
+        # at and within 1e-9 of 0, where D_N takes its direct cosine sum.
+        cells = [(0.5, 1.0), (1.0, 10.0), (math.pi, 4.0), (5.0, 20.0)]
+        offsets = [0.0, 1e-9, -3e-10, 0.37, -2.5, 7.1]
+        sig, tau, N, v = (np.array(a) for a in zip(*[
+            (s, t, n_terms(s, t), x) for s, t in cells for x in offsets]))
+        assert len(set(N.tolist())) == len(cells)
+        got = kernels._gap(sig, tau, N, v)
+        for i in range(len(v)):
+            assert got[i] == kernel_gap(float(sig[i]), float(tau[i]),
+                                        float(v[i]))
+
+    def test_array_matches_scalar_calls(self):
+        v = np.array([[0.0, 1e-9], [-0.3, 12.5]])
+        got = kernel_gap(2.0, 7.0, v)
+        assert got.shape == v.shape
+        for x, g in zip(v.ravel(), got.ravel()):
+            assert g == kernel_gap(2.0, 7.0, float(x))
+
 
 class TestKernelGapBound:
     def test_delta_zero(self):
@@ -225,3 +285,41 @@ class TestScan:
     def test_rejects_oversized_automatic_grid(self):
         with pytest.raises(ValueError, match="more than"):
             kernel_gap_scan(1e6, 1e6, 0.0)
+
+
+class TestScans:
+    def test_default_matrix_matches_per_cell_reference(self):
+        reports = kernel_gap_scans(DEFAULT_CELLS)
+        assert len(reports) == len(DEFAULT_CELLS)
+        for rep, cell in zip(reports, DEFAULT_CELLS):
+            assert rep == scan_reference(*cell)
+
+    def test_single_cell_wrapper(self):
+        assert (kernel_gap_scan(1.0, 10.0, 0.5, n_points=5000)
+                == scan_reference(1.0, 10.0, 0.5, n_points=5000))
+
+    @pytest.mark.parametrize("bad", [
+        (1.0, 10.0, 1.0), (-1.0, 10.0, 0.5), (1.0, 0.0, 0.5),
+        (1e6, 1e6, 0.0)])
+    def test_bad_last_cell_rejected_before_any_evaluation(self, bad,
+                                                          monkeypatch):
+        calls = count_gap_calls(monkeypatch)
+        with pytest.raises(ValueError):
+            kernel_gap_scans(DEFAULT_CELLS + [bad])
+        assert calls == []
+
+    def test_bad_n_points_rejected_before_any_evaluation(self, monkeypatch):
+        calls = count_gap_calls(monkeypatch)
+        with pytest.raises(ValueError, match="n_points must lie in"):
+            kernel_gap_scans(DEFAULT_CELLS, n_points=999)
+        assert calls == []
+
+    def test_empty(self):
+        assert kernel_gap_scans([]) == []
+
+    def test_one_grid_per_cell_and_one_lockstep(self, monkeypatch):
+        calls = count_gap_calls(monkeypatch)
+        reports = kernel_gap_scans(DEFAULT_CELLS)
+        assert len(calls) == 64 + 72
+        assert calls[:64] == [rep.n_points for rep in reports]
+        assert calls[64:] == [5 * 64] * 72
