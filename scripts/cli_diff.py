@@ -12,8 +12,8 @@ OLD_SRC and NEW_SRC are directories holding the ``bandlim`` package, such
 as the ``src`` of a ``git clone`` of the parent commit and ``src``.
 ARGV_FILE holds one argv per line in shell syntax; blank lines and lines
 starting with ``#`` are skipped.  Without it the default list is used:
-every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``) and the
-``lemma2`` cases below.
+every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``), the
+``lemma2`` cases and the rejected inputs below.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ LEMMA2_CASES = [
     ["lemma2", "--sigma", "1e6", "--tau", "1e6", "--delta", "0"],
 ]
 
+# Each exits 2 with one line on stderr.  The --output directory is relative
+# to the working directory and must not exist.
+REJECTED_CASES = [
+    ["coeffs", "--fn", "sinc:sigma=1", "--tau", "3,100"],
+    ["lemma2", "--sigma", "1,5", "--tau", "10", "--delta", "0.5"],
+    ["converge", "--fn", "sinc:sigma=1", "--tau", "10,10"],
+    ["coeffs", "--fn", "sinc:sigma=1", "--tau", "3",
+     "--output", "no-such-dir/out.csv"],
+]
+
 # -P keeps the working directory off sys.path, so only SRC supplies bandlim.
 RUNNER = ("import sys; sys.path.insert(0, sys.argv[1]); "
           "from bandlim.cli import main; sys.exit(main(sys.argv[2:]))")
@@ -51,7 +61,8 @@ def default_argvs() -> list[list[str]]:
 
     out = []
     for argv in ([a for seed in range(1, 6) for w in WORKLOADS
-                  for a in argv_for(w, seed)] + LEMMA2_CASES):
+                  for a in argv_for(w, seed)] + LEMMA2_CASES
+                 + REJECTED_CASES):
         if argv not in out:
             out.append(argv)
     return out

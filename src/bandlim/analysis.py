@@ -31,6 +31,9 @@ MAX_LINE_SAMPLES = 2 ** 22
 # Most coefficients (2N + 1) exp_coefficients may build: 2^22 complex
 # values are 64 MiB, and the index and phase arrays hold a few more copies.
 MAX_EXP_COEFFS = 2 ** 22
+# Most grid points sup_norm_certified may evaluate in its one call of F:
+# 2^22 complex values are 64 MiB.
+MAX_SUP_POINTS = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -196,16 +199,23 @@ def lp_norm_line(f: TestFunction, p: float,
 def sup_norm_certified(F: Callable, sigma_eff: float, a: float, b: float,
                        target_contraction: float = 0.25) -> SupNormCertificate:
     """Certified upper bound on sup |F| over [a, b] for F of exponential
-    type <= sigma_eff, bounded on the real line."""
-    if sigma_eff <= 0:
-        raise ValueError("sigma_eff must be positive")
+    type <= sigma_eff, bounded on the real line.
+
+    The grid holds at most ``MAX_SUP_POINTS`` points; more raise
+    ValueError before it is built."""
+    if not 0 < sigma_eff < INF:
+        raise ValueError("sigma_eff must be positive and finite")
     if not 0 < target_contraction <= 0.5:
         raise ValueError("target_contraction must lie in (0, 0.5]")
-    if not a < b:
-        raise ValueError("interval requires a < b")
+    if not -INF < a < b < INF:
+        raise ValueError("interval requires finite a < b")
     h_max = (4.0 / sigma_eff) * math.asin(0.5 * target_contraction)
-    n = max(2, math.ceil((b - a) / h_max) + 1)
-    grid = np.linspace(a, b, n)
+    n = float(np.ceil((b - a) / h_max)) + 1.0  # may overflow to inf
+    if not n <= MAX_SUP_POINTS:
+        raise ValueError(
+            f"the sup grid on [{a:g}, {b:g}] for type {sigma_eff:g} needs "
+            f"{n:.3g} points, above the limit of {MAX_SUP_POINTS}")
+    grid = np.linspace(a, b, max(2, int(n)))
     h = float(grid[1] - grid[0])
     contraction = 2.0 * math.sin(0.25 * sigma_eff * h)
     vals = np.abs(np.asarray(F(grid)))
@@ -294,7 +304,13 @@ def check_nikolskii(f: TestFunction, r1: float, r2: float,
 def check_poly_nikolskii(a: TrigApproximant, p: float,
                          quad: Optional[QuadratureSpec] = None) -> InequalityCheck:
     """||Q||_inf <= 2 N^{1/p} ||Q||_p on the torus, for the degree-N
-    polynomial u(t) = f_tau(tau t / pi)."""
+    polynomial u(t) = f_tau(tau t / pi).
+
+    ||u||_{L^p[-pi, pi]} = (pi / tau)^{1/p} ||f_tau||_{L^p[-tau, tau]} by
+    the change of variables t = pi x / tau; the norm of f_tau is the
+    interior rule of :func:`_interior_lp` with g = 0, and its error bound
+    scales by the same factor.
+    """
     if not 1 <= p < INF:
         raise ValueError("p must satisfy 1 <= p < inf")
     if a.N < 1:
@@ -306,15 +322,15 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
         return a.evaluate(a.tau * np.asarray(t, dtype=float) / math.pi)
 
     cert = sup_norm_certified(u, float(N), -math.pi, math.pi, 0.1)
-    norm = lp_norm_interval(u, p, -math.pi, math.pi, quad,
-                            max_panel_width=math.pi / (2.0 * N))
-    rhs = 2.0 * N ** (1.0 / p) * norm.value
+    norm = _interior_lp(np.zeros_like, a, p, quad)
+    factor = 2.0 * N ** (1.0 / p) * (math.pi / a.tau) ** (1.0 / p)
+    rhs = factor * norm.value
     return InequalityCheck(
         name="poly_nikolskii", function_id=f"approximant:tau={a.tau:g}",
         params={"p": p, "N": N},
         lhs=cert.certified_bound, rhs=rhs,
         margin=rhs - cert.certified_bound,
-        error_bound=2.0 * N ** (1.0 / p) * norm.error_bound)
+        error_bound=factor * norm.error_bound)
 
 
 def decomposition_F123(f: TestFunction, tau: float, delta: float, x: float,
@@ -376,7 +392,7 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
         def diff(x, _a=a):
             return np.asarray(f.eval_real(x)) - np.asarray(_a.evaluate(x))
 
-        interior = _interior_lp(f, a, p, quad)
+        interior = _interior_lp(f.eval_real, a, p, quad)
         tail_integral = f.decay.tail_lp(tau, p)
         tail_value = tail_integral ** (1.0 / p)
         tail = NormEstimate(value=tail_value, error_bound=tail_value,
@@ -392,20 +408,23 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
     return records
 
 
-def _interior_lp(f: TestFunction, a: TrigApproximant, p: float,
+def _interior_lp(g: Callable, a: TrigApproximant, p: float,
                  quad: QuadratureSpec) -> NormEstimate:
-    """||f - f_tau||_{L^p[-tau, tau]} by :func:`integrate`, with the first
-    pass taken from f_tau on panel nodes by inverse FFT.
+    """||g - f_tau||_{L^p[-tau, tau]} by :func:`integrate`, with the first
+    pass taken from f_tau on panel nodes by inverse FFT: ``g`` is
+    ``f.eval_real`` for the truncation error of f, or ``np.zeros_like``
+    for the norm of f_tau itself.
 
     The first pass has n0 >= 2N + 1 equal panels of width at most
-    ``_osc_width(sigma)``.  Its coarse Gauss values come from level n0 and
-    its fine ones (two halves per panel) from level 2 n0, each level one
-    call of f and one :meth:`TrigApproximant.on_panels`.  integrate then
-    accepts each panel against its usual per-panel tolerance and bisects
-    the rest, sampling f_tau there with :meth:`TrigApproximant.evaluate`.
-    For even p, |f - f_tau|^p is smooth and every panel passes the first
-    pass; for other p it has kinks where f - f_tau vanishes, and only the
-    few panels holding them are refined.
+    ``_osc_width(a.sigma)``.  Its coarse Gauss values come from level n0
+    and its fine ones (two halves per panel) from level 2 n0, each level
+    one call of g and one :meth:`TrigApproximant.on_panels`.  integrate
+    then accepts each panel against its usual per-panel tolerance and
+    bisects the rest, sampling f_tau there with
+    :meth:`TrigApproximant.evaluate`.  For even p, |g - f_tau|^p is
+    smooth and every panel passes the first pass; for other p it has
+    kinks where g - f_tau vanishes, and only the few panels holding them
+    are refined.
 
     The finer level of the first pass, 2 n0 panels, may hold at most
     ``approximation.MAX_PANEL_NODES`` nodes; more raise ValueError before
@@ -413,27 +432,24 @@ def _interior_lp(f: TestFunction, a: TrigApproximant, p: float,
     """
     tau = a.tau
     xq, wq = _nodes(quad.panel_order)
-    width = min(_osc_width(f.sigma), 2.0 * tau / (2 * a.N + 1))
-    _first_panels(tau, width, xq.size,
-                  f"the interior L^{p:g} error at tau={tau:g} needs")
+    width = min(_osc_width(a.sigma), 2.0 * tau / (2 * a.N + 1))
+    n0 = _first_panels(tau, width, xq.size,
+                       f"the interior L^{p:g} rule at tau={tau:g} needs")
 
     def level(n):
         hw, mids, _ = _panel_geometry(tau, n)
         x = (mids[:, None] + hw * xq).ravel()
-        diff = (np.asarray(f.eval_real(x)).reshape(n, xq.size)
-                - a.on_panels(n, xq))
+        diff = np.asarray(g(x)).reshape(n, xq.size) - a.on_panels(n, xq)
         return hw * (np.abs(diff) ** p @ wq)
 
-    def first_pass(n):
-        halves = level(2 * n)
-        return level(n), halves[0::2] + halves[1::2]
+    halves = level(2 * n0)
+    first_pass = (level(n0), halves[0::2] + halves[1::2])
 
     def integrand(x):
-        return np.abs(np.asarray(f.eval_real(x))
-                      - np.asarray(a.evaluate(x))) ** p
+        return np.abs(np.asarray(g(x)) - np.asarray(a.evaluate(x))) ** p
 
     integral, err = integrate(integrand, -tau, tau, quad,
-                              max_panel_width=width, first_pass=first_pass)
+                              first_pass=first_pass)
     integral = float(integral)
     err = float(err)
     return NormEstimate(value=integral ** (1.0 / p),

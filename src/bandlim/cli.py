@@ -57,6 +57,14 @@ def _parse_float_list(text: str, flag: str) -> list:
     return out
 
 
+def _parse_one(text: str, flag: str) -> float:
+    """The single number of a flag that takes one value."""
+    values = _parse_float_list(text, flag)
+    if len(values) > 1:
+        raise UsageError(f"{flag} takes one value")
+    return values[0]
+
+
 def _parse_number(item: str) -> float:
     """A finite number or pi-expression such as "pi/2+2*pi": numeric
     literals, pi, e, unary + -, binary + - * / and parentheses."""
@@ -124,8 +132,8 @@ def _check_converge(ns):
     if not 1 < ns.p < math.inf:
         raise UsageError("p must satisfy 1 < p < inf")
     ns.tau_list = _parse_float_list(ns.tau, "--tau")
-    if ns.tau_list != sorted(ns.tau_list):
-        raise UsageError("--tau values must be increasing")
+    if any(b <= a for a, b in zip(ns.tau_list, ns.tau_list[1:])):
+        raise UsageError("--tau values must be strictly increasing")
     if any(t <= 0 for t in ns.tau_list):
         raise UsageError("--tau values must be positive")
 
@@ -141,9 +149,9 @@ def _check_lemma2(ns):
                     for t in _LEMMA2_DEFAULT_TAUS
                     for d in _LEMMA2_DEFAULT_DELTAS]
     else:
-        sigma = _parse_float_list(ns.sigma, "--sigma")[0]
-        ns.tau_list = [_parse_float_list(ns.tau, "--tau")[0]]
-        delta = _parse_float_list(ns.delta, "--delta")[0]
+        sigma = _parse_one(ns.sigma, "--sigma")
+        ns.tau_list = [_parse_one(ns.tau, "--tau")]
+        delta = _parse_one(ns.delta, "--delta")
         if sigma <= 0 or ns.tau_list[0] <= 0:
             raise UsageError("sigma and tau must be positive")
         if not 0 <= delta < 1:
@@ -159,7 +167,7 @@ def _check_counterexample(ns):
 
 
 def _check_tau(ns):
-    ns.tau_list = [_parse_float_list(ns.tau, "--tau")[0]]
+    ns.tau_list = [_parse_one(ns.tau, "--tau")]
     if ns.tau_list[0] <= 0:
         raise UsageError("--tau must be positive")
 
@@ -215,8 +223,8 @@ def _run_inequalities(ns):
     for tau in (10.0, 40.0):
         a = analysis.exp_coefficients(tau)
         checks.append(analysis.check_poly_nikolskii(a, 2.0, quad))
+    a = approximation.fourier_coefficients(sinc1, 10.0, quad)
     for p in (1.5, 2.0):
-        a = approximation.fourier_coefficients(sinc1, 10.0, quad)
         checks.append(analysis.check_poly_nikolskii(a, p, quad))
     columns = ["check", "function", "params", "lhs", "rhs", "margin"]
     rows = []
@@ -359,8 +367,14 @@ def run(ns: argparse.Namespace) -> int:
 
     text = buf.getvalue()
     if ns.output_path:
-        with open(ns.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(ns.output_path, "w", encoding="utf-8",
+                      newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"bandlim: --output: cannot write {ns.output_path!r}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

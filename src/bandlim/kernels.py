@@ -10,7 +10,6 @@ import numpy as np
 
 from .functions import sinc_ratio, _maybe_scalar
 
-_RATIO_CUTOFF = 1e-8
 _OMEGA_CUTOFF = 0.1
 # Most grid points kernel_gap_scan may take, given or widened: 2^22 float64
 # points are 32 MiB per array, and the kernel evaluation holds about ten.
@@ -31,36 +30,27 @@ def n_terms(sigma: float, tau: float) -> int:
 
 
 def dirichlet(N: int, xi):
-    """D_N(xi) = sum_{k=-N}^{N} e^{i k xi} = sin((N+1/2)xi)/sin(xi/2).
+    """D_N(xi) = sum_{k=-N}^{N} e^{i k xi} = sin((N+1/2) d) / sin(d/2).
 
-    The closed form is used except where |sin(xi/2)| < 1e-8, where the
-    direct cosine sum avoids the ill-conditioned ratio.  Real-valued and
-    2*pi-periodic; equals 2N+1 at multiples of 2*pi.
+    d = xi - 2 pi round(xi / 2 pi) is xi reduced to [-pi, pi]; D_N is
+    2 pi-periodic, and on d both sines keep full relative accuracy, also
+    next to the poles of the ratio at xi = 2 pi m.  Where sin(d/2) is 0
+    the limit 2N + 1 is taken.  Real-valued (Zygmund, *Trigonometric
+    Series*, 1959, ch. II).
     """
     if N < 0:
         raise ValueError("N must be a nonnegative integer")
-    flat = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
-    out = _dirichlet(N, flat).reshape(np.shape(xi))
-    return _maybe_scalar(out, xi)
+    return _maybe_scalar(_dirichlet(N, np.asarray(xi, dtype=float)), xi)
 
 
 def _dirichlet(N, xi):
-    """D_N at the points of the 1-d array xi; N is a nonnegative integer
-    or an integer array of the same length, one term count per point."""
-    s = np.sin(0.5 * xi)
-    near = np.abs(s) < _RATIO_CUTOFF
-    half = N + 0.5
-    out = np.sin(half * xi) / np.where(near, 1.0, s)
-    if near.any():
-        # Points are grouped by the float N + 1/2, not by the integer N: an
-        # integer comparison is one more numpy loop whose code pages add
-        # about 64 KiB to the resident size of a short run.
-        half = np.broadcast_to(half, xi.shape)
-        for h in set(half[near].tolist()):
-            sel = near & (half == h)
-            k = np.arange(1, int(h) + 1)
-            out[sel] = 1.0 + 2.0 * np.cos(xi[sel, None] * k).sum(axis=1)
-    return out
+    """D_N at the points xi; N is a nonnegative integer or an integer
+    array that broadcasts with xi, one term count per point."""
+    d = xi - 2.0 * math.pi * np.round(xi / (2.0 * math.pi))
+    s = np.sin(0.5 * d)
+    zero = s == 0.0
+    ratio = np.sin((N + 0.5) * d) / np.where(zero, 1.0, s)
+    return np.where(zero, 2 * N + 1.0, ratio)
 
 
 def sinc_kernel(sigma: float, v):
@@ -91,15 +81,13 @@ def kernel_gap(sigma: float, tau: float, v):
     if sigma <= 0 or tau <= 0:
         raise ValueError("sigma and tau must be positive")
     N = n_terms(sigma, tau)
-    v_arr = np.asarray(v, dtype=float)
-    gap = _gap(sigma, tau, N, v_arr.ravel()).reshape(v_arr.shape)
-    return _maybe_scalar(gap, v)
+    return _maybe_scalar(_gap(sigma, tau, N, np.asarray(v, dtype=float)), v)
 
 
 def _gap(sigma, tau, N, v):
-    """kernel_gap at the points of the 1-d array v; sigma, tau and N are
-    scalars or arrays of the same length, one cell per point.  Every
-    element takes the same float operations whichever form it comes in."""
+    """kernel_gap at the points v; sigma, tau and N are scalars or arrays
+    that broadcast with v, one cell per point.  Every element takes the
+    same float operations whichever form it comes in."""
     return (sigma / math.pi * sinc_ratio(sigma * v)
             - _dirichlet(N, math.pi * v / tau) / (2.0 * tau))
 

@@ -81,20 +81,23 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
     take the call above ``MAX_INTEGRAND_POINTS`` raises
     :class:`QuadratureNonConvergence` before its abscissae are built.
 
-    ``first_pass``, if given, is called with the number n0 of initial
-    panels (the n0 equal panels of [a, b]) and returns their coarse and
-    fine estimates, each of length n0, in place of sampling ``g`` there;
-    ``g`` is then sampled only on the panels that need refinement.
+    ``first_pass``, if given, is the pair (coarse, fine) of estimates on
+    the n0 first-level equal panels of [a, b], used in place of sampling
+    ``g`` there; n0 is the fewest panels of width at most
+    ``max_panel_width``, else ``len(coarse)``.  ``g`` is then sampled only
+    on the panels that need refinement.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration interval must be finite with a < b")
 
-    n0 = 1
+    n0 = 1 if first_pass is None else len(first_pass[0])
     if max_panel_width is not None:
         if max_panel_width <= 0:
             raise ValueError("max_panel_width must be positive")
         n0 = max(1, math.ceil((b - a) / max_panel_width))
+    if first_pass is not None and len(first_pass[0]) != n0:
+        raise ValueError(f"first_pass must hold {n0} panel estimates")
     per_panel = 3 * spec.panel_order
     if n0 * per_panel > MAX_INTEGRAND_POINTS:
         raise _over_budget(a, b, n0 * per_panel)
@@ -115,7 +118,7 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         if points > MAX_INTEGRAND_POINTS:
             raise _over_budget(a, b, points)
         if scale is None and first_pass is not None:
-            coarse, fine = first_pass(n0)
+            coarse, fine = first_pass
         else:
             coarse, fine = _panel_estimates(g, lefts, rights, xg, wg)
         if scale is None:

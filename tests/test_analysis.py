@@ -172,6 +172,30 @@ class TestSupCertificate:
         with pytest.raises(ValueError):
             sup_norm_certified(np.cos, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("sigma_eff, a, b, text", [
+        (math.inf, -1.0, 1.0, "positive and finite"),
+        (math.nan, -1.0, 1.0, "positive and finite"),
+        (1.0, -math.inf, 1.0, "finite a < b"),
+        (1.0, -1.0, math.nan, "finite a < b"),
+    ])
+    def test_rejects_non_finite_arguments(self, sigma_eff, a, b, text):
+        with pytest.raises(ValueError, match=text):
+            sup_norm_certified(np.cos, sigma_eff, a, b)
+
+    def test_grid_limit_checked_before_sampling(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("sampled past the grid limit")
+
+        with pytest.raises(ValueError, match="above the limit"):
+            sup_norm_certified(refuse, 1e12, -1.0, 1.0)
+        monkeypatch.setattr(analysis, "MAX_SUP_POINTS", 100)
+        h_max = 4.0 * math.asin(0.125)
+        with pytest.raises(ValueError, match="101 points, above the limit"):
+            sup_norm_certified(refuse, 1.0, 0.0, 99.5 * h_max)
+        # 98.5 spacings take ceil(98.5) + 1 = 100 points, at the limit
+        cert = sup_norm_certified(np.cos, 1.0, 0.0, 98.5 * h_max)
+        assert cert.spacing == pytest.approx(98.5 * h_max / 99)
+
 
 class TestPlancherelPolya:
     @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
@@ -235,6 +259,32 @@ class TestNikolskii:
             check_nikolskii(make_sinc(1.0), 4.0, 2.0, QUAD)
 
 
+def random_approximant():
+    rng = np.random.default_rng(11)
+    coeffs = (rng.standard_normal(11) + 1j * rng.standard_normal(11))
+    return TrigApproximant(tau=5.0, sigma=math.pi, N=5,
+                           coefficients=coeffs, coeff_error=0.0)
+
+
+POLY_APPROXIMANTS = {
+    "exp10": lambda: exp_coefficients(10.0),
+    "exp40": lambda: exp_coefficients(40.0),
+    "sinc10": lambda: fourier_coefficients(make_sinc(1.0), 10.0, QUAD),
+    "random": random_approximant,
+}
+
+
+def poly_norm_by_adaptive_rule(a, p):
+    """Oracle for the polynomial Nikolskii norm: ||u||_{L^p[-pi,pi]} of
+    u(t) = f_tau(tau t / pi) by adaptive quadrature with evaluate on every
+    node, on panels of width pi / (2N)."""
+    def u(t):
+        return a.evaluate(a.tau * np.asarray(t, dtype=float) / math.pi)
+
+    return lp_norm_interval(u, p, -math.pi, math.pi, QUAD,
+                            max_panel_width=math.pi / (2.0 * a.N))
+
+
 class TestPolyNikolskii:
     def test_random_coefficients(self):
         rng = np.random.default_rng(11)
@@ -260,6 +310,35 @@ class TestPolyNikolskii:
                             coeff_error=0.0)
         with pytest.raises(ValueError):
             check_poly_nikolskii(a, 2.0, QUAD)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", list(POLY_APPROXIMANTS))
+    def test_norm_matches_adaptive_oracle(self, name, p):
+        a = POLY_APPROXIMANTS[name]()
+        chk = check_poly_nikolskii(a, p, QUAD)
+        factor = 2.0 * a.N ** (1.0 / p)
+        ref = poly_norm_by_adaptive_rule(a, p)
+        # as in TestInteriorRule: the f_tau values of both paths are rounded
+        # to a few eps sum |c_k| at each node
+        rounding = (16.0 * np.finfo(float).eps
+                    * float(np.sum(np.abs(a.coefficients)))
+                    * (2.0 * math.pi) ** (1.0 / p))
+        assert abs(chk.rhs / factor - ref.value) \
+            <= chk.error_bound / factor + ref.error_bound + rounding
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_even_p_takes_one_evaluate_call(self, p, monkeypatch):
+        calls = []
+        original = TrigApproximant.evaluate
+
+        def counting(self, x):
+            calls.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(TrigApproximant, "evaluate", counting)
+        check_poly_nikolskii(exp_coefficients(40.0), p, QUAD)
+        sup_grid_calls = 1
+        assert len(calls) == sup_grid_calls
 
 
 class TestDecomposition:
@@ -400,7 +479,7 @@ class TestInteriorRule:
         f = from_id(fn_id)
         for tau in (12.3, 61.7):
             a = fourier_coefficients(f, tau, QUAD)
-            got = analysis._interior_lp(f, a, p, QUAD)
+            got = analysis._interior_lp(f.eval_real, a, p, QUAD)
             ref = interior_by_adaptive_rule(f, a, p)
             # f_tau values of both paths are rounded to a few eps sum |c_k|
             # at each node, which moves the L^p norm by at most that much
@@ -443,9 +522,9 @@ class TestInteriorRule:
                          eval_complex=None, decay=base.decay,
                          p_membership=base.p_membership)
         with pytest.raises(ValueError, match="above the limit"):
-            analysis._interior_lp(f, a, 2.0, QUAD)
+            analysis._interior_lp(f.eval_real, a, 2.0, QUAD)
         monkeypatch.setattr(approximation, "MAX_PANEL_NODES", fine_level)
-        est = analysis._interior_lp(base, a, 2.0, QUAD)
+        est = analysis._interior_lp(base.eval_real, a, 2.0, QUAD)
         assert est.value == pytest.approx(
             interior_by_adaptive_rule(base, a, 2.0).value, rel=1e-12)
 

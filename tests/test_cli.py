@@ -61,6 +61,11 @@ class TestParsing:
         ["coeffs", "--fn", "sinc:sigma=1", "--tau", "1e309"],
         ["coeffs", "--fn", "sinc:sigma=1", "--tau", "("],
         ["coeffs", "--fn", "sinc:sigma=1", "--tau", "pi/0"],
+        ["coeffs", "--fn", "sinc:sigma=1", "--tau", "3,100"],
+        ["lemma2", "--sigma", "1,5", "--tau", "10", "--delta", "0.5"],
+        ["lemma2", "--sigma", "1", "--tau", "10", "--delta", "0.5,0.9"],
+        ["lewitan", "--fn", "sinc:sigma=1", "--tau", "10,20", "--x", "0"],
+        ["converge", "--fn", "sinc:sigma=1", "--tau", "10,10"],
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         status, out, err = run_capture(argv, capsys)
@@ -270,6 +275,19 @@ class TestNumericalFailures:
         assert status == 1
         assert err.startswith(f"bandlim {argv[0]}: ")
         assert text in err and out == ""
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("missing_dir", [True, False],
+                             ids=["missing-directory", "is-a-directory"])
+    def test_unwritable_path_exits_2(self, missing_dir, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.csv" if missing_dir else tmp_path
+        status, out, err = run_capture(
+            ["coeffs", "--fn", "sinc:sigma=1", "--tau", "3",
+             "--output", str(path)], capsys)
+        assert status == 2 and out == ""
+        assert err.startswith(f"bandlim: --output: cannot write {str(path)!r}: ")
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

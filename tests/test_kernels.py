@@ -135,6 +135,20 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             dirichlet(-1, 0.0)
 
+    @pytest.mark.parametrize("N", [3, 101, 2000])
+    def test_full_accuracy_next_to_poles(self, N):
+        import mpmath as mp
+
+        offsets = np.concatenate([[0.0], np.logspace(-12, -5, 15)])
+        xi = np.array([2.0 * math.pi * m + sign * d for m in range(-3, 4)
+                       for d in offsets for sign in (1.0, -1.0)])
+        with mp.workdps(50):
+            ref = np.array([
+                float(2 * N + 1 if x == 0
+                      else mp.sin((N + mp.mpf(0.5)) * x) / mp.sin(x / 2))
+                for x in map(mp.mpf, xi)])
+        assert np.max(np.abs(dirichlet(N, xi) - ref)) <= 1e-13 * (2 * N + 1)
+
 
 class TestSincKernel:
     def test_at_zero(self):

@@ -109,10 +109,9 @@ class TestAdaptive:
             sizes.append(x.size)
             return g(x)
 
-        def first_pass(n):
-            edges = np.linspace(-1.0, 2.0, n + 1)
-            return quadrature._panel_estimates(
-                g, edges[:-1], edges[1:], *quadrature._nodes(15))
+        edges = np.linspace(-1.0, 2.0, 13)
+        first_pass = quadrature._panel_estimates(
+            g, edges[:-1], edges[1:], *quadrature._nodes(15))
 
         ref = integrate(counting, -1.0, 2.0, max_panel_width=0.25)
         ref_sizes = list(sizes)
@@ -123,6 +122,24 @@ class TestAdaptive:
         # the 12 initial panels are not sampled; later passes are unchanged
         assert ref_sizes[0] == 12 * 3 * 15
         assert sizes == ref_sizes[1:]
+
+    def test_first_pass_sets_panel_count(self):
+        edges = np.linspace(-1.0, 2.0, 13)
+        first_pass = quadrature._panel_estimates(
+            np.cos, edges[:-1], edges[1:], *quadrature._nodes(15))
+        sizes = []
+
+        def counting(x):
+            sizes.append(x.size)
+            return np.cos(x)
+
+        # without a width, n0 is the length of the first-pass estimates
+        got = integrate(counting, -1.0, 2.0, first_pass=first_pass)
+        assert got == integrate(np.cos, -1.0, 2.0, max_panel_width=0.25)
+        assert sizes == []
+        with pytest.raises(ValueError, match="must hold 6 panel estimates"):
+            integrate(counting, -1.0, 2.0, max_panel_width=0.5,
+                      first_pass=first_pass)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
