@@ -13,7 +13,7 @@ as the ``src`` of a ``git clone`` of the parent commit and ``src``.
 ARGV_FILE holds one argv per line in shell syntax; blank lines and lines
 starting with ``#`` are skipped.  Without it the default list is used:
 every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``), the
-``lemma2`` cases and the rejected inputs below.
+``lemma2`` and ``converge`` cases and the rejected inputs below.
 """
 
 from __future__ import annotations
@@ -40,6 +40,18 @@ LEMMA2_CASES = [
     ["lemma2", "--sigma", "1e6", "--tau", "1e6", "--delta", "0"],
 ]
 
+# converge beyond sinc at p = 2: other functions, p = 1.5 (kink
+# refinement), p = 4, a JSON document, and p = 200, whose powers underflow.
+CONVERGE_CASES = [
+    ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
+     "--tau", "10,20,40,80"],
+    ["converge", "--fn", "mollify:base=sinc,sigma=1,rho=0.1", "--p", "4",
+     "--tau", "10,80.3"],
+    ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "2",
+     "--tau", "10,80.3", "--format", "json"],
+    ["converge", "--fn", "sinc:sigma=1", "--p", "200", "--tau", "10,40"],
+]
+
 # Each exits 2 with one line on stderr.  The --output directory is relative
 # to the working directory and must not exist.
 REJECTED_CASES = [
@@ -62,7 +74,7 @@ def default_argvs() -> list[list[str]]:
     out = []
     for argv in ([a for seed in range(1, 6) for w in WORKLOADS
                   for a in argv_for(w, seed)] + LEMMA2_CASES
-                 + REJECTED_CASES):
+                 + CONVERGE_CASES + REJECTED_CASES):
         if argv not in out:
             out.append(argv)
     return out

@@ -7,6 +7,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,9 +32,14 @@ MAX_LINE_SAMPLES = 2 ** 22
 # Most coefficients (2N + 1) exp_coefficients may build: 2^22 complex
 # values are 64 MiB, and the index and phase arrays hold a few more copies.
 MAX_EXP_COEFFS = 2 ** 22
+# Most coefficients counterexample_run may build, summed over its m (one m
+# at a time): 2^26 take about 4 s on a 2-core Xeon.
+MAX_COUNTEREXAMPLE_COEFFS = 2 ** 26
 # Most grid points sup_norm_certified may evaluate in its one call of F:
 # 2^22 complex values are 64 MiB.
 MAX_SUP_POINTS = 2 ** 22
+# The contraction 2 sin(sigma h / 4) at the largest sup_norm_certified step.
+_CONTRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -47,11 +53,9 @@ class NormEstimate:
 
 @dataclass(frozen=True)
 class SupNormCertificate:
-    """Grid maximum upgraded to a sup-norm upper bound.
-
-    Any point is within h/2 of a grid node, so by the Bernstein modulus
-    bound |F(x)| <= grid_max + 2 sin(sigma h / 4) ||F||_inf, giving
-    ||F||_inf <= grid_max / (1 - 2 sin(sigma h / 4)), with h = spacing.
+    """Largest sampled |F| (``grid_max``) upgraded to a sup-norm upper
+    bound.  ``spacing`` is the grid step h of :func:`sup_norm_certified`,
+    or the panel width 2 hw of :func:`_panel_sup`.
     """
 
     grid_max: float
@@ -196,20 +200,21 @@ def lp_norm_line(f: TestFunction, p: float,
     return _lp_norm_envelope(f.eval_real, f.decay, p, quad, f.sigma)
 
 
-def sup_norm_certified(F: Callable, sigma_eff: float, a: float, b: float,
-                       target_contraction: float = 0.25) -> SupNormCertificate:
+def sup_norm_certified(F: Callable, sigma_eff: float, a: float,
+                       b: float) -> SupNormCertificate:
     """Certified upper bound on sup |F| over [a, b] for F of exponential
-    type <= sigma_eff, bounded on the real line.
+    type <= sigma_eff whose sup over the real line is its sup over [a, b]
+    (or |F| of such an F).  A point is within h/2 of a grid node, so by the
+    Bernstein modulus bound |F(x)| <= grid_max + c ||F||_inf and ||F||_inf
+    <= grid_max / (1 - c), c = 2 sin(sigma_eff h / 4) <= 0.1 for step h.
 
     The grid holds at most ``MAX_SUP_POINTS`` points; more raise
     ValueError before it is built."""
     if not 0 < sigma_eff < INF:
         raise ValueError("sigma_eff must be positive and finite")
-    if not 0 < target_contraction <= 0.5:
-        raise ValueError("target_contraction must lie in (0, 0.5]")
     if not -INF < a < b < INF:
         raise ValueError("interval requires finite a < b")
-    h_max = (4.0 / sigma_eff) * math.asin(0.5 * target_contraction)
+    h_max = (4.0 / sigma_eff) * math.asin(0.5 * _CONTRACTION)
     n = float(np.ceil((b - a) / h_max)) + 1.0  # may overflow to inf
     if not n <= MAX_SUP_POINTS:
         raise ValueError(
@@ -224,6 +229,55 @@ def sup_norm_certified(F: Callable, sigma_eff: float, a: float, b: float,
                               certified_bound=grid_max / (1.0 - contraction))
 
 
+@lru_cache(maxsize=None)
+def _cheb_maps(order: int):
+    """(A, B, factor) of :func:`_panel_sup` for ``order`` Gauss nodes."""
+    x, _ = _nodes(order)
+    R = 2 * order - 1
+    theta = (math.pi / R) * (np.arange(R) + 0.5)
+    t = np.concatenate([np.cos(theta) - 1.0, np.cos(theta) + 1.0]) / 2.0
+    A = np.prod((t[:, None, None] - x) / (x[:, None] - x + np.eye(order)),
+                axis=2, where=~np.eye(order, dtype=bool))
+    B = np.cos(np.outer(np.arange(R), theta)) * (2.0 - np.eye(R, 1)) / R
+    kappa = 2 * R + (1.0 + 2.0 * math.log(R) / math.pi) * (
+        2.0 * math.sqrt(2.0) * np.abs(A).sum(axis=1).max() + 1.0)
+    return A, B, 1.0 + 4.0 * order * math.ulp(1.0) * (1.0 + kappa)
+
+
+def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
+    """Certified sup |F| over P equal panels of half-width ``hw``, from the
+    (P, Q) array of F at each panel's Gauss-Legendre nodes, for F with
+    sup |F^(Q)| <= sum r^Q c over the pairs (r, c) of ``derivs``.
+
+    p interpolates the values v on a panel; |F - p| <= hw^Q 2^Q Q! / (2Q)!
+    sup |F^(Q)| by Hermite-Genocchi (complex F too; node polynomial P_Q /
+    k_Q).  On each half panel |p|^2 has degree 2Q - 2: from w = |A v|^2 at
+    its R = 2Q - 1 Chebyshev points, a = B w are its Chebyshev
+    coefficients, and max |p|^2 <= s = sum |a_k|.  Rounding (v, A and B
+    exact; Higham 2002, 3.1): a sum of fewer than 2Q products errs by at
+    most gamma = 2Q eps times its terms' moduli.  With X = max |p|^2 on the
+    panel and Lambda the largest row sum of |A|, |du| <= sqrt(2) gamma
+    Lambda X^(1/2) and |dw| <= gamma (2 sqrt(2) Lambda + 1) X, which moves
+    max |p|^2 on a half by at most Lambda_R = 1 + (2/pi) log R (Chebyshev
+    Lebesgue constant) times as much; sum |da_k| <= 2 gamma R X (columns of
+    |B| sum to < 2); s errs by gamma s.  So X <= s + gamma (s + kappa X),
+    kappa = 2R + Lambda_R (2 sqrt(2) Lambda + 1), to first order, and
+    X <= s (1 + 2 gamma (1 + kappa)) with s the larger of the halves' sums.
+    """
+    Q = values.shape[1]
+    to_cheb, to_coeffs, factor = _cheb_maps(Q)
+    s = 0.0  # 256 panels at a time, so that the temporaries stay small
+    for chunk in np.array_split(values, -(-len(values) // 256)):
+        u = (chunk @ to_cheb.T).reshape(-1, 2 * Q - 1)
+        w = u.real ** 2 + u.imag ** 2
+        s = max(s, np.abs(w @ to_coeffs.T).sum(axis=1).max())
+    bound = math.sqrt(factor * s) + (
+        2.0 ** Q * math.factorial(Q) / math.factorial(2 * Q)
+        * sum((r * hw) ** Q * c for r, c in derivs))
+    return SupNormCertificate(grid_max=float(np.abs(values).max()),
+                              spacing=2.0 * hw, certified_bound=bound)
+
+
 def _sup_norm_line(f: TestFunction) -> float:
     """Upper bound for sup |f| over the whole real line: a certificate on
     [-X, X] plus the decay envelope beyond X."""
@@ -232,7 +286,7 @@ def _sup_norm_line(f: TestFunction) -> float:
         raise ValueError("decay envelope too weak for a real-line sup bound")
     cutoff = (env.C / _SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
-    cert = sup_norm_certified(f.eval_real, f.sigma, -cutoff, cutoff, 0.1)
+    cert = sup_norm_certified(f.eval_real, f.sigma, -cutoff, cutoff)
     return max(cert.certified_bound, float(env.bound(cutoff)))
 
 
@@ -309,7 +363,8 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
     ||u||_{L^p[-pi, pi]} = (pi / tau)^{1/p} ||f_tau||_{L^p[-tau, tau]} by
     the change of variables t = pi x / tau; the norm of f_tau is the
     interior rule of :func:`_interior_lp` with g = 0, and its error bound
-    scales by the same factor.
+    scales by the same factor.  ||u||_inf is the sup of f_tau over
+    [-tau, tau], certified by the same rule.
     """
     if not 1 <= p < INF:
         raise ValueError("p must satisfy 1 <= p < inf")
@@ -317,12 +372,7 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
         raise ValueError("need N >= 1")
     quad = quad or QuadratureSpec()
     N = a.N
-
-    def u(t):
-        return a.evaluate(a.tau * np.asarray(t, dtype=float) / math.pi)
-
-    cert = sup_norm_certified(u, float(N), -math.pi, math.pi, 0.1)
-    norm = _interior_lp(np.zeros_like, a, p, quad)
+    norm, cert = _interior_lp(np.zeros_like, 0.0, a, p, quad)
     factor = 2.0 * N ** (1.0 / p) * (math.pi / a.tau) ** (1.0 / p)
     rhs = factor * norm.value
     return InequalityCheck(
@@ -388,18 +438,12 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
     records = []
     for tau in tau_list:
         a = fourier_coefficients(f, tau, quad)
-
-        def diff(x, _a=a):
-            return np.asarray(f.eval_real(x)) - np.asarray(_a.evaluate(x))
-
-        interior = _interior_lp(f.eval_real, a, p, quad)
+        interior, sup_cert = _interior_lp(f.eval_real, f.decay.C, a, p, quad)
         tail_integral = f.decay.tail_lp(tau, p)
         tail_value = tail_integral ** (1.0 / p)
         tail = NormEstimate(value=tail_value, error_bound=tail_value,
                             p=p, domain=f"|x|>{tau:g}", tail_bound=tail_value)
         total = (interior.value ** p + tail_integral) ** (1.0 / p)
-        sigma_eff = max(f.sigma, math.pi * a.N / tau)
-        sup_cert = sup_norm_certified(diff, sigma_eff, -tau, tau)
         records.append(ConvergenceRecord(tau=float(tau), p=float(p),
                                          interior_error=interior,
                                          tail_error=tail,
@@ -408,12 +452,14 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
     return records
 
 
-def _interior_lp(g: Callable, a: TrigApproximant, p: float,
-                 quad: QuadratureSpec) -> NormEstimate:
+def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
+                 quad: QuadratureSpec) -> tuple[NormEstimate, SupNormCertificate]:
     """||g - f_tau||_{L^p[-tau, tau]} by :func:`integrate`, with the first
-    pass taken from f_tau on panel nodes by inverse FFT: ``g`` is
-    ``f.eval_real`` for the truncation error of f, or ``np.zeros_like``
-    for the norm of f_tau itself.
+    pass taken from f_tau on panel nodes by inverse FFT, and the certified
+    sup of |g - f_tau| on [-tau, tau] from the same values.  ``g`` is
+    ``f.eval_real`` for the truncation error of f (type ``a.sigma``, and
+    ``g_sup = f.decay.C`` >= sup |f|), or ``np.zeros_like`` with g_sup = 0
+    for f_tau itself.
 
     The first pass has n0 >= 2N + 1 equal panels of width at most
     ``_osc_width(a.sigma)``.  Its coarse Gauss values come from level n0
@@ -424,11 +470,13 @@ def _interior_lp(g: Callable, a: TrigApproximant, p: float,
     :meth:`TrigApproximant.evaluate`.  For even p, |g - f_tau|^p is
     smooth and every panel passes the first pass; for other p it has
     kinks where g - f_tau vanishes, and only the few panels holding them
-    are refined.
+    are refined.  :func:`_panel_sup` takes level 2 n0, with Bernstein's
+    |(g - f_tau)^(Q)| <= a.sigma^Q g_sup + (pi N / tau)^Q sum |c_k|.
 
     The finer level of the first pass, 2 n0 panels, may hold at most
     ``approximation.MAX_PANEL_NODES`` nodes; more raise ValueError before
-    any sampling.
+    any sampling.  An integral below the smallest normal float while some
+    node value is nonzero (|g - f_tau|^p underflows) raises ValueError.
     """
     tau = a.tau
     xq, wq = _nodes(quad.panel_order)
@@ -440,10 +488,12 @@ def _interior_lp(g: Callable, a: TrigApproximant, p: float,
         hw, mids, _ = _panel_geometry(tau, n)
         x = (mids[:, None] + hw * xq).ravel()
         diff = np.asarray(g(x)).reshape(n, xq.size) - a.on_panels(n, xq)
-        return hw * (np.abs(diff) ** p @ wq)
+        return hw, diff, hw * (np.abs(diff) ** p @ wq)
 
-    halves = level(2 * n0)
-    first_pass = (level(n0), halves[0::2] + halves[1::2])
+    hw, diff, halves = level(2 * n0)
+    sup_cert = _panel_sup(diff, hw, ((a.sigma, g_sup), (
+        math.pi * a.N / tau, float(np.abs(a.coefficients).sum()))))
+    first_pass = (level(n0)[2], halves[0::2] + halves[1::2])
 
     def integrand(x):
         return np.abs(np.asarray(g(x)) - np.asarray(a.evaluate(x))) ** p
@@ -452,9 +502,12 @@ def _interior_lp(g: Callable, a: TrigApproximant, p: float,
                               first_pass=first_pass)
     integral = float(integral)
     err = float(err)
+    if integral < sys.float_info.min and sup_cert.grid_max > 0:
+        raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
+                         f"underflows")
     return NormEstimate(value=integral ** (1.0 / p),
                         error_bound=_root_error(integral, err, p),
-                        p=p, domain=f"[{-tau:g},{tau:g}]")
+                        p=p, domain=f"[{-tau:g},{tau:g}]"), sup_cert
 
 
 def _exp_n_terms(sigma: float, tau: float) -> int:
@@ -488,10 +541,12 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
     """Im(f - f_{tau_m})(tau_m) for f = e^{ix}, tau_m = pi/2 + 2 pi m.
 
     The identity forces the value 1 for every m, witnessing the failure of
-    sup-norm convergence for p = inf.  Every m, and its coefficient count,
-    is checked before any coefficients are built.
+    sup-norm convergence for p = inf.  Every m, its coefficient count and
+    the total count over all m (at most ``MAX_COUNTEREXAMPLE_COEFFS``) are
+    checked before any coefficients are built.
     """
     taus = []
+    total = 0
     for m in m_list:
         if not (1 <= m < math.inf and int(m) == m):
             raise ValueError("m_list must contain positive integers")
@@ -500,7 +555,11 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
         except OverflowError:
             raise ValueError("m_list holds a value beyond the float "
                              "range") from None
-        _exp_n_terms(1.0, taus[-1])
+        total += 2 * _exp_n_terms(1.0, taus[-1]) + 1
+        if total > MAX_COUNTEREXAMPLE_COEFFS:
+            raise ValueError(
+                f"m_list needs at least {total} coefficients in all, above "
+                f"the limit of {MAX_COUNTEREXAMPLE_COEFFS}")
     out = []
     for tau in taus:
         a = exp_coefficients(tau)

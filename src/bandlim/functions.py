@@ -9,6 +9,7 @@ any exactly known norms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -59,7 +60,8 @@ class DecayEnvelope:
 
     def tail_lp(self, cutoff: float, p: float) -> float:
         """Integral of bound(x)^p over |x| > cutoff (requires alpha*p > 1).
-        A value beyond the float range raises ValueError."""
+        A value beyond the float range, or for C > 0 below the smallest
+        normal float, raises ValueError."""
         ap = self.alpha * p
         if ap <= 1:
             raise ValueError("non-integrable tail envelope")
@@ -68,11 +70,12 @@ class DecayEnvelope:
                      / (ap - 1.0))
         except OverflowError:
             value = math.inf
+        what = (f"the envelope tail integral for C={self.C:g}, "
+                f"alpha={self.alpha:g}, p={p:g} beyond {cutoff:g}")
         if not math.isfinite(value):
-            raise ValueError(
-                f"the envelope tail integral for C={self.C:g}, "
-                f"alpha={self.alpha:g}, p={p:g} beyond {cutoff:g} "
-                f"overflows")
+            raise ValueError(f"{what} overflows")
+        if self.C > 0 and value < sys.float_info.min:
+            raise ValueError(f"{what} underflows")
         return value
 
     def cutoff_for_tail(self, budget: float, p: float) -> float:

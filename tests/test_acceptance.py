@@ -160,7 +160,7 @@ def test_inequality_suite():
                 return np.abs(np.asarray(_a.evaluate(x)))
 
             cert = analysis.sup_norm_certified(F, math.pi * N / tau,
-                                               -tau, tau, 0.25)
+                                               -tau, tau)
             n_fine = 100 * math.ceil(2.0 * tau / cert.spacing) + 1
             fine_max = float(np.max(F(np.linspace(-tau, tau, n_fine))))
             assert cert.certified_bound >= fine_max, (N, tau)

@@ -269,12 +269,22 @@ class TestNumericalFailures:
         (["converge", "--fn", "mollify:base=fejer_square,sigma=1e-100,rho=0.5",
           "--p", "2", "--tau", "10"], "overflows"),
         (["counterexample", "--m", "1" + "0" * 400], "beyond the float range"),
+        (["counterexample", "--m", "1..100000"],
+         "coefficients in all, above the limit"),
     ])
     def test_exit_1_with_message(self, argv, text, capsys):
         status, out, err = run_capture(argv, capsys)
         assert status == 1
         assert err.startswith(f"bandlim {argv[0]}: ")
         assert text in err and out == ""
+
+    def test_underflowing_p_exits_1_with_one_line(self, capsys):
+        # |f - f_tau|^200 underflows at every node, which printed zeros
+        status, out, err = run_capture(
+            ["converge", "--fn", "sinc:sigma=1", "--p", "200",
+             "--tau", "10,40"], capsys)
+        assert (status, out, err.count("\n")) == (1, "", 1)
+        assert err.startswith("bandlim converge: ") and "underflows" in err
 
 
 class TestOutputPath:

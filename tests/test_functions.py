@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bandlim.analysis import check_plancherel_polya, lp_norm_line
-from bandlim.functions import (INF, PMembership, UnknownFunctionError,
+from bandlim.functions import (INF, DecayEnvelope, PMembership,
+                               UnknownFunctionError,
                                from_id, make_complex_exponential,
                                make_fejer_square, make_sinc, mollify,
                                sinc_ratio)
@@ -201,6 +202,15 @@ class TestDecayEnvelope:
         assert env.C > 1e200
         with pytest.raises(ValueError, match="overflows"):
             env.tail_lp(10.0, 2.0)
+
+    def test_underflowing_tail_raises_value_error(self):
+        # sinc: C = 2 / pi, and 2 (2 / pi)^300 / (299 * 11^299), about
+        # 1e-372, is below every float; at p = 200 it is about 1e-248
+        env = make_sinc(1.0).decay
+        with pytest.raises(ValueError, match="underflows"):
+            env.tail_lp(10.0, 300.0)
+        assert env.tail_lp(10.0, 200.0) > 0.0
+        assert DecayEnvelope(C=0.0, alpha=1.0).tail_lp(10.0, 300.0) == 0.0
 
     def test_cutoff_for_tail_in_logs(self):
         env = mollify(make_fejer_square(1e-100), 0.5).decay
