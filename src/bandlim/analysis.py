@@ -3,7 +3,6 @@ inequality checkers, and the convergence experiments."""
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -13,7 +12,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .approximation import (TrigApproximant, _first_panels, _panel_geometry,
-                            fourier_coefficients)
+                            _trig_sums, fourier_coefficients)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
 from .quadrature import QuadratureSpec, _nodes, integrate
@@ -32,9 +31,14 @@ MAX_LINE_SAMPLES = 2 ** 22
 # Most coefficients (2N + 1) exp_coefficients may build: 2^22 complex
 # values are 64 MiB, and the index and phase arrays hold a few more copies.
 MAX_EXP_COEFFS = 2 ** 22
-# Most coefficients counterexample_run may build, summed over its m (one m
-# at a time): 2^26 take about 4 s on a 2-core Xeon.
+# Most coefficients counterexample_run may build, summed over its m: 2^26
+# take about 2 s on a 2-core Xeon.
 MAX_COUNTEREXAMPLE_COEFFS = 2 ** 26
+# Most padded coefficients counterexample_run sums at a time; the kernel's
+# complex arrays of that size are 256 KiB each.  For m = 5..1004 on a 2-core
+# Xeon, 2^13 took 53 ms, 2^14 37 ms and 2^16 28 ms, but 2^16 held 2.4 MB
+# more peak memory than 2^14.
+_COUNTEREXAMPLE_CHUNK = 2 ** 14
 # Most grid points sup_norm_certified may evaluate in its one call of F:
 # 2^22 complex values are 64 MiB.
 MAX_SUP_POINTS = 2 ** 22
@@ -522,8 +526,8 @@ def _exp_n_terms(sigma: float, tau: float) -> int:
 
 
 def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:
-    """Closed-form coefficients of e^{i omega x}:
-    c_k = sinc(omega tau - pi k) = (-1)^k sin(omega tau) / (omega tau - pi k).
+    """Closed-form coefficients of e^{i omega x}, c_k = sinc(omega tau - pi k),
+    by :func:`_exp_coefficient_rows`.
 
     At most ``MAX_EXP_COEFFS`` coefficients; more raise ValueError before
     any array is built."""
@@ -531,21 +535,49 @@ def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:
         raise ValueError("tau must be positive")
     sigma = abs(omega)
     N = _exp_n_terms(sigma, tau)
-    k = np.arange(-N, N + 1)
-    coeffs = np.asarray(sinc_ratio(omega * tau - math.pi * k), dtype=complex)
+    coeffs = _exp_coefficient_rows(np.array([omega * tau]), np.array([N]))[0]
     return TrigApproximant(tau=float(tau), sigma=sigma, N=N,
                            coefficients=coeffs, coeff_error=0.0)
 
 
+def _exp_coefficient_rows(u, N):
+    """Coefficients c_k = sinc(u_r - pi k) of e^{i omega x} at omega tau =
+    ``u[r]`` for |k| <= ``N[r]``, zero-padded to n = max(N), as a real
+    (R, 2n + 1) array.
+
+    One sine per row: c_k = (-1)^k sin(u) / d with d = u - pi k.  The
+    computed d is off by about eps |u|.  That error reaches c_k as
+    |sin u| eps |u| / d^2 here, and as eps |u| |sinc'(d)| in sinc_ratio(d),
+    whose sine is taken at the computed d; |sinc'(d)| is at most about
+    1 / |d|, and |d| / 3 near 0.  So the one-sine form is the more accurate
+    where |d| >= 1 >= |sin u|, and sinc_ratio(d) is taken where |d| < 1.
+    """
+    n = int(np.max(N))
+    k = np.arange(-n, n + 1)
+    d = u[:, None] - math.pi * k
+    near = np.abs(d) < 1.0
+    rows = np.where(near, 1.0, d)
+    rows *= np.where(k % 2 == 0, 1.0, -1.0)
+    np.divide(np.sin(u)[:, None], rows, out=rows)
+    rows[near] = sinc_ratio(d[near])
+    rows[np.abs(k) > N[:, None]] = 0.0
+    return rows
+
+
 def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
-    """Im(f - f_{tau_m})(tau_m) for f = e^{ix}, tau_m = pi/2 + 2 pi m.
+    """Im(f - f_{tau_m})(tau_m) for f = e^{ix}, tau_m = pi/2 + 2 pi m, in
+    the order of ``m_list``.
 
     The identity forces the value 1 for every m, witnessing the failure of
     sup-norm convergence for p = inf.  Every m, its coefficient count and
     the total count over all m (at most ``MAX_COUNTEREXAMPLE_COEFFS``) are
-    checked before any coefficients are built.
+    checked before any coefficients are built.  Consecutive m then go
+    through :func:`_trig_sums` together, as rows zero-padded to the
+    largest N among them, at most ``_COUNTEREXAMPLE_CHUNK`` padded
+    coefficients at a time (or one m, if it alone has more).
     """
     taus = []
+    counts = []
     total = 0
     for m in m_list:
         if not (1 <= m < math.inf and int(m) == m):
@@ -555,14 +587,25 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
         except OverflowError:
             raise ValueError("m_list holds a value beyond the float "
                              "range") from None
-        total += 2 * _exp_n_terms(1.0, taus[-1]) + 1
+        counts.append(_exp_n_terms(1.0, taus[-1]))
+        total += 2 * counts[-1] + 1
         if total > MAX_COUNTEREXAMPLE_COEFFS:
             raise ValueError(
                 f"m_list needs at least {total} coefficients in all, above "
                 f"the limit of {MAX_COUNTEREXAMPLE_COEFFS}")
     out = []
-    for tau in taus:
-        a = exp_coefficients(tau)
-        gap = (cmath.exp(1j * tau) - complex(a.evaluate(tau))).imag
-        out.append((tau, float(gap)))
+    start = 0
+    while start < len(taus):
+        stop, n = start + 1, counts[start]
+        while (stop < len(taus) and (stop + 1 - start)
+               * (2 * max(n, counts[stop]) + 1) <= _COUNTEREXAMPLE_CHUNK):
+            n = max(n, counts[stop])
+            stop += 1
+        tau = np.array(taus[start:stop])
+        rows = _exp_coefficient_rows(tau, np.array(counts[start:stop]))
+        # theta = pi x / tau at x = tau, rounded as evaluate rounds it
+        values = _trig_sums(rows, (tau * (math.pi / tau))[:, None])[:, 0]
+        out.extend(zip(taus[start:stop],
+                       (np.exp(1j * tau) - values).imag.tolist()))
+        start = stop
     return out

@@ -48,32 +48,11 @@ class TrigApproximant:
         return complex(self.coefficients[k + self.N])
 
     def evaluate(self, x):
-        """Evaluate the sum at the abscissae ``x`` (scalar or array).
-
-        With z = e^{i pi x / tau}, B = isqrt(N) and A = ceil(N / B), each
-        power z^k, 1 <= k <= N, is split as z^{aB} * z^{b+1} with k - 1 =
-        aB + b, so one point costs A + B exponentials and the inner sums
-        are one (M x B) @ (B x 2A) product.  The k and -k terms share both
-        factors and combine as S+ + conj(S-), which keeps the result
-        numerically real for conjugate-symmetric coefficients.
-        """
+        """Evaluate the sum at the abscissae ``x`` (scalar or array), as
+        the one-row case of :func:`_trig_sums` at theta = pi x / tau."""
         theta = np.atleast_1d(np.asarray(x, dtype=float)).ravel() \
             * (math.pi / self.tau)
-        out = np.full(theta.shape, self.coefficients[self.N], dtype=complex)
-        if self.N > 0:
-            B = math.isqrt(self.N)
-            A = -(-self.N // B)
-            blocks = np.zeros((2, A * B), dtype=complex)
-            blocks[0, :self.N] = self.coefficients[self.N + 1:]
-            blocks[1, :self.N] = np.conj(self.coefficients[self.N - 1::-1])
-            # blocks[s, a*B + b] -> table[b, s*A + a]
-            table = blocks.reshape(2, A, B).transpose(2, 0, 1).reshape(B, 2 * A)
-            inner = np.exp(1j * theta[:, None] * np.arange(1, B + 1))
-            outer = np.exp(1j * theta[:, None] * (B * np.arange(A)))
-            sums = (inner @ table).reshape(-1, 2, A)
-            pos = (sums[:, 0] * outer).sum(axis=1)
-            neg = (sums[:, 1] * outer).sum(axis=1)
-            out = out + (pos + np.conj(neg))
+        out = _trig_sums(self.coefficients[None, :], theta[None, :])[0]
         out = out.reshape(np.shape(x))
         return _maybe_scalar(out, x)
 
@@ -133,6 +112,39 @@ class TrigApproximant:
     def load(path) -> "TrigApproximant":
         with open(path, encoding="utf-8") as fh:
             return TrigApproximant.from_json_dict(json.load(fh))
+
+
+def _trig_sums(coefficients, theta):
+    """sum_{|k| <= N} c[r, N + k] e^{i k theta[r, j]} for the (R, 2N + 1)
+    rows ``coefficients`` and the (R, M) angles ``theta``, as an (R, M)
+    array.  Rows with fewer terms are zero-padded to N.
+
+    With z = e^{i theta}, B = isqrt(N) and A = ceil(N / B), each power
+    z^k, 1 <= k <= N, is split as z^{aB} * z^{b+1} with k - 1 = aB + b, so
+    one angle costs A + B exponentials and the inner sums of a row are one
+    (M x B) @ (B x 2A) product.  The k and -k terms share both factors and
+    combine as S+ + conj(S-), which keeps the result numerically real for
+    conjugate-symmetric coefficients.
+    """
+    R, width = coefficients.shape
+    N = width // 2
+    out = np.repeat(coefficients[:, N, None], theta.shape[1], axis=1)
+    if N > 0:
+        B = math.isqrt(N)
+        A = -(-N // B)
+        blocks = np.zeros((R, 2, A * B), dtype=complex)
+        blocks[:, 0, :N] = coefficients[:, N + 1:]
+        blocks[:, 1, :N] = np.conj(coefficients[:, N - 1::-1])
+        # blocks[r, s, a*B + b] -> table[r, b, s*A + a]
+        table = blocks.reshape(R, 2, A, B).transpose(0, 3, 1, 2) \
+            .reshape(R, B, 2 * A)
+        inner = np.exp(1j * theta[..., None] * np.arange(1, B + 1))
+        outer = np.exp(1j * theta[..., None] * (B * np.arange(A)))
+        sums = (inner @ table).reshape(R, -1, 2, A)
+        pos = (sums[:, :, 0] * outer).sum(axis=-1)
+        neg = (sums[:, :, 1] * outer).sum(axis=-1)
+        out = out + (pos + np.conj(neg))
+    return out
 
 
 def fourier_coefficients(f: TestFunction, tau: float,

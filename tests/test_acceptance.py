@@ -49,6 +49,18 @@ def test_counterexample_identity():
         assert time.monotonic() - start < 1.0
 
 
+def test_counterexample_dense_sweep():
+    # typically 0.1-0.2 s on a 2-core Xeon; the budget leaves room for a
+    # loaded machine
+    with criterion("counterexample identity, m = 1..2000"):
+        start = time.monotonic()
+        results = analysis.counterexample_run(range(1, 2001))
+        assert len(results) == 2000
+        for tau, gap in results:
+            assert abs(gap - 1.0) <= 1e-9, (tau, gap)
+        assert time.monotonic() - start < 5.0
+
+
 def test_kernel_gap_scan_matrix():
     with criterion("kernel-gap scan matrix"):
         start = time.monotonic()

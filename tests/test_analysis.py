@@ -16,7 +16,7 @@ from bandlim.approximation import (TrigApproximant, evaluate_convolution,
                                    fourier_coefficients)
 from bandlim.functions import (INF, TestFunction, from_id,
                                make_complex_exponential, make_fejer_square,
-                               make_sinc)
+                               make_sinc, sinc_ratio)
 from bandlim.kernels import kernel_gap_bound, n_terms
 from bandlim.quadrature import QuadratureSpec
 
@@ -417,7 +417,7 @@ class TestCounterexample:
     def test_every_m_checked_before_any_coefficients(self, m_list, text,
                                                      monkeypatch):
         built = []
-        monkeypatch.setattr(analysis, "exp_coefficients",
+        monkeypatch.setattr(analysis, "_exp_coefficient_rows",
                             lambda *args: built.append(args))
         with pytest.raises(ValueError, match=text):
             counterexample_run(m_list)
@@ -430,6 +430,60 @@ class TestCounterexample:
             counterexample_run([1, 2])
         monkeypatch.setattr(analysis, "MAX_COUNTEREXAMPLE_COEFFS", 14)
         assert len(counterexample_run([1, 2])) == 2
+
+    def test_keeps_input_order_across_chunks(self, monkeypatch):
+        # N = 2m, so m = 1000, 1, 999, 2 pad to 4 rows of 4001 coefficients
+        # and the next m starts a second chunk
+        m_list = [1000, 1, 999, 2, *range(3, 40)]
+        build = analysis._exp_coefficient_rows
+        chunks = []
+
+        def spy(u, N):
+            chunks.append(len(u))
+            return build(u, N)
+
+        monkeypatch.setattr(analysis, "_exp_coefficient_rows", spy)
+        results = counterexample_run(m_list)
+        assert len(chunks) > 1 and sum(chunks) == len(m_list)
+        assert len(results) == len(m_list)
+        for m, (tau, gap) in zip(m_list, results):
+            assert tau == 0.5 * math.pi + 2.0 * math.pi * m
+            a = exp_coefficients(tau)
+            alone = (cmath.exp(1j * tau) - complex(a.evaluate(tau))).imag
+            assert abs(gap - alone) <= 1e-12, m
+
+
+class TestExpCoefficients:
+    # (omega, tau): omega tau within 1e-6 of pi k, within 0.5 of pi k,
+    # negative omega, and tau up to about 6000
+    @pytest.mark.parametrize("omega, tau", [
+        (1.0, 7 * math.pi + 1e-7),
+        (1.0, 1000 * math.pi + 3e-7),
+        (-1.0, 5 * math.pi + 1e-6),
+        (1.0, 40 * math.pi + 0.5),
+        (1.0, 40 * math.pi - 0.3),
+        (-1.3, 123.4),
+        (-0.7, 1900 * math.pi / 0.7 + 0.2),
+        (1.0, 1234.57),
+        (2.5, 2400.1),
+        (1.0, 5999.37),
+    ])
+    def test_no_less_accurate_than_one_sine_per_term(self, omega, tau):
+        import mpmath as mp
+
+        a = exp_coefficients(tau, omega)
+        k = np.arange(-a.N, a.N + 1)
+        # the formula with a sine per coefficient, each at the computed
+        # omega tau - pi k
+        per_term = sinc_ratio(omega * tau - math.pi * k)
+        with mp.workdps(40):
+            u = mp.mpf(omega) * mp.mpf(tau)
+            exact = np.array([float(mp.sin(u - mp.pi * j) / (u - mp.pi * j))
+                              for j in k.tolist()])
+        assert np.all(a.coefficients.imag == 0.0)
+        err = np.max(np.abs(a.coefficients.real - exact))
+        assert err <= np.max(np.abs(per_term - exact))
+        assert err <= 1e-12
 
 
 class TestConvergenceStudy:

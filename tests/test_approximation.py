@@ -5,7 +5,7 @@ import pytest
 
 from bandlim.approximation import (MAX_PANEL_NODES, MAX_LEWITAN_K,
                                    TrigApproximant, _panel_geometry,
-                                   evaluate_convolution,
+                                   _trig_sums, evaluate_convolution,
                                    fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
@@ -197,6 +197,47 @@ class TestEvaluate:
         a = exp_coefficients(10.0)
         with pytest.raises(IndexError):
             a.coefficient(a.N + 1)
+
+
+def direct_sums(rows, theta):
+    """Plain per-k sum of each row at its own angles, one term at a time."""
+    N = rows.shape[1] // 2
+    total = np.zeros(theta.shape, dtype=complex)
+    for k in range(-N, N + 1):
+        total = total + rows[:, N + k, None] * np.exp(1j * k * theta)
+    return total
+
+
+class TestTrigSums:
+    # |k theta| <= 90 here, so the rounded phases are off by a few ulps of
+    # 90, well below 1e-13
+    @staticmethod
+    def assert_matches_direct_sums(rows, theta):
+        got = _trig_sums(rows, theta)
+        assert got.shape == theta.shape
+        tol = 1e-13 * np.sum(np.abs(rows), axis=1, keepdims=True)
+        assert np.all(np.abs(got - direct_sums(rows, theta)) <= tol)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_rows_of_different_N_padded_into_one_chunk(self, dtype):
+        rng = np.random.default_rng(5)
+        counts = [13, 0, 30, 1, 5]
+        n = max(counts)
+        rows = np.zeros((len(counts), 2 * n + 1), dtype=dtype)
+        for r, N in enumerate(counts):
+            re, im = rng.normal(size=(2, 2 * N + 1))
+            rows[r, n - N:n + N + 1] = re + 1j * im if dtype is complex else re
+        theta = rng.uniform(-3.0, 3.0, (len(counts), 7))
+        self.assert_matches_direct_sums(rows, theta)
+        # each row alone, unpadded: R = 1, and N = 0 for one of them
+        for r, N in enumerate(counts):
+            self.assert_matches_direct_sums(rows[r:r + 1, n - N:n + N + 1],
+                                            theta[r:r + 1])
+
+    def test_rows_of_one_term(self):
+        rows = np.array([[2.0 - 1.0j], [0.5j], [0.0]])
+        got = _trig_sums(rows, np.ones((3, 4)))
+        assert np.array_equal(got, np.repeat(rows, 4, axis=1))
 
 
 class TestTruncated:
