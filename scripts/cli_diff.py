@@ -37,6 +37,10 @@ LEMMA2_CASES = [
     ["lemma2", "--sigma", "3", "--tau", "1000", "--delta", "0.5"],
     ["lemma2", "--sigma", "1", "--tau", "3.14159265358979",
      "--delta", "0.9"],
+    # N = 0: the --n-points floor, not the panel width, sets the panels
+    ["lemma2", "--sigma", "0.5", "--tau", "1", "--delta", "0"],
+    ["lemma2", "--sigma", "5", "--tau", "40", "--delta", "0.9",
+     "--n-points", "100000"],
     ["lemma2", "--n-points", "999"],
     ["lemma2", "--sigma", "1e6", "--tau", "1e6", "--delta", "0"],
 ]

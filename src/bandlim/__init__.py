@@ -2,8 +2,11 @@
 
 Library layout:
 
+* :mod:`bandlim.quadrature` — adaptive Gauss-Legendre integration and the
+  certified sup rule on equal Gauss panels.
 * :mod:`bandlim.functions` — catalog of concrete bandlimited test functions.
-* :mod:`bandlim.kernels` — Dirichlet/sinc kernels and the kernel-gap bound.
+* :mod:`bandlim.kernels` — Dirichlet/sinc kernels and the certified
+  kernel-gap scan.
 * :mod:`bandlim.approximation` — the trigonometric approximant f_tau,
   its truncation, and the Lewitan periodization.
 * :mod:`bandlim.analysis` — quadrature-backed norms, certified sup norms,

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -15,7 +14,9 @@ from .approximation import (TrigApproximant, _first_panels, _panel_geometry,
                             _trig_sums, fourier_coefficients)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
-from .quadrature import QuadratureSpec, _nodes, integrate
+from .quadrature import (MAX_SUP_POINTS, QuadratureSpec, SupNormCertificate,
+                         _nodes, _panel_sup, _sampled_sup, _sup_panels,
+                         integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -39,9 +40,6 @@ MAX_COUNTEREXAMPLE_COEFFS = 2 ** 26
 # Xeon, 2^13 took 53 ms, 2^14 37 ms and 2^16 28 ms, but 2^16 held 2.4 MB
 # more peak memory than 2^14.
 _COUNTEREXAMPLE_CHUNK = 2 ** 14
-# Most grid points sup_norm_certified may evaluate in its one call of F:
-# 2^22 complex values are 64 MiB.
-MAX_SUP_POINTS = 2 ** 22
 # The contraction 2 sin(sigma h / 4) at the largest sup_norm_certified step.
 _CONTRACTION = 0.1
 
@@ -53,18 +51,6 @@ class NormEstimate:
     p: float
     domain: str
     tail_bound: float = 0.0
-
-
-@dataclass(frozen=True)
-class SupNormCertificate:
-    """Largest sampled |F| (``grid_max``) upgraded to a sup-norm upper
-    bound.  ``spacing`` is the grid step h of :func:`sup_norm_certified`,
-    or the panel width 2 hw of :func:`_panel_sup`.
-    """
-
-    grid_max: float
-    spacing: float
-    certified_bound: float
 
 
 @dataclass(frozen=True)
@@ -233,64 +219,17 @@ def sup_norm_certified(F: Callable, sigma_eff: float, a: float,
                               certified_bound=grid_max / (1.0 - contraction))
 
 
-@lru_cache(maxsize=None)
-def _cheb_maps(order: int):
-    """(A, B, factor) of :func:`_panel_sup` for ``order`` Gauss nodes."""
-    x, _ = _nodes(order)
-    R = 2 * order - 1
-    theta = (math.pi / R) * (np.arange(R) + 0.5)
-    t = np.concatenate([np.cos(theta) - 1.0, np.cos(theta) + 1.0]) / 2.0
-    A = np.prod((t[:, None, None] - x) / (x[:, None] - x + np.eye(order)),
-                axis=2, where=~np.eye(order, dtype=bool))
-    B = np.cos(np.outer(np.arange(R), theta)) * (2.0 - np.eye(R, 1)) / R
-    kappa = 2 * R + (1.0 + 2.0 * math.log(R) / math.pi) * (
-        2.0 * math.sqrt(2.0) * np.abs(A).sum(axis=1).max() + 1.0)
-    return A, B, 1.0 + 4.0 * order * math.ulp(1.0) * (1.0 + kappa)
-
-
-def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
-    """Certified sup |F| over P equal panels of half-width ``hw``, from the
-    (P, Q) array of F at each panel's Gauss-Legendre nodes, for F with
-    sup |F^(Q)| <= sum r^Q c over the pairs (r, c) of ``derivs``.
-
-    p interpolates the values v on a panel; |F - p| <= hw^Q 2^Q Q! / (2Q)!
-    sup |F^(Q)| by Hermite-Genocchi (complex F too; node polynomial P_Q /
-    k_Q).  On each half panel |p|^2 has degree 2Q - 2: from w = |A v|^2 at
-    its R = 2Q - 1 Chebyshev points, a = B w are its Chebyshev
-    coefficients, and max |p|^2 <= s = sum |a_k|.  Rounding (v, A and B
-    exact; Higham 2002, 3.1): a sum of fewer than 2Q products errs by at
-    most gamma = 2Q eps times its terms' moduli.  With X = max |p|^2 on the
-    panel and Lambda the largest row sum of |A|, |du| <= sqrt(2) gamma
-    Lambda X^(1/2) and |dw| <= gamma (2 sqrt(2) Lambda + 1) X, which moves
-    max |p|^2 on a half by at most Lambda_R = 1 + (2/pi) log R (Chebyshev
-    Lebesgue constant) times as much; sum |da_k| <= 2 gamma R X (columns of
-    |B| sum to < 2); s errs by gamma s.  So X <= s + gamma (s + kappa X),
-    kappa = 2R + Lambda_R (2 sqrt(2) Lambda + 1), to first order, and
-    X <= s (1 + 2 gamma (1 + kappa)) with s the larger of the halves' sums.
-    """
-    Q = values.shape[1]
-    to_cheb, to_coeffs, factor = _cheb_maps(Q)
-    s = 0.0  # 256 panels at a time, so that the temporaries stay small
-    for chunk in np.array_split(values, -(-len(values) // 256)):
-        u = (chunk @ to_cheb.T).reshape(-1, 2 * Q - 1)
-        w = u.real ** 2 + u.imag ** 2
-        s = max(s, np.abs(w @ to_coeffs.T).sum(axis=1).max())
-    bound = math.sqrt(factor * s) + (
-        2.0 ** Q * math.factorial(Q) / math.factorial(2 * Q)
-        * sum((r * hw) ** Q * c for r, c in derivs))
-    return SupNormCertificate(grid_max=float(np.abs(values).max()),
-                              spacing=2.0 * hw, certified_bound=bound)
-
-
 def _sup_norm_line(f: TestFunction) -> float:
-    """Upper bound for sup |f| over the whole real line: a certificate on
-    [-X, X] plus the decay envelope beyond X."""
+    """Upper bound for sup |f| on the real line: :func:`_sampled_sup` on
+    [-X, X] (|f^(k)| <= sigma^k C, Bernstein) and the envelope beyond."""
     env = f.decay
     if env.alpha <= 0:
         raise ValueError("decay envelope too weak for a real-line sup bound")
     cutoff = (env.C / _SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
-    cert = sup_norm_certified(f.eval_real, f.sigma, -cutoff, cutoff)
+    panels = _sup_panels(cutoff, 4.0 / f.sigma,
+                         f"the real-line sup of {f.id} needs")
+    cert, _ = _sampled_sup(f.eval_real, cutoff, panels, ((f.sigma, env.C),))
     return max(cert.certified_bound, float(env.bound(cutoff)))
 
 
@@ -475,7 +414,7 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     smooth and every panel passes the first pass; for other p it has
     kinks where g - f_tau vanishes, and only the few panels holding them
     are refined.  :func:`_panel_sup` takes level 2 n0, with Bernstein's
-    |(g - f_tau)^(Q)| <= a.sigma^Q g_sup + (pi N / tau)^Q sum |c_k|.
+    |(g - f_tau)^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
 
     The finer level of the first pass, 2 n0 panels, may hold at most
     ``approximation.MAX_PANEL_NODES`` nodes; more raise ValueError before

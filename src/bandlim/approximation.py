@@ -12,8 +12,8 @@ import numpy as np
 
 from .functions import TestFunction, sinc_ratio, _maybe_scalar
 from .kernels import dirichlet, n_terms
-from .quadrature import (QuadratureNonConvergence, QuadratureSpec, _nodes,
-                         integrate)
+from .quadrature import (QuadratureNonConvergence, QuadratureSpec,
+                         _equal_panels, _nodes, integrate)
 
 _LEWITAN_TAIL_TARGET = 1e-8
 # Largest Lewitan cutoff K, given or automatic: the sum takes 2K + 1 terms
@@ -211,8 +211,7 @@ def _panel_geometry(tau: float, panels: int, k=()):
     for the wavenumbers ``k``, so that e^{-i pi k m_j / tau} =
     s_k e^{-2 pi i j k / P}.  The forward panel FFT takes s_k, its
     transpose :meth:`TrigApproximant.on_panels` the conjugate."""
-    hw = tau / panels
-    mids = -tau + hw * (2.0 * np.arange(panels) + 1.0)
+    hw, mids = _equal_panels(tau, panels)
     k = np.asarray(k)
     shift = np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * math.pi * k / panels)
     return hw, mids, shift

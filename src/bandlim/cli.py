@@ -194,9 +194,9 @@ def _run_converge(ns):
 
 def _run_lemma2(ns):
     columns = ["sigma", "tau", "delta", "n_points", "observed_max", "argmax",
-               "bound", "ratio"]
-    rows = [[rep.sigma, rep.tau, rep.delta, rep.n_points,
-             rep.observed_max, rep.argmax, rep.bound, rep.ratio]
+               "certified_max", "bound", "ratio"]
+    rows = [[rep.sigma, rep.tau, rep.delta, rep.n_points, rep.observed_max,
+             rep.argmax, rep.certified_max, rep.bound, rep.ratio]
             for rep in kernels.kernel_gap_scans(ns.cells, ns.n_points)]
     return columns, rows, None
 

@@ -1,4 +1,4 @@
-"""Scalar kernels (Dirichlet, sinc, omega) and the kernel-gap bound scan."""
+"""Kernels (Dirichlet, sinc, omega) and the certified kernel-gap scan."""
 
 from __future__ import annotations
 
@@ -9,11 +9,13 @@ from typing import Sequence
 import numpy as np
 
 from .functions import sinc_ratio, _maybe_scalar
+from .quadrature import (MAX_SUP_POINTS, SUP_ORDER, _sampled_sup,
+                         _sup_panels)
 
 _OMEGA_CUTOFF = 0.1
-# Most grid points kernel_gap_scan may take, given or widened: 2^22 float64
-# points are 32 MiB per array, and the kernel evaluation holds about ten.
-MAX_SCAN_POINTS = 2 ** 22
+# Largest n_points of kernel_gap_scan, the sup rule's node limit (the gap
+# evaluation holds about ten float64 arrays of that size, 32 MiB each).
+MAX_SCAN_POINTS = MAX_SUP_POINTS
 
 
 def n_terms(sigma: float, tau: float) -> int:
@@ -109,42 +111,17 @@ class KernelGapReport:
     n_points: int
     observed_max: float
     argmax: float
+    certified_max: float
     bound: float
 
     @property
     def ratio(self) -> float:
-        return self.observed_max / self.bound
-
-
-def _golden_max(h, a, b, iters: int = 70):
-    """Golden-section maximization of h on the brackets [a[i], b[i]].
-
-    All brackets advance in lockstep, so h is called once per step on the
-    array of new points; each bracket follows exactly the iterates of a
-    scalar search on its own.  Returns the arrays (argmax, max).
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    hc = h(c)
-    hd = h(d)
-    for _ in range(iters):
-        up = hc < hd
-        a = np.where(up, c, a)
-        b = np.where(up, b, d)
-        x = np.where(up, a + invphi * (b - a), b - invphi * (b - a))
-        hx = h(x)
-        c, d = np.where(up, d, x), np.where(up, x, c)
-        hc, hd = np.where(up, hd, hx), np.where(up, hx, hc)
-    keep_c = hc >= hd
-    return np.where(keep_c, c, d), np.where(keep_c, hc, hd)
+        return self.certified_max / self.bound
 
 
 def _scan_size(sigma: float, tau: float, delta: float,
                n_points: int) -> tuple[int, int]:
-    """Check one scan cell; returns N and the (possibly widened) grid size."""
+    """Check one scan cell; returns N and its panel count."""
     if sigma <= 0 or tau <= 0:
         raise ValueError("sigma and tau must be positive")
     if not 0 <= delta < 1:
@@ -152,57 +129,33 @@ def _scan_size(sigma: float, tau: float, delta: float,
     if not 1000 <= n_points <= MAX_SCAN_POINTS:
         raise ValueError(f"n_points must lie in [1000, {MAX_SCAN_POINTS}]")
     N = n_terms(sigma, tau)
-    needed = (16.0 * (1.0 + delta) * tau
-              * max(sigma, math.pi * N / tau + 1.0) / math.pi)
-    if needed > MAX_SCAN_POINTS:
-        raise ValueError(
-            f"the grid for sigma={sigma:g}, tau={tau:g} needs {needed:.3g} "
-            f"points, more than {MAX_SCAN_POINTS}")
-    return N, max(n_points, math.ceil(needed))
+    panels = _sup_panels((1.0 + delta) * tau,
+                         2.0 / max(sigma, math.pi * N / tau),
+                         f"the grid for sigma={sigma:g}, tau={tau:g} needs")
+    return N, max(panels, -(-n_points // SUP_ORDER))
 
 
 def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
                      n_points: int = 1000) -> list[KernelGapReport]:
-    """Scan |kernel_gap| over [-(1+delta) tau, (1+delta) tau] for each
-    (sigma, tau, delta) in ``cells``; one report per cell, in order.
-
-    Every cell is checked before any grid is built.  Each grid is widened
-    if needed so the fastest oscillation is sampled at least 16 times per
-    period (at most ``MAX_SCAN_POINTS`` points).  The top 5 grid maxima of
-    every cell are then sharpened by one golden-section search that refines
-    all their brackets in lockstep, so each step is one gap evaluation over
-    5 points per cell; each bracket follows exactly the iterates of its own
-    scalar search.
+    """Certified sup of |kernel_gap| over [-(1+delta) tau, (1+delta) tau]
+    for each (sigma, tau, delta) in ``cells``, in order; every cell is
+    checked first.  The gap is sampled once on ``SUP_ORDER`` Gauss nodes per
+    panel of width at most 2 / max(sigma, pi N / tau), at least ``n_points``
+    nodes in all, and :func:`_sampled_sup` certifies its sup, since
+    |d^k/dv^k sin(sigma v)/(pi v)| <= sigma^k sigma / pi and
+    |d^k/dv^k D_N(pi v / tau)/(2 tau)| <= (pi N / tau)^k (2N + 1)/(2 tau).
     """
     sizes = [_scan_size(s, t, d, n_points) for s, t, d in cells]
-    grid_best = []
-    lo = np.empty((len(cells), 5))
-    hi = np.empty((len(cells), 5))
-    for i, ((sigma, tau, delta), (N, n)) in enumerate(zip(cells, sizes)):
-        half_span = (1.0 + delta) * tau
-        v = np.linspace(-half_span, half_span, n)
-        vals = np.abs(_gap(sigma, tau, N, v))
-        order = np.argsort(vals)
-        grid_best.append((float(vals[order[-1]]), float(v[order[-1]])))
-        top = order[-5:]
-        lo[i] = v[np.maximum(top - 1, 0)]
-        hi[i] = v[np.minimum(top + 1, n - 1)]
-
-    sig = np.repeat(np.array([s for s, _, _ in cells], dtype=float), 5)
-    taus = np.repeat(np.array([t for _, t, _ in cells], dtype=float), 5)
-    Ns = np.repeat([N for N, _ in sizes], 5)
-    xs, ys = _golden_max(lambda x: np.abs(_gap(sig, taus, Ns, x)),
-                         lo.ravel(), hi.ravel())
-
     reports = []
-    for (sigma, tau, delta), (_, n), (best, arg), x5, y5 in zip(
-            cells, sizes, grid_best, xs.reshape(-1, 5), ys.reshape(-1, 5)):
-        for x, y in zip(x5, y5):
-            if y > best:
-                best, arg = float(y), float(x)
+    for (sigma, tau, delta), (N, panels) in zip(cells, sizes):
+        cert, arg = _sampled_sup(
+            lambda v: _gap(sigma, tau, N, v), (1.0 + delta) * tau, panels,
+            ((sigma, sigma / math.pi),
+             (math.pi * N / tau, (2 * N + 1) / (2.0 * tau))))
         reports.append(KernelGapReport(
             sigma=float(sigma), tau=float(tau), delta=float(delta),
-            n_points=int(n), observed_max=best, argmax=arg,
+            n_points=panels * SUP_ORDER, observed_max=cert.grid_max,
+            argmax=arg, certified_max=cert.certified_bound,
             bound=kernel_gap_bound(sigma, tau, delta)))
     return reports
 

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature with explicit error accounting.
+"""Adaptive Gauss-Legendre quadrature and the certified panel sup rule.
 
 The engine integrates scalar real or complex integrands over a finite
 interval.  Each panel is estimated twice (one Gauss rule over the
@@ -21,6 +21,9 @@ import numpy as np
 # 1.15M points, so 2^24 leaves a wide margin while stopping a refinement
 # whose panel count keeps doubling before it exhausts memory.
 MAX_INTEGRAND_POINTS = 2 ** 24
+# Most nodes of one _sampled_sup call: 2^22 complex values are 64 MiB.
+MAX_SUP_POINTS = 2 ** 22
+SUP_ORDER = 15  # Gauss nodes per panel of _sampled_sup
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -69,6 +72,108 @@ def gauss_panel(g, a: float, b: float, order: int = 15):
     hw = 0.5 * (b - a)
     y = np.asarray(g(mid + hw * x))
     return hw * np.tensordot(w, y, axes=(0, 0))
+
+
+def _equal_panels(X: float, panels: int):
+    """hw = X / P and m_j = -X + (2j + 1) hw of P equal panels on [-X, X]."""
+    hw = X / panels
+    return hw, -X + hw * (2.0 * np.arange(panels) + 1.0)
+
+
+@dataclass(frozen=True)
+class SupNormCertificate:
+    """Largest sampled |F| (``grid_max``) upgraded to a sup-norm bound;
+    ``spacing`` is the grid step or panel width of the samples."""
+
+    grid_max: float
+    spacing: float
+    certified_bound: float
+
+
+@lru_cache(maxsize=None)
+def _cheb_maps(order: int):
+    """(A, B, factor, Lambda_Q) of :func:`_panel_sup` for Q = ``order``."""
+    x, _ = _nodes(order)
+    R = 2 * order - 1
+    theta = (math.pi / R) * (np.arange(R) + 0.5)
+    t = np.concatenate([np.cos(theta) - 1.0, np.cos(theta) + 1.0]) / 2.0
+    A = np.prod((t[:, None, None] - x) / (x[:, None] - x + np.eye(order)),
+                axis=2, where=~np.eye(order, dtype=bool))
+    B = np.cos(np.outer(np.arange(R), theta)) * (2.0 - np.eye(R, 1)) / R
+    kappa = 2 * R + (1.0 + 2.0 * math.log(R) / math.pi) * (
+        2.0 * math.sqrt(2.0) * np.abs(A).sum(axis=1).max() + 1.0)
+    n = 16 * order * order  # cells; the Lebesgue function at their midpoints
+    bary = 1.0 / np.prod(x[:, None] - x + np.eye(order), axis=1)
+    terms = bary / (((2.0 * np.arange(n) + 1.0) / n - 1.0)[:, None] - x)
+    on_grid = (np.abs(terms).sum(axis=1) / np.abs(terms.sum(axis=1))).max()
+    return (A, B, 1.0 + 4.0 * order * math.ulp(1.0) * (1.0 + kappa),
+            float(on_grid) / (1.0 - (order - 1) ** 2 / n))
+
+
+def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
+    """Certified sup |F| over the P equal panels of half-width ``hw`` that
+    tile [-L, L], L = P hw, from the (P, Q) array of F at each panel's
+    Gauss-Legendre nodes, for F with sup |F^(k)| <= sum r^k c over the
+    pairs (r, c) of ``derivs``, for k = 1 and k = Q.
+
+    p interpolates the values v on a panel; |F - p| <= hw^Q 2^Q Q! / (2Q)!
+    sup |F^(Q)| by Hermite-Genocchi (complex F too; node polynomial P_Q /
+    k_Q).  On each half panel |p|^2 has degree 2Q - 2: from w = |A v|^2 at
+    its R = 2Q - 1 Chebyshev points, a = B w are its Chebyshev
+    coefficients, and max |p|^2 <= s = sum |a_k|.  Rounding (v, A and B
+    exact; Higham 2002, 3.1): a sum of fewer than 2Q products errs by at
+    most gamma = 2Q eps times its terms' moduli.  With X = max |p|^2 on the
+    panel and Lambda the largest row sum of |A|, |du| <= sqrt(2) gamma
+    Lambda X^(1/2) and |dw| <= gamma (2 sqrt(2) Lambda + 1) X, which moves
+    max |p|^2 on a half by at most Lambda_R = 1 + (2/pi) log R (Chebyshev
+    Lebesgue constant) times as much; sum |da_k| <= 2 gamma R X (columns of
+    |B| sum to < 2); s errs by gamma s.  So X <= s + gamma (s + kappa X),
+    kappa = 2R + Lambda_R (2 sqrt(2) Lambda + 1), to first order, and
+    X <= s (1 + 2 gamma (1 + kappa)) with s the larger of the halves' sums.
+
+    Rounded nodes: v holds F at fl(m_j + fl(hw x_q)), m_j and hw from
+    :func:`_equal_panels`.  Rounding moves a node by at most 2uL (hw),
+    u (2L - hw) (hw (2j + 1)), u (L - hw) and uL (the sums) and u hw
+    (hw x_q), u = eps / 2, so |dx| < 3 eps L, and p by Lambda_Q |dx|
+    sup |F'|.  The Lebesgue function is the largest of the sums +-l_j of
+    degree Q - 1, so by Markov it is (Q - 1)^2 Lambda_Q-Lipschitz: with g
+    its largest value at the midpoints of n = 16 Q^2 equal cells of
+    [-1, 1], Lambda_Q <= g / (1 - (Q - 1)^2 / n), 6.85 for Q = 15.
+    """
+    Q = values.shape[1]
+    to_cheb, to_coeffs, factor, lebesgue = _cheb_maps(Q)
+    s = 0.0  # 256 panels at a time, so that the temporaries stay small
+    for i in range(0, len(values), 256):
+        u = (values[i:i + 256] @ to_cheb.T).reshape(-1, 2 * Q - 1)
+        w = (u * u.conj()).real
+        s = max(s, np.abs(w @ to_coeffs.T).sum(axis=1).max())
+    bound = math.sqrt(factor * s) + (
+        2.0 ** Q * math.factorial(Q) / math.factorial(2 * Q)
+        * sum((r * hw) ** Q * c for r, c in derivs)
+        + 3.0 * math.ulp(1.0) * len(values) * hw * lebesgue
+        * sum(r * c for r, c in derivs))
+    return SupNormCertificate(grid_max=float(np.abs(values).max()),
+                              spacing=2.0 * hw, certified_bound=bound)
+
+
+def _sup_panels(X: float, width: float, what: str) -> int:
+    """ceil(2 X / width) panels on [-X, X]; over ``MAX_SUP_POINTS`` nodes
+    raise ValueError starting with ``what``, before any sampling."""
+    span = 2.0 * X / width  # may overflow to inf
+    if SUP_ORDER * span > MAX_SUP_POINTS:
+        raise ValueError(f"{what} {SUP_ORDER * span:.3g} points, more than "
+                         f"{MAX_SUP_POINTS}")
+    return math.ceil(span)
+
+
+def _sampled_sup(F, X: float, panels: int, derivs):
+    """(:func:`_panel_sup` certificate, node of the largest |F|) over [-X, X]
+    from one call of F on ``panels`` equal panels, from :func:`_sup_panels`."""
+    hw, mids = _equal_panels(X, panels)
+    x = mids[:, None] + hw * _nodes(SUP_ORDER)[0]
+    values = np.asarray(F(x.ravel())).reshape(x.shape)
+    return (_panel_sup(values, hw, derivs),
+            float(x.flat[np.argmax(np.abs(values))]))
 
 
 def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,

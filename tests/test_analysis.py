@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bandlim import analysis, approximation
+from bandlim import analysis, approximation, quadrature
 from bandlim.analysis import (DecompositionValues, check_nikolskii,
                               check_plancherel_polya, check_poly_nikolskii,
                               convergence_study, counterexample_run,
@@ -667,3 +667,76 @@ class TestPanelSup:
                             coeff_error=0.0)
         est, cert = analysis._interior_lp(np.zeros_like, 0.0, a, 200.0, QUAD)
         assert est.value == 0.0 and cert.certified_bound == 0.0
+
+    def test_rounded_nodes_term_at_large_tau(self, monkeypatch):
+        # f is sampled at rounded nodes, up to about 1e-12 off at this tau
+        f = make_sinc(1.0)
+        tau = 5120.3
+        seen = []
+        panel_sup = analysis._panel_sup
+
+        def spy(values, hw, derivs):
+            seen.append((values, hw, derivs))
+            return panel_sup(values, hw, derivs)
+
+        monkeypatch.setattr(analysis, "_panel_sup", spy)
+        (rec,) = convergence_study(f, 2.0, [tau], QUAD)
+        ((values, hw, derivs),) = seen
+        cert = rec.sup_error.certified_bound
+        chebyshev_part = panel_sup(values, hw, ()).certified_bound
+        term = (3.0 * np.finfo(float).eps * len(values) * hw
+                * quadrature._cheb_maps(values.shape[1])[3]
+                * sum(r * c for r, c in derivs))
+        assert term > 1e-11
+        assert cert - chebyshev_part == pytest.approx(term, rel=1e-6)
+        a = fourier_coefficients(f, tau, QUAD)
+        # |f - f_tau| is largest at the ends of the window
+        for x in (np.linspace(-tau, 30.0 - tau, 20001),
+                  np.linspace(tau - 30.0, tau, 20001)):
+            dense = np.max(np.abs(f.eval_real(x) - a.evaluate(x)))
+            assert dense <= cert
+
+
+# The five real-line functions of the sup rule's comparison with the
+# contraction grid of sup_norm_certified.
+REAL_LINE_SUP_FUNCTIONS = [
+    "fejer_square:sigma=2", "mollify:base=fejer_square,sigma=2,rho=0.5",
+    "mollify:base=sinc,sigma=1,rho=0.1", "sinc:sigma=0.1",
+    "mollify:base=expi,omega=1,rho=0.5"]
+
+
+class TestRealLineSup:
+    @pytest.mark.parametrize("fn_id", REAL_LINE_SUP_FUNCTIONS)
+    def test_between_dense_max_and_contraction_grid(self, fn_id):
+        f = from_id(fn_id)
+        if INF in f.known_norms:
+            bound = analysis._sup_norm_line(f)
+        else:
+            bound = check_nikolskii(f, 2.0, INF, QUAD).lhs
+        # 20 points per node spacing of panels of width 4 / sigma, on the
+        # middle of the line, where |f| is largest
+        step = 4.0 / f.sigma / 15 / 20
+        x = step * np.arange(-round(100.0 / step), round(100.0 / step) + 1)
+        dense = float(np.max(np.abs(np.asarray(f.eval_real(x)))))
+        env = f.decay
+        X = max(50.0, min(analysis._SUP_X_MAX, (
+            env.C / analysis._SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0))
+        grid = max(sup_norm_certified(f.eval_real, f.sigma, -X,
+                                      X).certified_bound,
+                   float(env.bound(X)))
+        assert dense <= bound <= grid
+
+    def test_node_limit_checked_before_sampling(self, monkeypatch):
+        base = make_sinc(1.0)
+
+        def refuse(x):
+            raise AssertionError("sampled past the node limit")
+
+        f = TestFunction(id="sinc", sigma=1.0, eval_real=refuse,
+                         eval_complex=None, decay=base.decay,
+                         p_membership=base.p_membership)
+        # X = 2 / (pi 1e-6) - 1 = 636618.8, 318310 panels of width 4
+        monkeypatch.setattr(quadrature, "MAX_SUP_POINTS", 318309 * 15)
+        with pytest.raises(ValueError, match="real-line sup of sinc needs "
+                           "4.77e\\+06 points, more than 4774635"):
+            analysis._sup_norm_line(f)

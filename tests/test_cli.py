@@ -17,7 +17,7 @@ def run_capture(argv, capsys):
 def lemma2_row(rep):
     return ",".join(cli._fmt(v) for v in (
         rep.sigma, rep.tau, rep.delta, rep.n_points, rep.observed_max,
-        rep.argmax, rep.bound, rep.ratio))
+        rep.argmax, rep.certified_max, rep.bound, rep.ratio))
 
 
 def load_schema(name):
@@ -218,7 +218,7 @@ class TestLemma2:
         (["--n-points", "999"], 2, "bandlim: --n-points: must lie in "
          f"[1000, {kernels.MAX_SCAN_POINTS}]\n"),
         (["--sigma", "1e6", "--tau", "1e6", "--delta", "0"], 1,
-         "bandlim lemma2: the grid for sigma=1e+06, tau=1e+06 needs 5.09e+12 "
+         "bandlim lemma2: the grid for sigma=1e+06, tau=1e+06 needs 1.5e+13 "
          f"points, more than {kernels.MAX_SCAN_POINTS}\n"),
     ])
     def test_rejected_input_status_and_message(self, argv, status, message,
