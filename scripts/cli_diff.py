@@ -13,8 +13,8 @@ as the ``src`` of a ``git clone`` of the parent commit and ``src``.
 ARGV_FILE holds one argv per line in shell syntax; blank lines and lines
 starting with ``#`` are skipped.  Without it the default list is used:
 every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``), the
-``lemma2``, ``converge`` and ``counterexample`` cases and the rejected
-inputs below.
+``lemma2``, ``converge``, ``counterexample`` and ``inequalities`` cases and
+the rejected inputs below.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ COUNTEREXAMPLE_CASES = [
     ["counterexample", "--m", "1..3000", "--format", "json"],
 ]
 
+# The benchmark runs the inequalities matrix as CSV only.
+INEQUALITIES_CASES = [
+    ["inequalities", "--format", "json"],
+]
+
 # Each exits 2 with one line on stderr.  The --output directory is relative
 # to the working directory and must not exist.
 REJECTED_CASES = [
@@ -86,7 +91,8 @@ def default_argvs() -> list[list[str]]:
     out = []
     for argv in ([a for seed in range(1, 6) for w in WORKLOADS
                   for a in argv_for(w, seed)] + LEMMA2_CASES
-                 + CONVERGE_CASES + COUNTEREXAMPLE_CASES + REJECTED_CASES):
+                 + CONVERGE_CASES + COUNTEREXAMPLE_CASES
+                 + INEQUALITIES_CASES + REJECTED_CASES):
         if argv not in out:
             out.append(argv)
     return out

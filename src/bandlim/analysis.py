@@ -139,9 +139,10 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
     the real line: with g(x) = f(x + iy) and f entire of type <= sigma,
     x -> g(x) and g* are entire of type <= sigma, so G is entire of type
     <= p sigma, and G is integrable: it is continuous, and |G| <= env^p
-    with alpha p > 1.  The step is h = pi / (p sigma), half the Nyquist limit,
-    and the sum is taken in one call of g on the 2M + 1 nodes |n| <= M =
-    floor(X / h), at most ``MAX_LINE_SAMPLES``.  The terms are positive
+    with alpha p > 1.  The step is h = X / M with M = floor(X p sigma /
+    (2 pi)) + 1, the largest step strictly below 2 pi / (p sigma) that puts
+    a node on X, and the sum is taken in one call of g on the 2M + 1 nodes
+    |n| <= M, at most ``MAX_LINE_SAMPLES``.  The terms are positive
     and env decreases, so the omitted ones add at most the envelope tail
     integral beyond Mh: the norm lies between S^{1/p} and
     S^{1/p} + tail_lp(Mh, p)^{1/p}, and the error bound adds a
@@ -156,14 +157,15 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
     cutoff = env.cutoff_for_tail(quad.abs_tol ** p, p)
     cutoff = max(50.0, min(_X_MAX, cutoff))
     if p % 2 == 0 and sigma > 0:
-        h = math.pi / (p * sigma)
-        n_samples = 2.0 * (cutoff / h) + 1.0
+        # in floats, since the count overflows to inf at huge p
+        n_samples = cutoff * p * sigma / math.pi + 3.0
         if not n_samples <= MAX_LINE_SAMPLES:
             raise ValueError(
                 f"the L^{p:g} sampling sum for type {sigma:g} needs "
                 f"{n_samples:.3g} samples, above the limit of "
                 f"{MAX_LINE_SAMPLES}")
-        M = math.floor(cutoff / h)
+        M = math.floor(cutoff * p * sigma / (2.0 * math.pi)) + 1
+        h = cutoff / M
         tail = env.tail_lp(M * h, p) ** (1.0 / p)
         nodes = h * np.arange(-M, M + 1)
         total = h * float(np.sum(np.abs(np.asarray(g(nodes))) ** p))
@@ -489,17 +491,22 @@ def _exp_coefficient_rows(u, N):
     |sin u| eps |u| / d^2 here, and as eps |u| |sinc'(d)| in sinc_ratio(d),
     whose sine is taken at the computed d; |sinc'(d)| is at most about
     1 / |d|, and |d| / 3 near 0.  So the one-sine form is the more accurate
-    where |d| >= 1 >= |sin u|, and sinc_ratio(d) is taken where |d| < 1.
+    where |d| >= 1 >= |sin u|, and sinc_ratio(d) is taken where |d| < 1,
+    which, as pi > 2, is at most one k per row: k = rint(u / pi).
     """
     n = int(np.max(N))
-    k = np.arange(-n, n + 1)
-    d = u[:, None] - math.pi * k
-    near = np.abs(d) < 1.0
-    rows = np.where(near, 1.0, d)
-    rows *= np.where(k % 2 == 0, 1.0, -1.0)
+    rows = u[:, None] - math.pi * np.arange(-n, n + 1)
+    np.negative(rows[:, (n + 1) % 2::2], out=rows[:, (n + 1) % 2::2])
+    k_near = np.rint(u / math.pi)
+    r = np.flatnonzero((np.abs(k_near) <= n)
+                       & (np.abs(u - math.pi * k_near) < 1.0))
+    col = k_near[r].astype(np.intp) + n
+    rows[r, col] = 1.0
     np.divide(np.sin(u)[:, None], rows, out=rows)
-    rows[near] = sinc_ratio(d[near])
-    rows[np.abs(k) > N[:, None]] = 0.0
+    rows[r, col] = sinc_ratio(u[r] - math.pi * k_near[r])
+    for i in np.flatnonzero(N < n):
+        rows[i, :n - N[i]] = 0.0
+        rows[i, n + N[i] + 1:] = 0.0
     return rows
 
 

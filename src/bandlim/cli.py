@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import functools
 import io
 import json
 import math
@@ -256,10 +257,12 @@ def _run_lewitan(ns):
     return columns, rows, None
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand; each carries its validator ``check``
     and its runner ``execute``, which returns (columns, rows, document),
-    with document None for the standard JSON form."""
+    with document None for the standard JSON form.  Built once per
+    process; parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="bandlim",
         description="Trigonometric-sum approximation experiments for "

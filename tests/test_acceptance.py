@@ -98,7 +98,7 @@ def test_two_form_equivalence():
                 for x in rng.uniform(-tau, tau, 100):
                     conv, err = approximation.evaluate_convolution(
                         f, tau, float(x), QUAD)
-                    combined = a.coeff_error * (2 * a.N + 1) + err + QUAD.abs_tol
+                    combined = a.coeff_error + err + QUAD.abs_tol
                     gap = abs(complex(a.evaluate(float(x))) - conv)
                     assert gap <= combined, (f.id, tau, x, gap, combined)
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -79,11 +80,16 @@ class TestLpNorms:
             lp_norm_interval(np.cos, 2.0, 1.0, 1.0)
 
 
+def line_window(env, p, quad=QUAD):
+    """Half-width X of the real-line window."""
+    return max(50.0, min(analysis._X_MAX,
+                         env.cutoff_for_tail(quad.abs_tol ** p, p)))
+
+
 def sampling_nodes(env, p, sigma, quad=QUAD):
     """Node count 2M + 1 of the even-p sampling sum."""
-    cutoff = max(50.0, min(analysis._X_MAX,
-                           env.cutoff_for_tail(quad.abs_tol ** p, p)))
-    return 2 * math.floor(cutoff * p * sigma / math.pi) + 1
+    cutoff = line_window(env, p, quad)
+    return 2 * (math.floor(cutoff * p * sigma / (2.0 * math.pi)) + 1) + 1
 
 
 class TestLineNormSampling:
@@ -93,6 +99,12 @@ class TestLineNormSampling:
         est = lp_norm_line(make_sinc(1.0), 4.0, QUAD)
         assert abs(est.value - exact) <= est.error_bound
         # the truncated sum of positive terms sits below the whole line
+        assert -1e-12 <= exact - est.value <= est.error_bound
+
+    def test_sinc_p6_closed_form(self):
+        # ||sinc||_6^6 = 11 / (20 pi^5) for sin(x) / (pi x)
+        exact = (11.0 / (20.0 * math.pi ** 5)) ** (1.0 / 6.0)
+        est = lp_norm_line(make_sinc(1.0), 6.0, QUAD)
         assert -1e-12 <= exact - est.value <= est.error_bound
 
     def test_fejer_real_line_matches_known_norm(self):
@@ -111,6 +123,27 @@ class TestLineNormSampling:
 
         analysis._lp_norm_envelope(g, f.decay, p, QUAD, f.sigma)
         assert sizes == [sampling_nodes(f.decay, p, f.sigma)]
+
+    @pytest.mark.parametrize("f, p", [(make_sinc(1.0), 2.0),
+                                      (make_sinc(1.0), 6.0),
+                                      (make_fejer_square(2.0), 4.0)])
+    def test_step_below_nyquist_with_nodes_on_window_edges(self, f, p):
+        calls = []
+
+        def g(x):
+            calls.append(np.array(x))
+            return f.eval_real(x)
+
+        analysis._lp_norm_envelope(g, f.decay, p, QUAD, f.sigma)
+        [x] = calls
+        cutoff = line_window(f.decay, p)
+        nyquist = 2.0 * math.pi / (p * f.sigma)
+        mid = len(x) // 2
+        assert x[mid] == 0.0
+        assert 0.99 * nyquist <= x[mid + 1] < nyquist
+        assert abs(x[-1] - cutoff) <= 4 * math.ulp(cutoff)
+        assert abs(x[0] + cutoff) <= 4 * math.ulp(cutoff)
+        assert np.array_equal(x, -x[::-1])
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     def test_other_p_take_adaptive_quadrature(self, p, monkeypatch):
@@ -142,6 +175,15 @@ class TestLineNormSampling:
 
         with pytest.raises(ValueError, match="above the limit"):
             analysis._lp_norm_envelope(g, f.decay, 2.0, QUAD, f.sigma)
+
+    def test_sample_count_beyond_float_range_rejected(self):
+        # p = 1e308 is an even integer, and its sample count overflows to inf
+        def g(x):
+            raise AssertionError("sampled past the limit")
+
+        f = dataclasses.replace(make_sinc(1.0), eval_real=g)
+        with pytest.raises(ValueError, match="above the limit"):
+            lp_norm_line(f, 1e308)
 
 
 class TestSupCertificate:
@@ -453,7 +495,41 @@ class TestCounterexample:
             assert abs(gap - alone) <= 1e-12, m
 
 
+def exp_coefficient_rows_masked(u, N):
+    """The (R, W) boolean-mask form of analysis._exp_coefficient_rows,
+    kept as its reference."""
+    n = int(np.max(N))
+    k = np.arange(-n, n + 1)
+    d = u[:, None] - math.pi * k
+    near = np.abs(d) < 1.0
+    rows = np.where(near, 1.0, d)
+    rows *= np.where(k % 2 == 0, 1.0, -1.0)
+    np.divide(np.sin(u)[:, None], rows, out=rows)
+    rows[near] = sinc_ratio(d[near])
+    rows[np.abs(k) > N[:, None]] = 0.0
+    return rows
+
+
 class TestExpCoefficients:
+    # N = 0; negative u; u within 1e-7 of pi k on either side; a near index
+    # k = rint(u / pi) beyond the padded width (u = 100, N = 3) or inside
+    # the padding (u = 20, N = 2 beside N = 8); mixed N in one chunk
+    @pytest.mark.parametrize("u, N", [
+        ([0.0], [0]),
+        ([0.4], [0]),
+        ([-5 * math.pi - 0.2, -123.4], [6, 40]),
+        ([7 * math.pi + 1e-8, 7 * math.pi - 9e-8, -3 * math.pi + 5e-8],
+         [8, 9, 4]),
+        ([100.0], [3]),
+        ([20.0, 20.0, 3.0], [2, 8, 1]),
+        ([0.5 * math.pi + 2.0 * math.pi * m for m in range(1, 41)],
+         [2 * m for m in range(1, 41)]),
+    ])
+    def test_rows_match_masked_form(self, u, N):
+        u, N = np.array(u), np.array(N)
+        assert np.array_equal(analysis._exp_coefficient_rows(u, N),
+                              exp_coefficient_rows_masked(u, N))
+
     # (omega, tau): omega tau within 1e-6 of pi k, within 0.5 of pi k,
     # negative omega, and tau up to about 6000
     @pytest.mark.parametrize("omega, tau", [

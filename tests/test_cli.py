@@ -85,6 +85,22 @@ class TestParsing:
         assert status == 2
         assert err.startswith(f"bandlim: {flag}: ")
 
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        argv = ["converge", "--fn", "sinc:sigma=1"]
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser.__wrapped__().parse_args(argv)
+        expected = capsys.readouterr().err
+        assert cli.main(["coeffs", "--fn", "sinc:sigma=1", "--tau", "3"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as cached:
+            cli.main(argv)
+        assert cached.value.code == fresh.value.code == 2
+        assert capsys.readouterr().err == expected
+        assert "required: --tau" in expected
+
     def test_m_limit_is_inclusive(self):
         cfg = cli.parse_args(["counterexample", "--m",
                               f"1..{cli.MAX_M_VALUES}"])
