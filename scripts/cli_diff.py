@@ -13,8 +13,8 @@ as the ``src`` of a ``git clone`` of the parent commit and ``src``.
 ARGV_FILE holds one argv per line in shell syntax; blank lines and lines
 starting with ``#`` are skipped.  Without it the default list is used:
 every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``), the
-``lemma2``, ``converge``, ``counterexample`` and ``inequalities`` cases and
-the rejected inputs below.
+``lemma2``, ``converge``, ``counterexample`` and ``inequalities`` cases, the
+rejected inputs and the size rejections below.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ LEMMA2_CASES = [
     ["lemma2", "--sigma", "5", "--tau", "40", "--delta", "0.9",
      "--n-points", "100000"],
     ["lemma2", "--n-points", "999"],
-    ["lemma2", "--sigma", "1e6", "--tau", "1e6", "--delta", "0"],
 ]
 
 # converge beyond sinc at p = 2: other functions, p = 1.5 (kink
@@ -79,6 +78,15 @@ REJECTED_CASES = [
      "--output", "no-such-dir/out.csv"],
 ]
 
+# Each exits 1 with one line on stderr: a size check refuses it before any
+# array of that size is built.
+SIZE_CASES = [
+    ["coeffs", "--fn", "sinc:sigma=1", "--tau", "1e7"],
+    ["converge", "--fn", "sinc:sigma=1", "--tau", "1e7"],
+    ["counterexample", "--m", "2000000"],
+    ["lemma2", "--sigma", "1e6", "--tau", "1e6", "--delta", "0"],
+]
+
 # -P keeps the working directory off sys.path, so only SRC supplies bandlim.
 RUNNER = ("import sys; sys.path.insert(0, sys.argv[1]); "
           "from bandlim.cli import main; sys.exit(main(sys.argv[2:]))")
@@ -92,7 +100,7 @@ def default_argvs() -> list[list[str]]:
     for argv in ([a for seed in range(1, 6) for w in WORKLOADS
                   for a in argv_for(w, seed)] + LEMMA2_CASES
                  + CONVERGE_CASES + COUNTEREXAMPLE_CASES
-                 + INEQUALITIES_CASES + REJECTED_CASES):
+                 + INEQUALITIES_CASES + REJECTED_CASES + SIZE_CASES):
         if argv not in out:
             out.append(argv)
     return out

@@ -10,13 +10,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .approximation import (TrigApproximant, _first_panels, _panel_geometry,
-                            _trig_sums, fourier_coefficients)
+from .approximation import (TrigApproximant, _panel_geometry, _trig_sums,
+                            fourier_coefficients)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
-from .quadrature import (MAX_SUP_POINTS, QuadratureSpec, SupNormCertificate,
-                         _nodes, _panel_sup, _sampled_sup, _sup_panels,
-                         integrate)
+from .quadrature import (SUP_ORDER, QuadratureSpec, SupNormCertificate,
+                         _check_nodes, _count_panels, _nodes, _panel_sup,
+                         _sampled_sup, integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -26,12 +26,6 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Cap for the sup-norm search window on the real line.
 _SUP_X_MAX = 1.0e6
 _SUP_ENVELOPE_FLOOR = 1e-6
-# Most nodes the sampling sum of an even-p real-line norm may evaluate in
-# its one call: 2^22 complex samples are 64 MiB.
-MAX_LINE_SAMPLES = 2 ** 22
-# Most coefficients (2N + 1) exp_coefficients may build: 2^22 complex
-# values are 64 MiB, and the index and phase arrays hold a few more copies.
-MAX_EXP_COEFFS = 2 ** 22
 # Most coefficients counterexample_run may build, summed over its m: 2^26
 # take about 2 s on a 2-core Xeon.
 MAX_COUNTEREXAMPLE_COEFFS = 2 ** 26
@@ -142,7 +136,7 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
     with alpha p > 1.  The step is h = X / M with M = floor(X p sigma /
     (2 pi)) + 1, the largest step strictly below 2 pi / (p sigma) that puts
     a node on X, and the sum is taken in one call of g on the 2M + 1 nodes
-    |n| <= M, at most ``MAX_LINE_SAMPLES``.  The terms are positive
+    |n| <= M, at most ``quadrature.MAX_NODES``.  The terms are positive
     and env decreases, so the omitted ones add at most the envelope tail
     integral beyond Mh: the norm lies between S^{1/p} and
     S^{1/p} + tail_lp(Mh, p)^{1/p}, and the error bound adds a
@@ -157,14 +151,10 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
     cutoff = env.cutoff_for_tail(quad.abs_tol ** p, p)
     cutoff = max(50.0, min(_X_MAX, cutoff))
     if p % 2 == 0 and sigma > 0:
-        # in floats, since the count overflows to inf at huge p
-        n_samples = cutoff * p * sigma / math.pi + 3.0
-        if not n_samples <= MAX_LINE_SAMPLES:
-            raise ValueError(
-                f"the L^{p:g} sampling sum for type {sigma:g} needs "
-                f"{n_samples:.3g} samples, above the limit of "
-                f"{MAX_LINE_SAMPLES}")
-        M = math.floor(cutoff * p * sigma / (2.0 * math.pi)) + 1
+        M = cutoff * p * sigma / (2.0 * math.pi)  # inf at huge p
+        M = math.floor(M) + 1 if math.isfinite(M) else M
+        _check_nodes(2 * M + 1, f"the L^{p:g} sampling sum for type "
+                     f"{sigma:g} needs")
         h = cutoff / M
         tail = env.tail_lp(M * h, p) ** (1.0 / p)
         nodes = h * np.arange(-M, M + 1)
@@ -200,7 +190,7 @@ def sup_norm_certified(F: Callable, sigma_eff: float, a: float,
     Bernstein modulus bound |F(x)| <= grid_max + c ||F||_inf and ||F||_inf
     <= grid_max / (1 - c), c = 2 sin(sigma_eff h / 4) <= 0.1 for step h.
 
-    The grid holds at most ``MAX_SUP_POINTS`` points; more raise
+    The grid holds at most ``quadrature.MAX_NODES`` points; more raise
     ValueError before it is built."""
     if not 0 < sigma_eff < INF:
         raise ValueError("sigma_eff must be positive and finite")
@@ -208,10 +198,8 @@ def sup_norm_certified(F: Callable, sigma_eff: float, a: float,
         raise ValueError("interval requires finite a < b")
     h_max = (4.0 / sigma_eff) * math.asin(0.5 * _CONTRACTION)
     n = float(np.ceil((b - a) / h_max)) + 1.0  # may overflow to inf
-    if not n <= MAX_SUP_POINTS:
-        raise ValueError(
-            f"the sup grid on [{a:g}, {b:g}] for type {sigma_eff:g} needs "
-            f"{n:.3g} points, above the limit of {MAX_SUP_POINTS}")
+    _check_nodes(n, f"the sup grid on [{a:g}, {b:g}] for type "
+                 f"{sigma_eff:g} needs")
     grid = np.linspace(a, b, max(2, int(n)))
     h = float(grid[1] - grid[0])
     contraction = 2.0 * math.sin(0.25 * sigma_eff * h)
@@ -229,8 +217,8 @@ def _sup_norm_line(f: TestFunction) -> float:
         raise ValueError("decay envelope too weak for a real-line sup bound")
     cutoff = (env.C / _SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
-    panels = _sup_panels(cutoff, 4.0 / f.sigma,
-                         f"the real-line sup of {f.id} needs")
+    panels = _count_panels(cutoff, 4.0 / f.sigma, SUP_ORDER,
+                           f"the real-line sup of {f.id} needs")
     cert, _ = _sampled_sup(f.eval_real, cutoff, panels, ((f.sigma, env.C),))
     return max(cert.certified_bound, float(env.bound(cutoff)))
 
@@ -419,14 +407,14 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     |(g - f_tau)^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
 
     The finer level of the first pass, 2 n0 panels, may hold at most
-    ``approximation.MAX_PANEL_NODES`` nodes; more raise ValueError before
+    ``quadrature.MAX_NODES`` nodes; more raise ValueError before
     any sampling.  An integral below the smallest normal float while some
     node value is nonzero (|g - f_tau|^p underflows) raises ValueError.
     """
     tau = a.tau
     xq, wq = _nodes(quad.panel_order)
     width = min(_osc_width(a.sigma), 2.0 * tau / (2 * a.N + 1))
-    n0 = _first_panels(tau, width, xq.size,
+    n0 = _count_panels(tau, width, 2 * xq.size,
                        f"the interior L^{p:g} rule at tau={tau:g} needs")
 
     def level(n):
@@ -457,12 +445,10 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
 
 def _exp_n_terms(sigma: float, tau: float) -> int:
     """N of e^(i omega x) at tau, |omega| = sigma; ValueError when its
-    2N + 1 coefficients exceed ``MAX_EXP_COEFFS``."""
+    2N + 1 coefficients exceed ``quadrature.MAX_NODES``."""
     N = n_terms(sigma, tau)
-    if 2 * N + 1 > MAX_EXP_COEFFS:
-        raise ValueError(
-            f"e^(i omega x) at tau={tau:g} needs {2 * N + 1} coefficients, "
-            f"above the limit of {MAX_EXP_COEFFS}")
+    _check_nodes(2.0 * N + 1.0, f"e^(i omega x) at tau={tau:g} needs",
+                 "coefficients")
     return N
 
 
@@ -470,7 +456,7 @@ def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:
     """Closed-form coefficients of e^{i omega x}, c_k = sinc(omega tau - pi k),
     by :func:`_exp_coefficient_rows`.
 
-    At most ``MAX_EXP_COEFFS`` coefficients; more raise ValueError before
+    At most ``quadrature.MAX_NODES`` coefficients; more raise ValueError before
     any array is built."""
     if tau <= 0:
         raise ValueError("tau must be positive")

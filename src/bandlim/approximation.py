@@ -13,16 +13,13 @@ import numpy as np
 from .functions import TestFunction, sinc_ratio, _maybe_scalar
 from .kernels import dirichlet, n_terms
 from .quadrature import (QuadratureNonConvergence, QuadratureSpec,
-                         _equal_panels, _nodes, integrate)
+                         _check_nodes, _count_panels, _equal_panels, _nodes,
+                         integrate)
 
 _LEWITAN_TAIL_TARGET = 1e-8
 # Largest Lewitan cutoff K, given or automatic: the sum takes 2K + 1 terms
 # and holds a few float64 arrays of that length (about 1 GB at the limit).
 MAX_LEWITAN_K = 10 ** 7
-# Most nodes (panels x panel_order) the finer of two equal-panel levels may
-# take, in fourier_coefficients and the interior L^p rule of convergence_study:
-# 2^22 complex samples are 64 MiB, and the other level holds a few more copies.
-MAX_PANEL_NODES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,7 @@ def fourier_coefficients(f: TestFunction, tau: float,
     Error contract: P doubles until the largest difference between the
     coefficients on P and on 2P panels is at most ``quad.abs_tol``; the
     2P values are returned.  After ``quad.max_depth`` doublings, or when
-    the next level would need more than ``MAX_PANEL_NODES`` samples,
+    the next level would need more than ``quadrature.MAX_NODES`` samples,
     :class:`QuadratureNonConvergence` is raised.  A ValueError is raised
     before any sampling when the first two levels do not fit that limit.
     """
@@ -172,8 +169,8 @@ def fourier_coefficients(f: TestFunction, tau: float,
     N = n_terms(f.sigma, tau)
     width = min(1.0, tau / (2.0 * (N + 1)))
     xq, wq = _nodes(quad.panel_order)
-    panels = _first_panels(tau, width, xq.size, f"coefficients for tau={tau:g}"
-                           f" (N={float(N):.6g}) need")
+    panels = _count_panels(tau, width, 2 * xq.size, f"coefficients for "
+                           f"tau={tau:g} (N={float(N):.6g}) need")
     k = np.arange(-N, N + 1)
 
     prev = _panel_fft_coefficients(f, tau, panels, k, xq, wq)
@@ -185,24 +182,15 @@ def fourier_coefficients(f: TestFunction, tau: float,
             return TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
                                    coefficients=coeffs,
                                    coeff_error=(2 * N + 1) * quad.abs_tol)
-        if 2 * panels * xq.size > MAX_PANEL_NODES:
+        try:
+            _check_nodes(2 * panels * xq.size, "the next level needs")
+        except ValueError:
             break
         prev = coeffs
     raise QuadratureNonConvergence(
         f"coefficient quadrature for tau={tau:g} did not converge: the "
         f"coefficients on {panels // 2} and {panels} panels differ by "
         f"{gap:.3g} > abs_tol {quad.abs_tol:.3g}")
-
-
-def _first_panels(tau: float, width: float, nodes: int, what: str) -> int:
-    """ceil(2 tau / width) first-level panels, checked before any sampling:
-    if the next level (twice as many panels of ``nodes`` nodes) would hold
-    more than ``MAX_PANEL_NODES`` nodes, ValueError starting with ``what``."""
-    span = 2.0 * tau / width  # may overflow to inf for huge N
-    if span > MAX_PANEL_NODES or 2 * math.ceil(span) * nodes > MAX_PANEL_NODES:
-        raise ValueError(f"{what} {2.0 * span * nodes:.3g} quadrature nodes, "
-                         f"above the limit of {MAX_PANEL_NODES}")
-    return math.ceil(span)
 
 
 def _panel_geometry(tau: float, panels: int, k=()):

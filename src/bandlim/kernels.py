@@ -9,13 +9,14 @@ from typing import Sequence
 import numpy as np
 
 from .functions import sinc_ratio, _maybe_scalar
-from .quadrature import (MAX_SUP_POINTS, SUP_ORDER, _sampled_sup,
-                         _sup_panels)
+from .quadrature import (MAX_NODES, SUP_ORDER, _check_nodes, _count_panels,
+                         _sampled_sup)
 
 _OMEGA_CUTOFF = 0.1
-# Largest n_points of kernel_gap_scan, the sup rule's node limit (the gap
-# evaluation holds about ten float64 arrays of that size, 32 MiB each).
-MAX_SCAN_POINTS = MAX_SUP_POINTS
+# Largest n_points of kernel_gap_scan: the largest multiple of SUP_ORDER
+# within the node limit, since n_points is rounded up to whole panels (the
+# gap evaluation holds about ten float64 arrays of that size, 32 MiB each).
+MAX_SCAN_POINTS = SUP_ORDER * (MAX_NODES // SUP_ORDER)
 
 
 def n_terms(sigma: float, tau: float) -> int:
@@ -129,10 +130,12 @@ def _scan_size(sigma: float, tau: float, delta: float,
     if not 1000 <= n_points <= MAX_SCAN_POINTS:
         raise ValueError(f"n_points must lie in [1000, {MAX_SCAN_POINTS}]")
     N = n_terms(sigma, tau)
-    panels = _sup_panels((1.0 + delta) * tau,
-                         2.0 / max(sigma, math.pi * N / tau),
-                         f"the grid for sigma={sigma:g}, tau={tau:g} needs")
-    return N, max(panels, -(-n_points // SUP_ORDER))
+    what = f"the grid for sigma={sigma:g}, tau={tau:g} needs"
+    panels = max(_count_panels((1.0 + delta) * tau,
+                               2.0 / max(sigma, math.pi * N / tau),
+                               SUP_ORDER, what), -(-n_points // SUP_ORDER))
+    _check_nodes(panels * SUP_ORDER, what)
+    return N, panels
 
 
 def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],

@@ -21,8 +21,9 @@ import numpy as np
 # 1.15M points, so 2^24 leaves a wide margin while stopping a refinement
 # whose panel count keeps doubling before it exhausts memory.
 MAX_INTEGRAND_POINTS = 2 ** 24
-# Most nodes of one _sampled_sup call: 2^22 complex values are 64 MiB.
-MAX_SUP_POINTS = 2 ** 22
+# Most nodes (or coefficients) one array of the library may hold, checked by
+# _check_nodes before it is built: 2^22 complex values are 64 MiB.
+MAX_NODES = 2 ** 22
 SUP_ORDER = 15  # Gauss nodes per panel of _sampled_sup
 
 
@@ -72,6 +73,22 @@ def gauss_panel(g, a: float, b: float, order: int = 15):
     hw = 0.5 * (b - a)
     y = np.asarray(g(mid + hw * x))
     return hw * np.tensordot(w, y, axes=(0, 0))
+
+
+def _check_nodes(count: float, what: str, unit: str = "nodes") -> None:
+    """ValueError starting with ``what`` unless count <= ``MAX_NODES``; the
+    comparison is in floats, so that an inf or NaN count fails too."""
+    if not count <= MAX_NODES:
+        raise ValueError(f"{what} {count:.7g} {unit}, above the limit of "
+                         f"{MAX_NODES}")
+
+
+def _count_panels(X: float, width: float, per_panel: int, what: str) -> int:
+    """ceil(2 X / width) panels on [-X, X], after :func:`_check_nodes` of
+    their ``per_panel`` nodes each, before any sampling."""
+    panels = np.ceil(2.0 * X / width)  # may overflow to inf
+    _check_nodes(panels * per_panel, what)
+    return int(panels)
 
 
 def _equal_panels(X: float, panels: int):
@@ -156,19 +173,9 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
                               spacing=2.0 * hw, certified_bound=bound)
 
 
-def _sup_panels(X: float, width: float, what: str) -> int:
-    """ceil(2 X / width) panels on [-X, X]; over ``MAX_SUP_POINTS`` nodes
-    raise ValueError starting with ``what``, before any sampling."""
-    span = 2.0 * X / width  # may overflow to inf
-    if SUP_ORDER * span > MAX_SUP_POINTS:
-        raise ValueError(f"{what} {SUP_ORDER * span:.3g} points, more than "
-                         f"{MAX_SUP_POINTS}")
-    return math.ceil(span)
-
-
 def _sampled_sup(F, X: float, panels: int, derivs):
     """(:func:`_panel_sup` certificate, node of the largest |F|) over [-X, X]
-    from one call of F on ``panels`` equal panels, from :func:`_sup_panels`."""
+    from one call of F on ``panels`` equal panels (:func:`_count_panels`)."""
     hw, mids = _equal_panels(X, panels)
     x = mids[:, None] + hw * _nodes(SUP_ORDER)[0]
     values = np.asarray(F(x.ravel())).reshape(x.shape)

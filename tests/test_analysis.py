@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bandlim import analysis, approximation, quadrature
+from bandlim import analysis, quadrature
 from bandlim.analysis import (DecompositionValues, check_nikolskii,
                               check_plancherel_polya, check_poly_nikolskii,
                               convergence_study, counterexample_run,
@@ -167,7 +167,7 @@ class TestLineNormSampling:
 
     def test_sample_limit_checked_before_sampling(self, monkeypatch):
         f = make_sinc(1.0)
-        monkeypatch.setattr(analysis, "MAX_LINE_SAMPLES",
+        monkeypatch.setattr(quadrature, "MAX_NODES",
                             sampling_nodes(f.decay, 2.0, f.sigma) - 1)
 
         def g(x):
@@ -234,9 +234,9 @@ class TestSupCertificate:
 
         with pytest.raises(ValueError, match="above the limit"):
             sup_norm_certified(refuse, 1e12, -1.0, 1.0)
-        monkeypatch.setattr(analysis, "MAX_SUP_POINTS", 100)
+        monkeypatch.setattr(quadrature, "MAX_NODES", 100)
         h_max = 4.0 * math.asin(0.05)
-        with pytest.raises(ValueError, match="101 points, above the limit"):
+        with pytest.raises(ValueError, match="101 nodes, above the limit"):
             sup_norm_certified(refuse, 1.0, 0.0, 99.5 * h_max)
         # 98.5 spacings take ceil(98.5) + 1 = 100 points, at the limit
         cert = sup_norm_certified(np.cos, 1.0, 0.0, 98.5 * h_max)
@@ -437,10 +437,10 @@ class TestCounterexample:
 
     def test_coefficient_limit_checked_before_allocating(self, monkeypatch):
         # N = 31 at tau = 100, so 63 coefficients
-        monkeypatch.setattr(analysis, "MAX_EXP_COEFFS", 62)
+        monkeypatch.setattr(quadrature, "MAX_NODES", 62)
         with pytest.raises(ValueError, match="63 coefficients, above the limit"):
             exp_coefficients(100.0)
-        monkeypatch.setattr(analysis, "MAX_EXP_COEFFS", 63)
+        monkeypatch.setattr(quadrature, "MAX_NODES", 63)
         assert exp_coefficients(100.0).N == 31
 
     def test_huge_m_rejected(self):
@@ -663,7 +663,7 @@ class TestInteriorRule:
         a = fourier_coefficients(base, tau, QUAD)
         # first pass: 80 panels, and the level of 160 it is compared with
         fine_level = 2 * 80 * QUAD.panel_order
-        monkeypatch.setattr(approximation, "MAX_PANEL_NODES", fine_level - 1)
+        monkeypatch.setattr(quadrature, "MAX_NODES", fine_level - 1)
 
         def refuse(x):
             raise AssertionError("sampled past the node limit")
@@ -673,7 +673,7 @@ class TestInteriorRule:
                          p_membership=base.p_membership)
         with pytest.raises(ValueError, match="above the limit"):
             analysis._interior_lp(f.eval_real, f.decay.C, a, 2.0, QUAD)
-        monkeypatch.setattr(approximation, "MAX_PANEL_NODES", fine_level)
+        monkeypatch.setattr(quadrature, "MAX_NODES", fine_level)
         est, _ = analysis._interior_lp(base.eval_real, base.decay.C, a, 2.0,
                                        QUAD)
         assert est.value == pytest.approx(
@@ -812,7 +812,7 @@ class TestRealLineSup:
                          eval_complex=None, decay=base.decay,
                          p_membership=base.p_membership)
         # X = 2 / (pi 1e-6) - 1 = 636618.8, 318310 panels of width 4
-        monkeypatch.setattr(quadrature, "MAX_SUP_POINTS", 318309 * 15)
+        monkeypatch.setattr(quadrature, "MAX_NODES", 318309 * 15)
         with pytest.raises(ValueError, match="real-line sup of sinc needs "
-                           "4.77e\\+06 points, more than 4774635"):
+                           "4774650 nodes, above the limit of 4774635"):
             analysis._sup_norm_line(f)

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from bandlim.approximation import (MAX_PANEL_NODES, MAX_LEWITAN_K,
-                                   TrigApproximant, _panel_geometry,
-                                   _trig_sums, evaluate_convolution,
-                                   fourier_coefficients, lewitan)
+from bandlim.approximation import (MAX_LEWITAN_K, TrigApproximant,
+                                   _panel_geometry, _trig_sums,
+                                   evaluate_convolution, fourier_coefficients,
+                                   lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
                                make_complex_exponential, make_fejer_square,
                                make_sinc)
-from bandlim.quadrature import QuadratureNonConvergence, QuadratureSpec, _nodes
+from bandlim.quadrature import (MAX_NODES, QuadratureNonConvergence,
+                                QuadratureSpec, _nodes)
 
 QUAD = QuadratureSpec()
 
@@ -97,7 +98,7 @@ class TestFourierCoefficients:
                          p_membership=base.p_membership)
         with pytest.raises(QuadratureNonConvergence, match="tau=10"):
             fourier_coefficients(f, 10.0, QUAD)
-        assert max(largest) <= MAX_PANEL_NODES
+        assert max(largest) <= MAX_NODES
 
 
 def reference_sum(a: TrigApproximant, x):

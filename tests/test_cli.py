@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from bandlim import approximation, cli, kernels
+from bandlim import approximation, cli, kernels, quadrature
 
 
 def run_capture(argv, capsys):
@@ -162,7 +162,7 @@ class TestCoeffs:
         status, out, err = run_capture(
             ["coeffs", "--fn", "sinc:sigma=1e300", "--tau", "1"], capsys)
         assert status == 1
-        assert "quadrature nodes, above the limit" in err
+        assert "nodes, above the limit" in err
         assert "Maximum allowed size" not in err
 
 
@@ -234,8 +234,11 @@ class TestLemma2:
         (["--n-points", "999"], 2, "bandlim: --n-points: must lie in "
          f"[1000, {kernels.MAX_SCAN_POINTS}]\n"),
         (["--sigma", "1e6", "--tau", "1e6", "--delta", "0"], 1,
-         "bandlim lemma2: the grid for sigma=1e+06, tau=1e+06 needs 1.5e+13 "
-         f"points, more than {kernels.MAX_SCAN_POINTS}\n"),
+         "bandlim lemma2: the grid for sigma=1e+06, tau=1e+06 needs "
+         f"1.5e+13 nodes, above the limit of {quadrature.MAX_NODES}\n"),
+        # 4194301 rounds up to 279621 panels of 15 nodes, 4194315 nodes
+        (["--n-points", "4194301"], 2, "bandlim: --n-points: must lie in "
+         "[1000, 4194300]\n"),
     ])
     def test_rejected_input_status_and_message(self, argv, status, message,
                                                capsys):

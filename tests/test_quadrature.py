@@ -1,11 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from bandlim import quadrature
-from bandlim.quadrature import (MAX_INTEGRAND_POINTS, QuadratureNonConvergence,
-                                QuadratureSpec, gauss_panel, integrate)
+from bandlim import analysis, kernels, quadrature
+from bandlim.analysis import exp_coefficients, lp_norm_line, sup_norm_certified
+from bandlim.approximation import fourier_coefficients
+from bandlim.functions import make_fejer_square, make_sinc
+from bandlim.quadrature import (MAX_INTEGRAND_POINTS, MAX_NODES,
+                                QuadratureNonConvergence, QuadratureSpec,
+                                _check_nodes, _count_panels, gauss_panel,
+                                integrate)
 
 
 class TestSpec:
@@ -146,3 +152,120 @@ class TestAdaptive:
             integrate(lambda x: x, 1.0, 1.0)
         with pytest.raises(ValueError):
             integrate(lambda x: x, 0.0, math.inf)
+
+
+class TestNodeLimit:
+    def test_limit_is_inclusive(self):
+        _check_nodes(MAX_NODES, "the test needs")
+        with pytest.raises(ValueError, match="^the test needs 4194305 nodes, "
+                           "above the limit of 4194304$"):
+            _check_nodes(MAX_NODES + 1, "the test needs")
+
+    @pytest.mark.parametrize("count", [math.inf, math.nan])
+    def test_non_finite_count_rejected(self, count):
+        with pytest.raises(ValueError, match="above the limit"):
+            _check_nodes(count, "the test needs")
+
+    def test_panel_count_checked_after_rounding_up(self, monkeypatch):
+        # 2 X / width = 6.67 rounds up to 7 panels of 15 nodes: 105 nodes
+        assert _count_panels(1.0, 0.3, 15, "") == 7
+        monkeypatch.setattr(quadrature, "MAX_NODES", 104)
+        with pytest.raises(ValueError, match="needs 105 nodes"):
+            _count_panels(1.0, 0.3, 15, "the test needs")
+
+    def test_panel_count_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="needs inf nodes"):
+            _count_panels(1e308, 1e-10, 15, "the test needs")
+
+
+class Gate:
+    """Wraps evaluators: while ``shut`` a call raises, else the size of its
+    last argument is recorded."""
+
+    def __init__(self):
+        self.shut = True
+        self.sizes = []
+
+    def __call__(self, fn):
+        def gated(*args):
+            if self.shut:
+                raise AssertionError("sampled past the node limit")
+            self.sizes.append(np.size(args[-1]))
+            return fn(*args)
+        return gated
+
+
+def sinc_through(gate):
+    base = make_sinc(1.0)
+    return dataclasses.replace(base, eval_real=gate(base.eval_real))
+
+
+def fourier_site(gate, monkeypatch):
+    f = sinc_through(gate)
+    return lambda: fourier_coefficients(f, 10.0)
+
+
+def interior_site(gate, monkeypatch):
+    f = make_sinc(1.0)
+    a = fourier_coefficients(f, 10.0)
+    return lambda: analysis._interior_lp(gate(f.eval_real), f.decay.C, a,
+                                         2.0, QuadratureSpec())
+
+
+def sup_line_site(gate, monkeypatch):
+    base = make_fejer_square(2.0)
+    f = dataclasses.replace(base, eval_real=gate(base.eval_real))
+    return lambda: analysis._sup_norm_line(f)
+
+
+def scan_site(gate, monkeypatch):
+    monkeypatch.setattr(kernels, "_gap", gate(kernels._gap))
+    return lambda: kernels.kernel_gap_scan(1.0, 10.0, 0.5)
+
+
+def line_sum_site(gate, monkeypatch):
+    f = sinc_through(gate)
+    return lambda: lp_norm_line(f, 2.0)
+
+
+def sup_grid_site(gate, monkeypatch):
+    g = gate(np.cos)
+    b = 98.5 * 4.0 * math.asin(0.05)  # 98.5 of the largest steps
+    return lambda: sup_norm_certified(g, 1.0, 0.0, b)
+
+
+def exp_site(gate, monkeypatch):
+    monkeypatch.setattr(analysis, "_exp_coefficient_rows",
+                        gate(analysis._exp_coefficient_rows))
+    return lambda: exp_coefficients(100.0)
+
+
+# (largest node count, site).  The sinc approximant at tau = 10 (N = 3) has
+# 20 first-level panels, whose level of 40 panels takes 600 nodes in both
+# fourier_coefficients and the interior rule; the squared-Fejer sup takes
+# 1999 panels of 15 nodes; the lemma2 cell takes ceil(1000 / 15) = 67 panels;
+# the sinc L^2 sampling sum 2M + 1 = 6369 nodes; the sup grid ceil(98.5) + 1
+# points; e^(ix) at tau = 100 (N = 31) 63 coefficients.
+NODE_LIMIT_SITES = [
+    (600, fourier_site),
+    (600, interior_site),
+    (1999 * 15, sup_line_site),
+    (67 * 15, scan_site),
+    (6369, line_sum_site),
+    (100, sup_grid_site),
+    (63, exp_site),
+]
+
+
+@pytest.mark.parametrize("need, site", NODE_LIMIT_SITES,
+                         ids=[site.__name__ for _, site in NODE_LIMIT_SITES])
+def test_every_site_reads_the_one_limit(need, site, monkeypatch):
+    gate = Gate()
+    call = site(gate, monkeypatch)
+    monkeypatch.setattr(quadrature, "MAX_NODES", need - 1)
+    with pytest.raises(ValueError, match=f"above the limit of {need - 1}$"):
+        call()
+    monkeypatch.setattr(quadrature, "MAX_NODES", need)
+    gate.shut = False
+    call()
+    assert gate.sizes and max(gate.sizes) <= need
