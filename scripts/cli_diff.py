@@ -13,8 +13,8 @@ as the ``src`` of a ``git clone`` of the parent commit and ``src``.
 ARGV_FILE holds one argv per line in shell syntax; blank lines and lines
 starting with ``#`` are skipped.  Without it the default list is used:
 every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``), the
-``lemma2``, ``converge``, ``counterexample`` and ``inequalities`` cases, the
-rejected inputs and the size rejections below.
+``lemma2``, ``converge``, ``coeffs``, ``lewitan``, ``counterexample`` and
+``inequalities`` cases, the rejected inputs and the size rejections below.
 """
 
 from __future__ import annotations
@@ -54,6 +54,23 @@ CONVERGE_CASES = [
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "2",
      "--tau", "10,80.3", "--format", "json"],
     ["converge", "--fn", "sinc:sigma=1", "--p", "200", "--tau", "10,40"],
+]
+
+# coeffs, which the benchmark does not run, as CSV and JSON tables.
+COEFFS_CASES = [
+    ["coeffs", "--fn", "sinc:sigma=1", "--tau", "10"],
+    ["coeffs", "--fn", "expi:omega=1", "--tau", "pi", "--format", "json"],
+    ["coeffs", "--fn", "fejer_square:sigma=2", "--tau", "80.3"],
+    ["coeffs", "--fn", "mollify:base=sinc,sigma=1,rho=0.1", "--tau", "40"],
+]
+
+# lewitan, which the benchmark does not run: the automatic cutoff and the
+# classical weight.
+LEWITAN_CASES = [
+    ["lewitan", "--fn", "sinc:sigma=1", "--tau", "20", "--x", "0,0.37",
+     "--K", "0"],
+    ["lewitan", "--fn", "fejer_square:sigma=2", "--tau", "5", "--x=-pi,1",
+     "--normalization", "classical"],
 ]
 
 # counterexample beyond the benchmark's consecutive m: an unsorted list whose
@@ -99,7 +116,8 @@ def default_argvs() -> list[list[str]]:
     out = []
     for argv in ([a for seed in range(1, 6) for w in WORKLOADS
                   for a in argv_for(w, seed)] + LEMMA2_CASES
-                 + CONVERGE_CASES + COUNTEREXAMPLE_CASES
+                 + CONVERGE_CASES + COEFFS_CASES + LEWITAN_CASES
+                 + COUNTEREXAMPLE_CASES
                  + INEQUALITIES_CASES + REJECTED_CASES + SIZE_CASES):
         if argv not in out:
             out.append(argv)

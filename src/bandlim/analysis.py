@@ -10,13 +10,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .approximation import (TrigApproximant, _panel_geometry, _trig_sums,
-                            fourier_coefficients)
+from .approximation import TrigApproximant, _trig_sums, fourier_coefficients
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
-from .quadrature import (SUP_ORDER, QuadratureSpec, SupNormCertificate,
-                         _check_nodes, _count_panels, _nodes, _panel_sup,
-                         _sampled_sup, integrate)
+from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
+                         _check_nodes, _count_panels, _nodes, _panel_nodes,
+                         _panel_sup, _sampled_sup, integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -80,13 +79,16 @@ class DecompositionValues:
     error_bound: float
 
 
-def _root_error(integral: float, err: float, p: float) -> float:
-    """First-order propagation of an integral error into the p-th root,
-    guarded near zero where the derivative blows up."""
-    if integral <= err:
-        return err ** (1.0 / p)
+def _root_norm(integral: float, err: float, p: float, domain: str,
+               tail: float = 0.0) -> NormEstimate:
+    """integral^(1/p), its error bound the first-order propagation of
+    ``err`` into the p-th root (guarded near zero, where the derivative
+    blows up) plus ``tail``."""
     value = integral ** (1.0 / p)
-    return err / (p * value ** (p - 1.0))
+    root = (err ** (1.0 / p) if integral <= err
+            else err / (p * value ** (p - 1.0)))
+    return NormEstimate(value=value, error_bound=tail + root, p=p,
+                        domain=domain, tail_bound=tail)
 
 
 def lp_norm_interval(g: Callable, p: float, a: float, b: float,
@@ -106,11 +108,7 @@ def lp_norm_interval(g: Callable, p: float, a: float, b: float,
 
     integral, err = integrate(integrand, a, b, quad,
                               max_panel_width=max_panel_width)
-    integral = float(integral)
-    err = float(err)
-    return NormEstimate(value=integral ** (1.0 / p),
-                        error_bound=_root_error(integral, err, p),
-                        p=p, domain=f"[{a:g},{b:g}]", tail_bound=0.0)
+    return _root_norm(float(integral), float(err), p, f"[{a:g},{b:g}]")
 
 
 def _osc_width(sigma: float) -> float:
@@ -146,8 +144,6 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
     take adaptive quadrature on the window with panels resolving the
     oscillation at frequency sigma.
     """
-    if env.alpha * p <= 1:
-        raise ValueError("non-integrable tail envelope")
     cutoff = env.cutoff_for_tail(quad.abs_tol ** p, p)
     cutoff = max(50.0, min(_X_MAX, cutoff))
     if p % 2 == 0 and sigma > 0:
@@ -160,9 +156,7 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
         nodes = h * np.arange(-M, M + 1)
         total = h * float(np.sum(np.abs(np.asarray(g(nodes))) ** p))
         rounding = (2 * M + 1) * math.ulp(1.0) * total
-        return NormEstimate(value=total ** (1.0 / p),
-                            error_bound=tail + _root_error(total, rounding, p),
-                            p=p, domain="real-line", tail_bound=tail)
+        return _root_norm(total, rounding, p, "real-line", tail)
     tail = env.tail_lp(cutoff, p) ** (1.0 / p)
     inner = lp_norm_interval(g, p, -cutoff, cutoff, quad,
                              max_panel_width=_osc_width(sigma))
@@ -217,7 +211,7 @@ def _sup_norm_line(f: TestFunction) -> float:
         raise ValueError("decay envelope too weak for a real-line sup bound")
     cutoff = (env.C / _SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
-    panels = _count_panels(cutoff, 4.0 / f.sigma, SUP_ORDER,
+    panels = _count_panels(cutoff, 4.0 / f.sigma, ORDER,
                            f"the real-line sup of {f.id} needs")
     cert, _ = _sampled_sup(f.eval_real, cutoff, panels, ((f.sigma, env.C),))
     return max(cert.certified_bound, float(env.bound(cutoff)))
@@ -412,15 +406,14 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     node value is nonzero (|g - f_tau|^p underflows) raises ValueError.
     """
     tau = a.tau
-    xq, wq = _nodes(quad.panel_order)
+    xq, wq = _nodes(ORDER)
     width = min(_osc_width(a.sigma), 2.0 * tau / (2 * a.N + 1))
-    n0 = _count_panels(tau, width, 2 * xq.size,
+    n0 = _count_panels(tau, width, 2 * ORDER,
                        f"the interior L^{p:g} rule at tau={tau:g} needs")
 
     def level(n):
-        hw, mids, _ = _panel_geometry(tau, n)
-        x = (mids[:, None] + hw * xq).ravel()
-        diff = np.asarray(g(x)).reshape(n, xq.size) - a.on_panels(n, xq)
+        hw, x = _panel_nodes(tau, n)
+        diff = np.asarray(g(x.ravel())).reshape(x.shape) - a.on_panels(n, xq)
         return hw, diff, hw * (np.abs(diff) ** p @ wq)
 
     hw, diff, halves = level(2 * n0)
@@ -434,13 +427,11 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     integral, err = integrate(integrand, -tau, tau, quad,
                               first_pass=first_pass)
     integral = float(integral)
-    err = float(err)
     if integral < sys.float_info.min and sup_cert.grid_max > 0:
         raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
                          f"underflows")
-    return NormEstimate(value=integral ** (1.0 / p),
-                        error_bound=_root_error(integral, err, p),
-                        p=p, domain=f"[{-tau:g},{tau:g}]"), sup_cert
+    return (_root_norm(integral, float(err), p, f"[{-tau:g},{tau:g}]"),
+            sup_cert)
 
 
 def _exp_n_terms(sigma: float, tau: float) -> int:

@@ -12,8 +12,8 @@ import numpy as np
 
 from .functions import TestFunction, sinc_ratio, _maybe_scalar
 from .kernels import dirichlet, n_terms
-from .quadrature import (QuadratureNonConvergence, QuadratureSpec,
-                         _check_nodes, _count_panels, _equal_panels, _nodes,
+from .quadrature import (ORDER, QuadratureNonConvergence, QuadratureSpec,
+                         _check_nodes, _count_panels, _nodes, _panel_nodes,
                          integrate)
 
 _LEWITAN_TAIL_TARGET = 1e-8
@@ -71,9 +71,9 @@ class TrigApproximant:
                              f"got {panels}")
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
         k = np.arange(-self.N, self.N + 1)
-        _, _, shift = _panel_geometry(self.tau, panels, k)
         bins = np.zeros((panels, xq.size), dtype=complex)
-        bins[k % panels] = ((self.coefficients * np.conj(shift))[:, None]
+        bins[k % panels] = ((self.coefficients
+                             * np.conj(_panel_shift(k, panels)))[:, None]
                             * np.exp((1j * math.pi / panels) * np.outer(k, xq)))
         return panels * np.fft.ifft(bins, axis=0)
 
@@ -149,7 +149,7 @@ def fourier_coefficients(f: TestFunction, tau: float,
     """c_k = (1/2 tau) * integral_{-tau}^{tau} f(t) e^{-i pi k t / tau} dt
     for |k| <= N, each to absolute accuracy quad.abs_tol.
 
-    Method: a composite Gauss-Legendre rule of order ``quad.panel_order``
+    Method: the composite Gauss-Legendre rule of :func:`_panel_nodes`
     on P equal panels, with all coefficients taken from one FFT of the
     samples along the panel axis (the FFT Fourier integral of Numerical
     Recipes 13.9).  P starts at ceil(2 tau / width), where the initial
@@ -160,7 +160,8 @@ def fourier_coefficients(f: TestFunction, tau: float,
     coefficients on P and on 2P panels is at most ``quad.abs_tol``; the
     2P values are returned.  After ``quad.max_depth`` doublings, or when
     the next level would need more than ``quadrature.MAX_NODES`` samples,
-    :class:`QuadratureNonConvergence` is raised.  A ValueError is raised
+    :class:`QuadratureNonConvergence` is raised, its message naming which
+    of the two stopped the doubling.  A ValueError is raised
     before any sampling when the first two levels do not fit that limit.
     """
     if tau <= 0:
@@ -168,53 +169,53 @@ def fourier_coefficients(f: TestFunction, tau: float,
     quad = quad or QuadratureSpec()
     N = n_terms(f.sigma, tau)
     width = min(1.0, tau / (2.0 * (N + 1)))
-    xq, wq = _nodes(quad.panel_order)
-    panels = _count_panels(tau, width, 2 * xq.size, f"coefficients for "
+    panels = _count_panels(tau, width, 2 * ORDER, f"coefficients for "
                            f"tau={tau:g} (N={float(N):.6g}) need")
     k = np.arange(-N, N + 1)
 
-    prev = _panel_fft_coefficients(f, tau, panels, k, xq, wq)
+    prev = _panel_fft_coefficients(f, tau, panels, k)
     for _ in range(quad.max_depth):
         panels *= 2
-        coeffs = _panel_fft_coefficients(f, tau, panels, k, xq, wq)
+        coeffs = _panel_fft_coefficients(f, tau, panels, k)
         gap = float(np.max(np.abs(coeffs - prev)))
         if gap <= quad.abs_tol:
             return TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
                                    coefficients=coeffs,
                                    coeff_error=(2 * N + 1) * quad.abs_tol)
         try:
-            _check_nodes(2 * panels * xq.size, "the next level needs")
-        except ValueError:
+            _check_nodes(2 * panels * ORDER, "the next level needs")
+        except ValueError as exc:
+            cause = str(exc)
             break
         prev = coeffs
+    else:
+        cause = f"all max_depth={quad.max_depth} doublings are used up"
     raise QuadratureNonConvergence(
         f"coefficient quadrature for tau={tau:g} did not converge: the "
         f"coefficients on {panels // 2} and {panels} panels differ by "
-        f"{gap:.3g} > abs_tol {quad.abs_tol:.3g}")
+        f"{gap:.3g} > abs_tol {quad.abs_tol:.3g}, and {cause}")
 
 
-def _panel_geometry(tau: float, panels: int, k=()):
-    """Half-width hw = tau / P, midpoints m_j = -tau + (2j + 1) hw of P
-    equal panels on [-tau, tau], and the shift s_k = (-1)^k e^{-i pi k / P}
-    for the wavenumbers ``k``, so that e^{-i pi k m_j / tau} =
-    s_k e^{-2 pi i j k / P}.  The forward panel FFT takes s_k, its
-    transpose :meth:`TrigApproximant.on_panels` the conjugate."""
-    hw, mids = _equal_panels(tau, panels)
-    k = np.asarray(k)
-    shift = np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * math.pi * k / panels)
-    return hw, mids, shift
+def _panel_shift(k, panels: int):
+    """s_k = (-1)^k e^{-i pi k / P} for the wavenumbers ``k``, so that
+    e^{-i pi k m_j / tau} = s_k e^{-2 pi i j k / P} at the midpoints m_j of
+    the P panels of :func:`_panel_nodes` on [-tau, tau].  The forward panel
+    FFT takes s_k, its transpose :meth:`TrigApproximant.on_panels` the
+    conjugate."""
+    return np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * math.pi * k / panels)
 
 
-def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int, k,
-                            xq, wq):
+def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int, k):
     """Composite Gauss estimate of c_k on ``panels`` equal panels: by
-    :func:`_panel_geometry` the sum over panels is s_k times entry k mod P
-    of the FFT along the panel axis."""
-    hw, mids, shift = _panel_geometry(tau, panels, k)
-    samples = np.asarray(f.eval_real((mids[:, None] + hw * xq).ravel()))
-    spectrum = np.fft.fft(samples.reshape(panels, xq.size), axis=0)[k % panels]
+    :func:`_panel_shift` the sum over panels is s_k times entry k mod P of
+    the FFT along the panel axis."""
+    hw, x = _panel_nodes(tau, panels)
+    xq, wq = _nodes(ORDER)
+    samples = np.asarray(f.eval_real(x.ravel())).reshape(x.shape)
+    spectrum = np.fft.fft(samples, axis=0)[k % panels]
     node_phase = np.exp((-1j * math.pi / panels) * np.outer(k, xq))
-    return (hw / (2.0 * tau)) * shift * ((spectrum * node_phase) @ wq)
+    return ((hw / (2.0 * tau)) * _panel_shift(k, panels)
+            * ((spectrum * node_phase) @ wq))
 
 
 def evaluate_convolution(f: TestFunction, tau: float, x: float,

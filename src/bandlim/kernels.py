@@ -9,14 +9,14 @@ from typing import Sequence
 import numpy as np
 
 from .functions import sinc_ratio, _maybe_scalar
-from .quadrature import (MAX_NODES, SUP_ORDER, _check_nodes, _count_panels,
+from .quadrature import (MAX_NODES, ORDER, _check_nodes, _count_panels,
                          _sampled_sup)
 
 _OMEGA_CUTOFF = 0.1
-# Largest n_points of kernel_gap_scan: the largest multiple of SUP_ORDER
+# Largest n_points of kernel_gap_scan: the largest multiple of ORDER
 # within the node limit, since n_points is rounded up to whole panels (the
 # gap evaluation holds about ten float64 arrays of that size, 32 MiB each).
-MAX_SCAN_POINTS = SUP_ORDER * (MAX_NODES // SUP_ORDER)
+MAX_SCAN_POINTS = ORDER * (MAX_NODES // ORDER)
 
 
 def n_terms(sigma: float, tau: float) -> int:
@@ -133,8 +133,8 @@ def _scan_size(sigma: float, tau: float, delta: float,
     what = f"the grid for sigma={sigma:g}, tau={tau:g} needs"
     panels = max(_count_panels((1.0 + delta) * tau,
                                2.0 / max(sigma, math.pi * N / tau),
-                               SUP_ORDER, what), -(-n_points // SUP_ORDER))
-    _check_nodes(panels * SUP_ORDER, what)
+                               ORDER, what), -(-n_points // ORDER))
+    _check_nodes(panels * ORDER, what)
     return N, panels
 
 
@@ -142,9 +142,9 @@ def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
                      n_points: int = 1000) -> list[KernelGapReport]:
     """Certified sup of |kernel_gap| over [-(1+delta) tau, (1+delta) tau]
     for each (sigma, tau, delta) in ``cells``, in order; every cell is
-    checked first.  The gap is sampled once on ``SUP_ORDER`` Gauss nodes per
-    panel of width at most 2 / max(sigma, pi N / tau), at least ``n_points``
-    nodes in all, and :func:`_sampled_sup` certifies its sup, since
+    checked first.  The gap is sampled once on ``quadrature.ORDER`` Gauss
+    nodes per panel of width at most 2 / max(sigma, pi N / tau), at least
+    ``n_points`` nodes in all.  :func:`_sampled_sup` certifies its sup from
     |d^k/dv^k sin(sigma v)/(pi v)| <= sigma^k sigma / pi and
     |d^k/dv^k D_N(pi v / tau)/(2 tau)| <= (pi N / tau)^k (2N + 1)/(2 tau).
     """
@@ -157,7 +157,7 @@ def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
              (math.pi * N / tau, (2 * N + 1) / (2.0 * tau))))
         reports.append(KernelGapReport(
             sigma=float(sigma), tau=float(tau), delta=float(delta),
-            n_points=panels * SUP_ORDER, observed_max=cert.grid_max,
+            n_points=panels * ORDER, observed_max=cert.grid_max,
             argmax=arg, certified_max=cert.certified_bound,
             bound=kernel_gap_bound(sigma, tau, delta)))
     return reports

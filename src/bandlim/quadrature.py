@@ -12,11 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
+# Gauss-Legendre nodes per panel of every composite rule of the library, so
+# a panel is exact on polynomials of degree 2 * ORDER - 1.
+ORDER = 15
 # Most integrand points one ``integrate`` call may evaluate, summed over its
-# passes (each pass costs 3 * panel_order points per open panel).  The
+# passes (each pass costs 3 * ORDER points per open panel).  The
 # largest call in the test suite and the benchmark workloads takes about
 # 1.15M points, so 2^24 leaves a wide margin while stopping a refinement
 # whose panel count keeps doubling before it exhausts memory.
@@ -24,30 +28,22 @@ MAX_INTEGRAND_POINTS = 2 ** 24
 # Most nodes (or coefficients) one array of the library may hold, checked by
 # _check_nodes before it is built: 2^22 complex values are 64 MiB.
 MAX_NODES = 2 ** 22
-SUP_ORDER = 15  # Gauss nodes per panel of _sampled_sup
 
 
 class QuadratureNonConvergence(RuntimeError):
     """A panel could not meet its tolerance within the allowed depth, or
     the call would exceed ``MAX_INTEGRAND_POINTS``."""
 
-    def __init__(self, message: str, midpoint: float | None = None):
-        super().__init__(message)
-        self.midpoint = midpoint
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Configuration for the adaptive engine.
-
-    ``panel_order`` is the number of Gauss-Legendre nodes per panel, so a
-    single panel is exact on polynomials of degree ``2 * panel_order - 1``.
-    """
+    """Configuration for the adaptive engine; its panels take ``ORDER``
+    nodes each."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_depth: int = 40
-    panel_order: int = 15
+    panel_order: ClassVar[int] = ORDER  # alias; no library code reads it
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and math.isfinite(self.rel_tol)):
@@ -56,8 +52,6 @@ class QuadratureSpec:
             raise ValueError("tolerances below 1e-14 are not supported")
         if not 1 <= self.max_depth <= 60:
             raise ValueError("max_depth must lie in [1, 60]")
-        if self.panel_order < 2:
-            raise ValueError("panel_order must be at least 2")
 
 
 @lru_cache(maxsize=None)
@@ -66,7 +60,7 @@ def _nodes(order: int):
     return x, w
 
 
-def gauss_panel(g, a: float, b: float, order: int = 15):
+def gauss_panel(g, a: float, b: float, order: int = ORDER):
     """Non-adaptive fixed-order Gauss rule on a single panel [a, b]."""
     x, w = _nodes(order)
     mid = 0.5 * (a + b)
@@ -91,10 +85,12 @@ def _count_panels(X: float, width: float, per_panel: int, what: str) -> int:
     return int(panels)
 
 
-def _equal_panels(X: float, panels: int):
-    """hw = X / P and m_j = -X + (2j + 1) hw of P equal panels on [-X, X]."""
+def _panel_nodes(X: float, panels: int):
+    """hw = X / P and the (P, ORDER) Gauss-Legendre nodes m_j + hw x_q of P
+    equal panels on [-X, X], m_j = -X + (2j + 1) hw."""
     hw = X / panels
-    return hw, -X + hw * (2.0 * np.arange(panels) + 1.0)
+    mids = -X + hw * (2.0 * np.arange(panels) + 1.0)
+    return hw, mids[:, None] + hw * _nodes(ORDER)[0]
 
 
 @dataclass(frozen=True)
@@ -148,8 +144,8 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
     kappa = 2R + Lambda_R (2 sqrt(2) Lambda + 1), to first order, and
     X <= s (1 + 2 gamma (1 + kappa)) with s the larger of the halves' sums.
 
-    Rounded nodes: v holds F at fl(m_j + fl(hw x_q)), m_j and hw from
-    :func:`_equal_panels`.  Rounding moves a node by at most 2uL (hw),
+    Rounded nodes: v holds F at fl(m_j + fl(hw x_q)) of
+    :func:`_panel_nodes`.  Rounding moves a node by at most 2uL (hw),
     u (2L - hw) (hw (2j + 1)), u (L - hw) and uL (the sums) and u hw
     (hw x_q), u = eps / 2, so |dx| < 3 eps L, and p by Lambda_Q |dx|
     sup |F'|.  The Lebesgue function is the largest of the sums +-l_j of
@@ -176,8 +172,7 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
 def _sampled_sup(F, X: float, panels: int, derivs):
     """(:func:`_panel_sup` certificate, node of the largest |F|) over [-X, X]
     from one call of F on ``panels`` equal panels (:func:`_count_panels`)."""
-    hw, mids = _equal_panels(X, panels)
-    x = mids[:, None] + hw * _nodes(SUP_ORDER)[0]
+    hw, x = _panel_nodes(X, panels)
     values = np.asarray(F(x.ravel())).reshape(x.shape)
     return (_panel_sup(values, hw, derivs),
             float(x.flat[np.argmax(np.abs(values))]))
@@ -210,7 +205,7 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         n0 = max(1, math.ceil((b - a) / max_panel_width))
     if first_pass is not None and len(first_pass[0]) != n0:
         raise ValueError(f"first_pass must hold {n0} panel estimates")
-    per_panel = 3 * spec.panel_order
+    per_panel = 3 * ORDER
     if n0 * per_panel > MAX_INTEGRAND_POINTS:
         raise _over_budget(a, b, n0 * per_panel)
     edges = np.linspace(a, b, n0 + 1)
@@ -218,7 +213,6 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
     rights = edges[1:].copy()
     depths = np.zeros(n0, dtype=np.int64)
 
-    xg, wg = _nodes(spec.panel_order)
     total_width = b - a
     value = 0.0
     err = 0.0
@@ -232,7 +226,7 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         if scale is None and first_pass is not None:
             coarse, fine = first_pass
         else:
-            coarse, fine = _panel_estimates(g, lefts, rights, xg, wg)
+            coarse, fine = _panel_estimates(g, lefts, rights)
         if scale is None:
             scale = float(np.abs(coarse).sum())
         diff = np.abs(coarse - fine)
@@ -251,8 +245,7 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
             mid = 0.5 * (lefts[i] + rights[i])
             raise QuadratureNonConvergence(
                 f"quadrature did not converge near x={mid:.6g} "
-                f"(panel error {diff[i]:.3g} > tol {tol[i]:.3g})",
-                midpoint=mid)
+                f"(panel error {diff[i]:.3g} > tol {tol[i]:.3g})")
 
         l, r, d = lefts[bad], rights[bad], depths[bad]
         mids = 0.5 * (l + r)
@@ -269,10 +262,10 @@ def _over_budget(a: float, b: float, points: int):
         f"points, more than the budget of {MAX_INTEGRAND_POINTS}")
 
 
-def _panel_estimates(g, lefts, rights, xg, wg):
+def _panel_estimates(g, lefts, rights):
     """Per-panel (coarse, fine) estimates: one Gauss rule over each panel
     and the same rule over its two halves."""
-    order = xg.size
+    xg, wg = _nodes(ORDER)
     mids = 0.5 * (lefts + rights)
     hw = 0.5 * (rights - lefts)
 
@@ -281,8 +274,8 @@ def _panel_estimates(g, lefts, rights, xg, wg):
     xr = 0.5 * (mids + rights)[:, None] + 0.5 * hw[:, None] * xg
     x_all = np.concatenate([xc, xl, xr], axis=1)
 
-    y = np.asarray(g(x_all.ravel())).reshape(lefts.size, 3 * order)
-    coarse = (y[:, :order] * wg).sum(axis=1) * hw
-    fine = ((y[:, order:2 * order] + y[:, 2 * order:]) * wg).sum(axis=1) \
+    y = np.asarray(g(x_all.ravel())).reshape(lefts.size, 3 * ORDER)
+    coarse = (y[:, :ORDER] * wg).sum(axis=1) * hw
+    fine = ((y[:, ORDER:2 * ORDER] + y[:, 2 * ORDER:]) * wg).sum(axis=1) \
         * (0.5 * hw)
     return coarse, fine

@@ -662,7 +662,7 @@ class TestInteriorRule:
         tau = 40.0
         a = fourier_coefficients(base, tau, QUAD)
         # first pass: 80 panels, and the level of 160 it is compared with
-        fine_level = 2 * 80 * QUAD.panel_order
+        fine_level = 2 * 80 * quadrature.ORDER
         monkeypatch.setattr(quadrature, "MAX_NODES", fine_level - 1)
 
         def refuse(x):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from bandlim.approximation import (MAX_LEWITAN_K, TrigApproximant,
-                                   _panel_geometry, _trig_sums,
-                                   evaluate_convolution, fourier_coefficients,
-                                   lewitan)
+                                   _trig_sums, evaluate_convolution,
+                                   fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
                                make_complex_exponential, make_fejer_square,
@@ -100,6 +99,20 @@ class TestFourierCoefficients:
             fourier_coefficients(f, 10.0, QUAD)
         assert max(largest) <= MAX_NODES
 
+    @pytest.mark.parametrize("max_depth, cause", [
+        (40, "the next level needs 4915200 nodes, above the limit of "
+             "4194304$"),
+        (3, "all max_depth=3 doublings are used up$")],
+        ids=["node-limit", "max-depth"])
+    def test_stop_message_names_its_cause(self, max_depth, cause):
+        base = make_sinc(1.0)
+        f = TestFunction(id="step", sigma=1.0,
+                         eval_real=lambda x: np.sign(np.asarray(x) - 0.1234),
+                         eval_complex=None, decay=base.decay,
+                         p_membership=base.p_membership)
+        with pytest.raises(QuadratureNonConvergence, match=cause):
+            fourier_coefficients(f, 10.0, QuadratureSpec(max_depth=max_depth))
+
 
 def reference_sum(a: TrigApproximant, x):
     """Plain per-k sum, one term at a time."""
@@ -123,7 +136,8 @@ class TestOnPanels:
         a = TrigApproximant(tau=tau, sigma=math.pi * N / tau, N=N,
                             coefficients=coeffs, coeff_error=0.0)
         xq = _nodes(Q)[0] if Q > 1 else np.array([0.37])
-        hw, mids, _ = _panel_geometry(tau, panels)
+        hw = tau / panels
+        mids = -tau + hw * (2.0 * np.arange(panels) + 1.0)
         got = a.on_panels(panels, xq)
         assert got.shape == (panels, Q)
         expect = np.asarray(a.evaluate(mids[:, None] + hw * xq))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bandlim import cli, kernels
-from bandlim.quadrature import MAX_NODES, SUP_ORDER
+from bandlim.quadrature import MAX_NODES, ORDER
 from bandlim.kernels import (MAX_SCAN_POINTS, KernelGapReport, dirichlet,
                              kernel_gap, kernel_gap_bound, kernel_gap_scan,
                              kernel_gap_scans, n_terms, omega, sinc_kernel)
@@ -295,10 +295,10 @@ class TestScan:
             kernel_gap_scan(1.0, 10.0, 0.5, n_points=MAX_SCAN_POINTS + 1)
 
     def test_largest_n_points_within_node_limit(self):
-        # n_points is rounded up to whole panels of SUP_ORDER nodes
+        # n_points is rounded up to whole panels of ORDER nodes
         N, panels = kernels._scan_size(1.0, 10.0, 0.5, MAX_SCAN_POINTS)
-        assert panels * SUP_ORDER <= MAX_NODES
-        assert MAX_SCAN_POINTS == SUP_ORDER * (MAX_NODES // SUP_ORDER)
+        assert panels * ORDER <= MAX_NODES
+        assert MAX_SCAN_POINTS == ORDER * (MAX_NODES // ORDER)
 
     def test_rejects_oversized_automatic_grid(self):
         with pytest.raises(ValueError, match="above the limit"):

@@ -25,7 +25,6 @@ class TestSpec:
         {"rel_tol": 1e-16},
         {"max_depth": 0},
         {"max_depth": 61},
-        {"panel_order": 1},
         {"abs_tol": math.nan},
         {"rel_tol": math.nan},
         {"abs_tol": math.inf},
@@ -34,6 +33,62 @@ class TestSpec:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    def test_panel_order_is_no_field(self):
+        names = [field.name for field in dataclasses.fields(QuadratureSpec)]
+        assert names == ["abs_tol", "rel_tol", "max_depth"]
+        with pytest.raises(TypeError):
+            QuadratureSpec(panel_order=7)
+        assert QuadratureSpec().panel_order == quadrature.ORDER
+
+
+class TestPanelNodes:
+    """Every panel rule samples its evaluator on _panel_nodes, the nodes
+    whose rounding _panel_sup bounds."""
+
+    @staticmethod
+    def assert_panel_nodes(x, X):
+        panels = x.size // quadrature.ORDER
+        hw, nodes = quadrature._panel_nodes(X, panels)
+        assert nodes.shape == (panels, quadrature.ORDER)
+        assert hw == X / panels
+        assert x.tobytes() == nodes.ravel().tobytes()
+
+    def recording_sinc(self, calls):
+        base = make_sinc(1.0)
+
+        def eval_real(x):
+            calls.append(np.array(x, dtype=float))
+            return base.eval_real(x)
+        return dataclasses.replace(base, eval_real=eval_real)
+
+    def test_coefficient_rule(self):
+        calls = []
+        tau = 80.3
+        fourier_coefficients(self.recording_sinc(calls), tau)
+        assert len(calls) >= 2
+        for x in calls:
+            self.assert_panel_nodes(x, tau)
+
+    def test_interior_levels(self):
+        tau = 80.3
+        a = fourier_coefficients(make_sinc(1.0), tau)
+        calls = []
+        f = self.recording_sinc(calls)
+        analysis._interior_lp(f.eval_real, f.decay.C, a, 2.0, QuadratureSpec())
+        fine, coarse = calls[:2]
+        assert fine.size == 2 * coarse.size
+        self.assert_panel_nodes(fine, tau)
+        self.assert_panel_nodes(coarse, tau)
+
+    def test_sampled_sup(self):
+        calls = []
+        X = 1.5 * 10.3
+        quadrature._sampled_sup(self.recording_sinc(calls).eval_real, X, 37,
+                                ((1.0, 1.0),))
+        (x,) = calls
+        assert x.size == 37 * quadrature.ORDER
+        self.assert_panel_nodes(x, X)
 
 
 class TestPolynomialExactness:
@@ -116,8 +171,7 @@ class TestAdaptive:
             return g(x)
 
         edges = np.linspace(-1.0, 2.0, 13)
-        first_pass = quadrature._panel_estimates(
-            g, edges[:-1], edges[1:], *quadrature._nodes(15))
+        first_pass = quadrature._panel_estimates(g, edges[:-1], edges[1:])
 
         ref = integrate(counting, -1.0, 2.0, max_panel_width=0.25)
         ref_sizes = list(sizes)
@@ -131,8 +185,8 @@ class TestAdaptive:
 
     def test_first_pass_sets_panel_count(self):
         edges = np.linspace(-1.0, 2.0, 13)
-        first_pass = quadrature._panel_estimates(
-            np.cos, edges[:-1], edges[1:], *quadrature._nodes(15))
+        first_pass = quadrature._panel_estimates(np.cos, edges[:-1],
+                                                 edges[1:])
         sizes = []
 
         def counting(x):
