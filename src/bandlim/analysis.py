@@ -10,7 +10,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .approximation import TrigApproximant, _trig_sums, fourier_coefficients
+from .approximation import (TrigApproximant, _coefficient_ladder,
+                            _first_level, _trig_sums)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
@@ -364,8 +365,9 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
 
     records = []
     for tau in tau_list:
-        a = fourier_coefficients(f, tau, quad)
-        interior, sup_cert = _interior_lp(f.eval_real, f.decay.C, a, p, quad)
+        a, levels = _coefficient_ladder(f, tau, quad)
+        interior, sup_cert = _interior_lp(f.eval_real, f.decay.C, a, p, quad,
+                                          levels)
         tail_integral = f.decay.tail_lp(tau, p)
         tail_value = tail_integral ** (1.0 / p)
         tail = NormEstimate(value=tail_value, error_bound=tail_value,
@@ -380,7 +382,8 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
 
 
 def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
-                 quad: QuadratureSpec) -> tuple[NormEstimate, SupNormCertificate]:
+                 quad: QuadratureSpec, levels: Optional[tuple] = None
+                 ) -> tuple[NormEstimate, SupNormCertificate]:
     """||g - f_tau||_{L^p[-tau, tau]} by :func:`integrate`, with the first
     pass taken from f_tau on panel nodes by inverse FFT, and the certified
     sup of |g - f_tau| on [-tau, tau] from the same values.  ``g`` is
@@ -388,38 +391,45 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     ``g_sup = f.decay.C`` >= sup |f|), or ``np.zeros_like`` with g_sup = 0
     for f_tau itself.
 
-    The first pass has n0 >= 2N + 1 equal panels of width at most
-    ``_osc_width(a.sigma)``.  Its coarse Gauss values come from level n0
-    and its fine ones (two halves per panel) from level 2 n0, each level
-    one call of g and one :meth:`TrigApproximant.on_panels`.  integrate
-    then accepts each panel against its usual per-panel tolerance and
-    bisects the rest, sampling f_tau there with
-    :meth:`TrigApproximant.evaluate`.  For even p, |g - f_tau|^p is
-    smooth and every panel passes the first pass; for other p it has
-    kinks where g - f_tau vanishes, and only the few panels holding them
-    are refined.  :func:`_panel_sup` takes level 2 n0, with Bernstein's
-    |(g - f_tau)^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
+    ``levels`` is the pair of (n, ORDER) and (2n, ORDER) arrays of g on the
+    :func:`_panel_nodes` of n and 2n equal panels: the samples of f on the
+    last two levels of the coefficient ladder, which
+    :func:`convergence_study` passes on, so that f is sampled once per
+    node.  Without it g is sampled on the first level n of
+    :func:`_first_level` and its double, which checks their nodes against
+    ``quadrature.MAX_NODES`` before any sampling.  n > 2N either way.
 
-    The finer level of the first pass, 2 n0 panels, may hold at most
-    ``quadrature.MAX_NODES`` nodes; more raise ValueError before
-    any sampling.  An integral below the smallest normal float while some
-    node value is nonzero (|g - f_tau|^p underflows) raises ValueError.
+    The coarse Gauss values of the first pass come from level n and its
+    fine ones (two halves per panel) from level 2n, each level less f_tau
+    from one :meth:`TrigApproximant.on_panels`.  integrate then accepts
+    each panel against its usual per-panel tolerance and bisects the rest,
+    sampling f_tau there with :meth:`TrigApproximant.evaluate`.  For even
+    p, |g - f_tau|^p is smooth and every panel passes the first pass; for
+    other p it has kinks where g - f_tau vanishes, and only the few panels
+    holding them are refined.  :func:`_panel_sup` takes level 2n, with
+    Bernstein's |(g - f_tau)^(j)| <= a.sigma^j g_sup
+    + (pi N / tau)^j sum |c_k|.
+
+    An integral below the smallest normal float while some node value is
+    nonzero (|g - f_tau|^p underflows) raises ValueError.
     """
     tau = a.tau
     xq, wq = _nodes(ORDER)
-    width = min(_osc_width(a.sigma), 2.0 * tau / (2 * a.N + 1))
-    n0 = _count_panels(tau, width, 2 * ORDER,
-                       f"the interior L^{p:g} rule at tau={tau:g} needs")
+    if levels is None:
+        n = _first_level(a.sigma, tau, f"the interior L^{p:g} rule at "
+                         f"tau={tau:g} needs")
+        levels = [np.asarray(g(x.ravel())).reshape(x.shape)
+                  for _, x in (_panel_nodes(tau, n), _panel_nodes(tau, 2 * n))]
 
-    def level(n):
-        hw, x = _panel_nodes(tau, n)
-        diff = np.asarray(g(x.ravel())).reshape(x.shape) - a.on_panels(n, xq)
+    def level(samples):
+        hw = tau / len(samples)
+        diff = samples - a.on_panels(len(samples), xq)
         return hw, diff, hw * (np.abs(diff) ** p @ wq)
 
-    hw, diff, halves = level(2 * n0)
+    hw, diff, halves = level(levels[1])
     sup_cert = _panel_sup(diff, hw, ((a.sigma, g_sup), (
         math.pi * a.N / tau, float(np.abs(a.coefficients).sum()))))
-    first_pass = (level(n0)[2], halves[0::2] + halves[1::2])
+    first_pass = (level(levels[0])[2], halves[0::2] + halves[1::2])
 
     def integrand(x):
         return np.abs(np.asarray(g(x)) - np.asarray(a.evaluate(x))) ** p

@@ -12,9 +12,9 @@ import numpy as np
 
 from .functions import TestFunction, sinc_ratio, _maybe_scalar
 from .kernels import dirichlet, n_terms
+from . import quadrature
 from .quadrature import (ORDER, QuadratureNonConvergence, QuadratureSpec,
-                         _check_nodes, _count_panels, _nodes, _panel_nodes,
-                         integrate)
+                         _check_nodes, _nodes, _panel_nodes, integrate)
 
 _LEWITAN_TAIL_TARGET = 1e-8
 # Largest Lewitan cutoff K, given or automatic: the sum takes 2K + 1 terms
@@ -121,26 +121,35 @@ def _trig_sums(coefficients, theta):
     one angle costs A + B exponentials and the inner sums of a row are one
     (M x B) @ (B x 2A) product.  The k and -k terms share both factors and
     combine as S+ + conj(S-), which keeps the result numerically real for
-    conjugate-symmetric coefficients.
+    conjugate-symmetric coefficients.  The angles go through in chunks of
+    at most ``quadrature.MAX_NODES`` / (6 A R) columns (at least one): per
+    angle and row a chunk holds B + A exponentials, 2A inner sums and two
+    products of A values, at most 6A as B <= A, so that its temporaries
+    together hold at most ``quadrature.MAX_NODES`` values.
     """
     R, width = coefficients.shape
     N = width // 2
     out = np.repeat(coefficients[:, N, None], theta.shape[1], axis=1)
-    if N > 0:
-        B = math.isqrt(N)
-        A = -(-N // B)
-        blocks = np.zeros((R, 2, A * B), dtype=complex)
-        blocks[:, 0, :N] = coefficients[:, N + 1:]
-        blocks[:, 1, :N] = np.conj(coefficients[:, N - 1::-1])
-        # blocks[r, s, a*B + b] -> table[r, b, s*A + a]
-        table = blocks.reshape(R, 2, A, B).transpose(0, 3, 1, 2) \
-            .reshape(R, B, 2 * A)
-        inner = np.exp(1j * theta[..., None] * np.arange(1, B + 1))
-        outer = np.exp(1j * theta[..., None] * (B * np.arange(A)))
+    if N == 0:
+        return out
+    B = math.isqrt(N)
+    A = -(-N // B)
+    blocks = np.zeros((R, 2, A * B), dtype=complex)
+    blocks[:, 0, :N] = coefficients[:, N + 1:]
+    blocks[:, 1, :N] = np.conj(coefficients[:, N - 1::-1])
+    # blocks[r, s, a*B + b] -> table[r, b, s*A + a]
+    table = blocks.reshape(R, 2, A, B).transpose(0, 3, 1, 2) \
+        .reshape(R, B, 2 * A)
+    out = out.astype(complex)
+    step = max(1, quadrature.MAX_NODES // (6 * A * R))
+    for j in range(0, theta.shape[1], step):
+        t = theta[:, j:j + step, None]
+        inner = np.exp(1j * t * np.arange(1, B + 1))
+        outer = np.exp(1j * t * (B * np.arange(A)))
         sums = (inner @ table).reshape(R, -1, 2, A)
         pos = (sums[:, :, 0] * outer).sum(axis=-1)
         neg = (sums[:, :, 1] * outer).sum(axis=-1)
-        out = out + (pos + np.conj(neg))
+        out[:, j:j + step] += pos + np.conj(neg)
     return out
 
 
@@ -152,9 +161,9 @@ def fourier_coefficients(f: TestFunction, tau: float,
     Method: the composite Gauss-Legendre rule of :func:`_panel_nodes`
     on P equal panels, with all coefficients taken from one FFT of the
     samples along the panel axis (the FFT Fourier integral of Numerical
-    Recipes 13.9).  P starts at ceil(2 tau / width), where the initial
-    panel width resolves the fastest integrand oscillation, so P > 2N and
-    the FFT does not alias.
+    Recipes 13.9).  P starts at the first level of :func:`_first_level`,
+    whose panels are at most pi / (2 sigma) wide and whose count exceeds
+    2N, so the FFT does not alias; every level is 5-smooth.
 
     Error contract: P doubles until the largest difference between the
     coefficients on P and on 2P panels is at most ``quad.abs_tol``; the
@@ -164,36 +173,82 @@ def fourier_coefficients(f: TestFunction, tau: float,
     of the two stopped the doubling.  A ValueError is raised
     before any sampling when the first two levels do not fit that limit.
     """
+    return _coefficient_ladder(f, tau, quad)[0]
+
+
+def _coefficient_ladder(f: TestFunction, tau: float,
+                        quad: Optional[QuadratureSpec] = None):
+    """(:func:`fourier_coefficients`, (v_P, v_2P)): the approximant and the
+    (P, ORDER) and (2P, ORDER) arrays of f on the :func:`_panel_nodes` of
+    its last two levels, which the interior rule of ``analysis`` takes as
+    its first pass instead of sampling f again."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     quad = quad or QuadratureSpec()
     N = n_terms(f.sigma, tau)
-    width = min(1.0, tau / (2.0 * (N + 1)))
-    panels = _count_panels(tau, width, 2 * ORDER, f"coefficients for "
-                           f"tau={tau:g} (N={float(N):.6g}) need")
+    panels = _first_level(f.sigma, tau, f"coefficients for tau={tau:g} "
+                          f"(N={float(N):.6g}) need")
     k = np.arange(-N, N + 1)
 
-    prev = _panel_fft_coefficients(f, tau, panels, k)
+    prev, prev_samples = _panel_fft_coefficients(f, tau, panels, k)
     for _ in range(quad.max_depth):
         panels *= 2
-        coeffs = _panel_fft_coefficients(f, tau, panels, k)
+        coeffs, samples = _panel_fft_coefficients(f, tau, panels, k)
         gap = float(np.max(np.abs(coeffs - prev)))
         if gap <= quad.abs_tol:
-            return TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
-                                   coefficients=coeffs,
-                                   coeff_error=(2 * N + 1) * quad.abs_tol)
+            return (TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
+                                    coefficients=coeffs,
+                                    coeff_error=(2 * N + 1) * quad.abs_tol),
+                    (prev_samples, samples))
         try:
             _check_nodes(2 * panels * ORDER, "the next level needs")
         except ValueError as exc:
             cause = str(exc)
             break
-        prev = coeffs
+        prev, prev_samples = coeffs, samples
     else:
         cause = f"all max_depth={quad.max_depth} doublings are used up"
     raise QuadratureNonConvergence(
         f"coefficient quadrature for tau={tau:g} did not converge: the "
         f"coefficients on {panels // 2} and {panels} panels differ by "
         f"{gap:.3g} > abs_tol {quad.abs_tol:.3g}, and {cause}")
+
+
+def _first_level(sigma: float, tau: float, what: str) -> int:
+    """P0, the first panel count on [-tau, tau] for type ``sigma`` of both
+    the coefficient ladder and the interior rule: the smallest 5-smooth
+    integer >= ceil(4 sigma tau / pi), after :func:`_check_nodes` of the
+    level of 2 P0 panels that the first doubling compares it with.
+
+    Panels are then at most pi / (2 sigma) wide.  On them the Gauss rule
+    of ``ORDER`` nodes errs far below rounding for an integrand entire of
+    type 2 sigma, as f(t) e^{-i pi k t / tau} is (Trefethen, *Approximation
+    Theory and Approximation Practice*, 2013, Thm 19.3).  P0 >=
+    4 sigma tau / pi >= 4N > 2N, so the panel FFT does not alias.  P0 and
+    its doubles are 5-smooth, so numpy's FFT never takes its Bluestein
+    path.
+    """
+    count = np.ceil(4.0 * sigma * tau / math.pi)  # may overflow to inf
+    _check_nodes(2 * ORDER * count, what)
+    panels = _five_smooth(max(1, int(count)))
+    _check_nodes(2 * ORDER * panels, what)
+    return panels
+
+
+def _five_smooth(n: int) -> int:
+    """The smallest integer >= n whose only prime factors are 2, 3 and 5."""
+    best = 1 << (n - 1).bit_length()  # a power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _panel_shift(k, panels: int):
@@ -206,16 +261,16 @@ def _panel_shift(k, panels: int):
 
 
 def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int, k):
-    """Composite Gauss estimate of c_k on ``panels`` equal panels: by
-    :func:`_panel_shift` the sum over panels is s_k times entry k mod P of
-    the FFT along the panel axis."""
+    """Composite Gauss estimate of c_k on ``panels`` equal panels, and the
+    samples of f it is taken from: by :func:`_panel_shift` the sum over
+    panels is s_k times entry k mod P of the FFT along the panel axis."""
     hw, x = _panel_nodes(tau, panels)
     xq, wq = _nodes(ORDER)
     samples = np.asarray(f.eval_real(x.ravel())).reshape(x.shape)
     spectrum = np.fft.fft(samples, axis=0)[k % panels]
     node_phase = np.exp((-1j * math.pi / panels) * np.outer(k, xq))
     return ((hw / (2.0 * tau)) * _panel_shift(k, panels)
-            * ((spectrum * node_phase) @ wq))
+            * ((spectrum * node_phase) @ wq)), samples
 
 
 def evaluate_convolution(f: TestFunction, tau: float, x: float,

@@ -158,7 +158,7 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
     s = 0.0  # 256 panels at a time, so that the temporaries stay small
     for i in range(0, len(values), 256):
         u = (values[i:i + 256] @ to_cheb.T).reshape(-1, 2 * Q - 1)
-        w = (u * u.conj()).real
+        w = u.real ** 2 + u.imag ** 2
         s = max(s, np.abs(w @ to_coeffs.T).sum(axis=1).max())
     bound = math.sqrt(factor * s) + (
         2.0 ** Q * math.factorial(Q) / math.factorial(2 * Q)

@@ -13,7 +13,8 @@ from bandlim.analysis import (DecompositionValues, check_nikolskii,
                               decomposition_F123, exp_coefficients,
                               lp_norm_interval, lp_norm_line,
                               sup_norm_certified)
-from bandlim.approximation import (TrigApproximant, evaluate_convolution,
+from bandlim.approximation import (TrigApproximant, _first_level,
+                                   _five_smooth, evaluate_convolution,
                                    fourier_coefficients)
 from bandlim.functions import (INF, TestFunction, from_id,
                                make_complex_exponential, make_fejer_square,
@@ -227,6 +228,18 @@ class TestSupCertificate:
     def test_rejects_non_finite_arguments(self, sigma_eff, a, b, text):
         with pytest.raises(ValueError, match=text):
             sup_norm_certified(np.cos, sigma_eff, a, b)
+
+    @pytest.mark.parametrize("name", ["exp10", "exp40", "sinc10", "random"])
+    def test_cross_checks_the_panel_sup_of_f_tau(self, name):
+        # f_tau is 2 tau-periodic, so its sup over the real line is its sup
+        # over [-tau, tau], as the contraction grid requires; both
+        # certificates bound the largest sample of the other
+        a = POLY_APPROXIMANTS[name]()
+        _, panel = analysis._interior_lp(np.zeros_like, 0.0, a, 2.0, QUAD)
+        grid = sup_norm_certified(a.evaluate, math.pi * a.N / a.tau,
+                                  -a.tau, a.tau)
+        assert panel.certified_bound >= grid.grid_max
+        assert grid.certified_bound >= panel.grid_max
 
     def test_grid_limit_checked_before_sampling(self, monkeypatch):
         def refuse(x):
@@ -613,12 +626,15 @@ def sinc_parseval(tau):
 
 def interior_by_adaptive_rule(f, a, p):
     """Oracle for the interior rule: ||f - f_tau||_{L^p[-tau,tau]} by
-    adaptive quadrature with f_tau from evaluate on every node."""
+    adaptive quadrature with f_tau from evaluate on every node, on the
+    rule's own first level of equal panels."""
     def diff(x):
         return np.asarray(f.eval_real(x)) - np.asarray(a.evaluate(x))
 
+    # the fewest panels no wider than this are the rule's first level
+    width = 2.0 * a.tau / (_first_level(a.sigma, a.tau, "") - 0.5)
     return lp_norm_interval(diff, p, -a.tau, a.tau, QUAD,
-                            max_panel_width=analysis._osc_width(f.sigma))
+                            max_panel_width=width)
 
 
 class TestInteriorRule:
@@ -661,8 +677,9 @@ class TestInteriorRule:
         base = make_sinc(1.0)
         tau = 40.0
         a = fourier_coefficients(base, tau, QUAD)
-        # first pass: 80 panels, and the level of 160 it is compared with
-        fine_level = 2 * 80 * quadrature.ORDER
+        # first level: 54 panels, the 5-smooth count above 160 / pi, and
+        # the level of 108 it is compared with
+        fine_level = 2 * 54 * quadrature.ORDER
         monkeypatch.setattr(quadrature, "MAX_NODES", fine_level - 1)
 
         def refuse(x):
@@ -672,11 +689,12 @@ class TestInteriorRule:
                          eval_complex=None, decay=base.decay,
                          p_membership=base.p_membership)
         with pytest.raises(ValueError, match="above the limit"):
+            convergence_study(f, 2.0, [tau], QUAD)
+        with pytest.raises(ValueError, match="above the limit"):
             analysis._interior_lp(f.eval_real, f.decay.C, a, 2.0, QUAD)
         monkeypatch.setattr(quadrature, "MAX_NODES", fine_level)
-        est, _ = analysis._interior_lp(base.eval_real, base.decay.C, a, 2.0,
-                                       QUAD)
-        assert est.value == pytest.approx(
+        (rec,) = convergence_study(base, 2.0, [tau], QUAD)
+        assert rec.interior_error.value == pytest.approx(
             interior_by_adaptive_rule(base, a, 2.0).value, rel=1e-12)
 
     # frac(tau / pi) near 0.05, 0.5 and 0.95, around tau 80 and 1280
@@ -688,6 +706,51 @@ class TestInteriorRule:
         tol = (rec.interior_error.error_bound
                + 16.0 * np.finfo(float).eps * fnorm)
         assert abs(rec.interior_error.value - interior) <= tol
+
+
+class TestSharedLadder:
+    """One 5-smooth panel ladder per tau: the interior rule takes the
+    coefficient ladder's levels and its samples of f."""
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("fn_id", [
+        "sinc:sigma=1", "fejer_square:sigma=2",
+        "mollify:base=sinc,sigma=1,rho=0.1",
+        "mollify:base=expi,omega=1,rho=0.5"])
+    def test_f_sampled_once_per_node(self, fn_id, p):
+        base = from_id(fn_id)
+        calls = []
+
+        def eval_real(x):
+            calls.append(np.size(x))
+            return base.eval_real(x)
+
+        taus = [10.0, 40.1, 80.2, 160.3, 320.4]
+        convergence_study(dataclasses.replace(base, eval_real=eval_real), p,
+                          taus, QUAD)
+        # levels P0 and 2 P0 only: the coefficients return at their first
+        # doubling, and the interior rule samples nothing more
+        levels = [_first_level(base.sigma, tau, "") for tau in taus]
+        assert calls == [n * P * quadrature.ORDER
+                         for P in levels for n in (1, 2)]
+
+    def test_every_fft_length_is_five_smooth(self, monkeypatch):
+        lengths = []
+        for name in ("fft", "ifft"):
+            def spy(a, *args, _fft=getattr(np.fft, name), axis=-1,
+                    **kwargs):
+                lengths.append(np.shape(a)[axis])
+                return _fft(a, *args, axis=axis, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+        taus = [40.1, 80.2, 160.3, 320.4]
+        convergence_study(make_sinc(1.0), 2.0, taus, QUAD)
+        check_poly_nikolskii(exp_coefficients(40.1), 2.0, QUAD)
+        assert set(lengths) == {54, 108, 216, 432, 864}
+        for tau in (1280.3, 5120.3, 20480.3):
+            lengths.clear()
+            fourier_coefficients(make_sinc(1.0), tau, QUAD)
+            assert len(lengths) == 2
+            assert all(_five_smooth(n) == n for n in lengths)
 
 
 def dense_max(F, tau):

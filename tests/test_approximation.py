@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bandlim import quadrature
 from bandlim.approximation import (MAX_LEWITAN_K, TrigApproximant,
-                                   _trig_sums, evaluate_convolution,
+                                   _first_level, _five_smooth, _trig_sums,
+                                   evaluate_convolution,
                                    fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
@@ -100,7 +102,8 @@ class TestFourierCoefficients:
         assert max(largest) <= MAX_NODES
 
     @pytest.mark.parametrize("max_depth, cause", [
-        (40, "the next level needs 4915200 nodes, above the limit of "
+        # levels of 15 * 2^j panels: 245760 is the last that fits
+        (40, "the next level needs 7372800 nodes, above the limit of "
              "4194304$"),
         (3, "all max_depth=3 doublings are used up$")],
         ids=["node-limit", "max-depth"])
@@ -112,6 +115,36 @@ class TestFourierCoefficients:
                          p_membership=base.p_membership)
         with pytest.raises(QuadratureNonConvergence, match=cause):
             fourier_coefficients(f, 10.0, QuadratureSpec(max_depth=max_depth))
+
+
+def is_five_smooth(n):
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
+class TestFirstLevel:
+    def test_five_smooth_is_the_next_one(self):
+        smooth = [n for n in range(1, 3001) if is_five_smooth(n)]
+        for n in range(1, 2701):
+            assert _five_smooth(n) == next(m for m in smooth if m >= n)
+
+    def test_benchmark_ladder(self):
+        # panels at most pi / 2 wide, 5-smooth, and more than 2N
+        taus = [40.1, 80.2, 160.3, 320.4]
+        levels = [_first_level(1.0, tau, "") for tau in taus]
+        assert levels == [54, 108, 216, 432]
+        for tau, P in zip(taus, levels):
+            assert 2.0 * tau / P <= math.pi / 2.0
+            assert P > 2 * math.floor(tau / math.pi)
+
+    @pytest.mark.parametrize("sigma, tau", [(1.0, 1e300), (math.inf, 1.0),
+                                            (math.nan, 1.0)])
+    def test_node_limit_checked_first(self, sigma, tau):
+        with pytest.raises(ValueError, match="the test needs .* above the "
+                                             "limit"):
+            _first_level(sigma, tau, "the test needs")
 
 
 def reference_sum(a: TrigApproximant, x):
@@ -253,6 +286,40 @@ class TestTrigSums:
         rows = np.array([[2.0 - 1.0j], [0.5j], [0.0]])
         got = _trig_sums(rows, np.ones((3, 4)))
         assert np.array_equal(got, np.repeat(rows, 4, axis=1))
+
+    # N = 100 takes B = A = 10, so a chunk of m angles of 3 rows holds
+    # 3 m 6A values in its temporaries: 10 angles at 1800 values, 16 at 3000
+    # (with a last chunk of 8)
+    @pytest.mark.parametrize("limit", [1800, 3000])
+    def test_angle_chunks_stay_within_node_limit(self, limit, monkeypatch):
+        rng = np.random.default_rng(7)
+        rows = rng.normal(size=(3, 201)) + 1j * rng.normal(size=(3, 201))
+        theta = rng.uniform(-3.0, 3.0, (3, 1000))
+        a = TrigApproximant(tau=2.0, sigma=math.pi * 50.0, N=100,
+                            coefficients=rows[0], coeff_error=0.0)
+        whole = _trig_sums(rows, theta)
+        one_row = np.asarray(a.evaluate(theta[0]))
+
+        shapes = []
+        exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            out = exp(x, *args, **kwargs)
+            shapes.append(np.shape(out))
+            return out
+
+        monkeypatch.setattr(quadrature, "MAX_NODES", limit)
+        monkeypatch.setattr(np, "exp", spy)
+        chunked = _trig_sums(rows, theta)
+        chunked_row = np.asarray(a.evaluate(theta[0]))
+        monkeypatch.undo()
+        # two exponential tables per chunk, for 3 rows and then for 1
+        assert len(shapes) == 2 * (math.ceil(1000 / (limit // 180))
+                                   + math.ceil(1000 / (limit // 60)))
+        for R, m, _ in shapes:
+            assert R * m * 6 * 10 <= limit
+        assert np.array_equal(chunked, whole)
+        assert np.array_equal(chunked_row, one_row)
 
 
 class TestTruncated:

@@ -71,12 +71,12 @@ class TestPanelNodes:
             self.assert_panel_nodes(x, tau)
 
     def test_interior_levels(self):
+        # at p = 2 the interior rule samples nothing: its two levels are
+        # the last two of the coefficient ladder
         tau = 80.3
-        a = fourier_coefficients(make_sinc(1.0), tau)
         calls = []
-        f = self.recording_sinc(calls)
-        analysis._interior_lp(f.eval_real, f.decay.C, a, 2.0, QuadratureSpec())
-        fine, coarse = calls[:2]
+        analysis.convergence_study(self.recording_sinc(calls), 2.0, [tau])
+        coarse, fine = calls
         assert fine.size == 2 * coarse.size
         self.assert_panel_nodes(fine, tau)
         self.assert_panel_nodes(coarse, tau)
@@ -260,10 +260,8 @@ def fourier_site(gate, monkeypatch):
 
 
 def interior_site(gate, monkeypatch):
-    f = make_sinc(1.0)
-    a = fourier_coefficients(f, 10.0)
-    return lambda: analysis._interior_lp(gate(f.eval_real), f.decay.C, a,
-                                         2.0, QuadratureSpec())
+    f = sinc_through(gate)
+    return lambda: analysis.convergence_study(f, 2.0, [10.0])
 
 
 def sup_line_site(gate, monkeypatch):
@@ -295,14 +293,16 @@ def exp_site(gate, monkeypatch):
 
 
 # (largest node count, site).  The sinc approximant at tau = 10 (N = 3) has
-# 20 first-level panels, whose level of 40 panels takes 600 nodes in both
-# fourier_coefficients and the interior rule; the squared-Fejer sup takes
-# 1999 panels of 15 nodes; the lemma2 cell takes ceil(1000 / 15) = 67 panels;
-# the sinc L^2 sampling sum 2M + 1 = 6369 nodes; the sup grid ceil(98.5) + 1
-# points; e^(ix) at tau = 100 (N = 31) 63 coefficients.
+# 15 first-level panels, the 5-smooth count above 40 / pi, whose level of
+# 30 panels takes 450 nodes in fourier_coefficients and in the convergence
+# study, which takes the interior rule's levels from it; the squared-Fejer
+# sup takes 1999 panels of 15 nodes; the lemma2 cell takes
+# ceil(1000 / 15) = 67 panels; the sinc L^2 sampling sum 2M + 1 = 6369
+# nodes; the sup grid ceil(98.5) + 1 points; e^(ix) at tau = 100 (N = 31)
+# 63 coefficients.
 NODE_LIMIT_SITES = [
-    (600, fourier_site),
-    (600, interior_site),
+    (450, fourier_site),
+    (450, interior_site),
     (1999 * 15, sup_line_site),
     (67 * 15, scan_site),
     (6369, line_sum_site),
