@@ -14,7 +14,8 @@ ARGV_FILE holds one argv per line in shell syntax; blank lines and lines
 starting with ``#`` are skipped.  Without it the default list is used:
 every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``), the
 ``lemma2``, ``converge``, ``coeffs``, ``lewitan``, ``counterexample`` and
-``inequalities`` cases, the rejected inputs and the size rejections below.
+``inequalities`` cases, the rejected inputs, the quadrature flags on
+subcommands that do not take them, and the size rejections below.
 """
 
 from __future__ import annotations
@@ -64,13 +65,15 @@ COEFFS_CASES = [
     ["coeffs", "--fn", "mollify:base=sinc,sigma=1,rho=0.1", "--tau", "40"],
 ]
 
-# lewitan, which the benchmark does not run: the automatic cutoff and the
-# classical weight.
+# lewitan, which the benchmark does not run: the automatic cutoff, the
+# classical weight, and a cutoff whose 2K + 1 terms take several chunks.
 LEWITAN_CASES = [
     ["lewitan", "--fn", "sinc:sigma=1", "--tau", "20", "--x", "0,0.37",
      "--K", "0"],
     ["lewitan", "--fn", "fejer_square:sigma=2", "--tau", "5", "--x=-pi,1",
      "--normalization", "classical"],
+    ["lewitan", "--fn", "sinc:sigma=1", "--tau", "1", "--x", "0.3",
+     "--K", "3000000"],
 ]
 
 # counterexample beyond the benchmark's consecutive m: an unsorted list whose
@@ -93,6 +96,16 @@ REJECTED_CASES = [
     ["converge", "--fn", "sinc:sigma=1", "--tau", "10,10"],
     ["coeffs", "--fn", "sinc:sigma=1", "--tau", "3",
      "--output", "no-such-dir/out.csv"],
+]
+
+# A quadrature flag on a subcommand that runs no quadrature (or, for coeffs,
+# does not read it).  Each exits 2 with argparse's usage and error lines.
+QUAD_FLAG_CASES = [
+    ["lemma2", "--abs-tol", "1e-12"],
+    ["counterexample", "--m", "1", "--max-depth", "5"],
+    ["lewitan", "--fn", "sinc:sigma=1", "--tau", "20", "--x", "0",
+     "--rel-tol", "1e-3"],
+    ["coeffs", "--fn", "sinc:sigma=1", "--tau", "10", "--rel-tol", "1e-3"],
 ]
 
 # Each exits 1 with one line on stderr: a size check refuses it before any
@@ -118,7 +131,8 @@ def default_argvs() -> list[list[str]]:
                   for a in argv_for(w, seed)] + LEMMA2_CASES
                  + CONVERGE_CASES + COEFFS_CASES + LEWITAN_CASES
                  + COUNTEREXAMPLE_CASES
-                 + INEQUALITIES_CASES + REJECTED_CASES + SIZE_CASES):
+                 + INEQUALITIES_CASES + REJECTED_CASES + QUAD_FLAG_CASES
+                 + SIZE_CASES):
         if argv not in out:
             out.append(argv)
     return out

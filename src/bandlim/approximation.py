@@ -17,9 +17,13 @@ from .quadrature import (ORDER, QuadratureNonConvergence, QuadratureSpec,
                          _check_nodes, _nodes, _panel_nodes, integrate)
 
 _LEWITAN_TAIL_TARGET = 1e-8
-# Largest Lewitan cutoff K, given or automatic: the sum takes 2K + 1 terms
-# and holds a few float64 arrays of that length (about 1 GB at the limit).
+# Largest Lewitan cutoff K, given or automatic.  The sum takes its 2K + 1
+# terms in chunks within the node limit, so K bounds the run time only.
 MAX_LEWITAN_K = 10 ** 7
+# Values a chunk of the Lewitan sum holds per term, counted generously: the
+# offsets, the arguments and temporaries of the weight, the abscissae, the
+# samples with those of a catalog eval_real, and the products.
+_LEWITAN_VALUES_PER_TERM = 16
 
 
 @dataclass(frozen=True)
@@ -302,7 +306,10 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
     In 'verbatim' mode the weight is sin^2(u)/u^2; 'classical' uses the
     partition-of-unity weight sin^2(pi u)/(pi u)^2.  ``K = 0`` picks the
     cutoff from the decay envelope so the returned tail bound is below
-    1e-8.  K is at most ``MAX_LEWITAN_K``.  Returns ``(value, tail_bound)``.
+    1e-8.  K is at most ``MAX_LEWITAN_K``, and a K <= |x| / tau + 1 is
+    raised to ceil(|x| / tau) + 2.  The terms are summed in chunks of
+    ``quadrature.MAX_NODES`` // ``_LEWITAN_VALUES_PER_TERM``, and then the
+    chunk sums.  Returns ``(value, tail_bound)``.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -322,11 +329,14 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
     if K <= beta + 1:
         K = math.ceil(beta) + 2
 
-    k = np.arange(-K, K + 1)
-    u = x / tau + k
-    weights = sinc_ratio(scale * u) ** 2
-    samples = np.asarray(f.eval_real(x + k * tau))
-    value = np.sum(samples * weights)
+    step = max(1, quadrature.MAX_NODES // _LEWITAN_VALUES_PER_TERM)
+    partials = []
+    for lo in range(-K, K + 1, step):
+        k = np.arange(lo, min(lo + step, K + 1))
+        weights = sinc_ratio(scale * (x / tau + k)) ** 2
+        samples = np.asarray(f.eval_real(x + k * tau))
+        partials.append(np.sum(samples * weights))
+    value = np.sum(partials)
     tail = _tail_bound(env, tau_alpha, beta, scale, K)
     if np.iscomplexobj(value):
         return complex(value), tail
@@ -353,12 +363,9 @@ def _tail_bound(env, tau_alpha: float, beta: float, scale: float,
     """Bound on the discarded |k| > K terms via the decay envelope and the
     1/u^2 weight decay; requires K > beta.  ``tau_alpha`` is
     tau ** env.alpha."""
-    gap = K - beta
-    if gap <= 0:
-        return math.inf
     return (2.0 * env.C
             / (scale ** 2 * tau_alpha * (env.alpha + 1.0)
-               * gap ** (env.alpha + 1.0)))
+               * (K - beta) ** (env.alpha + 1.0)))
 
 
 def _auto_cutoff(env, tau_alpha: float, beta: float, scale: float) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import ast
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -274,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="catalog id, e.g. sinc:sigma=1")
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--tau", required=True, help="comma-separated tau ladder")
+    _add_quad_flags(sp)
     sp.set_defaults(check=_check_converge, execute=_run_converge)
 
     sp = sub.add_parser("lemma2", help="kernel-gap bound scan")
@@ -288,11 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(check=_check_counterexample, execute=_run_counterexample)
 
     sp = sub.add_parser("inequalities", help="inequality checker matrix")
+    _add_quad_flags(sp)
     sp.set_defaults(check=lambda ns: None, execute=_run_inequalities)
 
     sp = sub.add_parser("coeffs", help="Fourier coefficients of f_tau")
     sp.add_argument("--fn", dest="function_id", metavar="FN", required=True)
     sp.add_argument("--tau", required=True)
+    # The coefficient ladder reads abs_tol and max_depth only.
+    _add_quad_flags(sp, rel_tol=False)
     sp.set_defaults(check=_check_tau, execute=_run_coeffs)
 
     sp = sub.add_parser("lewitan", help="Lewitan periodization values")
@@ -308,20 +313,29 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", dest="output_path", default=None,
                         help="output file path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--abs-tol", type=float, default=1e-10)
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
-        sp.add_argument("--max-depth", type=int, default=40)
     return parser
+
+
+def _add_quad_flags(sp, rel_tol: bool = True) -> None:
+    """The QuadratureSpec flags of a subcommand that runs a quadrature;
+    each dest is the name of a QuadratureSpec field."""
+    sp.add_argument("--abs-tol", type=float, default=1e-10)
+    if rel_tol:
+        sp.add_argument("--rel-tol", type=float, default=1e-10)
+    sp.add_argument("--max-depth", type=int, default=40)
 
 
 def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parsed and validated flags; raises UsageError on bad input."""
     ns = build_parser().parse_args(argv)
-    try:
-        ns.quad = QuadratureSpec(abs_tol=ns.abs_tol, rel_tol=ns.rel_tol,
-                                 max_depth=ns.max_depth)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    given = {field.name: getattr(ns, field.name)
+             for field in dataclasses.fields(QuadratureSpec)
+             if hasattr(ns, field.name)}
+    if given:
+        try:
+            ns.quad = QuadratureSpec(**given)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     ns.check(ns)
     if getattr(ns, "function_id", None) is not None:
         try:
@@ -339,9 +353,9 @@ def _write_csv(out, columns, rows):
 
 
 def _json_document(ns: argparse.Namespace, columns, rows) -> dict:
-    params = {"quad": {"abs_tol": ns.quad.abs_tol,
-                       "rel_tol": ns.quad.rel_tol,
-                       "max_depth": ns.quad.max_depth}}
+    params = {}
+    if hasattr(ns, "quad"):
+        params["quad"] = dataclasses.asdict(ns.quad)
     for key, attr in (("fn", "function_id"), ("tau", "tau_list"),
                       ("m", "m_list")):
         if getattr(ns, attr, None):

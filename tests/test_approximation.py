@@ -1,17 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bandlim import quadrature
-from bandlim.approximation import (MAX_LEWITAN_K, TrigApproximant,
-                                   _first_level, _five_smooth, _trig_sums,
+from bandlim.approximation import (_LEWITAN_VALUES_PER_TERM, MAX_LEWITAN_K,
+                                   TrigApproximant, _first_level,
+                                   _five_smooth, _trig_sums,
                                    evaluate_convolution,
                                    fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
                                make_complex_exponential, make_fejer_square,
-                               make_sinc)
+                               make_sinc, sinc_ratio)
 from bandlim.quadrature import (MAX_NODES, QuadratureNonConvergence,
                                 QuadratureSpec, _nodes)
 
@@ -439,6 +441,30 @@ class TestLewitan:
     def test_rejects_abscissa_beyond_cutoff_limit(self, tau, x):
         with pytest.raises(ValueError, match=r"\|x\| / tau"):
             lewitan(make_sinc(1.0), tau, x, 5)
+
+    def test_terms_summed_in_chunks_within_the_node_limit(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_NODES",
+                            10 * _LEWITAN_VALUES_PER_TERM)
+        f = make_sinc(1.0)
+        sizes = []
+
+        def eval_real(x):
+            sizes.append(np.size(x))
+            return f.eval_real(x)
+
+        tau, x, K = 1.0, 0.3, 104
+        value, tail = lewitan(dataclasses.replace(f, eval_real=eval_real),
+                              tau, x, K)
+        # 209 terms: 20 chunks of 10 and one of 9
+        assert max(sizes) == 10 and sum(sizes) == 2 * K + 1
+        k = np.arange(-K, K + 1)
+        terms = f.eval_real(x + k * tau) * sinc_ratio(x / tau + k) ** 2
+        # Any order of summation whose tree puts each term under at most d
+        # additions errs by at most d u sum |t| + O(u^2), u = eps / 2; here
+        # d <= 9 + 20 inside and across chunks, and 2d u absorbs the O(u^2).
+        depth = 9 + 20
+        bound = depth * np.finfo(float).eps * math.fsum(np.abs(terms))
+        assert abs(value - math.fsum(terms)) <= bound
 
 
 class TestJsonRoundTrip:

@@ -85,6 +85,18 @@ class TestParsing:
         assert status == 2
         assert err.startswith(f"bandlim: {flag}: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["converge", "--fn", "sinc:sigma=1", "--tau=-5,1"],
+         "--tau values must be positive"),
+        (["converge", "--fn", "sinc:sigma=1", "--tau", "5",
+          "--abs-tol", "1e-15"], "tolerances below 1e-14 are not supported"),
+        (["inequalities", "--rel-tol", "nan"], "tolerances must be finite"),
+        (["coeffs", "--fn", "sinc:sigma=1", "--tau", "3", "--max-depth", "0"],
+         "max_depth must lie in [1, 60]"),
+    ])
+    def test_usage_error_message(self, argv, message, capsys):
+        assert run_capture(argv, capsys) == (2, "", f"bandlim: {message}\n")
+
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
@@ -157,6 +169,13 @@ class TestCoeffs:
                                        capsys)
         assert status == 2
         assert "--fn:" in err
+
+    def test_integer_intent_of_sigma_tau_over_pi(self, capsys):
+        # sigma tau / pi rounds to 10.999999999999998: N = 11, 23 rows
+        status, out, err = run_capture(
+            ["coeffs", "--fn", "sinc:sigma=1", "--tau", "11*pi"], capsys)
+        assert status == 0
+        assert len(out.strip().split("\n")) == 1 + 23
 
     def test_size_limit_checked_before_allocating(self, capsys):
         status, out, err = run_capture(
@@ -239,6 +258,10 @@ class TestLemma2:
         # 4194301 rounds up to 279621 panels of 15 nodes, 4194315 nodes
         (["--n-points", "4194301"], 2, "bandlim: --n-points: must lie in "
          "[1000, 4194300]\n"),
+        (["--sigma", "0", "--tau", "1", "--delta", "0"], 2,
+         "bandlim: sigma and tau must be positive\n"),
+        (["--sigma", "1", "--tau", "1", "--delta", "1"], 2,
+         "bandlim: delta must lie in [0, 1)\n"),
     ])
     def test_rejected_input_status_and_message(self, argv, status, message,
                                                capsys):
@@ -250,13 +273,12 @@ class TestJsonParams:
     @pytest.mark.parametrize("argv, keys", [
         (["converge", "--fn", "sinc:sigma=1", "--tau", "5"],
          {"fn", "quad", "tau"}),
-        (["lemma2", "--sigma", "1", "--tau", "5", "--delta", "0"],
-         {"quad", "tau"}),
-        (["lemma2"], {"quad"}),
-        (["counterexample", "--m", "1,2"], {"m", "quad"}),
+        (["lemma2", "--sigma", "1", "--tau", "5", "--delta", "0"], {"tau"}),
+        (["lemma2"], set()),
+        (["counterexample", "--m", "1,2"], {"m"}),
         (["inequalities"], {"quad"}),
         (["lewitan", "--fn", "sinc:sigma=1", "--tau", "20", "--x", "0"],
-         {"fn", "quad", "tau"}),
+         {"fn", "tau"}),
     ])
     def test_document_and_params_keys(self, argv, keys, capsys):
         status, out, err = run_capture(argv + ["--format", "json"], capsys)
@@ -265,6 +287,50 @@ class TestJsonParams:
         jsonschema.validate(doc, load_schema("output.schema.json"))
         assert doc["subcommand"] == argv[0]
         assert set(doc["params"]) == keys
+
+
+# One argv per subcommand, and the QuadratureSpec flags each one takes: only
+# the subcommands that run a quadrature take them.
+QUAD_FLAG_VALUES = {"--abs-tol": ("abs_tol", 1e-8),
+                    "--rel-tol": ("rel_tol", 1e-6),
+                    "--max-depth": ("max_depth", 30)}
+SUBCOMMAND_QUAD_FLAGS = [
+    (["converge", "--fn", "sinc:sigma=1", "--tau", "5"],
+     {"--abs-tol", "--rel-tol", "--max-depth"}),
+    (["lemma2", "--sigma", "1", "--tau", "5", "--delta", "0"], set()),
+    (["counterexample", "--m", "1"], set()),
+    (["inequalities"], {"--abs-tol", "--rel-tol", "--max-depth"}),
+    (["coeffs", "--fn", "sinc:sigma=1", "--tau", "3"],
+     {"--abs-tol", "--max-depth"}),
+    (["lewitan", "--fn", "sinc:sigma=1", "--tau", "20", "--x", "0"], set()),
+]
+
+
+class TestQuadFlags:
+    @pytest.mark.parametrize(
+        "argv, kept", SUBCOMMAND_QUAD_FLAGS,
+        ids=[argv[0] for argv, _ in SUBCOMMAND_QUAD_FLAGS])
+    def test_flag_sets(self, argv, kept, capsys):
+        assert hasattr(cli.parse_args(argv), "quad") == bool(kept)
+        for flag, (field, value) in QUAD_FLAG_VALUES.items():
+            given = argv + [flag, str(value)]
+            if flag in kept:
+                assert getattr(cli.parse_args(given).quad, field) == value
+                continue
+            with pytest.raises(SystemExit) as exc:
+                cli.main(given)
+            err = capsys.readouterr().err
+            assert exc.value.code == 2
+            assert err.startswith("usage: bandlim ")
+            assert err.endswith(f"bandlim: error: unrecognized arguments: "
+                                f"{flag} {value}\n")
+
+    def test_coeffs_abs_tol_reaches_the_rows(self, capsys):
+        status, out, err = run_capture(
+            ["coeffs", "--fn", "sinc:sigma=1", "--tau", "3",
+             "--abs-tol", "1e-8"], capsys)
+        assert status == 0
+        assert [line.split(",")[3] for line in out.split()[1:]] == ["1e-08"]
 
 
 class TestLewitan:
@@ -278,6 +344,13 @@ class TestLewitan:
         for line in lines[1:]:
             cells = line.split(",")
             assert float(cells[3]) <= 1e-8
+
+    def test_cutoff_below_the_abscissa_is_raised(self, capsys):
+        # |x| / tau = 50.3, so K = 3 becomes ceil(50.3) + 2 = 53
+        argv = ["lewitan", "--fn", "sinc:sigma=1", "--tau", "1", "--x", "50.3"]
+        raised = run_capture(argv + ["--K", "3"], capsys)
+        assert raised[0] == 0
+        assert raised == run_capture(argv + ["--K", "53"], capsys)
 
 
 class TestNumericalFailures:

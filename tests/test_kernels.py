@@ -94,6 +94,9 @@ class TestNTerms:
         (math.pi, 5.0, 5),
         (2.0, 80.0, 50),
         (1.0, math.pi / 2 + 2 * math.pi, 2),
+        # sigma tau / pi rounds to 10.999999999999998 and 4.999999999999999
+        (1.0, 11 * math.pi, 11),
+        (0.1, 5 * math.pi / 0.1, 5),
     ])
     def test_values(self, sigma, tau, expected):
         assert n_terms(sigma, tau) == expected
