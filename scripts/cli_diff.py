@@ -15,7 +15,8 @@ starting with ``#`` are skipped.  Without it the default list is used:
 every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``), the
 ``lemma2``, ``converge``, ``coeffs``, ``lewitan``, ``counterexample`` and
 ``inequalities`` cases, the rejected inputs, the quadrature flags on
-subcommands that do not take them, and the size rejections below.
+subcommands that do not take them, flag prefixes, and the size rejections
+below.
 """
 
 from __future__ import annotations
@@ -45,11 +46,20 @@ LEMMA2_CASES = [
     ["lemma2", "--n-points", "999"],
 ]
 
-# converge beyond sinc at p = 2: other functions, p = 1.5 (kink
-# refinement), p = 4, a JSON document, and p = 200, whose powers underflow.
+# converge beyond sinc at p = 2: other functions, p = 1.5 and 3 (split at
+# the zeros of f - f_tau; complex F, which has none), p = 4, a JSON
+# document, and p = 200, whose powers underflow.
 CONVERGE_CASES = [
     ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
      "--tau", "10,20,40,80"],
+    ["converge", "--fn", "sinc:sigma=1", "--p", "1.5",
+     "--tau", "80.3,320.3,1280.3"],
+    ["converge", "--fn", "mollify:base=sinc,sigma=1,rho=0.1", "--p", "1.5",
+     "--tau", "12.3"],
+    ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "1.5",
+     "--tau", "10,40"],
+    ["converge", "--fn", "fejer_square:sigma=2", "--p", "3",
+     "--tau", "10,40"],
     ["converge", "--fn", "mollify:base=sinc,sigma=1,rho=0.1", "--p", "4",
      "--tau", "10,80.3"],
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "2",
@@ -108,6 +118,14 @@ QUAD_FLAG_CASES = [
     ["coeffs", "--fn", "sinc:sigma=1", "--tau", "10", "--rel-tol", "1e-3"],
 ]
 
+# A prefix of a flag, which is not accepted for the flag.  Each exits 2 with
+# argparse's usage and error lines.
+PREFIX_CASES = [
+    ["converge", "--fn", "sinc:sigma=1", "--tau", "40", "--m", "1"],
+    ["lewitan", "--fn", "sinc:sigma=1", "--tau", "20", "--x", "0",
+     "--n", "classical"],
+]
+
 # Each exits 1 with one line on stderr: a size check refuses it before any
 # array of that size is built.
 SIZE_CASES = [
@@ -132,7 +150,7 @@ def default_argvs() -> list[list[str]]:
                  + CONVERGE_CASES + COEFFS_CASES + LEWITAN_CASES
                  + COUNTEREXAMPLE_CASES
                  + INEQUALITIES_CASES + REJECTED_CASES + QUAD_FLAG_CASES
-                 + SIZE_CASES):
+                 + PREFIX_CASES + SIZE_CASES):
         if argv not in out:
             out.append(argv)
     return out

@@ -15,8 +15,9 @@ from .approximation import (TrigApproximant, _coefficient_ladder,
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
-                         _check_nodes, _count_panels, _nodes, _panel_nodes,
-                         _panel_sup, _sampled_sup, integrate)
+                         _bracketed_roots, _check_nodes, _count_panels,
+                         _nodes, _panel_nodes, _panel_sup, _piece_nodes,
+                         _piece_sums, _sampled_sup, integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -95,7 +96,10 @@ def _root_norm(integral: float, err: float, p: float, domain: str,
 def lp_norm_interval(g: Callable, p: float, a: float, b: float,
                      quad: Optional[QuadratureSpec] = None, *,
                      max_panel_width: Optional[float] = None) -> NormEstimate:
-    """(integral_a^b |g|^p dx)^{1/p} by adaptive quadrature."""
+    """(integral_a^b |g|^p dx)^{1/p} by adaptive quadrature.  Its error
+    is :func:`integrate`'s panel differences carried into the p-th root; at
+    a kink of |g|^p (a zero of g, p not an even integer) a panel can pass
+    with a difference below its error, so there it is an estimate."""
     if not 1 <= p < INF:
         raise ValueError("p must satisfy 1 <= p < inf")
     if not a < b:
@@ -384,10 +388,10 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
 def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
                  quad: QuadratureSpec, levels: Optional[tuple] = None
                  ) -> tuple[NormEstimate, SupNormCertificate]:
-    """||g - f_tau||_{L^p[-tau, tau]} by :func:`integrate`, with the first
-    pass taken from f_tau on panel nodes by inverse FFT, and the certified
-    sup of |g - f_tau| on [-tau, tau] from the same values.  ``g`` is
-    ``f.eval_real`` for the truncation error of f (type ``a.sigma``, and
+    """||g - f_tau||_{L^p[-tau, tau]} by a fixed panel rule on F = g - f_tau,
+    with F on panel nodes from f_tau by inverse FFT, and the certified sup
+    of |F| on [-tau, tau] from the same values.  ``g`` is ``f.eval_real``
+    for the truncation error of f (type ``a.sigma``, and
     ``g_sup = f.decay.C`` >= sup |f|), or ``np.zeros_like`` with g_sup = 0
     for f_tau itself.
 
@@ -398,17 +402,32 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     node.  Without it g is sampled on the first level n of
     :func:`_first_level` and its double, which checks their nodes against
     ``quadrature.MAX_NODES`` before any sampling.  n > 2N either way.
+    Each level less f_tau comes from one :meth:`TrigApproximant.on_panels`.
+    :func:`_panel_sup` takes level 2n, with Bernstein's
+    |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
 
-    The coarse Gauss values of the first pass come from level n and its
-    fine ones (two halves per panel) from level 2n, each level less f_tau
-    from one :meth:`TrigApproximant.on_panels`.  integrate then accepts
-    each panel against its usual per-panel tolerance and bisects the rest,
-    sampling f_tau there with :meth:`TrigApproximant.evaluate`.  For even
-    p, |g - f_tau|^p is smooth and every panel passes the first pass; for
-    other p it has kinks where g - f_tau vanishes, and only the few panels
-    holding them are refined.  :func:`_panel_sup` takes level 2n, with
-    Bernstein's |(g - f_tau)^(j)| <= a.sigma^j g_sup
-    + (pi N / tau)^j sum |c_k|.
+    Each panel of level n has a coarse Gauss value from level n and a fine
+    one from its two halves on level 2n.  For even p, |F|^p is smooth and
+    these are the rule.  For other p, |F|^p has a kink at each real zero of
+    F, found by :func:`_real_zeros`.  The level-n panels within a level-2n
+    panel of such a zero merge into stretches, which are cut at the zeros
+    into parts.  Each part is split at its middle into a pair of pieces,
+    each taking the rule of :func:`_piece_nodes` from its outer end (3
+    ORDER nodes: ORDER against two halves of ORDER), with F on every piece
+    from one :meth:`TrigApproximant.evaluate` call.  Complex F, as for
+    ``mollify`` of ``expi``, has no such zeros, and every panel keeps its
+    two levels.
+
+    Each panel or piece is accepted when its coarse and fine values differ
+    by at most max(abs_tol, rel_tol S) times its share of [-tau, tau], S
+    the sum of the level-n values, as in :func:`integrate`.  The fallback:
+    a panel or piece that is not, such as one near a zero of complex F or
+    at a large p, is integrated on its own interval by :func:`integrate`,
+    f_tau taken from ``evaluate``.  The integral is the sum of the fine
+    values and of the fallback integrals, and its error the sum of the
+    differences and of the fallback errors.  That error is an estimate:
+    rounding is left out, and at p not an even integer a zero of F that
+    changes no sign at the level-2n nodes is not split at.
 
     An integral below the smallest normal float while some node value is
     nonzero (|g - f_tau|^p underflows) raises ValueError.
@@ -427,21 +446,94 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
         return hw, diff, hw * (np.abs(diff) ** p @ wq)
 
     hw, diff, halves = level(levels[1])
-    sup_cert = _panel_sup(diff, hw, ((a.sigma, g_sup), (
-        math.pi * a.N / tau, float(np.abs(a.coefficients).sum()))))
-    first_pass = (level(levels[0])[2], halves[0::2] + halves[1::2])
-
-    def integrand(x):
-        return np.abs(np.asarray(g(x)) - np.asarray(a.evaluate(x))) ** p
-
-    integral, err = integrate(integrand, -tau, tau, quad,
-                              first_pass=first_pass)
-    integral = float(integral)
+    coeff_sum = float(np.abs(a.coefficients).sum())
+    sup_cert = _panel_sup(diff, hw, ((a.sigma, g_sup),
+                                     (math.pi * a.N / tau, coeff_sum)))
+    coarse = level(levels[0])[2]
+    fine = halves[0::2] + halves[1::2]
+    scale = float(np.abs(coarse).sum())
+    edges = np.linspace(-tau, tau, len(coarse) + 1)
+    lefts, rights = edges[:-1], edges[1:]
+    power = _gap_power(g, a, p)
+    if p % 2:
+        held, roots = _real_zeros(diff, tau, 32.0 * math.ulp(1.0)
+                                  * (g_sup + coeff_sum))
+        if roots.size:
+            ends, half = _pieces(edges, held, roots)
+            _check_nodes(3 * ORDER * len(ends), f"the interior L^{p:g} "
+                         f"pieces at tau={tau:g} need")
+            x = _piece_nodes(ends, half)
+            pc, pf = _piece_sums(power(x.ravel()).reshape(x.shape), half)
+            keep = ~held
+            coarse = np.concatenate([coarse[keep], pc])
+            fine = np.concatenate([fine[keep], pf])
+            lefts = np.concatenate([lefts[keep],
+                                    np.minimum(ends, ends + half)])
+            rights = np.concatenate([rights[keep],
+                                     np.maximum(ends, ends + half)])
+    diff = np.abs(coarse - fine)
+    tol = max(quad.abs_tol, quad.rel_tol * scale) * (rights - lefts) \
+        / (2.0 * tau)
+    ok = diff <= tol
+    integral = float(fine[ok].sum())
+    err = float(diff[ok].sum())
+    for lo, hi in zip(lefts[~ok], rights[~ok]):
+        value, value_err = integrate(power, lo, hi, quad)
+        integral += float(value)
+        err += float(value_err)
     if integral < sys.float_info.min and sup_cert.grid_max > 0:
         raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
                          f"underflows")
-    return (_root_norm(integral, float(err), p, f"[{-tau:g},{tau:g}]"),
-            sup_cert)
+    return (_root_norm(integral, err, p, f"[{-tau:g},{tau:g}]"), sup_cert)
+
+
+def _gap_power(g: Callable, a: TrigApproximant, p: float) -> Callable:
+    """x -> |g(x) - f_tau(x)|^p, f_tau from
+    :meth:`TrigApproximant.evaluate`."""
+    return lambda x: np.abs(np.asarray(g(x)) - np.asarray(a.evaluate(x))) ** p
+
+
+def _real_zeros(diff, tau: float, delta: float):
+    """(held, zeros): the real zeros of F, sorted, from its (2n, ORDER)
+    values ``diff`` at the :func:`_panel_nodes` of 2n panels on
+    [-tau, tau], and the mask of the n level-n panels that overlap the
+    level-2n panel of a zero or either neighbour of it.  A zero just outside
+    a panel slows its Gauss rule too, hence the neighbours.
+
+    A zero is taken at each sign change of Re F between consecutive nodes
+    where |Im F| is at most ``delta`` at both nodes and |Re F| is above it
+    at one, and located by :func:`_bracketed_roots`.  ``delta`` bounds the
+    rounding of F: f_tau from the inverse FFT rounds to about
+    eps sum |c_k| (at most 0.8 eps sum |c_k| of imaginary part for the real
+    catalog functions up to tau 5120.3), g to eps g_sup."""
+    re, im = diff.real.ravel(), np.abs(diff.imag.ravel())
+    brackets = np.flatnonzero(
+        (np.signbit(re[:-1]) != np.signbit(re[1:]))
+        & (np.maximum(np.abs(re[:-1]), np.abs(re[1:])) > delta)
+        & (np.maximum(im[:-1], im[1:]) <= delta))
+    near = (brackets[:, None] + [0, 1]) // ORDER  # level-2n panels
+    near = np.concatenate([near - 1, near + 1]) // 2
+    held = np.zeros(len(diff) // 2, dtype=bool)
+    held[np.clip(near, 0, len(held) - 1)] = True
+    return held, _bracketed_roots(diff.real, tau, brackets)
+
+
+def _pieces(edges, held, roots):
+    """(ends, lengths) of the pieces of :func:`_piece_nodes`: the runs of
+    consecutive panels [edges[j], edges[j + 1]] with ``held[j]`` are cut at
+    the sorted ``roots`` (all of which lie in such runs), and each part
+    [l, r] of nonzero length at its middle m, into the pieces from l to m
+    and from r back to m."""
+    change = np.diff(np.concatenate([[0], held.astype(np.int8), [0]]))
+    starts, stops = np.flatnonzero(change == 1), np.flatnonzero(change == -1)
+    points = np.concatenate([edges[starts], roots, edges[stops]])
+    kinds = np.repeat([0, 1, 2], [len(starts), len(roots), len(stops)])
+    order = np.lexsort((kinds, points))
+    points, kinds = points[order], kinds[order]
+    part = (kinds[:-1] != 2) & (points[1:] > points[:-1])
+    lefts, rights = points[:-1][part], points[1:][part]
+    half = 0.5 * (rights - lefts)
+    return np.concatenate([lefts, rights]), np.concatenate([half, -half])
 
 
 def _exp_n_terms(sigma: float, tau: float) -> int:

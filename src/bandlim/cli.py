@@ -263,14 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     """One subparser per subcommand; each carries its validator ``check``
     and its runner ``execute``, which returns (columns, rows, document),
     with document None for the standard JSON form.  Built once per
-    process; parsing leaves the parser unchanged."""
+    process; parsing leaves the parser unchanged.  Flags are matched only
+    as spelled in full (``allow_abbrev=False``)."""
     parser = argparse.ArgumentParser(
-        prog="bandlim",
+        prog="bandlim", allow_abbrev=False,
         description="Trigonometric-sum approximation experiments for "
                     "bandlimited functions")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("converge", help="truncation-error decay study")
+    sp = add_parser("converge", help="truncation-error decay study")
     sp.add_argument("--fn", dest="function_id", metavar="FN", required=True,
                     help="catalog id, e.g. sinc:sigma=1")
     sp.add_argument("--p", type=float, default=2.0)
@@ -278,29 +280,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quad_flags(sp)
     sp.set_defaults(check=_check_converge, execute=_run_converge)
 
-    sp = sub.add_parser("lemma2", help="kernel-gap bound scan")
+    sp = add_parser("lemma2", help="kernel-gap bound scan")
     sp.add_argument("--sigma", default=None)
     sp.add_argument("--tau", default=None)
     sp.add_argument("--delta", default=None)
     sp.add_argument("--n-points", type=int, default=1000)
     sp.set_defaults(check=_check_lemma2, execute=_run_lemma2)
 
-    sp = sub.add_parser("counterexample", help="p = inf counterexample run")
+    sp = add_parser("counterexample", help="p = inf counterexample run")
     sp.add_argument("--m", required=True, help="e.g. 1..5 or 1,3,7")
     sp.set_defaults(check=_check_counterexample, execute=_run_counterexample)
 
-    sp = sub.add_parser("inequalities", help="inequality checker matrix")
+    sp = add_parser("inequalities", help="inequality checker matrix")
     _add_quad_flags(sp)
     sp.set_defaults(check=lambda ns: None, execute=_run_inequalities)
 
-    sp = sub.add_parser("coeffs", help="Fourier coefficients of f_tau")
+    sp = add_parser("coeffs", help="Fourier coefficients of f_tau")
     sp.add_argument("--fn", dest="function_id", metavar="FN", required=True)
     sp.add_argument("--tau", required=True)
     # The coefficient ladder reads abs_tol and max_depth only.
     _add_quad_flags(sp, rel_tol=False)
     sp.set_defaults(check=_check_tau, execute=_run_coeffs)
 
-    sp = sub.add_parser("lewitan", help="Lewitan periodization values")
+    sp = add_parser("lewitan", help="Lewitan periodization values")
     sp.add_argument("--fn", dest="function_id", metavar="FN", required=True)
     sp.add_argument("--tau", required=True)
     sp.add_argument("--x", required=True, help="comma-separated abscissae")

@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Legendre quadrature and the certified panel sup rule.
+"""Adaptive Gauss-Legendre quadrature, the certified panel sup rule, and
+the piece rule for integrands with kinks at known points.
 
 The engine integrates scalar real or complex integrands over a finite
 interval.  Each panel is estimated twice (one Gauss rule over the
@@ -104,6 +105,14 @@ class SupNormCertificate:
 
 
 @lru_cache(maxsize=None)
+def _barycentric_weights(order: int):
+    """lambda_q = 1 / prod_{j != q} (x_q - x_j) at the Q = ``order``
+    Gauss-Legendre nodes."""
+    x, _ = _nodes(order)
+    return 1.0 / np.prod(x[:, None] - x + np.eye(order), axis=1)
+
+
+@lru_cache(maxsize=None)
 def _cheb_maps(order: int):
     """(A, B, factor, Lambda_Q) of :func:`_panel_sup` for Q = ``order``."""
     x, _ = _nodes(order)
@@ -116,8 +125,8 @@ def _cheb_maps(order: int):
     kappa = 2 * R + (1.0 + 2.0 * math.log(R) / math.pi) * (
         2.0 * math.sqrt(2.0) * np.abs(A).sum(axis=1).max() + 1.0)
     n = 16 * order * order  # cells; the Lebesgue function at their midpoints
-    bary = 1.0 / np.prod(x[:, None] - x + np.eye(order), axis=1)
-    terms = bary / (((2.0 * np.arange(n) + 1.0) / n - 1.0)[:, None] - x)
+    terms = _barycentric_weights(order) / (
+        ((2.0 * np.arange(n) + 1.0) / n - 1.0)[:, None] - x)
     on_grid = (np.abs(terms).sum(axis=1) / np.abs(terms.sum(axis=1))).max()
     return (A, B, 1.0 + 4.0 * order * math.ulp(1.0) * (1.0 + kappa),
             float(on_grid) / (1.0 - (order - 1) ** 2 / n))
@@ -178,33 +187,116 @@ def _sampled_sup(F, X: float, panels: int, derivs):
             float(x.flat[np.argmax(np.abs(values))]))
 
 
+def _bracketed_roots(values, X: float, brackets):
+    """One root of F in each bracket, as a sorted array.
+
+    ``values`` is the real (P, Q) array of F at the :func:`_panel_nodes` of
+    P equal panels on [-X, X].  ``brackets`` holds the sorted flat indices m
+    into it at which F changes sign between node m and the next node along
+    the line, the first node of the next panel when m ends a panel.  In the
+    reference coordinate t of panel j = m // Q the bracket is
+    [x_q, x_{q+1}], or [x_{Q-1}, 2 + x_0] across the panel's right edge,
+    where the panel's interpolant p is extrapolated by 0.6% of its width.
+    p and p' come from the barycentric formula, p = sum r_q v_q / sum r_q
+    and p' = sum r_q (p - v_q) / (t - x_q) / sum r_q with
+    r_q = lambda_q / (t - x_q) (Berrut and Trefethen, SIAM Review, 2004).
+    The root is found by Newton's method from the secant of the bracket,
+    inside a bisection bracket: each step moves one end of the bracket to
+    the last iterate, by the sign of p there, and takes the midpoint for a
+    Newton step that leaves the bracket.  It stops once no iterate would
+    move by more than 2^-40 (Newton's steps shrink quadratically, so the
+    last one is far below rounding), or after 64 steps, which bisection
+    alone would leave at most 2^-63 wide.
+    """
+    P, Q = values.shape
+    xq = _nodes(Q)[0]
+    lam = _barycentric_weights(Q)
+    panel, q = np.divmod(brackets, Q)
+    v = values[panel]
+    lo = xq[q]
+    hi = np.append(xq[1:], 2.0 + xq[0])[q]
+    flat = values.ravel()
+    left = np.signbit(flat[brackets])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = lo + (hi - lo) * flat[brackets] / (flat[brackets]
+                                               - flat[brackets + 1])
+        for _ in range(64):
+            t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
+            d = t[:, None] - xq
+            r = lam / d
+            den = r.sum(axis=1)
+            p = (r * v).sum(axis=1) / den
+            right = np.signbit(p) == left  # the root lies right of t
+            lo = np.where(right, t, lo)
+            hi = np.where(right, hi, t)
+            step = p * den / (r * (p[:, None] - v) / d).sum(axis=1)
+            if not np.any(np.abs(step) > 2.0 ** -40):
+                break
+            t = t - step
+    t = np.clip(t, lo, hi)
+    hw = X / P
+    return -X + hw * (2.0 * panel + 1.0) + hw * t
+
+
+@lru_cache(maxsize=None)
+def _piece_rule(order: int):
+    """(u, wc, wf) of :func:`_piece_nodes` and :func:`_piece_sums` for
+    Q = ``order``: u holds t^3 at the 3Q points t of the Gauss rule of
+    [0, 1] and of its two halves, wc the Jacobians 3 t^2 times the weights
+    of the first rule and wf those of the two halves."""
+    x, w = _nodes(order)
+    t = 0.5 * (1.0 + x)
+    t = np.concatenate([t, 0.5 * t, 0.5 + 0.5 * t])
+    jacobian = 3.0 * t ** 2
+    return (t ** 3, 0.5 * w * jacobian[:order],
+            0.25 * np.concatenate([w, w]) * jacobian[order:])
+
+
+def _piece_nodes(ends, lengths):
+    """(K, 3 ORDER) nodes of the piece rule on the K pieces from ``ends[k]``
+    to ``ends[k] + lengths[k]`` (a negative length reaches left of the end),
+    each end a possible kink of the integrand, such as a zero of F in
+    |F|^p.
+
+    A piece is sampled on x = e + L t^3: its first ORDER nodes take t at the
+    Gauss nodes of [0, 1], the other 2 ORDER at those of its two halves.
+    A kink |x - e|^p becomes t^(3p + 2) times a smooth function, on which
+    Gauss converges fast again (Trefethen, *Approximation Theory and
+    Approximation Practice*, 2013, ch. 19); plain Gauss on |x - e|^p
+    converges only like ORDER^(-2(p + 1))."""
+    return ends[:, None] + lengths[:, None] * _piece_rule(ORDER)[0]
+
+
+def _piece_sums(values, lengths):
+    """Per-piece (coarse, fine) estimates from the (K, 3 ORDER) integrand
+    values at :func:`_piece_nodes`: the rule on [0, 1] in t, and the sum of
+    the rules on its two halves."""
+    _, wc, wf = _piece_rule(ORDER)
+    size = np.abs(lengths)
+    return (size * (values[:, :ORDER] @ wc),
+            size * (values[:, ORDER:] @ wf))
+
+
 def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
-              max_panel_width: float | None = None, first_pass=None):
-    """Adaptively integrate ``g`` over [a, b].
+              max_panel_width: float | None = None):
+    """Adaptively integrate ``g`` over [a, b], starting from the fewest
+    equal panels of width at most ``max_panel_width`` (one without it).
 
     ``g`` receives a 1-D numpy array of abscissae and must return a real or
     complex array of the same shape.  Returns ``(value, err)`` where ``err``
     bounds the accumulated panel-estimate differences.  A pass that would
     take the call above ``MAX_INTEGRAND_POINTS`` raises
     :class:`QuadratureNonConvergence` before its abscissae are built.
-
-    ``first_pass``, if given, is the pair (coarse, fine) of estimates on
-    the n0 first-level equal panels of [a, b], used in place of sampling
-    ``g`` there; n0 is the fewest panels of width at most
-    ``max_panel_width``, else ``len(coarse)``.  ``g`` is then sampled only
-    on the panels that need refinement.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("integration interval must be finite with a < b")
 
-    n0 = 1 if first_pass is None else len(first_pass[0])
+    n0 = 1
     if max_panel_width is not None:
         if max_panel_width <= 0:
             raise ValueError("max_panel_width must be positive")
         n0 = max(1, math.ceil((b - a) / max_panel_width))
-    if first_pass is not None and len(first_pass[0]) != n0:
-        raise ValueError(f"first_pass must hold {n0} panel estimates")
     per_panel = 3 * ORDER
     if n0 * per_panel > MAX_INTEGRAND_POINTS:
         raise _over_budget(a, b, n0 * per_panel)
@@ -223,10 +315,7 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         points += per_panel * lefts.size
         if points > MAX_INTEGRAND_POINTS:
             raise _over_budget(a, b, points)
-        if scale is None and first_pass is not None:
-            coarse, fine = first_pass
-        else:
-            coarse, fine = _panel_estimates(g, lefts, rights)
+        coarse, fine = _panel_estimates(g, lefts, rights)
         if scale is None:
             scale = float(np.abs(coarse).sum())
         diff = np.abs(coarse - fine)

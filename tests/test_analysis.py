@@ -637,24 +637,44 @@ def interior_by_adaptive_rule(f, a, p):
                             max_panel_width=width)
 
 
+def interior_by_tight_rule(f, a, p):
+    """Tight reference for the interior rule at any p: the adaptive rule of
+    :func:`interior_by_adaptive_rule` at abs_tol = rel_tol = 1e-14 on
+    panels at most 0.01 wide, so that a kink of |f - f_tau|^p is never
+    more than 0.01 from a panel edge.  At sinc, p = 1.5, tau 80.3 it agrees
+    with 0.05-wide panels to 1e-17."""
+    def diff(x):
+        return np.asarray(f.eval_real(x)) - np.asarray(a.evaluate(x))
+
+    tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14)
+    return lp_norm_interval(diff, p, -a.tau, a.tau, tight,
+                            max_panel_width=0.01)
+
+
+def rounding_term(a, p):
+    """f_tau values are rounded to a few eps sum |c_k| at each node, which
+    moves the L^p norm on [-tau, tau] by at most that much times
+    (2 tau)^{1/p}."""
+    return (16.0 * np.finfo(float).eps * float(np.sum(np.abs(a.coefficients)))
+            * (2.0 * a.tau) ** (1.0 / p))
+
+
 class TestInteriorRule:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("fn_id", ["fejer_square:sigma=2",
                                        "mollify:base=sinc,sigma=1,rho=0.1"])
     def test_matches_adaptive_oracle(self, fn_id, p):
+        # at p not an even integer the adaptive rule on the interior rule's
+        # panels misses kinks (1.8e-10 off for mollify at p = 1.5, tau
+        # 12.3), so the reference is the tight rule there
+        oracle = interior_by_tight_rule if p % 2 else interior_by_adaptive_rule
         f = from_id(fn_id)
         for tau in (12.3, 61.7):
             a = fourier_coefficients(f, tau, QUAD)
             got, _ = analysis._interior_lp(f.eval_real, f.decay.C, a, p, QUAD)
-            ref = interior_by_adaptive_rule(f, a, p)
-            # f_tau values of both paths are rounded to a few eps sum |c_k|
-            # at each node, which moves the L^p norm by at most that much
-            # times (2 tau)^{1/p}
-            rounding = (16.0 * np.finfo(float).eps
-                        * float(np.sum(np.abs(a.coefficients)))
-                        * (2.0 * tau) ** (1.0 / p))
+            ref = oracle(f, a, p)
             assert abs(got.value - ref.value) \
-                <= got.error_bound + ref.error_bound + rounding
+                <= got.error_bound + ref.error_bound + rounding_term(a, p)
             assert got.domain == ref.domain
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -706,6 +726,91 @@ class TestInteriorRule:
         tol = (rec.interior_error.error_bound
                + 16.0 * np.finfo(float).eps * fnorm)
         assert abs(rec.interior_error.value - interior) <= tol
+
+
+class TestSplitAtRoots:
+    """At p not an even integer the interior rule cuts [-tau, tau] at the
+    real zeros of f - f_tau near which |f - f_tau|^p has its kinks."""
+
+    # cases where adaptive refinement at the kinks reported an error below
+    # its distance from the tight rule
+    @pytest.mark.parametrize("fn_id, tau", [
+        ("sinc:sigma=1", 80.3), ("fejer_square:sigma=2", 20.0),
+        ("mollify:base=sinc,sigma=1,rho=0.1", 12.3)])
+    def test_within_its_estimate_of_the_tight_rule(self, fn_id, tau):
+        f = from_id(fn_id)
+        (rec,) = convergence_study(f, 1.5, [tau], QUAD)
+        a = fourier_coefficients(f, tau, QUAD)
+        ref = interior_by_tight_rule(f, a, 1.5)
+        assert abs(rec.interior_error.value - ref.value) \
+            <= rec.interior_error.error_bound + rounding_term(a, 1.5)
+
+    def test_one_evaluate_call_per_tau(self, monkeypatch):
+        f = make_sinc(1.0)
+        calls, seen = [], []
+        evaluate, pieces = TrigApproximant.evaluate, analysis._pieces
+
+        def counting(self, x):
+            calls.append(np.size(x))
+            return evaluate(self, x)
+
+        def spy(edges, held, roots):
+            seen.append((held, roots))
+            return pieces(edges, held, roots)
+
+        monkeypatch.setattr(TrigApproximant, "evaluate", counting)
+        monkeypatch.setattr(analysis, "_pieces", spy)
+        taus = [80.3, 320.3]
+        convergence_study(f, 1.5, taus, QUAD)
+        monkeypatch.undo()
+        expected = []
+        for tau, (held, roots) in zip(taus, seen):
+            # the zeros are the sign changes of f - f_tau on a dense grid
+            a = fourier_coefficients(f, tau, QUAD)
+            x = np.linspace(-tau, tau, int(200 * tau) + 1)
+            F = (f.eval_real(x) - a.evaluate(x)).real
+            change = np.flatnonzero(np.signbit(F[:-1]) != np.signbit(F[1:]))
+            assert len(roots) == len(change)
+            assert np.all((x[change] <= roots) & (roots <= x[change + 1]))
+            # the held panels form runs, each cut at its zeros into parts
+            # of two pieces of 3 ORDER nodes
+            runs = np.count_nonzero(np.diff(np.concatenate(
+                [[False], held, [False]]).astype(int)) == 1)
+            expected.append(6 * quadrature.ORDER * (len(roots) + runs))
+        assert calls == expected
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    def test_complex_f_takes_no_zeros(self, tol, monkeypatch):
+        # mollify of expi is complex with no real zeros; at tol = 1e-13 two
+        # panels miss their tolerance and go to integrate, 3 ORDER points a
+        # pass
+        f = from_id("mollify:base=expi,omega=1,rho=0.5")
+        quad = QuadratureSpec(abs_tol=tol, rel_tol=tol)
+        calls, zeros = [], []
+        evaluate, real_zeros = TrigApproximant.evaluate, analysis._real_zeros
+
+        def counting(self, x):
+            calls.append(np.size(x))
+            return evaluate(self, x)
+
+        def spy(*args):
+            held, roots = real_zeros(*args)
+            zeros.append((held.any(), roots.size))
+            return held, roots
+
+        monkeypatch.setattr(TrigApproximant, "evaluate", counting)
+        monkeypatch.setattr(analysis, "_real_zeros", spy)
+        (rec,) = convergence_study(f, 1.5, [10.0], quad)
+        assert zeros == [(False, 0)]
+        if tol == 1e-10:
+            assert calls == []
+        else:
+            assert calls == [3 * quadrature.ORDER] * 2
+        monkeypatch.undo()
+        a = fourier_coefficients(f, 10.0, quad)
+        ref = interior_by_tight_rule(f, a, 1.5)
+        assert abs(rec.interior_error.value - ref.value) \
+            <= rec.interior_error.error_bound + rounding_term(a, 1.5)
 
 
 class TestSharedLadder:

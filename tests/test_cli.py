@@ -325,6 +325,22 @@ class TestQuadFlags:
             assert err.endswith(f"bandlim: error: unrecognized arguments: "
                                 f"{flag} {value}\n")
 
+    @pytest.mark.parametrize("argv, given", [
+        (["converge", "--fn", "sinc:sigma=1", "--tau", "40", "--m", "1"],
+         "--m 1"),
+        (["lewitan", "--fn", "sinc:sigma=1", "--tau", "20", "--x", "0",
+          "--n", "classical"], "--n classical"),
+    ], ids=["converge-m", "lewitan-n"])
+    def test_flag_prefixes_rejected(self, argv, given, capsys):
+        # --m and --n are prefixes of --max-depth and --normalization
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: bandlim ")
+        assert err.endswith(f"bandlim: error: unrecognized arguments: "
+                            f"{given}\n")
+
     def test_coeffs_abs_tol_reaches_the_rows(self, capsys):
         status, out, err = run_capture(
             ["coeffs", "--fn", "sinc:sigma=1", "--tau", "3",

@@ -161,51 +161,54 @@ class TestAdaptive:
                                  f"{MAX_INTEGRAND_POINTS}"):
             integrate(g, 0.0, 1.0, max_panel_width=1e-12)
 
-    @pytest.mark.parametrize("g", [np.cos, lambda x: np.abs(x - 0.3) ** 1.5],
-                             ids=["smooth", "kink"])
-    def test_first_pass_replaces_initial_sampling(self, g):
-        sizes = []
-
-        def counting(x):
-            sizes.append(x.size)
-            return g(x)
-
-        edges = np.linspace(-1.0, 2.0, 13)
-        first_pass = quadrature._panel_estimates(g, edges[:-1], edges[1:])
-
-        ref = integrate(counting, -1.0, 2.0, max_panel_width=0.25)
-        ref_sizes = list(sizes)
-        sizes.clear()
-        got = integrate(counting, -1.0, 2.0, max_panel_width=0.25,
-                        first_pass=first_pass)
-        assert got == ref
-        # the 12 initial panels are not sampled; later passes are unchanged
-        assert ref_sizes[0] == 12 * 3 * 15
-        assert sizes == ref_sizes[1:]
-
-    def test_first_pass_sets_panel_count(self):
-        edges = np.linspace(-1.0, 2.0, 13)
-        first_pass = quadrature._panel_estimates(np.cos, edges[:-1],
-                                                 edges[1:])
-        sizes = []
-
-        def counting(x):
-            sizes.append(x.size)
-            return np.cos(x)
-
-        # without a width, n0 is the length of the first-pass estimates
-        got = integrate(counting, -1.0, 2.0, first_pass=first_pass)
-        assert got == integrate(np.cos, -1.0, 2.0, max_panel_width=0.25)
-        assert sizes == []
-        with pytest.raises(ValueError, match="must hold 6 panel estimates"):
-            integrate(counting, -1.0, 2.0, max_panel_width=0.5,
-                      first_pass=first_pass)
-
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 1.0)
         with pytest.raises(ValueError):
             integrate(lambda x: x, 0.0, math.inf)
+
+
+class TestPieceRule:
+    def test_barycentric_weights_of_legendre_points(self):
+        # lambda_q is proportional to (-1)^q sqrt((1 - x_q^2) w_q) at the
+        # Gauss-Legendre nodes (Berrut and Trefethen, SIAM Review, 2004)
+        x, w = quadrature._nodes(quadrature.ORDER)
+        closed = (-1.0) ** np.arange(x.size) * np.sqrt((1.0 - x ** 2) * w)
+        got = quadrature._barycentric_weights(quadrature.ORDER)
+        ratio = got / closed
+        assert np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("shift", [0.3, 1e-3, -1e-3],
+                             ids=["inside", "after-edge", "before-edge"])
+    def test_one_root_per_sign_change(self, shift):
+        # sin(x - shift) on 8 panels of [-4, 4]: zeros at shift and
+        # shift -+ pi; at |shift| = 1e-3 the zero lies between the edge 0
+        # and the nearest node (0.006 from it), so the bracket crosses it
+        hw, x = quadrature._panel_nodes(4.0, 8)
+        values = np.sin(x - shift)
+        flat = values.ravel()
+        brackets = np.flatnonzero(np.signbit(flat[:-1])
+                                  != np.signbit(flat[1:]))
+        roots = quadrature._bracketed_roots(values, 4.0, brackets)
+        want = shift + math.pi * np.array([-1.0, 0.0, 1.0])
+        assert np.max(np.abs(roots - want)) <= 1e-14
+        if shift != 0.3:
+            assert 4 * quadrature.ORDER - 1 in brackets
+
+    @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 3.0])
+    @pytest.mark.parametrize("length", [0.7, -0.7])
+    def test_kink_at_the_end(self, p, length):
+        # integral of |x - e|^p (1 + x) from e to e + length
+        e = 0.4
+        ends, lengths = np.array([e]), np.array([length])
+        x = quadrature._piece_nodes(ends, lengths)
+        values = np.abs(x - e) ** p * (1.0 + x)
+        coarse, fine = quadrature._piece_sums(values, lengths)
+        L = abs(length)
+        exact = L ** (p + 1) * ((1.0 + e) / (p + 1)
+                                + math.copysign(L, length) / (p + 2))
+        assert abs(fine[0] - exact) <= 4.0 * np.finfo(float).eps * exact
+        assert abs(coarse[0] - exact) <= 1e-13 * exact
 
 
 class TestNodeLimit:
