@@ -122,7 +122,8 @@ def _osc_width(sigma: float) -> float:
 
 
 def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
-                      quad: QuadratureSpec, sigma: float) -> NormEstimate:
+                      quad: QuadratureSpec, sigma: float,
+                      even: bool = False) -> NormEstimate:
     """Real-line L^p norm of g, of exponential type <= sigma with
     |g| <= env, over the window [-X, X] plus the envelope tail beyond it,
     X = clamp(env.cutoff_for_tail(abs_tol^p, p), 50, _X_MAX).
@@ -148,26 +149,40 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
     Other p, for which the theorem does not apply (|g|^p is not entire),
     take adaptive quadrature on the window with panels resolving the
     oscillation at frequency sigma.
+
+    ``even`` states that |g(-x)| = |g(x)| (``TestFunction.abs_even``), so
+    that |g|^p is even.  Then g is called on the M + 1 nodes 0 <= n <= M
+    only and S = h (G_0 + 2 sum_{n >= 1} G_n), which is the symmetric sum
+    exactly; doubling is exact, so the rounding term stands.  At other p
+    the quadrature runs on [0, X] with the same panel width, and its
+    integral and error are doubled before the one p-th root.
     """
     cutoff = env.cutoff_for_tail(quad.abs_tol ** p, p)
     cutoff = max(50.0, min(_X_MAX, cutoff))
+
+    def power(x):
+        return np.abs(np.asarray(g(x))) ** p
+
     if p % 2 == 0 and sigma > 0:
         M = cutoff * p * sigma / (2.0 * math.pi)  # inf at huge p
         M = math.floor(M) + 1 if math.isfinite(M) else M
-        _check_nodes(2 * M + 1, f"the L^{p:g} sampling sum for type "
-                     f"{sigma:g} needs")
+        _check_nodes(M + 1 if even else 2 * M + 1, f"the L^{p:g} sampling "
+                     f"sum for type {sigma:g} needs")
         h = cutoff / M
         tail = env.tail_lp(M * h, p) ** (1.0 / p)
-        nodes = h * np.arange(-M, M + 1)
-        total = h * float(np.sum(np.abs(np.asarray(g(nodes))) ** p))
+        if even:
+            G = power(h * np.arange(M + 1))
+            total = h * (float(G[0]) + 2.0 * float(np.sum(G[1:])))
+        else:
+            total = h * float(np.sum(power(h * np.arange(-M, M + 1))))
         rounding = (2 * M + 1) * math.ulp(1.0) * total
         return _root_norm(total, rounding, p, "real-line", tail)
     tail = env.tail_lp(cutoff, p) ** (1.0 / p)
-    inner = lp_norm_interval(g, p, -cutoff, cutoff, quad,
-                             max_panel_width=_osc_width(sigma))
-    return NormEstimate(value=inner.value,
-                        error_bound=inner.error_bound + tail,
-                        p=p, domain="real-line", tail_bound=tail)
+    integral, err = integrate(power, 0.0 if even else -cutoff, cutoff, quad,
+                              max_panel_width=_osc_width(sigma))
+    scale = 2.0 if even else 1.0
+    return _root_norm(scale * float(integral), scale * float(err), p,
+                      "real-line", tail)
 
 
 def lp_norm_line(f: TestFunction, p: float,
@@ -178,7 +193,8 @@ def lp_norm_line(f: TestFunction, p: float,
     if not f.p_membership.contains(p):
         raise ValueError(f"{f.id} is not a member of B^{p:g}")
     quad = quad or QuadratureSpec()
-    return _lp_norm_envelope(f.eval_real, f.decay, p, quad, f.sigma)
+    return _lp_norm_envelope(f.eval_real, f.decay, p, quad, f.sigma,
+                             f.abs_even)
 
 
 def sup_norm_certified(F: Callable, sigma_eff: float, a: float,
@@ -256,7 +272,8 @@ def check_plancherel_polya(f: TestFunction, y: float, p: float,
     # |x| >= 1, which is all the envelope is used for here).
     env_line = DecayEnvelope(C=f.decay.C * math.exp(f.sigma * abs(y)),
                              alpha=f.decay.alpha)
-    lhs = _lp_norm_envelope(along_line, env_line, p, quad, f.sigma)
+    lhs = _lp_norm_envelope(along_line, env_line, p, quad, f.sigma,
+                            f.abs_even)
     base, base_err = _line_norm(f, p, quad)
     growth = math.exp(f.sigma * abs(y))
     rhs = base * growth

@@ -122,6 +122,9 @@ class PMembership:
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A catalog member.  ``abs_even``: |f(-x + iy)| = |f(x + iy)| for all
+    real x, y."""
+
     id: str
     sigma: float
     eval_real: Callable
@@ -129,6 +132,7 @@ class TestFunction:
     decay: DecayEnvelope
     p_membership: PMembership
     known_norms: Mapping[float, float] = field(default_factory=dict)
+    abs_even: bool = False
 
     def __call__(self, x):
         return self.eval_real(x)
@@ -160,7 +164,8 @@ def make_sinc(sigma: float) -> TestFunction:
         id=f"sinc:sigma={s:g}", sigma=s,
         decay=DecayEnvelope(C=2.0 * max(1.0, s) / math.pi, alpha=1.0),
         p_membership=PMembership(1.0, min_inclusive=False),
-        known_norms={2.0: math.sqrt(s / math.pi), INF: s / math.pi})
+        known_norms={2.0: math.sqrt(s / math.pi), INF: s / math.pi},
+        abs_even=True)
 
 
 def make_complex_exponential(omega: float) -> TestFunction:
@@ -175,7 +180,7 @@ def make_complex_exponential(omega: float) -> TestFunction:
         id=f"expi:omega={w:g}", sigma=abs(w),
         decay=DecayEnvelope(C=1.0, alpha=0.0),
         p_membership=PMembership(INF, min_inclusive=True),
-        known_norms={INF: 1.0})
+        known_norms={INF: 1.0}, abs_even=True)
 
 
 def make_fejer_square(sigma: float) -> TestFunction:
@@ -190,7 +195,8 @@ def make_fejer_square(sigma: float) -> TestFunction:
         decay=DecayEnvelope(C=max(4.0, 16.0 / s / s), alpha=2.0),
         p_membership=PMembership(1.0, min_inclusive=True),
         known_norms={1.0: 2.0 * math.pi / s,
-                     2.0: math.sqrt(4.0 * math.pi / (3.0 * s)), INF: 1.0})
+                     2.0: math.sqrt(4.0 * math.pi / (3.0 * s)), INF: 1.0},
+        abs_even=True)
 
 
 def mollify(f: TestFunction, rho: float) -> TestFunction:
@@ -200,7 +206,8 @@ def mollify(f: TestFunction, rho: float) -> TestFunction:
     (1 - rho^2)*sigma, so the product has type 2*rho + (1 - rho^2)*sigma.
     That value is stored as sigma: it can exceed the original sigma, and
     undershooting the type would break the bandwidth-dependent machinery
-    built on top (coefficient counts, certificate spacings).
+    built on top (coefficient counts, certificate spacings).  The weight is
+    even and real on the real line, so f_rho keeps ``f.abs_even``.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")
@@ -220,7 +227,8 @@ def mollify(f: TestFunction, rho: float) -> TestFunction:
         sigma=2.0 * r + shrink * f.sigma,
         decay=DecayEnvelope(C=4.0 * env.C / r / r / shrink ** env.alpha,
                             alpha=env.alpha + 2.0),
-        p_membership=PMembership(1.0, min_inclusive=True))
+        p_membership=PMembership(1.0, min_inclusive=True),
+        abs_even=f.abs_even)
 
 
 class UnknownFunctionError(ValueError):

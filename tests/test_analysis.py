@@ -187,6 +187,93 @@ class TestLineNormSampling:
             lp_norm_line(f, 1e308)
 
 
+def inner_error(est):
+    """The part of a real-line error bound that is not the envelope tail:
+    the rounding of a sampling sum, or the quadrature error."""
+    return est.error_bound - est.tail_bound
+
+
+def full_grid(f):
+    """f without the abs_even flag, whose norms take the symmetric grid."""
+    return dataclasses.replace(f, abs_even=False)
+
+
+class TestHalfLineSum:
+    CASES = [(make_sinc(1.0), 2.0), (make_sinc(1.0), 4.0),
+             (make_sinc(1.0), 6.0), (make_fejer_square(2.0), 2.0),
+             (make_fejer_square(2.0), 4.0)]
+
+    @pytest.mark.parametrize("f, p", CASES + [(make_fejer_square(2.0), 1.5)])
+    def test_matches_the_full_grid(self, f, p):
+        half = lp_norm_line(f, p, QUAD)
+        full = lp_norm_line(full_grid(f), p, QUAD)
+        assert half.tail_bound == full.tail_bound
+        assert abs(half.value - full.value) <= (inner_error(half)
+                                                + inner_error(full))
+
+    @pytest.mark.parametrize("f, p", CASES)
+    @pytest.mark.parametrize("y", [0.5, 2.0])
+    def test_plancherel_polya_matches_the_full_grid(self, f, p, y):
+        half = check_plancherel_polya(f, y, p, QUAD)
+        full = check_plancherel_polya(full_grid(f), y, p, QUAD)
+        assert abs(half.lhs - full.lhs) <= half.error_bound
+        assert half.margin >= 0.0
+
+    @pytest.mark.parametrize("f, p, nodes", [(make_sinc(1.0), 2.0, 3185),
+                                             (make_sinc(1.0), 6.0, 9551),
+                                             (make_fejer_square(2.0), 4.0,
+                                              12734)])
+    def test_one_call_on_the_half_grid(self, f, p, nodes):
+        calls = []
+
+        def g(x):
+            calls.append(np.array(x))
+            return f.eval_real(x)
+
+        lp_norm_line(dataclasses.replace(f, eval_real=g), p, QUAD)
+        [x] = calls
+        cutoff = line_window(f.decay, p)
+        nyquist = 2.0 * math.pi / (p * f.sigma)
+        assert len(x) == nodes
+        assert 2 * nodes - 1 == sampling_nodes(f.decay, p, f.sigma)
+        assert x[0] == 0.0
+        assert 0.99 * nyquist <= x[1] < nyquist
+        assert abs(x[-1] - cutoff) <= 4 * math.ulp(cutoff)
+
+    def test_plancherel_polya_samples_the_half_line(self):
+        f = make_sinc(1.0)
+        calls = []
+
+        def g(z):
+            calls.append(np.array(z))
+            return f.eval_complex(z)
+
+        check_plancherel_polya(dataclasses.replace(f, eval_complex=g), 0.5,
+                               2.0, QUAD)
+        [z] = calls
+        assert z[0].real == 0.0 and np.all(np.diff(z.real) > 0)
+        assert np.all(z.imag == 0.5)
+
+    @pytest.mark.parametrize("even", [True, False])
+    def test_other_p_integrate_the_half_window_rooted_once(self, even,
+                                                           monkeypatch):
+        calls = []
+
+        def fake(g, a, b, quad, **kw):
+            calls.append((a, b))
+            return 1.0, 0.25
+
+        monkeypatch.setattr(analysis, "integrate", fake)
+        f = make_fejer_square(2.0)
+        est = lp_norm_line(f if even else full_grid(f), 1.5, QUAD)
+        cutoff = line_window(f.decay, 1.5)
+        assert calls == [(0.0 if even else -cutoff, cutoff)]
+        scale = 2.0 if even else 1.0
+        assert est.value == scale ** (1.0 / 1.5)
+        assert inner_error(est) == pytest.approx(
+            0.25 * scale / (1.5 * est.value ** 0.5), rel=1e-12)
+
+
 class TestSupCertificate:
     def test_zero_function(self):
         cert = sup_norm_certified(lambda x: np.zeros_like(x), 1.0, -1.0, 1.0)

@@ -1,14 +1,19 @@
 """Property tests for the input validators: each accepts what it documents
-and rejects everything else with its own error type."""
+and rejects everything else with its own error type; and for the catalog's
+``abs_even`` flag, which the real-line norms rely on."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandlim import cli
-from bandlim.functions import TestFunction, UnknownFunctionError, from_id
+from bandlim.functions import (TestFunction, UnknownFunctionError, from_id,
+                               make_complex_exponential, make_fejer_square,
+                               make_sinc, mollify)
 from bandlim.quadrature import QuadratureSpec
 
 # A fixed example count and seed keep the run short and repeatable.
@@ -93,3 +98,37 @@ class TestNumberParser:
         except ValueError:
             return
         assert math.isfinite(value)
+
+
+type_param = st.floats(min_value=0.1, max_value=10.0)
+rho_param = st.floats(min_value=0.01, max_value=0.99)
+# Every catalog constructor that sets abs_even, as f(parameter, rho).
+ABS_EVEN_MEMBERS = {
+    "sinc": lambda s, r: make_sinc(s),
+    "fejer_square": lambda s, r: make_fejer_square(s),
+    "expi": lambda s, r: make_complex_exponential(s),
+    "mollify_sinc": lambda s, r: mollify(make_sinc(s), r),
+    "mollify_expi": lambda s, r: mollify(make_complex_exponential(s), r),
+}
+
+
+class TestAbsEven:
+    @SETTINGS
+    @given(name=st.sampled_from(sorted(ABS_EVEN_MEMBERS)), param=type_param,
+           rho=rho_param, x=st.floats(min_value=-50.0, max_value=50.0),
+           y=st.floats(min_value=-5.0, max_value=5.0))
+    def test_abs_symmetric_along_horizontal_lines(self, name, param, rho,
+                                                  x, y):
+        f = ABS_EVEN_MEMBERS[name](param, rho)
+        assert f.abs_even
+        left = abs(complex(f.eval_complex(complex(-x, y))))
+        right = abs(complex(f.eval_complex(complex(x, y))))
+        assert abs(left - right) <= 4 * np.spacing(max(left, right))
+
+    @SETTINGS
+    @given(name=st.sampled_from(sorted(ABS_EVEN_MEMBERS)), param=type_param,
+           rho=rho_param)
+    def test_mollify_keeps_an_unset_flag(self, name, param, rho):
+        base = ABS_EVEN_MEMBERS[name](param, rho)
+        plain = dataclasses.replace(base, abs_even=False)
+        assert not mollify(plain, rho).abs_even

@@ -300,15 +300,15 @@ def exp_site(gate, monkeypatch):
 # 30 panels takes 450 nodes in fourier_coefficients and in the convergence
 # study, which takes the interior rule's levels from it; the squared-Fejer
 # sup takes 1999 panels of 15 nodes; the lemma2 cell takes
-# ceil(1000 / 15) = 67 panels; the sinc L^2 sampling sum 2M + 1 = 6369
-# nodes; the sup grid ceil(98.5) + 1 points; e^(ix) at tau = 100 (N = 31)
-# 63 coefficients.
+# ceil(1000 / 15) = 67 panels; the sinc L^2 sampling sum, |sinc| being
+# even, M + 1 = 3185 nodes; the sup grid ceil(98.5) + 1 points; e^(ix) at
+# tau = 100 (N = 31) 63 coefficients.
 NODE_LIMIT_SITES = [
     (450, fourier_site),
     (450, interior_site),
     (1999 * 15, sup_line_site),
     (67 * 15, scan_site),
-    (6369, line_sum_site),
+    (3185, line_sum_site),
     (100, sup_grid_site),
     (63, exp_site),
 ]
