@@ -87,10 +87,13 @@ LEWITAN_CASES = [
 ]
 
 # counterexample beyond the benchmark's consecutive m: an unsorted list whose
-# rows go through the batched sum in more than one chunk, and a long JSON run.
+# rows go through in more than one chunk, a long JSON run, one large m, and
+# the longest range within the total coefficient limit.
 COUNTEREXAMPLE_CASES = [
     ["counterexample", "--m", "1000,1,999,2,3..40"],
     ["counterexample", "--m", "1..3000", "--format", "json"],
+    ["counterexample", "--m", "250000"],
+    ["counterexample", "--m", "1..5700"],
 ]
 
 # The benchmark runs the inequalities matrix as CSV only.

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .approximation import (TrigApproximant, _coefficient_ladder,
-                            _first_level, _trig_sums)
+                            _first_level)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
@@ -30,11 +30,12 @@ _SUP_ENVELOPE_FLOOR = 1e-6
 # Most coefficients counterexample_run may build, summed over its m: 2^26
 # take about 2 s on a 2-core Xeon.
 MAX_COUNTEREXAMPLE_COEFFS = 2 ** 26
-# Most padded coefficients counterexample_run sums at a time; the kernel's
-# complex arrays of that size are 256 KiB each.  For m = 5..1004 on a 2-core
-# Xeon, 2^13 took 53 ms, 2^14 37 ms and 2^16 28 ms, but 2^16 held 2.4 MB
-# more peak memory than 2^14.
+# Most padded values of D_k = 1 / (u - pi k) that counterexample_run holds
+# at a time (128 KiB of floats), one m excepted.  For m = 5..1004 on a 2-core
+# Xeon, single-threaded, 2^13 took 12 ms and 2^14 to 2^17 10 ms.
 _COUNTEREXAMPLE_CHUNK = 2 ** 14
+# pi - fl(pi), the part of pi below the float math.pi.
+_PI_LOW = 1.2246467991473532e-16
 # The contraction 2 sin(sigma h / 4) at the largest sup_norm_certified step.
 _CONTRACTION = 0.1
 
@@ -564,7 +565,7 @@ def _exp_n_terms(sigma: float, tau: float) -> int:
 
 def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:
     """Closed-form coefficients of e^{i omega x}, c_k = sinc(omega tau - pi k),
-    by :func:`_exp_coefficient_rows`.
+    by :func:`_exp_coefficient_row`.
 
     At most ``quadrature.MAX_NODES`` coefficients; more raise ValueError before
     any array is built."""
@@ -572,38 +573,33 @@ def exp_coefficients(tau: float, omega: float = 1.0) -> TrigApproximant:
         raise ValueError("tau must be positive")
     sigma = abs(omega)
     N = _exp_n_terms(sigma, tau)
-    coeffs = _exp_coefficient_rows(np.array([omega * tau]), np.array([N]))[0]
+    coeffs = _exp_coefficient_row(omega * tau, N)
     return TrigApproximant(tau=float(tau), sigma=sigma, N=N,
                            coefficients=coeffs, coeff_error=0.0)
 
 
-def _exp_coefficient_rows(u, N):
-    """Coefficients c_k = sinc(u_r - pi k) of e^{i omega x} at omega tau =
-    ``u[r]`` for |k| <= ``N[r]``, zero-padded to n = max(N), as a real
-    (R, 2n + 1) array.
+def _exp_coefficient_row(u, N):
+    """Coefficients c_k = sinc(u - pi k) of e^{i omega x} at omega tau = u
+    for |k| <= N, as 2N + 1 real values.
 
-    One sine per row: c_k = (-1)^k sin(u) / d with d = u - pi k.  The
+    One sine in all: c_k = (-1)^k sin(u) / d with d = u - pi k.  The
     computed d is off by about eps |u|.  That error reaches c_k as
     |sin u| eps |u| / d^2 here, and as eps |u| |sinc'(d)| in sinc_ratio(d),
     whose sine is taken at the computed d; |sinc'(d)| is at most about
     1 / |d|, and |d| / 3 near 0.  So the one-sine form is the more accurate
     where |d| >= 1 >= |sin u|, and sinc_ratio(d) is taken where |d| < 1,
-    which, as pi > 2, is at most one k per row: k = rint(u / pi).
+    which, as pi > 2, is at most one k: k = rint(u / pi).
     """
-    n = int(np.max(N))
-    rows = u[:, None] - math.pi * np.arange(-n, n + 1)
-    np.negative(rows[:, (n + 1) % 2::2], out=rows[:, (n + 1) % 2::2])
+    row = u - math.pi * np.arange(-N, N + 1)
+    np.negative(row[(N + 1) % 2::2], out=row[(N + 1) % 2::2])
     k_near = np.rint(u / math.pi)
-    r = np.flatnonzero((np.abs(k_near) <= n)
-                       & (np.abs(u - math.pi * k_near) < 1.0))
-    col = k_near[r].astype(np.intp) + n
-    rows[r, col] = 1.0
-    np.divide(np.sin(u)[:, None], rows, out=rows)
-    rows[r, col] = sinc_ratio(u[r] - math.pi * k_near[r])
-    for i in np.flatnonzero(N < n):
-        rows[i, :n - N[i]] = 0.0
-        rows[i, n + N[i] + 1:] = 0.0
-    return rows
+    near = abs(k_near) <= N and abs(u - math.pi * k_near) < 1.0
+    if near:
+        row[int(k_near) + N] = 1.0
+    np.divide(np.sin(u), row, out=row)
+    if near:
+        row[int(k_near) + N] = sinc_ratio(u - math.pi * k_near)
+    return row
 
 
 def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
@@ -613,10 +609,23 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
     The identity forces the value 1 for every m, witnessing the failure of
     sup-norm convergence for p = inf.  Every m, its coefficient count and
     the total count over all m (at most ``MAX_COUNTEREXAMPLE_COEFFS``) are
-    checked before any coefficients are built.  Consecutive m then go
-    through :func:`_trig_sums` together, as rows zero-padded to the
-    largest N among them, at most ``_COUNTEREXAMPLE_CHUNK`` padded
-    coefficients at a time (or one m, if it alone has more).
+    checked before any array is built.
+
+    With u = tau_m, c_k = sinc(u - pi k) and theta = pi x / tau at x = tau,
+    rounded as :meth:`TrigApproximant.evaluate` rounds it, the value is
+    sin u - sin(u) sum_k D_k T_k with D_k = 1 / (u - pi k) and the phase
+    row T_k = (-1)^k sin(k theta) = sin(k (theta - pi)).  Here
+    |u - pi k| >= pi / 2 > 1 for every k, so by the accuracy argument of
+    :func:`_exp_coefficient_row` every k takes the one-sine form and no
+    sinc_ratio term is needed.  theta is fl(pi) or one of its two
+    neighbours, so theta - pi = (theta - fl(pi)) - (pi - fl(pi)) takes one
+    rounding, and each T_k is right to a few ulps, where sin at the rounded
+    k theta would be off by about eps k theta.  So the drift of the value
+    from 1, about 1e-9 at m = 10^6, is that of the exact sum at the rounded
+    theta.  The m sharing a theta share T, built once for the largest N
+    among them.  Their m go through in order of N, in chunks of at most
+    ``_COUNTEREXAMPLE_CHUNK`` padded values of D (or one m, if it alone
+    has more), each chunk one matrix-vector product.
     """
     taus = []
     counts = []
@@ -635,19 +644,42 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
             raise ValueError(
                 f"m_list needs at least {total} coefficients in all, above "
                 f"the limit of {MAX_COUNTEREXAMPLE_COEFFS}")
-    out = []
-    start = 0
-    while start < len(taus):
-        stop, n = start + 1, counts[start]
-        while (stop < len(taus) and (stop + 1 - start)
-               * (2 * max(n, counts[stop]) + 1) <= _COUNTEREXAMPLE_CHUNK):
-            n = max(n, counts[stop])
-            stop += 1
-        tau = np.array(taus[start:stop])
-        rows = _exp_coefficient_rows(tau, np.array(counts[start:stop]))
-        # theta = pi x / tau at x = tau, rounded as evaluate rounds it
-        values = _trig_sums(rows, (tau * (math.pi / tau))[:, None])[:, 0]
-        out.extend(zip(taus[start:stop],
-                       (np.exp(1j * tau) - values).imag.tolist()))
-        start = stop
-    return out
+    tau = np.array(taus)
+    counts = np.array(counts, dtype=np.intp)
+    theta = tau * (math.pi / tau)
+    gaps = np.empty(len(taus))
+    for angle in set(theta.tolist()):
+        group = np.flatnonzero(theta == angle)
+        group = group[np.argsort(counts[group])]
+        n = int(counts[group[-1]])
+        # pi k, and in one buffer k, then k (theta - pi), then T_k
+        phase = np.arange(-n, n + 1, dtype=float)
+        pi_k = phase * math.pi
+        np.multiply(phase, (angle - math.pi) - _PI_LOW, out=phase)
+        np.sin(phase, out=phase)
+        start = 0
+        while start < len(group):
+            stop = start + 1
+            while (stop < len(group) and (stop + 1 - start)
+                   * (2 * counts[group[stop]] + 1) <= _COUNTEREXAMPLE_CHUNK):
+                stop += 1
+            rows = group[start:stop]
+            gaps[rows] = _counterexample_chunk(tau[rows], counts[rows],
+                                               pi_k, phase)
+            start = stop
+    return list(zip(taus, gaps.tolist()))
+
+
+def _counterexample_chunk(u, N, pi_k, phase):
+    """sin u - sin(u) sum_{|k| <= N[r]} T_k / (u[r] - pi k) for the rows
+    of one chunk, N ascending; ``pi_k`` and ``phase`` hold pi k and T_k for
+    |k| <= n, n >= max(N), centred on k = 0."""
+    n, width = len(phase) // 2, N[-1]
+    inside = slice(n - width, n + width + 1)
+    D = np.subtract.outer(u, pi_k[inside])
+    np.reciprocal(D, out=D)
+    for i in np.flatnonzero(N < width):
+        D[i, :width - N[i]] = 0.0
+        D[i, width + N[i] + 1:] = 0.0
+    sin_u = np.sin(u)
+    return sin_u - sin_u * (D @ phase[inside])

@@ -49,11 +49,11 @@ class TrigApproximant:
         return complex(self.coefficients[k + self.N])
 
     def evaluate(self, x):
-        """Evaluate the sum at the abscissae ``x`` (scalar or array), as
-        the one-row case of :func:`_trig_sums` at theta = pi x / tau."""
+        """Evaluate the sum at the abscissae ``x`` (scalar or array) by
+        :func:`_trig_sums` at theta = pi x / tau."""
         theta = np.atleast_1d(np.asarray(x, dtype=float)).ravel() \
             * (math.pi / self.tau)
-        out = _trig_sums(self.coefficients[None, :], theta[None, :])[0]
+        out = _trig_sums(self.coefficients, theta)
         out = out.reshape(np.shape(x))
         return _maybe_scalar(out, x)
 
@@ -116,44 +116,40 @@ class TrigApproximant:
 
 
 def _trig_sums(coefficients, theta):
-    """sum_{|k| <= N} c[r, N + k] e^{i k theta[r, j]} for the (R, 2N + 1)
-    rows ``coefficients`` and the (R, M) angles ``theta``, as an (R, M)
-    array.  Rows with fewer terms are zero-padded to N.
+    """sum_{|k| <= N} c[N + k] e^{i k theta[j]} for the 2N + 1
+    ``coefficients`` and the M angles ``theta``, as M complex values.
 
     With z = e^{i theta}, B = isqrt(N) and A = ceil(N / B), each power
     z^k, 1 <= k <= N, is split as z^{aB} * z^{b+1} with k - 1 = aB + b, so
-    one angle costs A + B exponentials and the inner sums of a row are one
+    one angle costs A + B exponentials and the inner sums are one
     (M x B) @ (B x 2A) product.  The k and -k terms share both factors and
     combine as S+ + conj(S-), which keeps the result numerically real for
     conjugate-symmetric coefficients.  The angles go through in chunks of
-    at most ``quadrature.MAX_NODES`` / (6 A R) columns (at least one): per
-    angle and row a chunk holds B + A exponentials, 2A inner sums and two
-    products of A values, at most 6A as B <= A, so that its temporaries
-    together hold at most ``quadrature.MAX_NODES`` values.
+    at most ``quadrature.MAX_NODES`` / (6 A) (at least one): per angle a
+    chunk holds B + A exponentials, 2A inner sums and two products of A
+    values, at most 6A as B <= A, so that its temporaries together hold at
+    most ``quadrature.MAX_NODES`` values.
     """
-    R, width = coefficients.shape
-    N = width // 2
-    out = np.repeat(coefficients[:, N, None], theta.shape[1], axis=1)
+    N = len(coefficients) // 2
+    out = np.full(len(theta), coefficients[N], dtype=complex)
     if N == 0:
         return out
     B = math.isqrt(N)
     A = -(-N // B)
-    blocks = np.zeros((R, 2, A * B), dtype=complex)
-    blocks[:, 0, :N] = coefficients[:, N + 1:]
-    blocks[:, 1, :N] = np.conj(coefficients[:, N - 1::-1])
-    # blocks[r, s, a*B + b] -> table[r, b, s*A + a]
-    table = blocks.reshape(R, 2, A, B).transpose(0, 3, 1, 2) \
-        .reshape(R, B, 2 * A)
-    out = out.astype(complex)
-    step = max(1, quadrature.MAX_NODES // (6 * A * R))
-    for j in range(0, theta.shape[1], step):
-        t = theta[:, j:j + step, None]
+    blocks = np.zeros((2, A * B), dtype=complex)
+    blocks[0, :N] = coefficients[N + 1:]
+    blocks[1, :N] = np.conj(coefficients[N - 1::-1])
+    # blocks[s, a*B + b] -> table[b, s*A + a]
+    table = blocks.reshape(2, A, B).transpose(2, 0, 1).reshape(B, 2 * A)
+    step = max(1, quadrature.MAX_NODES // (6 * A))
+    for j in range(0, len(theta), step):
+        t = theta[j:j + step, None]
         inner = np.exp(1j * t * np.arange(1, B + 1))
         outer = np.exp(1j * t * (B * np.arange(A)))
-        sums = (inner @ table).reshape(R, -1, 2, A)
-        pos = (sums[:, :, 0] * outer).sum(axis=-1)
-        neg = (sums[:, :, 1] * outer).sum(axis=-1)
-        out[:, j:j + step] += pos + np.conj(neg)
+        sums = (inner @ table).reshape(-1, 2, A)
+        pos = (sums[:, 0] * outer).sum(axis=-1)
+        neg = (sums[:, 1] * outer).sum(axis=-1)
+        out[j:j + step] += pos + np.conj(neg)
     return out
 
 

@@ -50,7 +50,7 @@ def test_counterexample_identity():
 
 
 def test_counterexample_dense_sweep():
-    # typically 0.1-0.2 s on a 2-core Xeon; the budget leaves room for a
+    # typically 0.03 s on a 2-core Xeon; the budget leaves room for a
     # loaded machine
     with criterion("counterexample identity, m = 1..2000"):
         start = time.monotonic()

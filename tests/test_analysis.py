@@ -559,7 +559,7 @@ class TestCounterexample:
     def test_every_m_checked_before_any_coefficients(self, m_list, text,
                                                      monkeypatch):
         built = []
-        monkeypatch.setattr(analysis, "_exp_coefficient_rows",
+        monkeypatch.setattr(analysis, "_counterexample_chunk",
                             lambda *args: built.append(args))
         with pytest.raises(ValueError, match=text):
             counterexample_run(m_list)
@@ -574,46 +574,79 @@ class TestCounterexample:
         assert len(counterexample_run([1, 2])) == 2
 
     def test_keeps_input_order_across_chunks(self, monkeypatch):
-        # N = 2m, so m = 1000, 1, 999, 2 pad to 4 rows of 4001 coefficients
-        # and the next m starts a second chunk
+        # N = 2m: m = 999 and 1000 (3997 and 4001 coefficients) share a
+        # padded chunk, the smaller m at the same theta = fl(pi) another,
+        # and the m at the two neighbours of fl(pi) chunks of their own
         m_list = [1000, 1, 999, 2, *range(3, 40)]
-        build = analysis._exp_coefficient_rows
+        run_chunk = analysis._counterexample_chunk
         chunks = []
 
-        def spy(u, N):
+        def spy(u, N, pi_k, phase):
             chunks.append(len(u))
-            return build(u, N)
+            assert (len(u) * (2 * N[-1] + 1)
+                    <= analysis._COUNTEREXAMPLE_CHUNK or len(u) == 1)
+            return run_chunk(u, N, pi_k, phase)
 
-        monkeypatch.setattr(analysis, "_exp_coefficient_rows", spy)
+        monkeypatch.setattr(analysis, "_counterexample_chunk", spy)
         results = counterexample_run(m_list)
         assert len(chunks) > 1 and sum(chunks) == len(m_list)
         assert len(results) == len(m_list)
         for m, (tau, gap) in zip(m_list, results):
             assert tau == 0.5 * math.pi + 2.0 * math.pi * m
-            a = exp_coefficients(tau)
-            alone = (cmath.exp(1j * tau) - complex(a.evaluate(tau))).imag
-            assert abs(gap - alone) <= 1e-12, m
+            assert abs(gap - counterexample_reference(tau)) <= 1e-12, m
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double here")
+    def test_gap_at_large_m_is_the_gap_at_the_rounded_angle(self):
+        # At m = 250 000 the exact gap at the rounded theta is 1 + 2.69e-10:
+        # the drift from 1 is the slope of f_tau times the rounding of
+        # theta, which the computed value follows.  The long-double sum
+        # (-1)^k sin(k theta) sin(u) / (u - pi k) is off by about 1e-14.
+        [(tau, gap)] = counterexample_run([250_000])
+        N = n_terms(1.0, tau)
+        theta = np.longdouble(tau * (math.pi / tau))
+        pi = 4 * np.arctan(np.longdouble(1))
+        u = np.longdouble(tau)
+        k = np.arange(-N, N + 1, dtype=np.longdouble)
+        terms = np.sin(k * theta)
+        terms[(N + 1) % 2::2] *= -1
+        terms /= u - pi * k
+        exact = float(np.sin(u) * (1 - np.sum(terms)))
+        assert abs(exact - 1.0) > 1e-10
+        assert abs(gap - exact) <= 1e-12
 
 
-def exp_coefficient_rows_masked(u, N):
-    """The (R, W) boolean-mask form of analysis._exp_coefficient_rows,
-    kept as its reference."""
-    n = int(np.max(N))
-    k = np.arange(-n, n + 1)
-    d = u[:, None] - math.pi * k
+def counterexample_reference(tau):
+    """Im(f - f_tau)(tau) for f = e^{ix} at 40 digits, at the theta = pi x
+    / tau that TrigApproximant.evaluate rounds for x = tau."""
+    import mpmath as mp
+
+    N = n_terms(1.0, tau)
+    theta = tau * (math.pi / tau)
+    with mp.workdps(40):
+        u, t = mp.mpf(tau), mp.mpf(theta)
+        total = mp.fsum(mp.sin(u - mp.pi * k) / (u - mp.pi * k)
+                        * mp.sin(k * t) for k in range(-N, N + 1))
+        return float(mp.sin(u) - total)
+
+
+def exp_coefficient_row_masked(u, N):
+    """The boolean-mask form of analysis._exp_coefficient_row, kept as its
+    reference."""
+    k = np.arange(-N, N + 1)
+    d = u - math.pi * k
     near = np.abs(d) < 1.0
-    rows = np.where(near, 1.0, d)
-    rows *= np.where(k % 2 == 0, 1.0, -1.0)
-    np.divide(np.sin(u)[:, None], rows, out=rows)
-    rows[near] = sinc_ratio(d[near])
-    rows[np.abs(k) > N[:, None]] = 0.0
-    return rows
+    row = np.where(near, 1.0, d)
+    row *= np.where(k % 2 == 0, 1.0, -1.0)
+    np.divide(np.sin(u), row, out=row)
+    row[near] = sinc_ratio(d[near])
+    return row
 
 
 class TestExpCoefficients:
-    # N = 0; negative u; u within 1e-7 of pi k on either side; a near index
-    # k = rint(u / pi) beyond the padded width (u = 100, N = 3) or inside
-    # the padding (u = 20, N = 2 beside N = 8); mixed N in one chunk
+    # Rows of each case: N = 0; negative u; u within 1e-7 of pi k on either
+    # side; a near index k = rint(u / pi) beyond N (u = 100, N = 3; u = 20,
+    # N = 2); the counterexample's u = tau_m
     @pytest.mark.parametrize("u, N", [
         ([0.0], [0]),
         ([0.4], [0]),
@@ -626,9 +659,9 @@ class TestExpCoefficients:
          [2 * m for m in range(1, 41)]),
     ])
     def test_rows_match_masked_form(self, u, N):
-        u, N = np.array(u), np.array(N)
-        assert np.array_equal(analysis._exp_coefficient_rows(u, N),
-                              exp_coefficient_rows_masked(u, N))
+        for u_r, N_r in zip(u, N):
+            assert np.array_equal(analysis._exp_coefficient_row(u_r, N_r),
+                                  exp_coefficient_row_masked(u_r, N_r))
 
     # (omega, tau): omega tau within 1e-6 of pi k, within 0.5 of pi k,
     # negative omega, and tau up to about 6000

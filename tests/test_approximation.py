@@ -249,12 +249,12 @@ class TestEvaluate:
             a.coefficient(a.N + 1)
 
 
-def direct_sums(rows, theta):
-    """Plain per-k sum of each row at its own angles, one term at a time."""
-    N = rows.shape[1] // 2
+def direct_sums(row, theta):
+    """Plain per-k sum of the row at the angles, one term at a time."""
+    N = len(row) // 2
     total = np.zeros(theta.shape, dtype=complex)
     for k in range(-N, N + 1):
-        total = total + rows[:, N + k, None] * np.exp(1j * k * theta)
+        total = total + row[N + k] * np.exp(1j * k * theta)
     return total
 
 
@@ -262,45 +262,44 @@ class TestTrigSums:
     # |k theta| <= 90 here, so the rounded phases are off by a few ulps of
     # 90, well below 1e-13
     @staticmethod
-    def assert_matches_direct_sums(rows, theta):
-        got = _trig_sums(rows, theta)
+    def assert_matches_direct_sums(row, theta):
+        got = _trig_sums(row, theta)
         assert got.shape == theta.shape
-        tol = 1e-13 * np.sum(np.abs(rows), axis=1, keepdims=True)
-        assert np.all(np.abs(got - direct_sums(rows, theta)) <= tol)
+        tol = 1e-13 * np.sum(np.abs(row))
+        assert np.all(np.abs(got - direct_sums(row, theta)) <= tol)
 
+    # N = 0, 1 and a few sizes whose B = isqrt(N) does not divide N, each
+    # alone and zero-padded to the largest N
     @pytest.mark.parametrize("dtype", [complex, float])
-    def test_rows_of_different_N_padded_into_one_chunk(self, dtype):
+    def test_rows_of_different_N(self, dtype):
         rng = np.random.default_rng(5)
         counts = [13, 0, 30, 1, 5]
         n = max(counts)
-        rows = np.zeros((len(counts), 2 * n + 1), dtype=dtype)
-        for r, N in enumerate(counts):
+        for N in counts:
             re, im = rng.normal(size=(2, 2 * N + 1))
-            rows[r, n - N:n + N + 1] = re + 1j * im if dtype is complex else re
-        theta = rng.uniform(-3.0, 3.0, (len(counts), 7))
-        self.assert_matches_direct_sums(rows, theta)
-        # each row alone, unpadded: R = 1, and N = 0 for one of them
-        for r, N in enumerate(counts):
-            self.assert_matches_direct_sums(rows[r:r + 1, n - N:n + N + 1],
-                                            theta[r:r + 1])
+            row = re + 1j * im if dtype is complex else re
+            theta = rng.uniform(-3.0, 3.0, 7)
+            self.assert_matches_direct_sums(row, theta)
+            self.assert_matches_direct_sums(np.pad(row, n - N), theta)
 
     def test_rows_of_one_term(self):
-        rows = np.array([[2.0 - 1.0j], [0.5j], [0.0]])
-        got = _trig_sums(rows, np.ones((3, 4)))
-        assert np.array_equal(got, np.repeat(rows, 4, axis=1))
+        for c in (2.0 - 1.0j, 0.5j, 0.0):
+            got = _trig_sums(np.array([c]), np.ones(4))
+            assert np.array_equal(got, np.full(4, c))
 
-    # N = 100 takes B = A = 10, so a chunk of m angles of 3 rows holds
-    # 3 m 6A values in its temporaries: 10 angles at 1800 values, 16 at 3000
-    # (with a last chunk of 8)
+    # N = 100 takes B = A = 10, so a chunk of m angles holds m 6A values
+    # in its temporaries: 30 angles at 1800 values, 50 at 3000
     @pytest.mark.parametrize("limit", [1800, 3000])
     def test_angle_chunks_stay_within_node_limit(self, limit, monkeypatch):
         rng = np.random.default_rng(7)
-        rows = rng.normal(size=(3, 201)) + 1j * rng.normal(size=(3, 201))
-        theta = rng.uniform(-3.0, 3.0, (3, 1000))
-        a = TrigApproximant(tau=2.0, sigma=math.pi * 50.0, N=100,
-                            coefficients=rows[0], coeff_error=0.0)
-        whole = _trig_sums(rows, theta)
-        one_row = np.asarray(a.evaluate(theta[0]))
+        row = rng.normal(size=201) + 1j * rng.normal(size=201)
+        theta = rng.uniform(-3.0, 3.0, 1000)
+        # at tau = pi, evaluate's theta = pi x / tau is x itself
+        a = TrigApproximant(tau=math.pi, sigma=100.0, N=100,
+                            coefficients=row, coeff_error=0.0)
+        whole = _trig_sums(row, theta)
+        at_x = np.asarray(a.evaluate(theta))
+        assert np.array_equal(at_x, whole)
 
         shapes = []
         exp = np.exp
@@ -312,16 +311,15 @@ class TestTrigSums:
 
         monkeypatch.setattr(quadrature, "MAX_NODES", limit)
         monkeypatch.setattr(np, "exp", spy)
-        chunked = _trig_sums(rows, theta)
-        chunked_row = np.asarray(a.evaluate(theta[0]))
+        chunked = _trig_sums(row, theta)
+        chunked_at_x = np.asarray(a.evaluate(theta))
         monkeypatch.undo()
-        # two exponential tables per chunk, for 3 rows and then for 1
-        assert len(shapes) == 2 * (math.ceil(1000 / (limit // 180))
-                                   + math.ceil(1000 / (limit // 60)))
-        for R, m, _ in shapes:
-            assert R * m * 6 * 10 <= limit
+        # two exponential tables per chunk, for _trig_sums and for evaluate
+        assert len(shapes) == 2 * 2 * math.ceil(1000 / (limit // 60))
+        for m, _ in shapes:
+            assert m * 6 * 10 <= limit
         assert np.array_equal(chunked, whole)
-        assert np.array_equal(chunked_row, one_row)
+        assert np.array_equal(chunked_at_x, at_x)
 
 
 class TestTruncated:

@@ -1,16 +1,19 @@
 """Property tests for the input validators: each accepts what it documents
-and rejects everything else with its own error type; and for the catalog's
-``abs_even`` flag, which the real-line norms rely on."""
+and rejects everything else with its own error type; for the catalog's
+``abs_even`` flag, which the real-line norms rely on; and for the grouping,
+sorting and scattering of ``counterexample_run``."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandlim import cli
+from bandlim import analysis, cli
+from bandlim.analysis import counterexample_run
 from bandlim.functions import (TestFunction, UnknownFunctionError, from_id,
                                make_complex_exponential, make_fejer_square,
                                make_sinc, mollify)
@@ -132,3 +135,25 @@ class TestAbsEven:
         base = ABS_EVEN_MEMBERS[name](param, rho)
         plain = dataclasses.replace(base, abs_even=False)
         assert not mollify(plain, rho).abs_even
+
+
+class TestCounterexampleRun:
+    # 1 to 60 values of m, a third of them repeated, in shuffled order
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(m_list=st.lists(st.integers(min_value=1, max_value=3000),
+                           min_size=1, max_size=45).flatmap(
+        lambda ms: st.permutations(ms + ms[:len(ms) // 3])))
+    def test_each_m_as_if_run_alone(self, m_list):
+        results = counterexample_run(m_list)
+        assert len(results) == len(m_list)
+        for m, (tau, gap) in zip(m_list, results):
+            assert tau == 0.5 * math.pi + 2.0 * math.pi * m
+            [(_, alone)] = counterexample_run([m])
+            assert abs(gap - alone) <= 1e-12, m
+            assert abs(gap - 1.0) <= 1e-9, m
+        # the gaps of neighbouring m agree to about 1e-13, so a row's own
+        # tau as its value shows that each lands in its place
+        with mock.patch.object(analysis, "_counterexample_chunk",
+                               lambda u, *args: u):
+            marked = counterexample_run(m_list)
+        assert [gap for _, gap in marked] == [tau for tau, _ in results]

@@ -290,8 +290,8 @@ def sup_grid_site(gate, monkeypatch):
 
 
 def exp_site(gate, monkeypatch):
-    monkeypatch.setattr(analysis, "_exp_coefficient_rows",
-                        gate(analysis._exp_coefficient_rows))
+    monkeypatch.setattr(analysis, "_exp_coefficient_row",
+                        gate(analysis._exp_coefficient_row))
     return lambda: exp_coefficients(100.0)
 
 
