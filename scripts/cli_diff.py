@@ -43,6 +43,9 @@ LEMMA2_CASES = [
     ["lemma2", "--sigma", "0.5", "--tau", "1", "--delta", "0"],
     ["lemma2", "--sigma", "5", "--tau", "40", "--delta", "0.9",
      "--n-points", "100000"],
+    # the largest grid: its 139 810 sampled panels take 547 passes
+    ["lemma2", "--sigma", "1", "--tau", "10", "--delta", "0.5",
+     "--n-points", "4194300"],
     ["lemma2", "--n-points", "999"],
 ]
 

@@ -13,7 +13,9 @@ import numpy as np
 from .approximation import (TrigApproximant, _coefficient_ladder,
                             _first_level)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
-from .kernels import dirichlet, kernel_gap, n_terms, sinc_kernel
+from . import quadrature
+from .kernels import (_nudged_floor, dirichlet, kernel_gap, n_terms,
+                      sinc_kernel)
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
                          _bracketed_roots, _check_nodes, _count_panels,
                          _nodes, _panel_nodes, _panel_sup, _piece_nodes,
@@ -628,24 +630,35 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
     has more), each chunk one matrix-vector product.
     """
     taus = []
-    counts = []
-    total = 0
+    error = None
     for m in m_list:
         if not (1 <= m < math.inf and int(m) == m):
-            raise ValueError("m_list must contain positive integers")
+            error = ValueError("m_list must contain positive integers")
+            break
         try:
             taus.append(0.5 * math.pi + 2.0 * math.pi * int(m))
         except OverflowError:
-            raise ValueError("m_list holds a value beyond the float "
-                             "range") from None
-        counts.append(_exp_n_terms(1.0, taus[-1]))
-        total += 2 * counts[-1] + 1
-        if total > MAX_COUNTEREXAMPLE_COEFFS:
-            raise ValueError(
-                f"m_list needs at least {total} coefficients in all, above "
-                f"the limit of {MAX_COUNTEREXAMPLE_COEFFS}")
+            error = ValueError("m_list holds a value beyond the float range")
+            break
+    # The m before ``error`` are checked in order, as if one by one: the
+    # first whose N (that of n_terms(1, tau), inf at tau = inf) fails
+    # _exp_n_terms, unless an earlier m takes the total above the limit.
     tau = np.array(taus)
-    counts = np.array(counts, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        counts = _nudged_floor(1.0 * tau / math.pi)
+    bad = np.flatnonzero(~(2.0 * counts + 1.0 <= quadrature.MAX_NODES))
+    checked = bad[0] if len(bad) else len(taus)
+    counts = counts[:checked].astype(np.intp)
+    total = np.cumsum(2 * counts + 1)
+    over = np.searchsorted(total, MAX_COUNTEREXAMPLE_COEFFS, side="right")
+    if over < checked:
+        raise ValueError(
+            f"m_list needs at least {total[over]} coefficients in all, above "
+            f"the limit of {MAX_COUNTEREXAMPLE_COEFFS}")
+    if checked < len(taus):
+        _exp_n_terms(1.0, taus[checked])  # raises that m's message
+    if error is not None:
+        raise error
     theta = tau * (math.pi / tau)
     gaps = np.empty(len(taus))
     for angle in set(theta.tolist()):

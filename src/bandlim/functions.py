@@ -29,12 +29,12 @@ def sinc_ratio(u):
     """
     u = np.asarray(u)
     small = np.abs(u) < _SERIES_CUTOFF
+    if not small.any():
+        return np.asarray(np.sin(u) / u)
     safe = np.where(small, 1.0, u)
     out = np.asarray(np.sin(safe) / safe)
-    if small.any():
-        u2 = u[small] * u[small]
-        out[small] = (1.0 - u2 / 6.0 + u2 * u2 / 120.0
-                      - u2 * u2 * u2 / 5040.0)
+    u2 = u[small] * u[small]
+    out[small] = (1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0)
     return out
 
 

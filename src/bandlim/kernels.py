@@ -9,13 +9,14 @@ from typing import Sequence
 import numpy as np
 
 from .functions import sinc_ratio, _maybe_scalar
-from .quadrature import (MAX_NODES, ORDER, _check_nodes, _count_panels,
-                         _sampled_sup)
+from .quadrature import (MAX_NODES, ORDER, _SUP_PASS, _check_nodes,
+                         _cheb_sums, _count_panels, _nodes, _sup_bound)
 
 _OMEGA_CUTOFF = 0.1
 # Largest n_points of kernel_gap_scan: the largest multiple of ORDER
-# within the node limit, since n_points is rounded up to whole panels (the
-# gap evaluation holds about ten float64 arrays of that size, 32 MiB each).
+# within the node limit, since n_points is rounded up to whole panels.  The
+# scan holds a few arrays of one value per sampled panel (1.1 MiB each
+# here) and the temporaries of one pass of _SUP_PASS panels.
 MAX_SCAN_POINTS = ORDER * (MAX_NODES // ORDER)
 
 
@@ -26,10 +27,14 @@ def n_terms(sigma: float, tau: float) -> int:
     if not math.isfinite(x):
         raise ValueError(f"sigma * tau must be finite (sigma={sigma:g}, "
                          f"tau={tau:g})")
-    n = math.floor(x)
-    if x - n > 1.0 - 1e-12:
-        n += 1
-    return int(n)
+    return int(_nudged_floor(x))
+
+
+def _nudged_floor(x):
+    """floor(x), plus 1 where x lies within 1e-12 below the next integer,
+    as floats; x a float or an array of them."""
+    n = np.floor(x)
+    return n + (x - n > 1.0 - 1e-12)
 
 
 def dirichlet(N: int, xi):
@@ -52,6 +57,8 @@ def _dirichlet(N, xi):
     d = xi - 2.0 * math.pi * np.round(xi / (2.0 * math.pi))
     s = np.sin(0.5 * d)
     zero = s == 0.0
+    if not zero.any():
+        return np.sin((N + 0.5) * d) / s
     ratio = np.sin((N + 0.5) * d) / np.where(zero, 1.0, s)
     return np.where(zero, 2 * N + 1.0, ratio)
 
@@ -142,25 +149,64 @@ def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
                      n_points: int = 1000) -> list[KernelGapReport]:
     """Certified sup of |kernel_gap| over [-(1+delta) tau, (1+delta) tau]
     for each (sigma, tau, delta) in ``cells``, in order; every cell is
-    checked first.  The gap is sampled once on ``quadrature.ORDER`` Gauss
-    nodes per panel of width at most 2 / max(sigma, pi N / tau), at least
-    ``n_points`` nodes in all.  :func:`_sampled_sup` certifies its sup from
+    checked first.
+
+    A cell's grid is the :func:`_panel_nodes` of its P equal panels of
+    width at most 2 / max(sigma, pi N / tau), at least ``n_points`` nodes
+    in all, and ``n_points`` reports its P ``quadrature.ORDER`` nodes.  The
+    gap is even in v (both kernels are), so only panels j >= P // 2 are
+    sampled, at the same nodes m_j + hw x_q: they tile [0, X], or [-hw, X]
+    for odd P, X = (1 + delta) tau, and the sup over them is the sup over
+    the window.  ``argmax`` is the first node of the largest |gap| among
+    them, so it lies at or right of -hw.  The panels of all cells go
+    through :func:`_gap` and :func:`_cheb_sums` in passes of
+    ``quadrature._SUP_PASS`` panels, which cross cell boundaries, and
+    :func:`_sup_bound` certifies each cell from its largest sum, for
     |d^k/dv^k sin(sigma v)/(pi v)| <= sigma^k sigma / pi and
-    |d^k/dv^k D_N(pi v / tau)/(2 tau)| <= (pi N / tau)^k (2N + 1)/(2 tau).
+    |d^k/dv^k D_N(pi v / tau)/(2 tau)| <= (pi N / tau)^k (2N + 1)/(2 tau),
+    with the node-rounding term of the full grid, L = P hw = X.
     """
     sizes = [_scan_size(s, t, d, n_points) for s, t, d in cells]
-    reports = []
-    for (sigma, tau, delta), (N, panels) in zip(cells, sizes):
-        cert, arg = _sampled_sup(
-            lambda v: _gap(sigma, tau, N, v), (1.0 + delta) * tau, panels,
-            ((sigma, sigma / math.pi),
-             (math.pi * N / tau, (2 * N + 1) / (2.0 * tau))))
-        reports.append(KernelGapReport(
-            sigma=float(sigma), tau=float(tau), delta=float(delta),
-            n_points=panels * ORDER, observed_max=cert.grid_max,
-            argmax=arg, certified_max=cert.certified_bound,
-            bound=kernel_gap_bound(sigma, tau, delta)))
-    return reports
+    if not sizes:
+        return []
+    sigma, tau, delta = np.array(cells, dtype=float).T
+    N, panels = np.array(sizes).T
+    X = (1.0 + delta) * tau
+    hw = X / panels
+    first = panels // 2
+    count = panels - first
+    starts = np.cumsum(count) - count
+    cell = np.repeat(np.arange(len(cells)), count)
+    j = np.arange(len(cell)) - starts[cell] + first[cell]
+    xq = _nodes(ORDER)[0]
+    peak = np.empty(len(cell))
+    at = np.empty(len(cell), dtype=np.intp)
+    sums = np.empty(len(cell))
+    for i in range(0, len(cell), _SUP_PASS):
+        part = slice(i, i + _SUP_PASS)
+        c = cell[part, None]
+        values = _gap(sigma[c], tau[c], N[c],
+                      -X[c] + hw[c] * (2.0 * j[part, None] + 1.0)
+                      + hw[c] * xq)
+        mag = np.abs(values)
+        at[part] = mag.argmax(axis=1)
+        peak[part] = mag.max(axis=1)
+        sums[part] = _cheb_sums(values)
+    # per cell: the largest |gap| and its first panel, and the largest sum
+    observed = np.maximum.reduceat(peak, starts)
+    hits = np.flatnonzero(peak == observed[cell])
+    best = hits[np.searchsorted(hits, starts)]
+    argmax = -X + hw * (2.0 * j[best] + 1.0) + hw * xq[at[best]]
+    sums = np.maximum.reduceat(sums, starts)
+    return [KernelGapReport(
+        sigma=float(s), tau=float(t), delta=float(d), n_points=P * ORDER,
+        observed_max=float(m), argmax=float(a),
+        certified_max=_sup_bound(
+            w, h, P, ORDER,
+            ((s, s / math.pi), (math.pi * n / t, (2 * n + 1) / (2.0 * t)))),
+        bound=kernel_gap_bound(s, t, d))
+        for (s, t, d), (n, P), m, a, w, h in zip(
+            cells, sizes, observed, argmax, sums, hw.tolist())]
 
 
 def kernel_gap_scan(sigma: float, tau: float, delta: float,

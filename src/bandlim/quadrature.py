@@ -29,6 +29,9 @@ MAX_INTEGRAND_POINTS = 2 ** 24
 # Most nodes (or coefficients) one array of the library may hold, checked by
 # _check_nodes before it is built: 2^22 complex values are 64 MiB.
 MAX_NODES = 2 ** 22
+# Panels per pass of the certified sup rule (_cheb_sums), so that the
+# temporaries of a pass stay small: 256 ORDER = 3840 values of F.
+_SUP_PASS = 256
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -162,20 +165,35 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
     its largest value at the midpoints of n = 16 Q^2 equal cells of
     [-1, 1], Lambda_Q <= g / (1 - (Q - 1)^2 / n), 6.85 for Q = 15.
     """
-    Q = values.shape[1]
-    to_cheb, to_coeffs, factor, lebesgue = _cheb_maps(Q)
-    s = 0.0  # 256 panels at a time, so that the temporaries stay small
-    for i in range(0, len(values), 256):
-        u = (values[i:i + 256] @ to_cheb.T).reshape(-1, 2 * Q - 1)
-        w = u.real ** 2 + u.imag ** 2
-        s = max(s, np.abs(w @ to_coeffs.T).sum(axis=1).max())
-    bound = math.sqrt(factor * s) + (
+    s = 0.0
+    for i in range(0, len(values), _SUP_PASS):
+        s = max(s, _cheb_sums(values[i:i + _SUP_PASS]).max())
+    return SupNormCertificate(
+        grid_max=float(np.abs(values).max()), spacing=2.0 * hw,
+        certified_bound=_sup_bound(s, hw, len(values), values.shape[1],
+                                   derivs))
+
+
+def _cheb_sums(values):
+    """For each panel of the (n, Q) block ``values`` of :func:`_panel_sup`,
+    the larger of the sums s = sum |a_k| of its two halves."""
+    to_cheb, to_coeffs = _cheb_maps(values.shape[1])[:2]
+    u = (values @ to_cheb.T).reshape(-1, len(to_coeffs))
+    w = u.real ** 2 + u.imag ** 2
+    return np.abs(w @ to_coeffs.T).sum(axis=1).reshape(-1, 2).max(axis=1)
+
+
+def _sup_bound(s: float, hw: float, panels: int, Q: int, derivs) -> float:
+    """The certified sup of :func:`_panel_sup` from s, the largest
+    :func:`_cheb_sums` value over sampled panels of half-width ``hw`` and Q
+    nodes, on the :func:`_panel_nodes` of ``panels`` panels that tile
+    [-L, L], L = panels hw."""
+    _, _, factor, lebesgue = _cheb_maps(Q)
+    return math.sqrt(factor * s) + (
         2.0 ** Q * math.factorial(Q) / math.factorial(2 * Q)
         * sum((r * hw) ** Q * c for r, c in derivs)
-        + 3.0 * math.ulp(1.0) * len(values) * hw * lebesgue
+        + 3.0 * math.ulp(1.0) * panels * hw * lebesgue
         * sum(r * c for r, c in derivs))
-    return SupNormCertificate(grid_max=float(np.abs(values).max()),
-                              spacing=2.0 * hw, certified_bound=bound)
 
 
 def _sampled_sup(F, X: float, panels: int, derivs):

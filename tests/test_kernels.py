@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bandlim import cli, kernels
+from bandlim import cli, kernels, quadrature
 from bandlim.quadrature import MAX_NODES, ORDER
 from bandlim.kernels import (MAX_SCAN_POINTS, KernelGapReport, dirichlet,
                              kernel_gap, kernel_gap_bound, kernel_gap_scan,
@@ -235,6 +236,18 @@ class TestKernelGap:
             assert got[i] == kernel_gap(float(sig[i]), float(tau[i]),
                                         float(v[i]))
 
+    def test_even_in_v_bitwise(self):
+        # The scan samples v >= 0 only: the gap must be even bit for bit,
+        # also at 0, near it and at the poles of D_N (v = 2 m tau).
+        rng = np.random.default_rng(7)
+        for sigma, tau, _ in DEFAULT_CELLS + [(3.0, 1000.0, 0.5)]:
+            N = n_terms(sigma, tau)
+            v = np.concatenate([rng.uniform(0.0, 2.0 * tau, 2000),
+                                tau * np.arange(5.0), [1e-300, 1e-9]])
+            left = kernels._gap(sigma, tau, N, -v)
+            right = kernels._gap(sigma, tau, N, v)
+            assert np.array_equal(left.view(np.int64), right.view(np.int64))
+
     def test_array_matches_scalar_calls(self):
         v = np.array([[0.0, 1e-9], [-0.3, 12.5]])
         got = kernel_gap(2.0, 7.0, v)
@@ -340,8 +353,61 @@ class TestScans:
     def test_empty(self):
         assert kernel_gap_scans([]) == []
 
-    def test_one_gap_call_per_cell_on_its_nodes(self, monkeypatch):
+    def test_gap_calls_sample_half_of_each_grid_in_passes(self,
+                                                          monkeypatch):
+        # The panels j >= P // 2 of each cell's P, at most 256 panels of
+        # ORDER nodes a call, while n_points still counts the full grids.
         calls = count_gap_calls(monkeypatch)
         reports = kernel_gap_scans(DEFAULT_CELLS)
-        assert calls == [rep.n_points for rep in reports]
-        assert sum(calls) == 84585
+        panels = [rep.n_points // ORDER for rep in reports]
+        assert sum(calls) == sum(ORDER * (P - P // 2) for P in panels)
+        assert sum(calls) == 42720
+        assert max(calls) <= 256 * ORDER == 3840
+        assert sum(rep.n_points for rep in reports) == 84585
+
+    def test_half_grid_matches_full_grid(self):
+        # Reference: each cell's full grid sampled and certified on its own,
+        # as one _sampled_sup call.  The half grid's nodes are bitwise those
+        # of the full grid's right half, whose mirrors differ by rounding.
+        for rep in kernel_gap_scans(DEFAULT_CELLS):
+            sigma, tau = rep.sigma, rep.tau
+            N = n_terms(sigma, tau)
+            X = (1.0 + rep.delta) * tau
+            P = rep.n_points // ORDER
+            cert, arg = quadrature._sampled_sup(
+                lambda v: kernels._gap(sigma, tau, N, v), X, P,
+                ((sigma, sigma / math.pi),
+                 (math.pi * N / tau, (2 * N + 1) / (2.0 * tau))))
+            assert rep.observed_max == pytest.approx(cert.grid_max, rel=1e-12)
+            assert rep.certified_max == pytest.approx(cert.certified_bound,
+                                                      rel=1e-12)
+            assert abs(rep.argmax) == pytest.approx(abs(arg), rel=1e-12,
+                                                    abs=1e-12 * X)
+            assert -X / P <= rep.argmax <= X
+
+    @pytest.mark.parametrize("cell, n_points, panels", [
+        ((1.0, 10.0, 0.5), 1000, 67),
+        ((1.0, 10.0, 0.5), 5000, 334),
+        ((math.pi, 40.0, 0.9), 1000, 239),
+        ((5.0, 40.0, 0.9), 1000, 380),
+    ])
+    def test_certificate_covers_both_halves(self, cell, n_points, panels):
+        sigma, tau, delta = cell
+        rep = kernel_gap_scan(sigma, tau, delta, n_points)
+        assert rep.n_points == panels * ORDER
+        X = (1.0 + delta) * tau
+        v = np.linspace(-X, X, 20 * rep.n_points + 1)
+        dense = np.abs(kernel_gap(sigma, tau, v))
+        assert rep.certified_max >= dense[v <= 0.0].max()
+        assert rep.certified_max >= dense[v >= 0.0].max()
+        assert rep.argmax >= -X / panels
+
+    def test_largest_grid_peak_memory(self):
+        tracemalloc.start()
+        try:
+            rep = kernel_gap_scan(1.0, 10.0, 0.5, MAX_SCAN_POINTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.n_points == MAX_SCAN_POINTS
+        assert peak < 64 * 2 ** 20
