@@ -89,14 +89,17 @@ LEWITAN_CASES = [
      "--K", "3000000"],
 ]
 
-# counterexample beyond the benchmark's consecutive m: an unsorted list whose
-# rows go through in more than one chunk, a long JSON run, one large m, and
-# the longest range within the total coefficient limit.
+# counterexample beyond the benchmark's consecutive m: an unsorted list, a
+# long JSON run, one large m, the longest range within the total coefficient
+# limit, the largest m within the node limit (N = 2 097 150), and one m at
+# each of the three rounded angles, one of them twice.
 COUNTEREXAMPLE_CASES = [
     ["counterexample", "--m", "1000,1,999,2,3..40"],
     ["counterexample", "--m", "1..3000", "--format", "json"],
     ["counterexample", "--m", "250000"],
     ["counterexample", "--m", "1..5700"],
+    ["counterexample", "--m", "1048575"],
+    ["counterexample", "--m", "15,14,1,15"],
 ]
 
 # The benchmark runs the inequalities matrix as CSV only.

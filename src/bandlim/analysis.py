@@ -29,13 +29,10 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Cap for the sup-norm search window on the real line.
 _SUP_X_MAX = 1.0e6
 _SUP_ENVELOPE_FLOOR = 1e-6
-# Most coefficients counterexample_run may build, summed over its m: 2^26
-# take about 2 s on a 2-core Xeon.
+# Most coefficients 2N + 1 that counterexample_run admits, summed over its
+# m.  Its values come in closed form, without the coefficients, so this
+# bounds which inputs it accepts rather than its run time.
 MAX_COUNTEREXAMPLE_COEFFS = 2 ** 26
-# Most padded values of D_k = 1 / (u - pi k) that counterexample_run holds
-# at a time (128 KiB of floats), one m excepted.  For m = 5..1004 on a 2-core
-# Xeon, single-threaded, 2^13 took 12 ms and 2^14 to 2^17 10 ms.
-_COUNTEREXAMPLE_CHUNK = 2 ** 14
 # pi - fl(pi), the part of pi below the float math.pi.
 _PI_LOW = 1.2246467991473532e-16
 # The contraction 2 sin(sigma h / 4) at the largest sup_norm_certified step.
@@ -615,19 +612,23 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
 
     With u = tau_m, c_k = sinc(u - pi k) and theta = pi x / tau at x = tau,
     rounded as :meth:`TrigApproximant.evaluate` rounds it, the value is
-    sin u - sin(u) sum_k D_k T_k with D_k = 1 / (u - pi k) and the phase
-    row T_k = (-1)^k sin(k theta) = sin(k (theta - pi)).  Here
-    |u - pi k| >= pi / 2 > 1 for every k, so by the accuracy argument of
-    :func:`_exp_coefficient_row` every k takes the one-sine form and no
-    sinc_ratio term is needed.  theta is fl(pi) or one of its two
-    neighbours, so theta - pi = (theta - fl(pi)) - (pi - fl(pi)) takes one
-    rounding, and each T_k is right to a few ulps, where sin at the rounded
-    k theta would be off by about eps k theta.  So the drift of the value
-    from 1, about 1e-9 at m = 10^6, is that of the exact sum at the rounded
-    theta.  The m sharing a theta share T, built once for the largest N
-    among them.  Their m go through in order of N, in chunks of at most
-    ``_COUNTEREXAMPLE_CHUNK`` padded values of D (or one m, if it alone
-    has more), each chunk one matrix-vector product.
+    sin u - sin(u) S, S = sum_{|k| <= N} sin(k eps) / (u - pi k), since
+    (-1)^k sin(k theta) = sin(k eps) for eps = theta - pi.  theta is
+    fl(pi) or one of its two neighbours, so eps = (theta - fl(pi)) -
+    (pi - fl(pi)) takes one rounding.  No sinc_ratio term is needed:
+    |u - pi k| >= pi / 2 for every k.  With N = 2m and j = N - k,
+    u - pi k = pi (j + 1/2) + delta, delta the rounding of tau, and
+
+        S = (eps / pi) ((N + 1/2) H(2N) - (2N + 1)),
+        H(n) = sum_{j <= n} 1 / (j + 1/2),
+
+    up to two approximations.  sin(k eps) = k eps is off by a relative
+    (N eps)^2 / 6, and |N eps| <= 1.2e-9 under the node limit; dropping
+    delta moves S by at most N |eps delta| / 2.  H comes from one prefix
+    sum over j <= 2 max N, off by at most (2N + 1) eps relative.  At the
+    largest m the node limit admits each is below 1e-17 absolute, so the
+    drift of the value from 1, about 1e-9 at m = 10^6, is that of the exact
+    sum at the rounded theta.
     """
     taus = []
     error = None
@@ -659,40 +660,16 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
         _exp_n_terms(1.0, taus[checked])  # raises that m's message
     if error is not None:
         raise error
-    theta = tau * (math.pi / tau)
-    gaps = np.empty(len(taus))
-    for angle in set(theta.tolist()):
-        group = np.flatnonzero(theta == angle)
-        group = group[np.argsort(counts[group])]
-        n = int(counts[group[-1]])
-        # pi k, and in one buffer k, then k (theta - pi), then T_k
-        phase = np.arange(-n, n + 1, dtype=float)
-        pi_k = phase * math.pi
-        np.multiply(phase, (angle - math.pi) - _PI_LOW, out=phase)
-        np.sin(phase, out=phase)
-        start = 0
-        while start < len(group):
-            stop = start + 1
-            while (stop < len(group) and (stop + 1 - start)
-                   * (2 * counts[group[stop]] + 1) <= _COUNTEREXAMPLE_CHUNK):
-                stop += 1
-            rows = group[start:stop]
-            gaps[rows] = _counterexample_chunk(tau[rows], counts[rows],
-                                               pi_k, phase)
-            start = stop
+    eps = (tau * (math.pi / tau) - math.pi) - _PI_LOW
+    harmonic = _half_harmonic(2 * counts.max(initial=0))[2 * counts]
+    sin_u = np.sin(tau)
+    gaps = sin_u - sin_u * (eps / math.pi * ((counts + 0.5) * harmonic
+                                             - (2 * counts + 1)))
     return list(zip(taus, gaps.tolist()))
 
 
-def _counterexample_chunk(u, N, pi_k, phase):
-    """sin u - sin(u) sum_{|k| <= N[r]} T_k / (u[r] - pi k) for the rows
-    of one chunk, N ascending; ``pi_k`` and ``phase`` hold pi k and T_k for
-    |k| <= n, n >= max(N), centred on k = 0."""
-    n, width = len(phase) // 2, N[-1]
-    inside = slice(n - width, n + width + 1)
-    D = np.subtract.outer(u, pi_k[inside])
-    np.reciprocal(D, out=D)
-    for i in np.flatnonzero(N < width):
-        D[i, :width - N[i]] = 0.0
-        D[i, width + N[i] + 1:] = 0.0
-    sin_u = np.sin(u)
-    return sin_u - sin_u * (D @ phase[inside])
+def _half_harmonic(n):
+    """H(j) = sum_{i <= j} 1 / (i + 1/2) for 0 <= j <= n, in one buffer."""
+    h = np.arange(0.5, n + 1)
+    np.reciprocal(h, out=h)
+    return np.cumsum(h, out=h)

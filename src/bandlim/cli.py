@@ -228,11 +228,13 @@ def _run_inequalities(ns):
     a = approximation.fourier_coefficients(sinc1, 10.0, quad)
     for p in (1.5, 2.0):
         checks.append(analysis.check_poly_nikolskii(a, p, quad))
-    columns = ["check", "function", "params", "lhs", "rhs", "margin"]
+    columns = ["check", "function", "params", "lhs", "rhs", "margin",
+               "error_bound"]
     rows = []
     for c in checks:
         params = ";".join(f"{k}={_fmt(float(v))}" for k, v in c.params.items())
-        rows.append([c.name, c.function_id, params, c.lhs, c.rhs, c.margin])
+        rows.append([c.name, c.function_id, params, c.lhs, c.rhs, c.margin,
+                     c.error_bound])
     return columns, rows, None
 
 

@@ -559,7 +559,7 @@ class TestCounterexample:
     def test_every_m_checked_before_any_coefficients(self, m_list, text,
                                                      monkeypatch):
         built = []
-        monkeypatch.setattr(analysis, "_counterexample_chunk",
+        monkeypatch.setattr(analysis, "_half_harmonic",
                             lambda *args: built.append(args))
         with pytest.raises(ValueError, match=text):
             counterexample_run(m_list)
@@ -573,23 +573,10 @@ class TestCounterexample:
         monkeypatch.setattr(analysis, "MAX_COUNTEREXAMPLE_COEFFS", 14)
         assert len(counterexample_run([1, 2])) == 2
 
-    def test_keeps_input_order_across_chunks(self, monkeypatch):
-        # N = 2m: m = 999 and 1000 (3997 and 4001 coefficients) share a
-        # padded chunk, the smaller m at the same theta = fl(pi) another,
-        # and the m at the two neighbours of fl(pi) chunks of their own
+    def test_keeps_input_order(self):
+        # unsorted, with m at all three rounded angles
         m_list = [1000, 1, 999, 2, *range(3, 40)]
-        run_chunk = analysis._counterexample_chunk
-        chunks = []
-
-        def spy(u, N, pi_k, phase):
-            chunks.append(len(u))
-            assert (len(u) * (2 * N[-1] + 1)
-                    <= analysis._COUNTEREXAMPLE_CHUNK or len(u) == 1)
-            return run_chunk(u, N, pi_k, phase)
-
-        monkeypatch.setattr(analysis, "_counterexample_chunk", spy)
         results = counterexample_run(m_list)
-        assert len(chunks) > 1 and sum(chunks) == len(m_list)
         assert len(results) == len(m_list)
         for m, (tau, gap) in zip(m_list, results):
             assert tau == 0.5 * math.pi + 2.0 * math.pi * m

@@ -5,7 +5,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from bandlim import approximation, cli, kernels, quadrature
+from bandlim import (analysis, approximation, cli, functions, kernels,
+                     quadrature)
+from bandlim.quadrature import QuadratureSpec
 
 
 def run_capture(argv, capsys):
@@ -208,6 +210,36 @@ class TestCounterexample:
         jsonschema.validate(doc, load_schema("output.schema.json"))
         assert doc["subcommand"] == "counterexample"
         assert doc["params"]["m"] == [1, 2]
+
+
+class TestInequalities:
+    def test_error_bound_column_is_the_checks_error_bound(self, capsys):
+        status, out, err = run_capture(["inequalities", "--format", "json"],
+                                       capsys)
+        assert status == 0 and err == ""
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_schema("output.schema.json"))
+        assert doc["columns"][-2:] == ["margin", "error_bound"]
+        rows = {tuple(row[:3]): row[-1] for row in doc["rows"]}
+        assert len(doc["rows"]) == 19
+        quad = QuadratureSpec(**doc["params"]["quad"])
+        sinc1 = functions.make_sinc(1.0)
+        fejer2 = functions.make_fejer_square(2.0)
+        # the y = 0 Plancherel-Polya rows, whose margins lie below their
+        # error bounds, and a Nikolskii and a polynomial Nikolskii row with
+        # a nonzero error
+        for check, key in [
+            (analysis.check_plancherel_polya(sinc1, 0.0, 2.0, quad),
+             ("plancherel_polya", "sinc:sigma=1", "y=0;p=2")),
+            (analysis.check_plancherel_polya(fejer2, 0.0, 2.0, quad),
+             ("plancherel_polya", "fejer_square:sigma=2", "y=0;p=2")),
+            (analysis.check_nikolskii(sinc1, 2.0, 4.0, quad),
+             ("nikolskii", "sinc:sigma=1", "r1=2;r2=4")),
+            (analysis.check_poly_nikolskii(analysis.exp_coefficients(40.0),
+                                           2.0, quad),
+             ("poly_nikolskii", "approximant:tau=40", "p=2;N=12")),
+        ]:
+            assert rows[key] == check.error_bound > 0, key
 
 
 class TestLemma2:

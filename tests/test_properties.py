@@ -1,22 +1,23 @@
 """Property tests for the input validators: each accepts what it documents
 and rejects everything else with its own error type; for the catalog's
-``abs_even`` flag, which the real-line norms rely on; and for the grouping,
-sorting and scattering of ``counterexample_run``."""
+``abs_even`` flag, which the real-line norms rely on; and for the values
+of ``counterexample_run`` against long-double sums."""
 
 import dataclasses
+import functools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandlim import analysis, cli
+from bandlim import cli
 from bandlim.analysis import counterexample_run
 from bandlim.functions import (TestFunction, UnknownFunctionError, from_id,
                                make_complex_exponential, make_fejer_square,
                                make_sinc, mollify)
+from bandlim.kernels import n_terms
 from bandlim.quadrature import QuadratureSpec
 
 # A fixed example count and seed keep the run short and repeatable.
@@ -137,23 +138,56 @@ class TestAbsEven:
         assert not mollify(plain, rho).abs_even
 
 
+# pi - fl(pi), to more digits than a long double holds
+PI_LOW = np.longdouble("1.2246467991473531772260659281409368e-16")
+
+
+@functools.lru_cache(maxsize=None)
+def long_double_gap(tau):
+    """Im(f - f_tau)(tau) for f = e^{ix} at the rounded theta = tau (pi /
+    tau), summed term by term in long double: sin u (1 - sum_{|k| <= N}
+    sin(k eps) / (u - pi k)) with u = tau and eps = theta - pi, since
+    (-1)^k sin(k theta) = sin(k eps)."""
+    N = n_terms(1.0, tau)
+    eps = np.longdouble(tau * (math.pi / tau) - math.pi) - PI_LOW
+    u, pi = np.longdouble(tau), 4 * np.arctan(np.longdouble(1))
+    total = np.longdouble(0)
+    for start in range(-N, N + 1, 2 ** 16):
+        k = np.arange(start, min(start + 2 ** 16, N + 1), dtype=np.longdouble)
+        total += np.sum(np.sin(k * eps) / (u - pi * k))
+    return float(np.sin(u) * (1 - total))
+
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="long double is no wider than double here")
+
+
 class TestCounterexampleRun:
     # 1 to 60 values of m, a third of them repeated, in shuffled order
+    @needs_long_double
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(m_list=st.lists(st.integers(min_value=1, max_value=3000),
                            min_size=1, max_size=45).flatmap(
         lambda ms: st.permutations(ms + ms[:len(ms) // 3])))
-    def test_each_m_as_if_run_alone(self, m_list):
+    def test_each_m_is_the_long_double_sum(self, m_list):
         results = counterexample_run(m_list)
         assert len(results) == len(m_list)
         for m, (tau, gap) in zip(m_list, results):
             assert tau == 0.5 * math.pi + 2.0 * math.pi * m
-            [(_, alone)] = counterexample_run([m])
-            assert abs(gap - alone) <= 1e-12, m
-            assert abs(gap - 1.0) <= 1e-9, m
-        # the gaps of neighbouring m agree to about 1e-13, so a row's own
-        # tau as its value shows that each lands in its place
-        with mock.patch.object(analysis, "_counterexample_chunk",
-                               lambda u, *args: u):
-            marked = counterexample_run(m_list)
-        assert [gap for _, gap in marked] == [tau for tau, _ in results]
+            assert abs(gap - long_double_gap(tau)) <= 1e-12, m
+
+    # theta = tau (pi / tau) lies `ulps` ulps from fl(pi); 1 048 575 is the
+    # largest m the node limit admits (N = 2 097 150).  The drift from 1 is
+    # 1.2e-9 there, so the sum at the rounded theta is the reference.
+    @needs_long_double
+    @pytest.mark.parametrize("m, ulps", [(14, 1), (15, -1), (250_000, 0),
+                                         (1_048_575, 0)])
+    def test_extremes_are_the_long_double_sum(self, m, ulps):
+        [(tau, gap)] = counterexample_run([m])
+        assert tau * (math.pi / tau) == math.pi + ulps * math.ulp(math.pi)
+        assert abs(gap - long_double_gap(tau)) <= 1e-12
+
+    def test_next_m_is_rejected(self):
+        with pytest.raises(ValueError, match="above the limit"):
+            counterexample_run([1_048_576])
