@@ -15,8 +15,8 @@ starting with ``#`` are skipped.  Without it the default list is used:
 every benchmark argv of seeds 1-5 (from ``perfbench/workloads.py``), the
 ``lemma2``, ``converge``, ``coeffs``, ``lewitan``, ``counterexample`` and
 ``inequalities`` cases, the rejected inputs, the quadrature flags on
-subcommands that do not take them, flag prefixes, and the size rejections
-below.
+subcommands that do not take them, flag prefixes, and the size and
+overflow rejections below.
 """
 
 from __future__ import annotations
@@ -144,6 +144,14 @@ SIZE_CASES = [
     ["lemma2", "--sigma", "1e6", "--tau", "1e6", "--delta", "0"],
 ]
 
+# Each exits 1 with one line on stderr: a value beyond the float range is
+# refused, not printed as nan or inf.
+OVERFLOW_CASES = [
+    ["lemma2", "--sigma", "1", "--tau", "1e-160", "--delta", "0.5"],
+    ["converge", "--fn", "sinc:sigma=1e160", "--tau", "1e-160"],
+    ["converge", "--fn", "sinc:sigma=1e160", "--p", "1.5", "--tau", "1e-160"],
+]
+
 # -P keeps the working directory off sys.path, so only SRC supplies bandlim.
 RUNNER = ("import sys; sys.path.insert(0, sys.argv[1]); "
           "from bandlim.cli import main; sys.exit(main(sys.argv[2:]))")
@@ -159,7 +167,7 @@ def default_argvs() -> list[list[str]]:
                  + CONVERGE_CASES + COEFFS_CASES + LEWITAN_CASES
                  + COUNTEREXAMPLE_CASES
                  + INEQUALITIES_CASES + REJECTED_CASES + QUAD_FLAG_CASES
-                 + PREFIX_CASES + SIZE_CASES):
+                 + PREFIX_CASES + SIZE_CASES + OVERFLOW_CASES):
         if argv not in out:
             out.append(argv)
     return out

@@ -447,7 +447,10 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     changes no sign at the level-2n nodes is not split at.
 
     An integral below the smallest normal float while some node value is
-    nonzero (|g - f_tau|^p underflows) raises ValueError.
+    nonzero (|g - f_tau|^p underflows) raises ValueError, as does a level
+    value that is not finite (|g - f_tau|^p overflows) or a certified sup
+    that is not finite (|g - f_tau| beyond about 1e154), before any
+    fallback.
     """
     tau = a.tau
     xq, wq = _nodes(ORDER)
@@ -460,13 +463,20 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     def level(samples):
         hw = tau / len(samples)
         diff = samples - a.on_panels(len(samples), xq)
-        return hw, diff, hw * (np.abs(diff) ** p @ wq)
+        with np.errstate(over="ignore"):
+            return hw, diff, hw * (np.abs(diff) ** p @ wq)
 
     hw, diff, halves = level(levels[1])
+    coarse = level(levels[0])[2]
+    if not (np.isfinite(halves).all() and np.isfinite(coarse).all()):
+        raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
+                         f"overflows")
     coeff_sum = float(np.abs(a.coefficients).sum())
     sup_cert = _panel_sup(diff, hw, ((a.sigma, g_sup),
                                      (math.pi * a.N / tau, coeff_sum)))
-    coarse = level(levels[0])[2]
+    if not math.isfinite(sup_cert.certified_bound):
+        raise ValueError(f"the certified sup of the interior error at "
+                         f"tau={tau:g} is not finite")
     fine = halves[0::2] + halves[1::2]
     scale = float(np.abs(coarse).sum())
     edges = np.linspace(-tau, tau, len(coarse) + 1)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import csv
 import dataclasses
 import functools
 import io
@@ -36,12 +35,6 @@ _OPERATORS = {ast.UAdd: operator.pos, ast.USub: operator.neg,
 
 class UsageError(ValueError):
     """Invalid flags or parameter values; maps to exit status 2."""
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
 
 
 def _parse_float_list(text: str, flag: str) -> list:
@@ -232,7 +225,7 @@ def _run_inequalities(ns):
                "error_bound"]
     rows = []
     for c in checks:
-        params = ";".join(f"{k}={_fmt(float(v))}" for k, v in c.params.items())
+        params = ";".join(f"{k}={float(v):.17g}" for k, v in c.params.items())
         rows.append([c.name, c.function_id, params, c.lhs, c.rhs, c.margin,
                      c.error_bound])
     return columns, rows, None
@@ -350,10 +343,26 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _write_csv(out, columns, rows):
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    """The table as CSV from one row template: each cell of a string column
+    quoted by :func:`_csv_text`, each of a number column printed as %.17g,
+    which writes the ints of the tables (all below 2^53) as str does.  The
+    first row tells the columns apart; tables have two or more columns."""
+    out.write(",".join(map(_csv_text, columns)) + "\n")
+    if not rows:
+        return
+    is_text = [isinstance(v, str) for v in rows[0]]
+    template = ",".join("%s" if t else "%.17g" for t in is_text) + "\n"
+    if any(is_text):
+        rows = [[_csv_text(v) if t else v for v, t in zip(row, is_text)]
+                for row in rows]
+    out.write("".join([template % tuple(row) for row in rows]))
+
+
+def _csv_text(cell: str) -> str:
+    """``cell`` as ``csv.writer(lineterminator="\\n")`` writes it."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _json_document(ns: argparse.Namespace, columns, rows) -> dict:
@@ -366,8 +375,7 @@ def _json_document(ns: argparse.Namespace, columns, rows) -> dict:
             params[key] = getattr(ns, attr)
     return {"subcommand": ns.subcommand, "params": params,
             "columns": columns,
-            "rows": [[v if not isinstance(v, float) else float(_fmt(v))
-                      for v in row] for row in rows]}
+            "rows": rows}
 
 
 def run(ns: argparse.Namespace) -> int:

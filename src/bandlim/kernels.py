@@ -164,7 +164,9 @@ def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
     :func:`_sup_bound` certifies each cell from its largest sum, for
     |d^k/dv^k sin(sigma v)/(pi v)| <= sigma^k sigma / pi and
     |d^k/dv^k D_N(pi v / tau)/(2 tau)| <= (pi N / tau)^k (2N + 1)/(2 tau),
-    with the node-rounding term of the full grid, L = P hw = X.
+    with the node-rounding term of the full grid, L = P hw = X.  A cell
+    whose certificate is not finite, as when |gap| passes about 1e154 and
+    its squares overflow, raises ValueError.
     """
     sizes = [_scan_size(s, t, d, n_points) for s, t, d in cells]
     if not sizes:
@@ -182,23 +184,25 @@ def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
     peak = np.empty(len(cell))
     at = np.empty(len(cell), dtype=np.intp)
     sums = np.empty(len(cell))
-    for i in range(0, len(cell), _SUP_PASS):
-        part = slice(i, i + _SUP_PASS)
-        c = cell[part, None]
-        values = _gap(sigma[c], tau[c], N[c],
-                      -X[c] + hw[c] * (2.0 * j[part, None] + 1.0)
-                      + hw[c] * xq)
-        mag = np.abs(values)
-        at[part] = mag.argmax(axis=1)
-        peak[part] = mag.max(axis=1)
-        sums[part] = _cheb_sums(values)
+    # a gap beyond ~1e154 overflows its squares; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(cell), _SUP_PASS):
+            part = slice(i, i + _SUP_PASS)
+            c = cell[part, None]
+            values = _gap(sigma[c], tau[c], N[c],
+                          -X[c] + hw[c] * (2.0 * j[part, None] + 1.0)
+                          + hw[c] * xq)
+            mag = np.abs(values)
+            at[part] = mag.argmax(axis=1)
+            peak[part] = mag.max(axis=1)
+            sums[part] = _cheb_sums(values)
     # per cell: the largest |gap| and its first panel, and the largest sum
     observed = np.maximum.reduceat(peak, starts)
     hits = np.flatnonzero(peak == observed[cell])
     best = hits[np.searchsorted(hits, starts)]
     argmax = -X + hw * (2.0 * j[best] + 1.0) + hw * xq[at[best]]
     sums = np.maximum.reduceat(sums, starts)
-    return [KernelGapReport(
+    reports = [KernelGapReport(
         sigma=float(s), tau=float(t), delta=float(d), n_points=P * ORDER,
         observed_max=float(m), argmax=float(a),
         certified_max=_sup_bound(
@@ -207,6 +211,12 @@ def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
         bound=kernel_gap_bound(s, t, d))
         for (s, t, d), (n, P), m, a, w, h in zip(
             cells, sizes, observed, argmax, sums, hw.tolist())]
+    for r in reports:
+        if not math.isfinite(r.certified_max):
+            raise ValueError(f"the certified sup of the kernel gap at "
+                             f"sigma={r.sigma:g}, tau={r.tau:g}, "
+                             f"delta={r.delta:g} is not finite")
+    return reports
 
 
 def kernel_gap_scan(sigma: float, tau: float, delta: float,

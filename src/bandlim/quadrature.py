@@ -165,9 +165,10 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
     its largest value at the midpoints of n = 16 Q^2 equal cells of
     [-1, 1], Lambda_Q <= g / (1 - (Q - 1)^2 / n), 6.85 for Q = 15.
     """
-    s = 0.0
-    for i in range(0, len(values), _SUP_PASS):
-        s = max(s, _cheb_sums(values[i:i + _SUP_PASS]).max())
+    # np.max keeps a NaN sum (inf - inf after overflow) where max() drops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.max([_cheb_sums(values[i:i + _SUP_PASS]).max()
+                    for i in range(0, len(values), _SUP_PASS)])
     return SupNormCertificate(
         grid_max=float(np.abs(values).max()), spacing=2.0 * hw,
         certified_bound=_sup_bound(s, hw, len(values), values.shape[1],
@@ -179,7 +180,7 @@ def _cheb_sums(values):
     the larger of the sums s = sum |a_k| of its two halves."""
     to_cheb, to_coeffs = _cheb_maps(values.shape[1])[:2]
     u = (values @ to_cheb.T).reshape(-1, len(to_coeffs))
-    w = u.real ** 2 + u.imag ** 2
+    w = u * u if np.isrealobj(u) else u.real ** 2 + u.imag ** 2
     return np.abs(w @ to_coeffs.T).sum(axis=1).reshape(-1, 2).max(axis=1)
 
 

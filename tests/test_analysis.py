@@ -1012,6 +1012,15 @@ class TestPanelSup:
                                    ((1.0, 0.0), (1.0, 0.0)))
         assert cert.certified_bound == 0.0 and cert.grid_max == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("panel", [0, quadrature._SUP_PASS])
+    def test_overflowing_pass_is_not_dropped(self, panel):
+        # |F| = 1e200 overflows the squares of one pass, whose sum is NaN
+        values = np.ones((quadrature._SUP_PASS + 1, 15))
+        values[panel] = 1e200
+        cert = analysis._panel_sup(values, 0.01, ((1.0, 1.0),))
+        assert not cert.certified_bound < cert.grid_max
+
     def test_zero_approximant_has_zero_norm_at_large_p(self):
         a = TrigApproximant(tau=5.0, sigma=1.0, N=1,
                             coefficients=np.zeros(3, dtype=complex),

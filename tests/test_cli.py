@@ -17,7 +17,7 @@ def run_capture(argv, capsys):
 
 
 def lemma2_row(rep):
-    return ",".join(cli._fmt(v) for v in (
+    return ",".join(f"{float(v):.17g}" for v in (
         rep.sigma, rep.tau, rep.delta, rep.n_points, rep.observed_max,
         rep.argmax, rep.certified_max, rep.bound, rep.ratio))
 
@@ -425,6 +425,26 @@ class TestNumericalFailures:
              "--tau", "10,40"], capsys)
         assert (status, out, err.count("\n")) == (1, "", 1)
         assert err.startswith("bandlim converge: ") and "underflows" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["lemma2", "--sigma", "1", "--tau", "1e-160", "--delta", "0.5"],
+         "the certified sup of the kernel gap at sigma=1, tau=1e-160, "
+         "delta=0.5 is not finite"),
+        (["converge", "--fn", "sinc:sigma=1e160", "--tau", "1e-160"],
+         "the interior L^2 integral at tau=1e-160 overflows"),
+        (["converge", "--fn", "sinc:sigma=1e160", "--p", "1.5",
+          "--tau", "1e-160"],
+         "the certified sup of the interior error at tau=1e-160 is not "
+         "finite"),
+    ])
+    def test_overflow_exits_1_with_one_line(self, argv, message, capsys):
+        # these printed nan (or inf) as certified values, or ran into the
+        # fallback's point budget, with numpy warnings on stderr
+        status, out, err = run_capture(argv, capsys)
+        assert (status, out) == (1, "")
+        assert err == f"bandlim {argv[0]}: {message}\n"
+        assert "RuntimeWarning" not in err and "nan" not in err
 
 
 class TestOutputPath:

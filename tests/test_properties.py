@@ -1,15 +1,18 @@
 """Property tests for the input validators: each accepts what it documents
 and rejects everything else with its own error type; for the catalog's
-``abs_even`` flag, which the real-line norms rely on; and for the values
-of ``counterexample_run`` against long-double sums."""
+``abs_even`` flag, which the real-line norms rely on; for the values
+of ``counterexample_run`` against long-double sums; and for the CLI's CSV
+writer against ``csv.writer``."""
 
+import csv
 import dataclasses
 import functools
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandlim import cli
@@ -191,3 +194,50 @@ class TestCounterexampleRun:
     def test_next_m_is_rejected(self):
         with pytest.raises(ValueError, match="above the limit"):
             counterexample_run([1_048_576])
+
+
+def reference_csv(columns, rows) -> str:
+    """The table as ``csv.writer(lineterminator="\\n")`` writes it, each
+    float as f"{v:.17g}" and every other value as str(v)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v)
+                         for v in row])
+    return buf.getvalue()
+
+
+# Numbers as the tables hold them: floats (nan, inf, +-0, subnormals), their
+# numpy form, and ints up to 2^53, mixed within a column; strings with the
+# characters csv quotes for and some it does not.
+number = st.one_of(any_float, any_float.map(np.float64),
+                   st.integers(-2 ** 53, 2 ** 53))
+cell_text = st.text(st.one_of(st.sampled_from(',"\n\r ;\'\tab=.'),
+                              st.characters()), max_size=8)
+
+
+@st.composite
+def tables(draw):
+    """(columns, rows): two to six columns, each of numbers or of strings."""
+    is_text = draw(st.lists(st.booleans(), min_size=2, max_size=6))
+    columns = draw(st.lists(cell_text, min_size=len(is_text),
+                            max_size=len(is_text)))
+    rows = draw(st.lists(st.tuples(*[cell_text if t else number
+                                     for t in is_text]).map(list),
+                         max_size=8))
+    return columns, rows
+
+
+class TestCsvWriter:
+    @SETTINGS
+    @given(table=tables())
+    @example(table=(["x", "y,z"], []))
+    @example(table=(["m", 'a"b'], [
+        [-0.0, 'q"r'], [float("nan"), "a\rb"], [5e-324, "two\nlines"],
+        [np.float64(-math.inf), " "], [2 ** 53, ""], [1048575, "a,b"]]))
+    def test_matches_csv_writer(self, table):
+        columns, rows = table
+        buf = io.StringIO()
+        cli._write_csv(buf, columns, rows)
+        assert buf.getvalue() == reference_csv(columns, rows)
