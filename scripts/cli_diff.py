@@ -4,7 +4,10 @@
 Each argv is run through ``bandlim.cli.main`` in a fresh Python process,
 once with OLD_SRC and once with NEW_SRC first on ``sys.path``.  Every argv
 whose stdout, stderr or exit status differs is reported; the exit status is
-1 if any differs, else 0.  Run from the repository root:
+1 if any differs, else 0.  For a differing CSV table whose two versions
+share their header and row count, the largest absolute and relative change
+of each numeric column that moved is printed below it.  Run from the
+repository root:
 
     python3 scripts/cli_diff.py OLD_SRC NEW_SRC [ARGV_FILE]
 
@@ -22,6 +25,10 @@ overflow rejections below.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import json
+import math
 import pathlib
 import shlex
 import subprocess
@@ -185,6 +192,43 @@ def run_cli(src: str, argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def csv_table(text: str):
+    """The rows of ``text`` as a CSV table, or None for a JSON document or
+    an empty output."""
+    try:
+        json.loads(text)
+        return None
+    except ValueError:
+        pass
+    rows = list(csv.reader(io.StringIO(text)))
+    return rows if len(rows) > 1 else None
+
+
+def drift(old: str, new: str) -> list[str]:
+    """One line per numeric column that moved between the CSV tables
+    ``old`` and ``new``: its largest absolute change and its largest
+    change relative to the old value.  Empty unless both are CSV tables
+    with one header and one row count."""
+    old_rows, new_rows = csv_table(old), csv_table(new)
+    if (old_rows is None or new_rows is None or old_rows[0] != new_rows[0]
+            or len(old_rows) != len(new_rows)):
+        return []
+    lines = []
+    for col, name in enumerate(old_rows[0]):
+        try:
+            pairs = [(float(a[col]), float(b[col]))
+                     for a, b in zip(old_rows[1:], new_rows[1:])]
+        except (ValueError, IndexError):
+            continue
+        changes = [(abs(b - a), abs(b - a) / abs(a) if a else math.inf)
+                   for a, b in pairs if a != b]
+        if changes:
+            lines.append(f"    {name}: largest change {max(changes)[0]:.3g} "
+                         f"absolute, {max(c[1] for c in changes):.3g} "
+                         f"relative, in {len(changes)} of {len(pairs)} rows")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
@@ -203,6 +247,8 @@ def main() -> int:
             differing += 1
             print(f"DIFF in {', '.join(fields)} (exit {old[0]} -> {new[0]}): "
                   f"{shlex.join(argv)}")
+            for line in drift(old[1], new[1]):
+                print(line)
         else:
             print(f"same (exit {new[0]}, {len(new[1])} bytes): "
                   f"{shlex.join(argv)}")

@@ -11,7 +11,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .approximation import (TrigApproximant, _coefficient_ladder,
-                            _first_level)
+                            _first_level, _on_panels, _panel_tables)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from . import quadrature
 from .kernels import (_nudged_floor, dirichlet, kernel_gap, n_terms,
@@ -226,7 +226,8 @@ def sup_norm_certified(F: Callable, sigma_eff: float, a: float,
 
 def _sup_norm_line(f: TestFunction) -> float:
     """Upper bound for sup |f| on the real line: :func:`_sampled_sup` on
-    [-X, X] (|f^(k)| <= sigma^k C, Bernstein) and the envelope beyond."""
+    [-X, X] (|f^(k)| <= sigma^k C, Bernstein), on its right half for
+    ``f.abs_even``, and the envelope beyond."""
     env = f.decay
     if env.alpha <= 0:
         raise ValueError("decay envelope too weak for a real-line sup bound")
@@ -234,7 +235,8 @@ def _sup_norm_line(f: TestFunction) -> float:
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
     panels = _count_panels(cutoff, 4.0 / f.sigma, ORDER,
                            f"the real-line sup of {f.id} needs")
-    cert, _ = _sampled_sup(f.eval_real, cutoff, panels, ((f.sigma, env.C),))
+    cert, _ = _sampled_sup(f.eval_real, cutoff, panels, ((f.sigma, env.C),),
+                           f.abs_even)
     return max(cert.certified_bound, float(env.bound(cutoff)))
 
 
@@ -412,14 +414,15 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     ``g_sup = f.decay.C`` >= sup |f|), or ``np.zeros_like`` with g_sup = 0
     for f_tau itself.
 
-    ``levels`` is the pair of (n, ORDER) and (2n, ORDER) arrays of g on the
-    :func:`_panel_nodes` of n and 2n equal panels: the samples of f on the
-    last two levels of the coefficient ladder, which
-    :func:`convergence_study` passes on, so that f is sampled once per
-    node.  Without it g is sampled on the first level n of
-    :func:`_first_level` and its double, which checks their nodes against
-    ``quadrature.MAX_NODES`` before any sampling.  n > 2N either way.
-    Each level less f_tau comes from one :meth:`TrigApproximant.on_panels`.
+    ``levels`` holds, for n and 2n equal panels, the pair of the (n, ORDER)
+    or (2n, ORDER) array of g on their :func:`_panel_nodes` and their
+    :func:`_panel_tables`: the last two levels of the coefficient ladder,
+    which :func:`convergence_study` passes on, so that f is sampled once
+    per node and each level's tables are built once.  Without it g is
+    sampled on the first level n of :func:`_first_level` and its double,
+    which checks their nodes against ``quadrature.MAX_NODES`` before any
+    sampling.  n > 2N either way.  Each level less f_tau comes from one
+    :func:`_on_panels`, so F is a real array for real g and f_tau.
     :func:`_panel_sup` takes level 2n, with Bernstein's
     |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
 
@@ -457,17 +460,20 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     if levels is None:
         n = _first_level(a.sigma, tau, f"the interior L^{p:g} rule at "
                          f"tau={tau:g} needs")
-        levels = [np.asarray(g(x.ravel())).reshape(x.shape)
-                  for _, x in (_panel_nodes(tau, n), _panel_nodes(tau, 2 * n))]
+        levels = []
+        for panels in (n, 2 * n):
+            x = _panel_nodes(tau, panels)[1]
+            levels.append((np.asarray(g(x.ravel())).reshape(x.shape),
+                           _panel_tables(a.N, panels, xq)))
 
-    def level(samples):
+    def level(samples, tables):
         hw = tau / len(samples)
-        diff = samples - a.on_panels(len(samples), xq)
+        diff = samples - _on_panels(a.coefficients, len(samples), tables)
         with np.errstate(over="ignore"):
             return hw, diff, hw * (np.abs(diff) ** p @ wq)
 
-    hw, diff, halves = level(levels[1])
-    coarse = level(levels[0])[2]
+    hw, diff, halves = level(*levels[1])
+    coarse = level(*levels[0])[2]
     if not (np.isfinite(halves).all() and np.isfinite(coarse).all()):
         raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
                          f"overflows")
@@ -528,16 +534,18 @@ def _real_zeros(diff, tau: float, delta: float):
     a panel slows its Gauss rule too, hence the neighbours.
 
     A zero is taken at each sign change of Re F between consecutive nodes
-    where |Im F| is at most ``delta`` at both nodes and |Re F| is above it
-    at one, and located by :func:`_bracketed_roots`.  ``delta`` bounds the
-    rounding of F: f_tau from the inverse FFT rounds to about
-    eps sum |c_k| (at most 0.8 eps sum |c_k| of imaginary part for the real
-    catalog functions up to tau 5120.3), g to eps g_sup."""
-    re, im = diff.real.ravel(), np.abs(diff.imag.ravel())
-    brackets = np.flatnonzero(
-        (np.signbit(re[:-1]) != np.signbit(re[1:]))
-        & (np.maximum(np.abs(re[:-1]), np.abs(re[1:])) > delta)
-        & (np.maximum(im[:-1], im[1:]) <= delta))
+    where |Re F| is above ``delta`` at one of them, and, for complex F,
+    |Im F| is at most ``delta`` at both; it is located by
+    :func:`_bracketed_roots`.  ``delta`` bounds the rounding of F: f_tau
+    from the inverse FFT rounds to about eps sum |c_k|, g to eps g_sup.
+    For real f, F is a real array, with no imaginary part to round."""
+    re = diff.real.ravel()
+    change = ((np.signbit(re[:-1]) != np.signbit(re[1:]))
+              & (np.maximum(np.abs(re[:-1]), np.abs(re[1:])) > delta))
+    if np.iscomplexobj(diff):
+        im = np.abs(diff.imag.ravel())
+        change &= np.maximum(im[:-1], im[1:]) <= delta
+    brackets = np.flatnonzero(change)
     near = (brackets[:, None] + [0, 1]) // ORDER  # level-2n panels
     near = np.concatenate([near - 1, near + 1]) // 2
     held = np.zeros(len(diff) // 2, dtype=bool)

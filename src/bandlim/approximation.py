@@ -60,26 +60,19 @@ class TrigApproximant:
     def on_panels(self, panels: int, xq):
         """f_tau at m_j + hw x_q on ``panels`` equal panels of [-tau, tau],
         hw = tau / P and m_j = -tau + (2j + 1) hw, for reference nodes
-        ``xq`` in [-1, 1], as a (P, Q) complex array.
+        ``xq`` in [-1, 1], as a (P, Q) array: real when the coefficients
+        are exactly conjugate-symmetric, as those of every real f are, and
+        complex otherwise.
 
-        The transpose of the panel FFT in :func:`fourier_coefficients`:
-        f_tau(m_j + hw x_q) = sum_k c_k s_k e^{i pi k x_q / P}
-        e^{2 pi i j k / P} with s_k = (-1)^k e^{i pi k / P}, which is P
-        times entry j of the inverse FFT along the panel axis once each
-        term sits in bin k mod P.  P > 2N puts every k in a bin of its
-        own, and a smaller P raises ValueError.  O(Q (N + P log P)) time
-        and O(PQ) memory.
+        The transpose of the panel FFT in :func:`fourier_coefficients`, by
+        :func:`_on_panels` from the tables of :func:`_panel_tables`, which
+        raises ValueError unless P > 2N.  O(Q (N + P log P)) time and O(PQ)
+        memory, in one inverse real FFT of P points per node, two for
+        coefficients that are not conjugate-symmetric.
         """
-        if not panels > 2 * self.N:
-            raise ValueError(f"need more than 2N = {2 * self.N} panels, "
-                             f"got {panels}")
         xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        k = np.arange(-self.N, self.N + 1)
-        bins = np.zeros((panels, xq.size), dtype=complex)
-        bins[k % panels] = ((self.coefficients
-                             * np.conj(_panel_shift(k, panels)))[:, None]
-                            * np.exp((1j * math.pi / panels) * np.outer(k, xq)))
-        return panels * np.fft.ifft(bins, axis=0)
+        return _on_panels(self.coefficients, panels,
+                          _panel_tables(self.N, panels, xq))
 
     def truncated(self, x):
         """f_tau * indicator of the closed interval [-tau, tau]."""
@@ -159,11 +152,12 @@ def fourier_coefficients(f: TestFunction, tau: float,
     for |k| <= N, each to absolute accuracy quad.abs_tol.
 
     Method: the composite Gauss-Legendre rule of :func:`_panel_nodes`
-    on P equal panels, with all coefficients taken from one FFT of the
-    samples along the panel axis (the FFT Fourier integral of Numerical
-    Recipes 13.9).  P starts at the first level of :func:`_first_level`,
-    whose panels are at most pi / (2 sigma) wide and whose count exceeds
-    2N, so the FFT does not alias; every level is 5-smooth.
+    on P equal panels, with all coefficients taken from one real FFT of
+    the samples along the panel axis, two for complex f (the FFT Fourier
+    integral of Numerical Recipes 13.9; :func:`_panel_fft_coefficients`).
+    P starts at the first level of :func:`_first_level`, whose panels are
+    at most pi / (2 sigma) wide and whose count exceeds 2N, so the FFT does
+    not alias; every level is 5-smooth.
 
     Error contract: P doubles until the largest difference between the
     coefficients on P and on 2P panels is at most ``quad.abs_tol``; the
@@ -178,28 +172,32 @@ def fourier_coefficients(f: TestFunction, tau: float,
 
 def _coefficient_ladder(f: TestFunction, tau: float,
                         quad: Optional[QuadratureSpec] = None):
-    """(:func:`fourier_coefficients`, (v_P, v_2P)): the approximant and the
-    (P, ORDER) and (2P, ORDER) arrays of f on the :func:`_panel_nodes` of
-    its last two levels, which the interior rule of ``analysis`` takes as
-    its first pass instead of sampling f again."""
+    """(:func:`fourier_coefficients`, levels): the approximant, and for each
+    of its last two levels, of P and 2P panels, the pair of the (P, ORDER)
+    array of f on its :func:`_panel_nodes` and its :func:`_panel_tables`.
+    The interior rule of ``analysis`` takes them as its first pass instead
+    of sampling f and building the tables again.  Each level's tables are
+    built once, and serve both its forward FFT and the inverse one."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     quad = quad or QuadratureSpec()
     N = n_terms(f.sigma, tau)
     panels = _first_level(f.sigma, tau, f"coefficients for tau={tau:g} "
                           f"(N={float(N):.6g}) need")
-    k = np.arange(-N, N + 1)
+    xq = _nodes(ORDER)[0]
 
-    prev, prev_samples = _panel_fft_coefficients(f, tau, panels, k)
+    tables = _panel_tables(N, panels, xq)
+    prev, prev_samples = _panel_fft_coefficients(f, tau, panels, tables)
     for _ in range(quad.max_depth):
         panels *= 2
-        coeffs, samples = _panel_fft_coefficients(f, tau, panels, k)
+        prev_tables, tables = tables, _panel_tables(N, panels, xq)
+        coeffs, samples = _panel_fft_coefficients(f, tau, panels, tables)
         gap = float(np.max(np.abs(coeffs - prev)))
         if gap <= quad.abs_tol:
             return (TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
                                     coefficients=coeffs,
                                     coeff_error=(2 * N + 1) * quad.abs_tol),
-                    (prev_samples, samples))
+                    ((prev_samples, prev_tables), (samples, tables)))
         try:
             _check_nodes(2 * panels * ORDER, "the next level needs")
         except ValueError as exc:
@@ -260,17 +258,79 @@ def _panel_shift(k, panels: int):
     return np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * math.pi * k / panels)
 
 
-def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int, k):
+def _panel_tables(N: int, panels: int, xq):
+    """(s_k, e^{-i pi k x_q / P}) for 0 <= k <= N, the (N + 1,) and
+    (N + 1, Q) phase tables of one level of P = ``panels`` panels with
+    reference nodes ``xq``: :func:`_panel_fft_coefficients` takes them, and
+    :func:`_on_panels` their conjugates.  ValueError unless P > 2N, so that
+    every |k| <= N has a bin of its own and k <= N < P / 2."""
+    if not panels > 2 * N:
+        raise ValueError(f"need more than 2N = {2 * N} panels, got {panels}")
+    k = np.arange(N + 1)
+    return (_panel_shift(k, panels),
+            np.exp((-1j * math.pi / panels) * np.outer(k, xq)))
+
+
+def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int,
+                            tables):
     """Composite Gauss estimate of c_k on ``panels`` equal panels, and the
-    samples of f it is taken from: by :func:`_panel_shift` the sum over
-    panels is s_k times entry k mod P of the FFT along the panel axis."""
+    samples of f it is taken from, with ``tables`` the level's
+    :func:`_panel_tables`.
+
+    By :func:`_panel_shift` the sum over panels is s_k times bin k of the
+    FFT along the panel axis.  That FFT is one real FFT (``np.fft.rfft``)
+    of the real part of the samples, and one of the imaginary part when
+    that is nonzero.  Each part gives c_k for 0 <= k <= N from its bins
+    0..N, and c_{-k} = conj(c_k).  So the coefficients of a real f are
+    exactly conjugate-symmetric, c_0 real.
+    """
     hw, x = _panel_nodes(tau, panels)
-    xq, wq = _nodes(ORDER)
+    wq = _nodes(ORDER)[1]
     samples = np.asarray(f.eval_real(x.ravel())).reshape(x.shape)
-    spectrum = np.fft.fft(samples, axis=0)[k % panels]
-    node_phase = np.exp((-1j * math.pi / panels) * np.outer(k, xq))
-    return ((hw / (2.0 * tau)) * _panel_shift(k, panels)
-            * ((spectrum * node_phase) @ wq)), samples
+    shift, phase = tables
+
+    def symmetric(part):
+        spectrum = np.fft.rfft(part, axis=0)[:len(shift)]
+        half = (hw / (2.0 * tau)) * shift * ((spectrum * phase) @ wq)
+        return np.concatenate([np.conj(half[:0:-1]), half])
+
+    coeffs = symmetric(samples.real)
+    if np.iscomplexobj(samples) and samples.imag.any():
+        coeffs = coeffs + 1j * symmetric(samples.imag)
+    return coeffs, samples
+
+
+def _on_panels(coefficients, panels: int, tables):
+    """f_tau at the nodes of :meth:`TrigApproximant.on_panels` from the
+    2N + 1 ``coefficients`` and the level's :func:`_panel_tables`.
+
+    f_tau(m_j + hw x_q) = sum_k c_k conj(s_k) e^{i pi k x_q / P}
+    e^{2 pi i j k / P}, P times entry j of an inverse FFT along the panel
+    axis.  Split c_k = a_k + i b_k with a_k = (c_k + conj c_{-k}) / 2 and
+    b_k = (c_k - conj c_{-k}) / (2i).  Both are conjugate-symmetric, and as
+    conj(s_k) = s_{-k}, so are their terms.  So each part is one inverse
+    real FFT (``np.fft.irfft``) of its terms for 0 <= k <= N, zero-padded
+    to P // 2 + 1 bins.  For exactly conjugate-symmetric c, b is exactly 0
+    and a_k = c_k bit for bit: the second transform is skipped, and the
+    values are a real array.
+    """
+    N = len(coefficients) // 2
+    shift, phase = tables
+    ahead = coefficients[N:]
+    behind = np.conj(coefficients[N::-1])
+
+    def real_part(half):
+        # padded here: numpy pads a short input more slowly, column by column
+        bins = np.zeros((panels // 2 + 1, phase.shape[1]), dtype=complex)
+        np.multiply((half * np.conj(shift))[:, None], np.conj(phase),
+                    out=bins[:N + 1])
+        return panels * np.fft.irfft(bins, n=panels, axis=0)
+
+    values = real_part(0.5 * (ahead + behind))
+    odd = ahead - behind
+    if odd.any():
+        values = values + 1j * real_part(-0.5j * odd)
+    return values
 
 
 def evaluate_convolution(f: TestFunction, tau: float, x: float,

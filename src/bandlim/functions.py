@@ -28,7 +28,11 @@ def sinc_ratio(u):
     Accepts real or complex scalars and arrays.
     """
     u = np.asarray(u)
-    small = np.abs(u) < _SERIES_CUTOFF
+    mag = np.abs(u)
+    # no mask in the common case; a NaN minimum takes the masked path
+    if mag.min(initial=np.inf) >= _SERIES_CUTOFF:
+        return np.asarray(np.sin(u) / u)
+    small = mag < _SERIES_CUTOFF
     if not small.any():
         return np.asarray(np.sin(u) / u)
     safe = np.where(small, 1.0, u)

@@ -194,7 +194,8 @@ def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
                           + hw[c] * xq)
             mag = np.abs(values)
             at[part] = mag.argmax(axis=1)
-            peak[part] = mag.max(axis=1)
+            peak[part] = np.take_along_axis(mag, at[part, None],
+                                            axis=1)[:, 0]
             sums[part] = _cheb_sums(values)
     # per cell: the largest |gap| and its first panel, and the largest sum
     observed = np.maximum.reduceat(peak, starts)

@@ -135,11 +135,14 @@ def _cheb_maps(order: int):
             float(on_grid) / (1.0 - (order - 1) ** 2 / n))
 
 
-def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
+def _panel_sup(values, hw: float, derivs,
+               panels: int | None = None) -> SupNormCertificate:
     """Certified sup |F| over the P equal panels of half-width ``hw`` that
     tile [-L, L], L = P hw, from the (P, Q) array of F at each panel's
     Gauss-Legendre nodes, for F with sup |F^(k)| <= sum r^k c over the
-    pairs (r, c) of ``derivs``, for k = 1 and k = Q.
+    pairs (r, c) of ``derivs``, for k = 1 and k = Q.  When ``panels`` is
+    given, ``values`` holds some of the ``panels`` panels of such a tiling,
+    and the sup is over those, with the node rounding of the whole tiling.
 
     p interpolates the values v on a panel; |F - p| <= hw^Q 2^Q Q! / (2Q)!
     sup |F^(Q)| by Hermite-Genocchi (complex F too; node polynomial P_Q /
@@ -171,8 +174,8 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
                     for i in range(0, len(values), _SUP_PASS)])
     return SupNormCertificate(
         grid_max=float(np.abs(values).max()), spacing=2.0 * hw,
-        certified_bound=_sup_bound(s, hw, len(values), values.shape[1],
-                                   derivs))
+        certified_bound=_sup_bound(s, hw, panels or len(values),
+                                   values.shape[1], derivs))
 
 
 def _cheb_sums(values):
@@ -181,7 +184,8 @@ def _cheb_sums(values):
     to_cheb, to_coeffs = _cheb_maps(values.shape[1])[:2]
     u = (values @ to_cheb.T).reshape(-1, len(to_coeffs))
     w = u * u if np.isrealobj(u) else u.real ** 2 + u.imag ** 2
-    return np.abs(w @ to_coeffs.T).sum(axis=1).reshape(-1, 2).max(axis=1)
+    s = np.abs(w @ to_coeffs.T).sum(axis=1)
+    return np.maximum(s[0::2], s[1::2])
 
 
 def _sup_bound(s: float, hw: float, panels: int, Q: int, derivs) -> float:
@@ -197,12 +201,20 @@ def _sup_bound(s: float, hw: float, panels: int, Q: int, derivs) -> float:
         * sum(r * c for r, c in derivs))
 
 
-def _sampled_sup(F, X: float, panels: int, derivs):
+def _sampled_sup(F, X: float, panels: int, derivs, even: bool = False):
     """(:func:`_panel_sup` certificate, node of the largest |F|) over [-X, X]
-    from one call of F on ``panels`` equal panels (:func:`_count_panels`)."""
+    from one call of F on ``panels`` equal panels (:func:`_count_panels`).
+
+    ``even`` states that |F(-x)| = |F(x)|.  Then F is called on the panels
+    j >= panels // 2 only, at the same nodes, as
+    :func:`kernels.kernel_gap_scans` does: they tile [0, X], or [-hw, X]
+    for an odd count, so the sup over them is the sup over [-X, X], and
+    the certificate keeps the node rounding of the whole tiling."""
     hw, x = _panel_nodes(X, panels)
+    if even:
+        x = x[panels // 2:]
     values = np.asarray(F(x.ravel())).reshape(x.shape)
-    return (_panel_sup(values, hw, derivs),
+    return (_panel_sup(values, hw, derivs, panels),
             float(x.flat[np.argmax(np.abs(values))]))
 
 

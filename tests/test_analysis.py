@@ -948,10 +948,12 @@ class TestSharedLadder:
 
     def test_every_fft_length_is_five_smooth(self, monkeypatch):
         lengths = []
-        for name in ("fft", "ifft"):
-            def spy(a, *args, _fft=getattr(np.fft, name), axis=-1,
-                    **kwargs):
-                lengths.append(np.shape(a)[axis])
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            # irfft's length is its output's, n, not its input's
+            def spy(a, *args, _fft=getattr(np.fft, name),
+                    _inverse=name == "irfft", axis=-1, **kwargs):
+                lengths.append(kwargs["n"] if _inverse
+                               else np.shape(a)[axis])
                 return _fft(a, *args, axis=axis, **kwargs)
             monkeypatch.setattr(np.fft, name, spy)
         taus = [40.1, 80.2, 160.3, 320.4]
@@ -963,6 +965,15 @@ class TestSharedLadder:
             fourier_coefficients(make_sinc(1.0), tau, QUAD)
             assert len(lengths) == 2
             assert all(_five_smooth(n) == n for n in lengths)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_real_f_takes_only_real_ffts(self, monkeypatch, p):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex FFT for a real f")
+
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        convergence_study(make_sinc(1.0), p, [10.0, 80.3], QUAD)
 
 
 def dense_max(F, tau):
@@ -1085,6 +1096,37 @@ class TestRealLineSup:
                                       X).certified_bound,
                    float(env.bound(X)))
         assert dense <= bound <= grid
+
+    @pytest.mark.parametrize("fn_id", [
+        "fejer_square:sigma=2", "mollify:base=fejer_square,sigma=2,rho=0.5",
+        "mollify:base=sinc,sigma=1,rho=0.1", "sinc:sigma=0.1"])
+    def test_half_window(self, fn_id):
+        # |f| even: the panels j >= P // 2 of the full window's tiling,
+        # certified with the full window's node rounding
+        f = from_id(fn_id)
+        assert f.abs_even
+        calls = []
+
+        def eval_real(x):
+            calls.append(np.size(x))
+            return f.eval_real(x)
+
+        bound = analysis._sup_norm_line(
+            dataclasses.replace(f, eval_real=eval_real))
+        env = f.decay
+        X = max(50.0, min(analysis._SUP_X_MAX, (
+            env.C / analysis._SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0))
+        P = math.ceil(2.0 * X / (4.0 / f.sigma))
+        assert calls == [(P - P // 2) * quadrature.ORDER]
+        full, _ = quadrature._sampled_sup(f.eval_real, X, P,
+                                          ((f.sigma, env.C),))
+        full = max(full.certified_bound, float(env.bound(X)))
+        assert bound == pytest.approx(full, rel=1e-12)
+        # 20 points per node spacing on [-100, 100], where |f| is largest
+        step = 4.0 / f.sigma / 15 / 20
+        x = step * np.arange(-round(100.0 / step), round(100.0 / step) + 1)
+        dense = float(np.max(np.abs(np.asarray(f.eval_real(x)))))
+        assert dense <= bound <= 1.1 * dense
 
     def test_node_limit_checked_before_sampling(self, monkeypatch):
         base = make_sinc(1.0)

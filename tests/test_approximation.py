@@ -12,8 +12,8 @@ from bandlim.approximation import (_LEWITAN_VALUES_PER_TERM, MAX_LEWITAN_K,
                                    fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
-                               make_complex_exponential, make_fejer_square,
-                               make_sinc, sinc_ratio)
+                               from_id, make_complex_exponential,
+                               make_fejer_square, make_sinc, sinc_ratio)
 from bandlim.quadrature import (MAX_NODES, QuadratureNonConvergence,
                                 QuadratureSpec, _nodes)
 
@@ -126,6 +126,25 @@ def is_five_smooth(n):
     return n == 1
 
 
+# Real catalog functions: their coefficients are exactly
+# conjugate-symmetric.
+REAL_FUNCTIONS = ["sinc:sigma=1", "fejer_square:sigma=2",
+                  "mollify:base=sinc,sigma=1,rho=0.1"]
+
+
+class TestConjugateSymmetry:
+    @pytest.mark.parametrize("tau", [3.0, 10.0, 40.1, 80.3, 320.4])
+    @pytest.mark.parametrize("fn_id", REAL_FUNCTIONS)
+    def test_real_f(self, fn_id, tau):
+        c = fourier_coefficients(from_id(fn_id), tau, QUAD).coefficients
+        assert np.array_equal(c[::-1], np.conj(c))
+
+    def test_complex_f_is_not(self):
+        c = fourier_coefficients(make_complex_exponential(1.0), 10.0,
+                                 QUAD).coefficients
+        assert not np.allclose(c[::-1], np.conj(c))
+
+
 class TestFirstLevel:
     def test_five_smooth_is_the_next_one(self):
         smooth = [n for n in range(1, 3001) if is_five_smooth(n)]
@@ -180,6 +199,45 @@ class TestOnPanels:
         tol = 4.0 * np.finfo(float).eps * 3.0 * math.pi * (N + 1) \
             * np.sum(np.abs(coeffs))
         assert np.max(np.abs(got - expect)) <= tol
+
+    @staticmethod
+    def assert_matches_evaluate(a, panels):
+        """on_panels against evaluate at the same nodes, within the
+        rounding tolerance of test_matches_evaluate."""
+        xq = _nodes(15)[0]
+        hw = a.tau / panels
+        mids = -a.tau + hw * (2.0 * np.arange(panels) + 1.0)
+        got = a.on_panels(panels, xq)
+        expect = np.asarray(a.evaluate(mids[:, None] + hw * xq))
+        tol = 4.0 * np.finfo(float).eps * 3.0 * math.pi * (a.N + 1) \
+            * np.sum(np.abs(a.coefficients))
+        assert np.max(np.abs(got - expect)) <= tol
+        return got
+
+    @pytest.mark.parametrize("tau", [10.0, 80.3])
+    @pytest.mark.parametrize("fn_id", REAL_FUNCTIONS)
+    def test_real_f_gives_a_real_array(self, fn_id, tau):
+        a = fourier_coefficients(from_id(fn_id), tau, QUAD)
+        for panels in (2 * a.N + 1, _first_level(a.sigma, tau, "")):
+            got = self.assert_matches_evaluate(a, panels)
+            assert got.dtype == float
+
+    @pytest.mark.parametrize("fn_id", [
+        "expi:omega=1", "mollify:base=expi,omega=1,rho=0.5"])
+    def test_complex_f(self, fn_id):
+        a = fourier_coefficients(from_id(fn_id), 40.1, QUAD)
+        got = self.assert_matches_evaluate(a, _first_level(a.sigma, 40.1, ""))
+        assert got.dtype == complex
+
+    def test_coefficients_not_conjugate_symmetric(self):
+        # a loaded approximant whose coefficients belong to no real f
+        doc = fourier_coefficients(make_sinc(1.0), 40.1, QUAD).to_json_dict()
+        doc["coefficients"][3][1] += 0.25
+        doc["coefficients"][-2][0] -= 0.5
+        a = TrigApproximant.from_json_dict(doc)
+        got = self.assert_matches_evaluate(a, 2 * a.N + 3)
+        assert got.dtype == complex
+        assert np.max(np.abs(got.imag)) > 0.1
 
     @pytest.mark.parametrize("N", [0, 1, 16])
     def test_rejects_too_few_panels(self, N):
