@@ -57,13 +57,17 @@ LEMMA2_CASES = [
 ]
 
 # converge beyond sinc at p = 2: other functions, p = 1.5 and 3 (split at
-# the zeros of f - f_tau; complex F, which has none), p = 4, a JSON
-# document, and p = 200, whose powers underflow.
+# the zeros of f - f_tau; complex F, which has none) up to the largest taus
+# of the interior rule's timings, p = 4, a JSON document, and p = 200,
+# whose powers underflow.
 CONVERGE_CASES = [
     ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
      "--tau", "10,20,40,80"],
     ["converge", "--fn", "sinc:sigma=1", "--p", "1.5",
      "--tau", "80.3,320.3,1280.3"],
+    ["converge", "--fn", "sinc:sigma=1", "--p", "1.5", "--tau", "5120.3"],
+    ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
+     "--tau", "1280.3"],
     ["converge", "--fn", "mollify:base=sinc,sigma=1,rho=0.1", "--p", "1.5",
      "--tau", "12.3"],
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "1.5",

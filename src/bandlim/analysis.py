@@ -18,8 +18,8 @@ from .kernels import (_nudged_floor, dirichlet, kernel_gap, n_terms,
                       sinc_kernel)
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
                          _bracketed_roots, _check_nodes, _count_panels,
-                         _nodes, _panel_nodes, _panel_sup, _piece_nodes,
-                         _piece_sums, _sampled_sup, integrate)
+                         _interpolate, _nodes, _panel_nodes, _panel_sup,
+                         _piece_nodes, _piece_sums, _sampled_sup, integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -234,7 +234,7 @@ def _sup_norm_line(f: TestFunction) -> float:
     cutoff = (env.C / _SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
     panels = _count_panels(cutoff, 4.0 / f.sigma, ORDER,
-                           f"the real-line sup of {f.id} needs")
+                           f"the real-line sup of {f.id} needs", f.abs_even)
     cert, _ = _sampled_sup(f.eval_real, cutoff, panels, ((f.sigma, env.C),),
                            f.abs_even)
     return max(cert.certified_bound, float(env.bound(cutoff)))
@@ -408,21 +408,19 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
                  quad: QuadratureSpec, levels: Optional[tuple] = None
                  ) -> tuple[NormEstimate, SupNormCertificate]:
     """||g - f_tau||_{L^p[-tau, tau]} by a fixed panel rule on F = g - f_tau,
-    with F on panel nodes from f_tau by inverse FFT, and the certified sup
-    of |F| on [-tau, tau] from the same values.  ``g`` is ``f.eval_real``
-    for the truncation error of f (type ``a.sigma``, and
-    ``g_sup = f.decay.C`` >= sup |f|), or ``np.zeros_like`` with g_sup = 0
-    for f_tau itself.
+    and the certified sup of |F| on [-tau, tau], from F on the panel nodes
+    of two levels.  ``g`` is ``f.eval_real`` for the truncation error of f
+    (type ``a.sigma``, and ``g_sup = f.decay.C`` >= sup |f|), or
+    ``np.zeros_like`` with g_sup = 0 for f_tau itself.
 
-    ``levels`` holds, for n and 2n equal panels, the pair of the (n, ORDER)
-    or (2n, ORDER) array of g on their :func:`_panel_nodes` and their
-    :func:`_panel_tables`: the last two levels of the coefficient ladder,
-    which :func:`convergence_study` passes on, so that f is sampled once
-    per node and each level's tables are built once.  Without it g is
-    sampled on the first level n of :func:`_first_level` and its double,
-    which checks their nodes against ``quadrature.MAX_NODES`` before any
-    sampling.  n > 2N either way.  Each level less f_tau comes from one
-    :func:`_on_panels`, so F is a real array for real g and f_tau.
+    ``levels`` holds, for n and 2n equal panels, the pair of the array of g
+    on their :func:`_panel_nodes` and their :func:`_panel_tables`: the last
+    two levels of the coefficient ladder, which :func:`convergence_study`
+    passes on, so that f is sampled once per node and each level's tables
+    are built once.  Without it g is sampled on the first level n of
+    :func:`_first_level` and its double, which checks their nodes against
+    ``quadrature.MAX_NODES`` first.  n > 2N either way, and f_tau on each
+    level is one :func:`_on_panels`, so F is real for real g and f_tau.
     :func:`_panel_sup` takes level 2n, with Bernstein's
     |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
 
@@ -433,27 +431,27 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     panel of such a zero merge into stretches, which are cut at the zeros
     into parts.  Each part is split at its middle into a pair of pieces,
     each taking the rule of :func:`_piece_nodes` from its outer end (3
-    ORDER nodes: ORDER against two halves of ORDER), with F on every piece
-    from one :meth:`TrigApproximant.evaluate` call.  Complex F, as for
-    ``mollify`` of ``expi``, has no such zeros, and every panel keeps its
-    two levels.
+    ORDER nodes: ORDER against two halves of ORDER).  Complex F, as for
+    ``mollify`` of ``expi``, has no such zeros.  A panel or piece whose
+    coarse and fine values differ by more than max(abs_tol, rel_tol S)
+    times its share of [-tau, tau], S the sum of the level-n values, as in
+    :func:`integrate`, falls back on :func:`integrate` over its interval.
 
-    Each panel or piece is accepted when its coarse and fine values differ
-    by at most max(abs_tol, rel_tol S) times its share of [-tau, tau], S
-    the sum of the level-n values, as in :func:`integrate`.  The fallback:
-    a panel or piece that is not, such as one near a zero of complex F or
-    at a large p, is integrated on its own interval by :func:`integrate`,
-    f_tau taken from ``evaluate``.  The integral is the sum of the fine
-    values and of the fallback integrals, and its error the sum of the
-    differences and of the fallback errors.  That error is an estimate:
-    rounding is left out, and at p not an even integer a zero of F that
-    changes no sign at the level-2n nodes is not split at.
+    The pieces and the fallback take F from :func:`_interpolate` of the
+    level-2n values, which errs by the Hermite-Genocchi term of
+    :func:`_panel_sup` (F is entire of type a.sigma), about
+    1.3e-22 (g_sup + sum |c_k|) at half-widths up to pi / (8 a.sigma).
+    The integral is the sum of the fine values and of the fallback
+    integrals, and its error that of the differences and of the fallback
+    errors.  That error is an estimate: it leaves out rounding, of the node
+    values and of the interpolant (up to its Lebesgue constant 6.85 times
+    theirs, :func:`_cheb_maps`), and at p not an even integer a zero of F
+    that changes no sign at the level-2n nodes is not split at.
 
-    An integral below the smallest normal float while some node value is
-    nonzero (|g - f_tau|^p underflows) raises ValueError, as does a level
-    value that is not finite (|g - f_tau|^p overflows) or a certified sup
-    that is not finite (|g - f_tau| beyond about 1e154), before any
-    fallback.
+    ValueError, before any fallback: an integral below the smallest normal
+    float while some node value is nonzero (|F|^p underflows), a level
+    value that is not finite (|F|^p overflows), or a certified sup that is
+    not finite (|F| beyond about 1e154).
     """
     tau = a.tau
     xq, wq = _nodes(ORDER)
@@ -487,7 +485,10 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     scale = float(np.abs(coarse).sum())
     edges = np.linspace(-tau, tau, len(coarse) + 1)
     lefts, rights = edges[:-1], edges[1:]
-    power = _gap_power(g, a, p)
+
+    def power(x):
+        return np.abs(_interpolate(diff, tau, x)) ** p
+
     if p % 2:
         held, roots = _real_zeros(diff, tau, 32.0 * math.ulp(1.0)
                                   * (g_sup + coeff_sum))
@@ -504,12 +505,12 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
                                     np.minimum(ends, ends + half)])
             rights = np.concatenate([rights[keep],
                                      np.maximum(ends, ends + half)])
-    diff = np.abs(coarse - fine)
+    spread = np.abs(coarse - fine)
     tol = max(quad.abs_tol, quad.rel_tol * scale) * (rights - lefts) \
         / (2.0 * tau)
-    ok = diff <= tol
+    ok = spread <= tol
     integral = float(fine[ok].sum())
-    err = float(diff[ok].sum())
+    err = float(spread[ok].sum())
     for lo, hi in zip(lefts[~ok], rights[~ok]):
         value, value_err = integrate(power, lo, hi, quad)
         integral += float(value)
@@ -518,12 +519,6 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
         raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
                          f"underflows")
     return (_root_norm(integral, err, p, f"[{-tau:g},{tau:g}]"), sup_cert)
-
-
-def _gap_power(g: Callable, a: TrigApproximant, p: float) -> Callable:
-    """x -> |g(x) - f_tau(x)|^p, f_tau from
-    :meth:`TrigApproximant.evaluate`."""
-    return lambda x: np.abs(np.asarray(g(x)) - np.asarray(a.evaluate(x))) ** p
 
 
 def _real_zeros(diff, tau: float, delta: float):

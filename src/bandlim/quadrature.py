@@ -81,19 +81,21 @@ def _check_nodes(count: float, what: str, unit: str = "nodes") -> None:
                          f"{MAX_NODES}")
 
 
-def _count_panels(X: float, width: float, per_panel: int, what: str) -> int:
-    """ceil(2 X / width) panels on [-X, X], after :func:`_check_nodes` of
-    their ``per_panel`` nodes each, before any sampling."""
+def _count_panels(X: float, width: float, per_panel: int, what: str,
+                  even: bool = False) -> int:
+    """ceil(2 X / width) panels P on [-X, X], after :func:`_check_nodes` of
+    ``per_panel`` nodes on each panel sampled, before any sampling: on all
+    P, or for ``even`` on the ceil(P / 2) panels j >= P // 2."""
     panels = np.ceil(2.0 * X / width)  # may overflow to inf
-    _check_nodes(panels * per_panel, what)
+    _check_nodes(per_panel * (np.ceil(panels / 2) if even else panels), what)
     return int(panels)
 
 
-def _panel_nodes(X: float, panels: int):
-    """hw = X / P and the (P, ORDER) Gauss-Legendre nodes m_j + hw x_q of P
-    equal panels on [-X, X], m_j = -X + (2j + 1) hw."""
+def _panel_nodes(X: float, panels: int, first: int = 0):
+    """hw = X / P and the Gauss-Legendre nodes m_j + hw x_q, a row per panel
+    j >= ``first`` of P equal panels on [-X, X], m_j = -X + (2j + 1) hw."""
     hw = X / panels
-    mids = -X + hw * (2.0 * np.arange(panels) + 1.0)
+    mids = -X + hw * (2.0 * np.arange(first, panels) + 1.0)
     return hw, mids[:, None] + hw * _nodes(ORDER)[0]
 
 
@@ -210,12 +212,42 @@ def _sampled_sup(F, X: float, panels: int, derivs, even: bool = False):
     :func:`kernels.kernel_gap_scans` does: they tile [0, X], or [-hw, X]
     for an odd count, so the sup over them is the sup over [-X, X], and
     the certificate keeps the node rounding of the whole tiling."""
-    hw, x = _panel_nodes(X, panels)
-    if even:
-        x = x[panels // 2:]
+    hw, x = _panel_nodes(X, panels, panels // 2 if even else 0)
     values = np.asarray(F(x.ravel())).reshape(x.shape)
     return (_panel_sup(values, hw, derivs, panels),
             float(x.flat[np.argmax(np.abs(values))]))
+
+
+def _barycentric(v, t):
+    """(p, p') at ``t`` of the interpolant p of each row of ``v`` at the Q
+    Gauss-Legendre nodes x_q (Berrut and Trefethen, SIAM Review, 2004):
+    p = sum r_q v_q / sum r_q, p' = sum r_q (p - v_q) / (t - x_q) / sum r_q,
+    r_q = lambda_q / (t - x_q); at t = x_i, p = v_i and p' = -sum_{q != i}
+    r_q (p - v_q) / lambda_i (their (9.4)), so that neither is NaN."""
+    lam = _barycentric_weights(v.shape[1])
+    d = t[:, None] - _nodes(v.shape[1])[0]
+    row, i = np.nonzero(d == 0)
+    d[row, i] = np.inf  # r_i = 0 at the node t = x_i
+    r = lam / d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = r.sum(axis=1)
+        p = (r * v).sum(axis=1) / den
+        p[row] = v[row, i]
+        u = r * (p[:, None] - v)
+        dp = (u / d).sum(axis=1) / den
+    dp[row] = -u[row].sum(axis=1) / lam[i]
+    return p, dp
+
+
+def _interpolate(values, X: float, x):
+    """F at the points ``x`` of [-X, X], each from the :func:`_barycentric`
+    interpolant of its panel, in passes of ``_SUP_PASS`` ORDER points, for
+    F at the :func:`_panel_nodes` of P panels on [-X, X] in ``values``."""
+    hw, n = X / len(values), _SUP_PASS * ORDER
+    j = np.clip((x + X) // (2.0 * hw), 0, len(values) - 1).astype(np.intp)
+    t = (x - (-X + hw * (2.0 * j + 1.0))) / hw
+    return np.concatenate([_barycentric(values[j[i:i + n]], t[i:i + n])[0]
+                           for i in range(0, len(x), n)])
 
 
 def _bracketed_roots(values, X: float, brackets):
@@ -227,21 +259,17 @@ def _bracketed_roots(values, X: float, brackets):
     the line, the first node of the next panel when m ends a panel.  In the
     reference coordinate t of panel j = m // Q the bracket is
     [x_q, x_{q+1}], or [x_{Q-1}, 2 + x_0] across the panel's right edge,
-    where the panel's interpolant p is extrapolated by 0.6% of its width.
-    p and p' come from the barycentric formula, p = sum r_q v_q / sum r_q
-    and p' = sum r_q (p - v_q) / (t - x_q) / sum r_q with
-    r_q = lambda_q / (t - x_q) (Berrut and Trefethen, SIAM Review, 2004).
-    The root is found by Newton's method from the secant of the bracket,
-    inside a bisection bracket: each step moves one end of the bracket to
-    the last iterate, by the sign of p there, and takes the midpoint for a
-    Newton step that leaves the bracket.  It stops once no iterate would
-    move by more than 2^-40 (Newton's steps shrink quadratically, so the
-    last one is far below rounding), or after 64 steps, which bisection
-    alone would leave at most 2^-63 wide.
+    where the panel's interpolant p (:func:`_barycentric`) is extrapolated
+    by 0.6% of its width.  The root is found by Newton's method from the
+    secant of the bracket, inside a bisection bracket: each step moves one
+    end of the bracket to the last iterate, by the sign of p there, and
+    takes the midpoint for a Newton step that leaves the bracket.  It stops
+    once no iterate would move by more than 2^-40 (Newton's steps shrink
+    quadratically, so the last one is far below rounding), or after 64
+    steps, which bisection alone would leave at most 2^-63 wide.
     """
     P, Q = values.shape
     xq = _nodes(Q)[0]
-    lam = _barycentric_weights(Q)
     panel, q = np.divmod(brackets, Q)
     v = values[panel]
     lo = xq[q]
@@ -253,14 +281,11 @@ def _bracketed_roots(values, X: float, brackets):
                                                - flat[brackets + 1])
         for _ in range(64):
             t = np.where((lo < t) & (t < hi), t, 0.5 * (lo + hi))
-            d = t[:, None] - xq
-            r = lam / d
-            den = r.sum(axis=1)
-            p = (r * v).sum(axis=1) / den
+            p, dp = _barycentric(v, t)
             right = np.signbit(p) == left  # the root lies right of t
             lo = np.where(right, t, lo)
             hi = np.where(right, hi, t)
-            step = p * den / (r * (p[:, None] - v) / d).sum(axis=1)
+            step = p / dp
             if not np.any(np.abs(step) > 2.0 ** -40):
                 break
             t = t - step

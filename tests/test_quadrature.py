@@ -6,7 +6,7 @@ import pytest
 
 from bandlim import analysis, kernels, quadrature
 from bandlim.analysis import exp_coefficients, lp_norm_line, sup_norm_certified
-from bandlim.approximation import fourier_coefficients
+from bandlim.approximation import _first_level, fourier_coefficients
 from bandlim.functions import make_fejer_square, make_sinc
 from bandlim.quadrature import (MAX_INTEGRAND_POINTS, MAX_NODES,
                                 QuadratureNonConvergence, QuadratureSpec,
@@ -178,6 +178,47 @@ class TestPieceRule:
         ratio = got / closed
         assert np.allclose(ratio, ratio[0], rtol=1e-12, atol=0.0)
 
+    def test_barycentric_is_exact_at_the_nodes(self):
+        # rows x^k, k < Q: p is the row itself, and p' = k x^(k - 1), by
+        # (9.4) at the nodes and by the quotient formula between them
+        Q = quadrature.ORDER
+        xq = quadrature._nodes(Q)[0]
+        k = np.arange(Q)[:, None]
+        at_nodes = np.tile(xq, Q)
+        p, dp = quadrature._barycentric(np.repeat(xq ** k, Q, axis=0),
+                                        at_nodes)
+        assert np.array_equal(p, (xq ** k).ravel())
+        assert np.allclose(dp, (k * xq ** np.maximum(k - 1, 0)).ravel(),
+                           rtol=0.0, atol=1e-11)
+        t = np.random.default_rng(0).uniform(-1.0, 1.0, Q)
+        p, dp = quadrature._barycentric(xq ** k, t)
+        assert np.allclose(p, t ** k.ravel(), rtol=0.0, atol=1e-14)
+        assert np.allclose(dp, k.ravel() * t ** np.maximum(k.ravel() - 1, 0),
+                           rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("a", [exp_coefficients(40.0),
+                                   fourier_coefficients(make_sinc(1.0), 20.3)],
+                             ids=["expi", "sinc"])
+    def test_interpolant_matches_evaluate(self, a):
+        # f_tau on the panels of the interior rule's level 2n: its node
+        # values are rounded to a few eps sum |c_k|, which the interpolant
+        # amplifies by at most the Lebesgue constant, and evaluate rounds
+        # as much at the point
+        tau, Q = a.tau, quadrature.ORDER
+        P = 2 * _first_level(a.sigma, tau, "")
+        values = a.on_panels(P, quadrature._nodes(Q)[0])
+        rounding = 16.0 * np.finfo(float).eps * np.abs(a.coefficients).sum()
+        tol = (quadrature._cheb_maps(Q)[3] + 1.0) * rounding
+        x = np.random.default_rng(1).uniform(-tau, tau, 5000)
+        assert np.max(np.abs(quadrature._interpolate(values, tau, x)
+                             - a.evaluate(x))) <= tol
+        # t = -1 and 1: the two edges of every panel
+        hw = tau / P
+        mids = -tau + hw * (2.0 * np.arange(P) + 1.0)
+        for edge in (-1.0, 1.0):
+            p, _ = quadrature._barycentric(values, np.full(P, edge))
+            assert np.max(np.abs(p - a.evaluate(mids + edge * hw))) <= tol
+
     @pytest.mark.parametrize("shift", [0.3, 1e-3, -1e-3],
                              ids=["inside", "after-edge", "before-edge"])
     def test_one_root_per_sign_change(self, shift):
@@ -299,14 +340,15 @@ def exp_site(gate, monkeypatch):
 # 15 first-level panels, the 5-smooth count above 40 / pi, whose level of
 # 30 panels takes 450 nodes in fourier_coefficients and in the convergence
 # study, which takes the interior rule's levels from it; the squared-Fejer
-# sup takes 1999 panels of 15 nodes; the lemma2 cell takes
+# sup, |f| being even, the 1000 panels j >= P // 2 of its P = 1999, of 15
+# nodes each; the lemma2 cell takes
 # ceil(1000 / 15) = 67 panels; the sinc L^2 sampling sum, |sinc| being
 # even, M + 1 = 3185 nodes; the sup grid ceil(98.5) + 1 points; e^(ix) at
 # tau = 100 (N = 31) 63 coefficients.
 NODE_LIMIT_SITES = [
     (450, fourier_site),
     (450, interior_site),
-    (1999 * 15, sup_line_site),
+    (1000 * 15, sup_line_site),
     (67 * 15, scan_site),
     (3185, line_sum_site),
     (100, sup_grid_site),
