@@ -643,25 +643,21 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
     drift of the value from 1, about 1e-9 at m = 10^6, is that of the exact
     sum at the rounded theta.
     """
-    taus = []
-    error = None
-    for m in m_list:
-        if not (1 <= m < math.inf and int(m) == m):
-            error = ValueError("m_list must contain positive integers")
-            break
-        try:
-            taus.append(0.5 * math.pi + 2.0 * math.pi * int(m))
-        except OverflowError:
-            error = ValueError("m_list holds a value beyond the float range")
-            break
-    # The m before ``error`` are checked in order, as if one by one: the
+    try:
+        m = np.array(m_list, dtype=float)
+    except OverflowError:  # an int beyond the float range; NaN stands in
+        m = np.array([v if abs(v) < 2 ** 1024 - 2 ** 970 else math.nan
+                      for v in m_list], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid = (1.0 <= m) & (m < math.inf) & (np.floor(m) == m)
+        stop = len(m) if valid.all() else int(np.argmin(valid))
+        tau = 0.5 * math.pi + 2.0 * math.pi * m[:stop]
+        counts = _nudged_floor(1.0 * tau / math.pi)
+    # The m before ``stop`` are checked in order, as if one by one: the
     # first whose N (that of n_terms(1, tau), inf at tau = inf) fails
     # _exp_n_terms, unless an earlier m takes the total above the limit.
-    tau = np.array(taus)
-    with np.errstate(invalid="ignore"):
-        counts = _nudged_floor(1.0 * tau / math.pi)
     bad = np.flatnonzero(~(2.0 * counts + 1.0 <= quadrature.MAX_NODES))
-    checked = bad[0] if len(bad) else len(taus)
+    checked = bad[0] if len(bad) else stop
     counts = counts[:checked].astype(np.intp)
     total = np.cumsum(2 * counts + 1)
     over = np.searchsorted(total, MAX_COUNTEREXAMPLE_COEFFS, side="right")
@@ -669,16 +665,19 @@ def counterexample_run(m_list: Sequence[int]) -> list[tuple[float, float]]:
         raise ValueError(
             f"m_list needs at least {total[over]} coefficients in all, above "
             f"the limit of {MAX_COUNTEREXAMPLE_COEFFS}")
-    if checked < len(taus):
-        _exp_n_terms(1.0, taus[checked])  # raises that m's message
-    if error is not None:
-        raise error
+    if checked < stop:
+        _exp_n_terms(1.0, tau[checked])  # raises that m's message
+    if stop < len(m):  # the first m that is no positive integer or no float
+        v = m_list[stop]
+        raise ValueError("m_list holds a value beyond the float range"
+                         if 1 <= v < math.inf and int(v) == v else
+                         "m_list must contain positive integers")
     eps = (tau * (math.pi / tau) - math.pi) - _PI_LOW
     harmonic = _half_harmonic(2 * counts.max(initial=0))[2 * counts]
     sin_u = np.sin(tau)
     gaps = sin_u - sin_u * (eps / math.pi * ((counts + 0.5) * harmonic
                                              - (2 * counts + 1)))
-    return list(zip(taus, gaps.tolist()))
+    return list(zip(tau.tolist(), gaps.tolist()))
 
 
 def _half_harmonic(n):

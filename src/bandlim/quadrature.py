@@ -58,10 +58,26 @@ class QuadratureSpec:
             raise ValueError("max_depth must lie in [1, 60]")
 
 
+_GAUSS_NODES = (0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+                0.7244177313601701, 0.8482065834104272, 0.9372733924007058,
+                0.9879925180204854)
+_GAUSS_WEIGHTS = (0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
+                  0.16626920581699398, 0.13957067792615444,
+                  0.10715922046717141, 0.0703660474881084,
+                  0.030753241996117203)
+
+
 @lru_cache(maxsize=None)
 def _nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    """(x, w), the ``order``-node Gauss-Legendre rule on [-1, 1].  For ORDER
+    it is the table of positive nodes ``_GAUSS_NODES`` and of weights from
+    the middle out ``_GAUSS_WEIGHTS``, mirrored: leggauss(15) of
+    numpy.polynomial bit for bit, without its import or eigensolver.
+    leggauss remains for the other orders that :func:`gauss_panel` takes."""
+    if order != 2 * len(_GAUSS_NODES) + 1:
+        return np.polynomial.legendre.leggauss(order)
+    x, w = np.array(_GAUSS_NODES), np.array(_GAUSS_WEIGHTS)
+    return np.concatenate([-x[::-1], [0.0], x]), np.concatenate([w[:0:-1], w])
 
 
 def gauss_panel(g, a: float, b: float, order: int = ORDER):
@@ -130,6 +146,10 @@ def _cheb_maps(order: int):
     kappa = 2 * R + (1.0 + 2.0 * math.log(R) / math.pi) * (
         2.0 * math.sqrt(2.0) * np.abs(A).sum(axis=1).max() + 1.0)
     n = 16 * order * order  # cells; the Lebesgue function at their midpoints
+    # Whole, these (n, Q) temporaries (432 KB at Q = 15) are mmapped; their
+    # free raises glibc's mmap and trim thresholds, which keeps a warm pass's
+    # level arrays on the heap: in 256-row chunks, a warm benchmark pass of
+    # lemma2 and the counterexample took 924 minor page faults, not 0.
     terms = _barycentric_weights(order) / (
         ((2.0 * np.arange(n) + 1.0) / n - 1.0)[:, None] - x)
     on_grid = (np.abs(terms).sum(axis=1) / np.abs(terms.sum(axis=1))).max()
@@ -218,9 +238,10 @@ def _sampled_sup(F, X: float, panels: int, derivs, even: bool = False):
             float(x.flat[np.argmax(np.abs(values))]))
 
 
-def _barycentric(v, t):
+def _barycentric(v, t, slope: bool = True):
     """(p, p') at ``t`` of the interpolant p of each row of ``v`` at the Q
-    Gauss-Legendre nodes x_q (Berrut and Trefethen, SIAM Review, 2004):
+    Gauss-Legendre nodes x_q (Berrut and Trefethen, SIAM Review, 2004), or
+    p alone when not ``slope``:
     p = sum r_q v_q / sum r_q, p' = sum r_q (p - v_q) / (t - x_q) / sum r_q,
     r_q = lambda_q / (t - x_q); at t = x_i, p = v_i and p' = -sum_{q != i}
     r_q (p - v_q) / lambda_i (their (9.4)), so that neither is NaN."""
@@ -233,6 +254,8 @@ def _barycentric(v, t):
         den = r.sum(axis=1)
         p = (r * v).sum(axis=1) / den
         p[row] = v[row, i]
+        if not slope:
+            return p
         u = r * (p[:, None] - v)
         dp = (u / d).sum(axis=1) / den
     dp[row] = -u[row].sum(axis=1) / lam[i]
@@ -246,7 +269,8 @@ def _interpolate(values, X: float, x):
     hw, n = X / len(values), _SUP_PASS * ORDER
     j = np.clip((x + X) // (2.0 * hw), 0, len(values) - 1).astype(np.intp)
     t = (x - (-X + hw * (2.0 * j + 1.0))) / hw
-    return np.concatenate([_barycentric(values[j[i:i + n]], t[i:i + n])[0]
+    return np.concatenate([_barycentric(values[j[i:i + n]], t[i:i + n],
+                                        slope=False)
                            for i in range(0, len(x), n)])
 
 

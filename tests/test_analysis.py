@@ -555,6 +555,12 @@ class TestCounterexample:
         ([1, math.inf], "positive integers"),
         ([1, 10 ** 400], "beyond the float range"),
         (range(1, 100_001), "coefficients in all, above the limit"),
+        # a count limit broken before a bad value wins, as one by one
+        ([1, 10 ** 8, 0], "above the limit"),
+        ([1, 10 ** 8, 10 ** 400], "above the limit"),
+        ([*range(1, 100_001), 2.5], "coefficients in all, above the limit"),
+        ([1, 10 ** 400, 10 ** 8], "beyond the float range"),
+        ([1, -10 ** 400, 10 ** 400], "positive integers"),
     ])
     def test_every_m_checked_before_any_coefficients(self, m_list, text,
                                                      monkeypatch):

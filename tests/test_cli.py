@@ -1,5 +1,9 @@
+import importlib.util
 import json
 import math
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -479,3 +483,34 @@ class TestDeterminism:
         assert lines[0] == "tau,p,interior,interior_err,tail,total,sup_cert,sup_grid"
         totals = [float(line.split(",")[5]) for line in lines[1:]]
         assert totals[1] < totals[0]
+
+
+class TestColdPath:
+    # Each benchmark argv of seed 1 in one fresh process, as
+    # scripts/cli_diff.py runs the CLI: the 15-node rule is a committed
+    # table, so no subcommand needs numpy.polynomial (whose leggauss runs
+    # an eigensolver).  numpy 1.x loads it with numpy itself.
+    RUNNER = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+              "import numpy; bare = 'numpy.polynomial' in sys.modules; "
+              "from bandlim.cli import main; "
+              "codes = [main(argv) for argv in json.loads(sys.argv[2])]; "
+              "print(json.dumps([bare, codes, "
+              "'numpy.polynomial' in sys.modules]))")
+
+    def test_no_subcommand_imports_numpy_polynomial(self):
+        root = pathlib.Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        argvs = [argv for name in workloads.WORKLOADS
+                 for argv in workloads.argv_for(name, 1)]
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-P", "-c", self.RUNNER, str(src),
+             json.dumps(argvs)], capture_output=True, text=True, check=True)
+        bare, codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        if bare:
+            pytest.skip("import numpy loads numpy.polynomial itself")
+        assert codes == [0] * len(argvs)
+        assert not loaded

@@ -107,6 +107,11 @@ class TestPolynomialExactness:
                           a, b, order)
         assert got == pytest.approx(exact, rel=1e-13)
 
+    def test_committed_rule_is_leggauss(self):
+        x, w = quadrature._nodes(quadrature.ORDER)
+        want_x, want_w = np.polynomial.legendre.leggauss(quadrature.ORDER)
+        assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
+
     def test_adaptive_matches_exact(self):
         coeffs = [1.0, -2.0, 0.5, 3.0, -0.25]
         exact = sum(c / (j + 1) * (2.0 ** (j + 1) - (-1.0) ** (j + 1))
@@ -195,6 +200,25 @@ class TestPieceRule:
         assert np.allclose(p, t ** k.ravel(), rtol=0.0, atol=1e-14)
         assert np.allclose(dp, k.ravel() * t ** np.maximum(k.ravel() - 1, 0),
                            rtol=0.0, atol=1e-11)
+
+    def test_interpolate_is_the_barycentric_value(self):
+        # the p-only pass of _interpolate rounds as (p, p') does, at random
+        # points (three passes) and at the panel nodes; at the reference
+        # nodes x_q, p is the node value itself
+        X, P, Q = 3.0, 40, quadrature.ORDER
+        hw, nodes = quadrature._panel_nodes(X, P)
+        values = np.random.default_rng(2).standard_normal((P, Q))
+        for x in (np.random.default_rng(3).uniform(-X, X, 9000),
+                  nodes.ravel()):
+            j = np.clip((x + X) // (2.0 * hw), 0, P - 1).astype(np.intp)
+            t = (x - (-X + hw * (2.0 * j + 1.0))) / hw
+            want = quadrature._barycentric(values[j], t)[0]
+            assert quadrature._interpolate(values, X, x).tobytes() \
+                == want.tobytes()
+        p = quadrature._barycentric(np.repeat(values, Q, axis=0),
+                                    np.tile(quadrature._nodes(Q)[0], P),
+                                    slope=False)
+        assert p.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("a", [exp_coefficients(40.0),
                                    fourier_coefficients(make_sinc(1.0), 20.3)],
