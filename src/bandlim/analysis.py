@@ -19,7 +19,7 @@ from .kernels import (_nudged_floor, dirichlet, kernel_gap, n_terms,
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
                          _bracketed_roots, _check_nodes, _count_panels,
                          _interpolate, _nodes, _panel_nodes, _panel_sup,
-                         _piece_nodes, _piece_sums, _sampled_sup, integrate)
+                         _piece_nodes, _piece_sums, _sampled_sups, integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -225,9 +225,10 @@ def sup_norm_certified(F: Callable, sigma_eff: float, a: float,
 
 
 def _sup_norm_line(f: TestFunction) -> float:
-    """Upper bound for sup |f| on the real line: :func:`_sampled_sup` on
-    [-X, X] (|f^(k)| <= sigma^k C, Bernstein), on its right half for
-    ``f.abs_even``, and the envelope beyond."""
+    """Upper bound for sup |f| on the real line: one cell of
+    :func:`_sampled_sups` on [-X, X] (|f^(k)| <= sigma^k C, Bernstein), on
+    its right half for ``f.abs_even``, and the envelope beyond.  It samples
+    in passes, so it holds a few values per panel, not the window."""
     env = f.decay
     if env.alpha <= 0:
         raise ValueError("decay envelope too weak for a real-line sup bound")
@@ -235,8 +236,8 @@ def _sup_norm_line(f: TestFunction) -> float:
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
     panels = _count_panels(cutoff, 4.0 / f.sigma, ORDER,
                            f"the real-line sup of {f.id} needs", f.abs_even)
-    cert, _ = _sampled_sup(f.eval_real, cutoff, panels, ((f.sigma, env.C),),
-                           f.abs_even)
+    ((cert, _),) = _sampled_sups(lambda c, x: f.eval_real(x), [cutoff],
+                                 [panels], [((f.sigma, env.C),)], f.abs_even)
     return max(cert.certified_bound, float(env.bound(cutoff)))
 
 

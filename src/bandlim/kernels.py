@@ -9,14 +9,14 @@ from typing import Sequence
 import numpy as np
 
 from .functions import sinc_ratio, _maybe_scalar
-from .quadrature import (MAX_NODES, ORDER, _SUP_PASS, _check_nodes,
-                         _cheb_sums, _count_panels, _nodes, _sup_bound)
+from .quadrature import (MAX_NODES, ORDER, _check_nodes, _count_panels,
+                         _sampled_sups)
 
 _OMEGA_CUTOFF = 0.1
 # Largest n_points of kernel_gap_scan: the largest multiple of ORDER
 # within the node limit, since n_points is rounded up to whole panels.  The
 # scan holds a few arrays of one value per sampled panel (1.1 MiB each
-# here) and the temporaries of one pass of _SUP_PASS panels.
+# here) and the temporaries of one pass of quadrature._sampled_sups.
 MAX_SCAN_POINTS = ORDER * (MAX_NODES // ORDER)
 
 
@@ -151,67 +151,31 @@ def kernel_gap_scans(cells: Sequence[tuple[float, float, float]],
     for each (sigma, tau, delta) in ``cells``, in order; every cell is
     checked first.
 
-    A cell's grid is the :func:`_panel_nodes` of its P equal panels of
-    width at most 2 / max(sigma, pi N / tau), at least ``n_points`` nodes
-    in all, and ``n_points`` reports its P ``quadrature.ORDER`` nodes.  The
-    gap is even in v (both kernels are), so only panels j >= P // 2 are
-    sampled, at the same nodes m_j + hw x_q: they tile [0, X], or [-hw, X]
-    for odd P, X = (1 + delta) tau, and the sup over them is the sup over
-    the window.  ``argmax`` is the first node of the largest |gap| among
-    them, so it lies at or right of -hw.  The panels of all cells go
-    through :func:`_gap` and :func:`_cheb_sums` in passes of
-    ``quadrature._SUP_PASS`` panels, which cross cell boundaries, and
-    :func:`_sup_bound` certifies each cell from its largest sum, for
-    |d^k/dv^k sin(sigma v)/(pi v)| <= sigma^k sigma / pi and
-    |d^k/dv^k D_N(pi v / tau)/(2 tau)| <= (pi N / tau)^k (2N + 1)/(2 tau),
-    with the node-rounding term of the full grid, L = P hw = X.  A cell
-    whose certificate is not finite, as when |gap| passes about 1e154 and
-    its squares overflow, raises ValueError.
+    A cell's grid is the :func:`quadrature._sampled_sups` tiling of its
+    P equal panels of width at most 2 / max(sigma, pi N / tau), at least
+    ``n_points`` nodes in all, and ``n_points`` reports its P
+    ``quadrature.ORDER`` nodes.  The gap is even in v (both kernels are),
+    so only the panels j >= P // 2 are sampled, and ``argmax``, the first
+    node of the largest |gap| among them, lies at or right of -X / P.  The
+    certificate takes |d^k/dv^k sin(sigma v)/(pi v)| <= sigma^k sigma / pi
+    and |d^k/dv^k D_N(pi v / tau)/(2 tau)| <= (pi N / tau)^k (2N + 1) /
+    (2 tau).  A cell whose certificate is not finite, as when |gap| passes
+    about 1e154 and its squares overflow, raises ValueError.
     """
     sizes = [_scan_size(s, t, d, n_points) for s, t, d in cells]
     if not sizes:
         return []
     sigma, tau, delta = np.array(cells, dtype=float).T
     N, panels = np.array(sizes).T
-    X = (1.0 + delta) * tau
-    hw = X / panels
-    first = panels // 2
-    count = panels - first
-    starts = np.cumsum(count) - count
-    cell = np.repeat(np.arange(len(cells)), count)
-    j = np.arange(len(cell)) - starts[cell] + first[cell]
-    xq = _nodes(ORDER)[0]
-    peak = np.empty(len(cell))
-    at = np.empty(len(cell), dtype=np.intp)
-    sums = np.empty(len(cell))
-    # a gap beyond ~1e154 overflows its squares; the check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(cell), _SUP_PASS):
-            part = slice(i, i + _SUP_PASS)
-            c = cell[part, None]
-            values = _gap(sigma[c], tau[c], N[c],
-                          -X[c] + hw[c] * (2.0 * j[part, None] + 1.0)
-                          + hw[c] * xq)
-            mag = np.abs(values)
-            at[part] = mag.argmax(axis=1)
-            peak[part] = np.take_along_axis(mag, at[part, None],
-                                            axis=1)[:, 0]
-            sums[part] = _cheb_sums(values)
-    # per cell: the largest |gap| and its first panel, and the largest sum
-    observed = np.maximum.reduceat(peak, starts)
-    hits = np.flatnonzero(peak == observed[cell])
-    best = hits[np.searchsorted(hits, starts)]
-    argmax = -X + hw * (2.0 * j[best] + 1.0) + hw * xq[at[best]]
-    sums = np.maximum.reduceat(sums, starts)
+    derivs = [((s, s / math.pi), (math.pi * n / t, (2 * n + 1) / (2.0 * t)))
+              for (s, t, _), (n, _) in zip(cells, sizes)]
+    sups = _sampled_sups(lambda c, v: _gap(sigma[c], tau[c], N[c], v),
+                         (1.0 + delta) * tau, panels, derivs, even=True)
     reports = [KernelGapReport(
         sigma=float(s), tau=float(t), delta=float(d), n_points=P * ORDER,
-        observed_max=float(m), argmax=float(a),
-        certified_max=_sup_bound(
-            w, h, P, ORDER,
-            ((s, s / math.pi), (math.pi * n / t, (2 * n + 1) / (2.0 * t)))),
-        bound=kernel_gap_bound(s, t, d))
-        for (s, t, d), (n, P), m, a, w, h in zip(
-            cells, sizes, observed, argmax, sums, hw.tolist())]
+        observed_max=cert.grid_max, argmax=a,
+        certified_max=cert.certified_bound, bound=kernel_gap_bound(s, t, d))
+        for (s, t, d), (_, P), (cert, a) in zip(cells, sizes, sups)]
     for r in reports:
         if not math.isfinite(r.certified_max):
             raise ValueError(f"the certified sup of the kernel gap at "

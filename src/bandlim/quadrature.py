@@ -29,8 +29,9 @@ MAX_INTEGRAND_POINTS = 2 ** 24
 # Most nodes (or coefficients) one array of the library may hold, checked by
 # _check_nodes before it is built: 2^22 complex values are 64 MiB.
 MAX_NODES = 2 ** 22
-# Panels per pass of the certified sup rule (_cheb_sums), so that the
-# temporaries of a pass stay small: 256 ORDER = 3840 values of F.
+# Panels per pass of the certified sup rule (_cheb_sums, _sampled_sups),
+# so that the temporaries of a pass stay small: 256 ORDER = 3840 values
+# of F.
 _SUP_PASS = 256
 
 
@@ -107,11 +108,11 @@ def _count_panels(X: float, width: float, per_panel: int, what: str,
     return int(panels)
 
 
-def _panel_nodes(X: float, panels: int, first: int = 0):
+def _panel_nodes(X: float, panels: int):
     """hw = X / P and the Gauss-Legendre nodes m_j + hw x_q, a row per panel
-    j >= ``first`` of P equal panels on [-X, X], m_j = -X + (2j + 1) hw."""
+    j of P equal panels on [-X, X], m_j = -X + (2j + 1) hw."""
     hw = X / panels
-    mids = -X + hw * (2.0 * np.arange(first, panels) + 1.0)
+    mids = -X + hw * (2.0 * np.arange(panels) + 1.0)
     return hw, mids[:, None] + hw * _nodes(ORDER)[0]
 
 
@@ -157,14 +158,11 @@ def _cheb_maps(order: int):
             float(on_grid) / (1.0 - (order - 1) ** 2 / n))
 
 
-def _panel_sup(values, hw: float, derivs,
-               panels: int | None = None) -> SupNormCertificate:
+def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
     """Certified sup |F| over the P equal panels of half-width ``hw`` that
     tile [-L, L], L = P hw, from the (P, Q) array of F at each panel's
     Gauss-Legendre nodes, for F with sup |F^(k)| <= sum r^k c over the
-    pairs (r, c) of ``derivs``, for k = 1 and k = Q.  When ``panels`` is
-    given, ``values`` holds some of the ``panels`` panels of such a tiling,
-    and the sup is over those, with the node rounding of the whole tiling.
+    pairs (r, c) of ``derivs``, for k = 1 and k = Q.
 
     p interpolates the values v on a panel; |F - p| <= hw^Q 2^Q Q! / (2Q)!
     sup |F^(Q)| by Hermite-Genocchi (complex F too; node polynomial P_Q /
@@ -196,8 +194,8 @@ def _panel_sup(values, hw: float, derivs,
                     for i in range(0, len(values), _SUP_PASS)])
     return SupNormCertificate(
         grid_max=float(np.abs(values).max()), spacing=2.0 * hw,
-        certified_bound=_sup_bound(s, hw, panels or len(values),
-                                   values.shape[1], derivs))
+        certified_bound=_sup_bound(s, hw, len(values), values.shape[1],
+                                   derivs))
 
 
 def _cheb_sums(values):
@@ -223,19 +221,51 @@ def _sup_bound(s: float, hw: float, panels: int, Q: int, derivs) -> float:
         * sum(r * c for r, c in derivs))
 
 
-def _sampled_sup(F, X: float, panels: int, derivs, even: bool = False):
-    """(:func:`_panel_sup` certificate, node of the largest |F|) over [-X, X]
-    from one call of F on ``panels`` equal panels (:func:`_count_panels`).
+def _sampled_sups(F, X, panels, derivs, even: bool = False):
+    """[(:func:`_panel_sup` certificate, node of the largest |F|)], one per
+    cell i, for F(i, .) at the :func:`_panel_nodes` of ``panels[i]`` equal
+    panels on [-X[i], X[i]], with the derivative bounds ``derivs[i]``.
 
-    ``even`` states that |F(-x)| = |F(x)|.  Then F is called on the panels
-    j >= panels // 2 only, at the same nodes, as
-    :func:`kernels.kernel_gap_scans` does: they tile [0, X], or [-hw, X]
-    for an odd count, so the sup over them is the sup over [-X, X], and
-    the certificate keeps the node rounding of the whole tiling."""
-    hw, x = _panel_nodes(X, panels, panels // 2 if even else 0)
-    values = np.asarray(F(x.ravel())).reshape(x.shape)
-    return (_panel_sup(values, hw, derivs, panels),
-            float(x.flat[np.argmax(np.abs(values))]))
+    ``even`` states that |F(i, -x)| = |F(i, x)|: only the panels j >= P // 2
+    are sampled, which tile [0, X], or [-hw, X] for odd P, so the sup over
+    them is the sup over [-X, X] and the node lies at or right of -hw; the
+    certificate keeps the node rounding of the whole tiling.  F(c, x) takes
+    the (n, Q) nodes x of a pass of ``_SUP_PASS`` panels, which crosses
+    cell boundaries, and their (n, 1) cells c.
+    """
+    X, panels = np.asarray(X, dtype=float), np.asarray(panels)
+    hw = X / panels
+    first = panels // 2 if even else np.zeros_like(panels)
+    count = panels - first
+    starts = np.cumsum(count) - count
+    cell = np.repeat(np.arange(len(X)), count)
+    j = np.arange(len(cell)) - starts[cell] + first[cell]
+    xq = _nodes(ORDER)[0]
+    peak = np.empty(len(cell))
+    at = np.empty(len(cell), dtype=np.intp)
+    sums = np.empty(len(cell))
+    # an |F| beyond ~1e154 overflows its squares; the certificate shows it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(cell), _SUP_PASS):
+            part = slice(i, i + _SUP_PASS)
+            c = cell[part, None]
+            values = F(c, -X[c] + hw[c] * (2.0 * j[part, None] + 1.0)
+                       + hw[c] * xq)
+            mag = np.abs(values)
+            at[part] = mag.argmax(axis=1)
+            peak[part] = np.take_along_axis(mag, at[part, None],
+                                            axis=1)[:, 0]
+            sums[part] = _cheb_sums(values)
+    # per cell: largest |F| and its first panel (a NaN cell's first), sum
+    observed = np.maximum.reduceat(peak, starts)
+    hits = np.flatnonzero(~(peak < observed[cell]))
+    best = hits[np.searchsorted(hits, starts)]
+    argmax = -X + hw * (2.0 * j[best] + 1.0) + hw * xq[at[best]]
+    sums = np.maximum.reduceat(sums, starts)
+    return [(SupNormCertificate(float(m), 2.0 * h,
+                                _sup_bound(s, h, P, ORDER, d)), float(a))
+            for m, h, s, P, d, a in zip(observed, hw.tolist(), sums,
+                                        panels.tolist(), derivs, argmax)]
 
 
 def _barycentric(v, t, slope: bool = True):

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1118,6 +1119,19 @@ REAL_LINE_SUP_FUNCTIONS = [
     "mollify:base=sinc,sigma=1,rho=0.1", "sinc:sigma=0.1",
     "mollify:base=expi,omega=1,rho=0.5"]
 
+HALF_WINDOW_FUNCTIONS = [
+    "fejer_square:sigma=2", "mollify:base=fejer_square,sigma=2,rho=0.5",
+    "mollify:base=sinc,sigma=1,rho=0.1", "sinc:sigma=0.1"]
+
+
+def assert_passes(calls, nodes):
+    """The sizes of the F calls of _sampled_sups on one cell: full passes
+    of 256 panels and a last one, ``nodes`` in all."""
+    full = 256 * quadrature.ORDER
+    assert sum(calls) == nodes
+    assert calls[:-1] == [full] * (len(calls) - 1)
+    assert 0 < calls[-1] <= full == 3840
+
 
 class TestRealLineSup:
     @pytest.mark.parametrize("fn_id", REAL_LINE_SUP_FUNCTIONS)
@@ -1140,9 +1154,7 @@ class TestRealLineSup:
                    float(env.bound(X)))
         assert dense <= bound <= grid
 
-    @pytest.mark.parametrize("fn_id", [
-        "fejer_square:sigma=2", "mollify:base=fejer_square,sigma=2,rho=0.5",
-        "mollify:base=sinc,sigma=1,rho=0.1", "sinc:sigma=0.1"])
+    @pytest.mark.parametrize("fn_id", HALF_WINDOW_FUNCTIONS)
     def test_half_window(self, fn_id):
         # |f| even: the panels j >= P // 2 of the full window's tiling,
         # certified with the full window's node rounding
@@ -1160,9 +1172,9 @@ class TestRealLineSup:
         X = max(50.0, min(analysis._SUP_X_MAX, (
             env.C / analysis._SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0))
         P = math.ceil(2.0 * X / (4.0 / f.sigma))
-        assert calls == [(P - P // 2) * quadrature.ORDER]
-        full, _ = quadrature._sampled_sup(f.eval_real, X, P,
-                                          ((f.sigma, env.C),))
+        assert_passes(calls, (P - P // 2) * quadrature.ORDER)
+        ((full, _),) = quadrature._sampled_sups(
+            lambda c, x: f.eval_real(x), [X], [P], [((f.sigma, env.C),)])
         full = max(full.certified_bound, float(env.bound(X)))
         assert bound == pytest.approx(full, rel=1e-12)
         # 20 points per node spacing on [-100, 100], where |f| is largest
@@ -1170,6 +1182,26 @@ class TestRealLineSup:
         x = step * np.arange(-round(100.0 / step), round(100.0 / step) + 1)
         dense = float(np.max(np.abs(np.asarray(f.eval_real(x)))))
         assert dense <= bound <= 1.1 * dense
+
+    @pytest.mark.parametrize("fn_id", HALF_WINDOW_FUNCTIONS)
+    def test_full_window(self, fn_id):
+        # without abs_even all P panels are sampled, in passes, and the
+        # value is the half window's
+        f = from_id(fn_id)
+        calls = []
+
+        def eval_real(x):
+            calls.append(np.size(x))
+            return f.eval_real(x)
+
+        bound = analysis._sup_norm_line(
+            dataclasses.replace(f, eval_real=eval_real, abs_even=False))
+        env = f.decay
+        X = max(50.0, min(analysis._SUP_X_MAX, (
+            env.C / analysis._SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0))
+        assert_passes(calls, math.ceil(2.0 * X / (4.0 / f.sigma))
+                      * quadrature.ORDER)
+        assert bound == pytest.approx(analysis._sup_norm_line(f), rel=1e-12)
 
     def test_node_limit_checked_before_sampling(self, monkeypatch):
         base = make_sinc(1.0)
@@ -1207,5 +1239,18 @@ class TestRealLineSup:
         monkeypatch.undo()
         bound = analysis._sup_norm_line(dataclasses.replace(
             base, eval_real=eval_real))
-        assert calls == [half]
+        assert_passes(calls, half)
+        assert sum(calls) == 2387325
+        assert 1.0 / math.pi <= bound <= 1.1 / math.pi
+
+    def test_peak_memory(self):
+        # the passes hold a few values per panel, not the window's
+        # 2387325 nodes (72.9 MiB when sampled at once)
+        tracemalloc.start()
+        try:
+            bound = analysis._sup_norm_line(make_sinc(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
         assert 1.0 / math.pi <= bound <= 1.1 / math.pi

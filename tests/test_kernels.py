@@ -367,17 +367,19 @@ class TestScans:
 
     def test_half_grid_matches_full_grid(self):
         # Reference: each cell's full grid sampled and certified on its own,
-        # as one _sampled_sup call.  The half grid's nodes are bitwise those
-        # of the full grid's right half, whose mirrors differ by rounding.
+        # as a one-cell _sampled_sups call with even=False.  The half grid's
+        # nodes are bitwise those of the full grid's right half, whose
+        # mirrors differ by rounding.
         for rep in kernel_gap_scans(DEFAULT_CELLS):
             sigma, tau = rep.sigma, rep.tau
             N = n_terms(sigma, tau)
             X = (1.0 + rep.delta) * tau
             P = rep.n_points // ORDER
-            cert, arg = quadrature._sampled_sup(
-                lambda v: kernels._gap(sigma, tau, N, v), X, P,
-                ((sigma, sigma / math.pi),
-                 (math.pi * N / tau, (2 * N + 1) / (2.0 * tau))))
+            ((cert, arg),) = quadrature._sampled_sups(
+                lambda c, v: kernels._gap(sigma, tau, N, v), [X], [P],
+                [((sigma, sigma / math.pi),
+                  (math.pi * N / tau, (2 * N + 1) / (2.0 * tau)))],
+                even=False)
             assert rep.observed_max == pytest.approx(cert.grid_max, rel=1e-12)
             assert rep.certified_max == pytest.approx(cert.certified_bound,
                                                       rel=1e-12)

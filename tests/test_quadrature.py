@@ -82,13 +82,34 @@ class TestPanelNodes:
         self.assert_panel_nodes(coarse, tau)
 
     def test_sampled_sup(self):
-        calls = []
+        # the passes of at most 256 panels, joined, are the panel nodes
         X = 1.5 * 10.3
-        quadrature._sampled_sup(self.recording_sinc(calls).eval_real, X, 37,
-                                ((1.0, 1.0),))
-        (x,) = calls
-        assert x.size == 37 * quadrature.ORDER
-        self.assert_panel_nodes(x, X)
+        for panels in (37, 600):
+            calls = []
+            f = self.recording_sinc(calls)
+            quadrature._sampled_sups(lambda c, x: f.eval_real(x), [X],
+                                     [panels], [((1.0, 1.0),)])
+            assert len(calls) == -(-panels // 256)
+            assert max(x.size for x in calls) <= 256 * quadrature.ORDER
+            x = np.concatenate(calls)
+            assert x.size == panels * quadrature.ORDER
+            self.assert_panel_nodes(x, X)
+
+    def test_sampled_sups_cells_apart(self):
+        # A pass that crosses from a NaN cell into the next leaves the next
+        # cell's result that of its own call; the NaN cell's node is its
+        # first NaN, as np.argmax takes it.
+        def F(c, x):
+            return np.where(c == 0, np.nan, np.exp(-(x - 5.0) ** 2))
+
+        derivs = ((2.0, 1.0),)
+        (nan, at), cell = quadrature._sampled_sups(
+            F, [2.0, 10.0], [300, 400], [derivs, derivs])
+        assert math.isnan(nan.grid_max) and math.isnan(nan.certified_bound)
+        assert at == quadrature._panel_nodes(2.0, 300)[1][0, 0]
+        assert cell == quadrature._sampled_sups(
+            lambda c, x: F(c + 1, x), [10.0], [400], [derivs])[0]
+        assert cell[1] == pytest.approx(5.0, abs=0.01)
 
 
 class TestPolynomialExactness:
