@@ -58,8 +58,8 @@ LEMMA2_CASES = [
 
 # converge beyond sinc at p = 2: other functions, p = 1.5 and 3 (split at
 # the zeros of f - f_tau; complex F, which has none) up to the largest taus
-# of the interior rule's timings, p = 4, a JSON document, and p = 200,
-# whose powers underflow.
+# of the interior rule's timings, p = 4, a JSON document, complex F over
+# several sup passes, and p = 200, whose powers underflow.
 CONVERGE_CASES = [
     ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
      "--tau", "10,20,40,80"],
@@ -78,6 +78,9 @@ CONVERGE_CASES = [
      "--tau", "10,80.3"],
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "2",
      "--tau", "10,80.3", "--format", "json"],
+    # complex F crosses three passes of the sup rule (P0 = 360 panels)
+    ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "2",
+     "--tau", "160.3"],
     ["converge", "--fn", "sinc:sigma=1", "--p", "200", "--tau", "10,40"],
 ]
 
@@ -87,6 +90,8 @@ COEFFS_CASES = [
     ["coeffs", "--fn", "expi:omega=1", "--tau", "pi", "--format", "json"],
     ["coeffs", "--fn", "fejer_square:sigma=2", "--tau", "80.3"],
     ["coeffs", "--fn", "mollify:base=sinc,sigma=1,rho=0.1", "--tau", "40"],
+    # complex f: both parts go through the Gauss-weight sum
+    ["coeffs", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--tau", "40"],
 ]
 
 # lewitan, which the benchmark does not run: the automatic cutoff, the

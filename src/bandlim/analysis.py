@@ -228,14 +228,16 @@ def _sup_norm_line(f: TestFunction) -> float:
     """Upper bound for sup |f| on the real line: one cell of
     :func:`_sampled_sups` on [-X, X] (|f^(k)| <= sigma^k C, Bernstein), on
     its right half for ``f.abs_even``, and the envelope beyond.  It samples
-    in passes, so it holds a few values per panel, not the window."""
+    in passes, so it holds a few values per sampled panel, not the window:
+    their count is checked against ``quadrature.MAX_NODES``."""
     env = f.decay
     if env.alpha <= 0:
         raise ValueError("decay envelope too weak for a real-line sup bound")
     cutoff = (env.C / _SUP_ENVELOPE_FLOOR) ** (1.0 / env.alpha) - 1.0
     cutoff = max(50.0, min(_SUP_X_MAX, cutoff))
-    panels = _count_panels(cutoff, 4.0 / f.sigma, ORDER,
-                           f"the real-line sup of {f.id} needs", f.abs_even)
+    panels = _count_panels(cutoff, 4.0 / f.sigma, 1,
+                           f"the real-line sup of {f.id} needs", f.abs_even,
+                           "panels")
     ((cert, _),) = _sampled_sups(lambda c, x: f.eval_real(x), [cutoff],
                                  [panels], [((f.sigma, env.C),)], f.abs_even)
     return max(cert.certified_bound, float(env.bound(cutoff)))

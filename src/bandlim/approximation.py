@@ -290,8 +290,17 @@ def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int,
     shift, phase = tables
 
     def symmetric(part):
+        # the view keeps the rfft output alive to the end of the sums;
+        # freed before them, a warm converge-ladder pass took 148 page
+        # faults where OpenBLAS ran two threads
         spectrum = np.fft.rfft(part, axis=0)[:len(shift)]
-        half = (hw / (2.0 * tau)) * shift * ((spectrum * phase) @ wq)
+        terms = spectrum * phase
+        # two real products with the real weights, not terms @ wq, which
+        # numpy runs as a complex product on a complex copy of wq
+        sums = np.empty(len(shift), dtype=complex)
+        sums.real = np.ascontiguousarray(terms.real) @ wq
+        sums.imag = np.ascontiguousarray(terms.imag) @ wq
+        half = (hw / (2.0 * tau)) * shift * sums
         return np.concatenate([np.conj(half[:0:-1]), half])
 
     coeffs = symmetric(samples.real)

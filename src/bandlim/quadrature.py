@@ -31,7 +31,8 @@ MAX_INTEGRAND_POINTS = 2 ** 24
 MAX_NODES = 2 ** 22
 # Panels per pass of the certified sup rule (_cheb_sums, _sampled_sups),
 # so that the temporaries of a pass stay small: 256 ORDER = 3840 values
-# of F.
+# of F, and (256, 2R) = (256, 58) floats (119 KB, below glibc's 128 KiB
+# mmap threshold) in each product of _cheb_sums.
 _SUP_PASS = 256
 
 
@@ -99,12 +100,13 @@ def _check_nodes(count: float, what: str, unit: str = "nodes") -> None:
 
 
 def _count_panels(X: float, width: float, per_panel: int, what: str,
-                  even: bool = False) -> int:
+                  even: bool = False, unit: str = "nodes") -> int:
     """ceil(2 X / width) panels P on [-X, X], after :func:`_check_nodes` of
-    ``per_panel`` nodes on each panel sampled, before any sampling: on all
-    P, or for ``even`` on the ceil(P / 2) panels j >= P // 2."""
+    ``per_panel`` ``unit`` on each panel sampled, before any sampling: on
+    all P, or for ``even`` on the ceil(P / 2) panels j >= P // 2."""
     panels = np.ceil(2.0 * X / width)  # may overflow to inf
-    _check_nodes(per_panel * (np.ceil(panels / 2) if even else panels), what)
+    _check_nodes(per_panel * (np.ceil(panels / 2) if even else panels), what,
+                 unit)
     return int(panels)
 
 
@@ -170,13 +172,16 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
     its R = 2Q - 1 Chebyshev points, a = B w are its Chebyshev
     coefficients, and max |p|^2 <= s = sum |a_k|.  Rounding (v, A and B
     exact; Higham 2002, 3.1): a sum of fewer than 2Q products errs by at
-    most gamma = 2Q eps times its terms' moduli.  With X = max |p|^2 on the
-    panel and Lambda the largest row sum of |A|, |du| <= sqrt(2) gamma
-    Lambda X^(1/2) and |dw| <= gamma (2 sqrt(2) Lambda + 1) X, which moves
-    max |p|^2 on a half by at most Lambda_R = 1 + (2/pi) log R (Chebyshev
-    Lebesgue constant) times as much; sum |da_k| <= 2 gamma R X (columns of
-    |B| sum to < 2); s errs by gamma s.  So X <= s + gamma (s + kappa X),
-    kappa = 2R + Lambda_R (2 sqrt(2) Lambda + 1), to first order, and
+    most gamma = 2Q eps times its terms' moduli, and each sum here is one:
+    A v is a sum of Q real products per part (for complex v, A Re v and
+    A Im v, in :func:`_cheb_sums`), w of two, and B w of R.  With
+    X = max |p|^2 on the panel and Lambda the largest row sum of |A|,
+    |du| <= sqrt(2) gamma Lambda X^(1/2) and |dw| <= gamma (2 sqrt(2)
+    Lambda + 1) X, which moves max |p|^2 on a half by at most Lambda_R =
+    1 + (2/pi) log R (Chebyshev Lebesgue constant) times as much;
+    sum |da_k| <= 2 gamma R X (columns of |B| sum to < 2); s errs by
+    gamma s.  So X <= s + gamma (s + kappa X), kappa = 2R + Lambda_R
+    (2 sqrt(2) Lambda + 1), to first order, and
     X <= s (1 + 2 gamma (1 + kappa)) with s the larger of the halves' sums.
 
     Rounded nodes: v holds F at fl(m_j + fl(hw x_q)) of
@@ -200,11 +205,20 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
 
 def _cheb_sums(values):
     """For each panel of the (n, Q) block ``values`` of :func:`_panel_sup`,
-    the larger of the sums s = sum |a_k| of its two halves."""
+    the larger of the sums s = sum |a_k| of its two halves.
+
+    Complex values go through two real products, of contiguous copies of
+    their real and imaginary parts, and w = re^2 + im^2: half the real
+    multiplications of a complex product, no temporary larger than
+    (n, 2R) floats, and for a zero imaginary part the real sums bit for
+    bit."""
     to_cheb, to_coeffs = _cheb_maps(values.shape[1])[:2]
-    u = (values @ to_cheb.T).reshape(-1, len(to_coeffs))
-    w = u * u if np.isrealobj(u) else u.real ** 2 + u.imag ** 2
-    s = np.abs(w @ to_coeffs.T).sum(axis=1)
+    u = np.ascontiguousarray(values.real) @ to_cheb.T
+    w = u * u
+    if np.iscomplexobj(values):
+        u = np.ascontiguousarray(values.imag) @ to_cheb.T
+        w += u * u
+    s = np.abs(w.reshape(-1, len(to_coeffs)) @ to_coeffs.T).sum(axis=1)
     return np.maximum(s[0::2], s[1::2])
 
 

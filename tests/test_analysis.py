@@ -1212,17 +1212,18 @@ class TestRealLineSup:
         f = TestFunction(id="sinc", sigma=1.0, eval_real=refuse,
                          eval_complex=None, decay=base.decay,
                          p_membership=base.p_membership)
-        # X = 2 / (pi 1e-6) - 1 = 636618.8, 318310 panels of width 4
-        monkeypatch.setattr(quadrature, "MAX_NODES", 318309 * 15)
+        # X = 2 / (pi 1e-6) - 1 = 636618.8, 318310 panels of width 4; the
+        # limit counts the sampled panels, one value each per array
+        monkeypatch.setattr(quadrature, "MAX_NODES", 318309)
         with pytest.raises(ValueError, match="real-line sup of sinc needs "
-                           "4774650 nodes, above the limit of 4774635"):
+                           "318310 panels, above the limit of 318309"):
             analysis._sup_norm_line(f)
 
     def test_half_window_within_node_limit(self, monkeypatch):
         # sinc is abs_even: of its 318310 panels only the 159155 panels
-        # j >= P // 2 are checked against the node limit and sampled
+        # j >= P // 2 are checked against the limit and sampled
         base = make_sinc(1.0)
-        half = 159155 * quadrature.ORDER
+        half = 159155
         calls = []
 
         def refuse(x):
@@ -1233,15 +1234,30 @@ class TestRealLineSup:
             return base.eval_real(x)
 
         monkeypatch.setattr(quadrature, "MAX_NODES", half - 1)
-        with pytest.raises(ValueError, match=f"needs {half} nodes"):
+        with pytest.raises(ValueError, match=f"needs {half} panels"):
             analysis._sup_norm_line(dataclasses.replace(base,
                                                         eval_real=refuse))
         monkeypatch.undo()
         bound = analysis._sup_norm_line(dataclasses.replace(
             base, eval_real=eval_real))
-        assert_passes(calls, half)
+        assert_passes(calls, half * quadrature.ORDER)
         assert sum(calls) == 2387325
         assert 1.0 / math.pi <= bound <= 1.1 / math.pi
+
+    def test_full_window_in_passes(self):
+        # 318310 panels, 4774650 nodes: more nodes than MAX_NODES, but the
+        # passes hold five values per panel and one pass of nodes
+        f = make_sinc(1.0)
+        tracemalloc.start()
+        try:
+            bound = analysis._sup_norm_line(
+                dataclasses.replace(f, abs_even=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 318310 * quadrature.ORDER > quadrature.MAX_NODES
+        assert peak < 16 * 2 ** 20
+        assert bound == pytest.approx(analysis._sup_norm_line(f), rel=1e-12)
 
     def test_peak_memory(self):
         # the passes hold a few values per panel, not the window's

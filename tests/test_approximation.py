@@ -7,14 +7,16 @@ import pytest
 from bandlim import quadrature
 from bandlim.approximation import (_LEWITAN_VALUES_PER_TERM, MAX_LEWITAN_K,
                                    TrigApproximant, _first_level,
-                                   _five_smooth, _trig_sums,
+                                   _five_smooth, _panel_fft_coefficients,
+                                   _panel_tables, _trig_sums,
                                    evaluate_convolution,
                                    fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
                                from_id, make_complex_exponential,
                                make_fejer_square, make_sinc, sinc_ratio)
-from bandlim.quadrature import (MAX_NODES, QuadratureNonConvergence,
+from bandlim.kernels import n_terms
+from bandlim.quadrature import (MAX_NODES, ORDER, QuadratureNonConvergence,
                                 QuadratureSpec, _nodes)
 
 QUAD = QuadratureSpec()
@@ -143,6 +145,39 @@ class TestConjugateSymmetry:
         c = fourier_coefficients(make_complex_exponential(1.0), 10.0,
                                  QUAD).coefficients
         assert not np.allclose(c[::-1], np.conj(c))
+
+
+class TestWeightSum:
+    """The Gauss-weight sum of the panel FFT takes the real and imaginary
+    parts of its terms through two real products."""
+
+    @pytest.mark.parametrize("tau", [5.0, 40.0, 120.0])
+    @pytest.mark.parametrize("fn_id", ["sinc:sigma=1", "fejer_square:sigma=2",
+                                       "mollify:base=expi,omega=1,rho=0.5"])
+    def test_matches_complex_product(self, fn_id, tau):
+        # Each part of a sum errs by at most gamma_Q = Q eps times its sum
+        # of moduli on either path, so the two differ by at most 2 Q ulps
+        # of that sum (3 measured).
+        f = from_id(fn_id)
+        N = n_terms(f.sigma, tau)
+        panels = 2 * _first_level(f.sigma, tau, "")
+        tables = _panel_tables(N, panels, _nodes(ORDER)[0])
+        coeffs, samples = _panel_fft_coefficients(f, tau, panels, tables)
+        shift, phase = tables
+        wq = _nodes(ORDER)[1]
+        scale = tau / panels / (2.0 * tau)
+        want = bound = 0.0
+        for unit, part in ((1.0, samples.real), (1j, samples.imag)):
+            terms = np.fft.rfft(part, axis=0)[:N + 1] * phase
+            half = scale * shift * (terms @ wq)
+            moduli = scale * (np.abs(terms) @ wq)
+            want = want + unit * np.concatenate([np.conj(half[:0:-1]),
+                                                 half])
+            bound = bound + np.concatenate([moduli[:0:-1], moduli])
+        ulp = 2 * ORDER * np.spacing(bound)
+        assert np.all(np.abs(coeffs.real - want.real) <= ulp)
+        assert np.all(np.abs(coeffs.imag - want.imag) <= ulp)
+        assert np.iscomplexobj(samples) == fn_id.startswith("mollify")
 
 
 class TestFirstLevel:

@@ -1,8 +1,9 @@
 """Property tests for the input validators: each accepts what it documents
 and rejects everything else with its own error type; for the catalog's
 ``abs_even`` flag, which the real-line norms rely on; for the values
-of ``counterexample_run`` against long-double sums; and for the CLI's CSV
-writer against ``csv.writer``."""
+of ``counterexample_run`` against long-double sums; for the CLI's CSV
+writer against ``csv.writer``; and for the soundness of every certified
+sup against a grid 20 times finer than the certificate's nodes."""
 
 import csv
 import dataclasses
@@ -16,12 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandlim import cli
-from bandlim.analysis import counterexample_run
+from bandlim.analysis import (check_poly_nikolskii, convergence_study,
+                              counterexample_run, exp_coefficients)
+from bandlim.approximation import _coefficient_ladder, _first_level
 from bandlim.functions import (TestFunction, UnknownFunctionError, from_id,
                                make_complex_exponential, make_fejer_square,
                                make_sinc, mollify)
-from bandlim.kernels import n_terms
-from bandlim.quadrature import QuadratureSpec
+from bandlim.kernels import kernel_gap, kernel_gap_scan, n_terms
+from bandlim.quadrature import ORDER, QuadratureSpec
 
 # A fixed example count and seed keep the run short and repeatable.
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -241,3 +244,59 @@ class TestCsvWriter:
         buf = io.StringIO()
         cli._write_csv(buf, columns, rows)
         assert buf.getvalue() == reference_csv(columns, rows)
+
+
+EPS = np.finfo(float).eps
+# Functions whose truncation sup convergence_study certifies: two real
+# ones, and a complex F (the mollified exponential).
+SUP_MEMBERS = {
+    "sinc": make_sinc,
+    "fejer_square": make_fejer_square,
+    "mollify_expi": lambda s: mollify(make_complex_exponential(s), 0.5),
+}
+SOUNDNESS = settings(max_examples=10, deadline=None, derandomize=True)
+tau_param = st.floats(min_value=5.0, max_value=120.0)
+
+
+def fine_max(F, X: float, nodes: int) -> float:
+    """max |F| on 20 equally spaced points per node of a certificate that
+    sampled ``nodes`` nodes on [-X, X]."""
+    return float(np.max(np.abs(F(np.linspace(-X, X, 20 * nodes)))))
+
+
+class TestCertifiedSupsAreSound:
+    """Each certified sup is at least the largest |F| on a grid 20 times
+    finer than its nodes.  The grid values carry their own rounding, a few
+    eps times the sizes summed in them, which the comparison allows."""
+
+    @SOUNDNESS
+    @given(name=st.sampled_from(sorted(SUP_MEMBERS)),
+           param=st.floats(min_value=0.5, max_value=1.5), tau=tau_param)
+    def test_truncation_sup(self, name, param, tau):
+        f = SUP_MEMBERS[name](param)
+        a, levels = _coefficient_ladder(f, tau)
+        (rec,) = convergence_study(f, 2.0, [tau])
+        dense = fine_max(lambda x: f.eval_real(x) - a.evaluate(x), tau,
+                         levels[1][0].size)
+        slack = 64 * EPS * (f.decay.C + np.abs(a.coefficients).sum())
+        assert dense <= rec.sup_error.certified_bound + slack
+
+    @SOUNDNESS
+    @given(omega=st.floats(min_value=1.0, max_value=2.0), tau=tau_param)
+    def test_poly_nikolskii_lhs(self, omega, tau):
+        a = exp_coefficients(tau, omega)
+        lhs = check_poly_nikolskii(a, 2.0).lhs
+        nodes = 2 * _first_level(a.sigma, tau, "") * ORDER
+        slack = 64 * EPS * np.abs(a.coefficients).sum()
+        assert fine_max(a.evaluate, tau, nodes) <= lhs + slack
+
+    @SOUNDNESS
+    @given(sigma=st.floats(min_value=0.5, max_value=4.0), tau=tau_param,
+           delta=st.floats(min_value=0.0, max_value=0.9))
+    def test_kernel_gap_sup(self, sigma, tau, delta):
+        report = kernel_gap_scan(sigma, tau, delta)
+        N = n_terms(sigma, tau)
+        dense = fine_max(lambda v: kernel_gap(sigma, tau, v),
+                         (1.0 + delta) * tau, report.n_points)
+        slack = 16 * EPS * (sigma / math.pi + (2 * N + 1) / (2.0 * tau))
+        assert dense <= report.certified_max + slack

@@ -112,6 +112,59 @@ class TestPanelNodes:
         assert cell[1] == pytest.approx(5.0, abs=0.01)
 
 
+def complex_cheb_sums(values):
+    """_cheb_sums by one complex product, as numpy runs values @ A.T for
+    complex values and a real A."""
+    to_cheb, to_coeffs = quadrature._cheb_maps(values.shape[1])[:2]
+    u = (values @ to_cheb.T).reshape(-1, len(to_coeffs))
+    w = u.real ** 2 + u.imag ** 2
+    s = np.abs(w @ to_coeffs.T).sum(axis=1)
+    return np.maximum(s[0::2], s[1::2])
+
+
+def complex_blocks():
+    """Complex (256, 15) blocks: normal noise, and e^(i omega x) scaled,
+    at the panel nodes."""
+    rng = np.random.default_rng(29)
+    xq = quadrature._nodes(quadrature.ORDER)[0]
+    for _ in range(10):
+        yield (rng.standard_normal((256, 15))
+               + 1j * rng.standard_normal((256, 15)))
+        hw, omega = rng.uniform(0.05, 0.5), rng.uniform(0.1, 4.0)
+        x = hw * (2.0 * np.arange(-128, 128) + 1.0)[:, None] + hw * xq
+        yield rng.uniform(1e-3, 1e3) * np.exp(1j * omega * x)
+
+
+class TestChebSums:
+    """Complex values reach the Chebyshev sums of the sup rule through two
+    real products, one per part."""
+
+    def test_matches_complex_product(self):
+        # Each entry of A v rounds within gamma_Q = Q eps of sum |A| |v| on
+        # either path, so s moves by at most about 4 Q eps times s_abs,
+        # the sums of moduli; OpenBLAS gives the same bits.
+        A, B = quadrature._cheb_maps(quadrature.ORDER)[:2]
+        eps = np.finfo(float).eps
+        for v in complex_blocks():
+            moduli = ((np.abs(v.real) @ np.abs(A).T) ** 2
+                      + (np.abs(v.imag) @ np.abs(A).T) ** 2)
+            s_abs = (moduli.reshape(-1, len(B)) @ np.abs(B).T).sum(axis=1)
+            s_abs = np.maximum(s_abs[0::2], s_abs[1::2])
+            new = quadrature._cheb_sums(v)
+            assert new.dtype == float
+            assert np.all(np.abs(new - complex_cheb_sums(v))
+                          <= 4 * quadrature.ORDER * eps * s_abs)
+
+    @pytest.mark.parametrize("imag", [0.0, -0.0])
+    def test_zero_imaginary_part_is_the_real_path(self, imag):
+        rng = np.random.default_rng(30)
+        real = rng.standard_normal((256, 15))
+        block = real.astype(complex)
+        block.imag = imag
+        assert (quadrature._cheb_sums(block).tobytes()
+                == quadrature._cheb_sums(real).tobytes())
+
+
 class TestPolynomialExactness:
     """A panel of order n must integrate degree <= 2n-1 exactly."""
 
@@ -354,8 +407,15 @@ def interior_site(gate, monkeypatch):
 
 
 def sup_line_site(gate, monkeypatch):
+    # the limit counts sampled panels: the gate sees one node per panel
     base = make_fejer_square(2.0)
-    f = dataclasses.replace(base, eval_real=gate(base.eval_real))
+    panels = gate(lambda first: None)
+
+    def eval_real(x):
+        panels(x[:, 0])
+        return base.eval_real(x)
+
+    f = dataclasses.replace(base, eval_real=eval_real)
     return lambda: analysis._sup_norm_line(f)
 
 
@@ -393,7 +453,7 @@ def exp_site(gate, monkeypatch):
 NODE_LIMIT_SITES = [
     (450, fourier_site),
     (450, interior_site),
-    (1000 * 15, sup_line_site),
+    (1000, sup_line_site),
     (67 * 15, scan_site),
     (3185, line_sum_site),
     (100, sup_grid_site),
