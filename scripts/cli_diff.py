@@ -59,7 +59,8 @@ LEMMA2_CASES = [
 # converge beyond sinc at p = 2: other functions, p = 1.5 and 3 (split at
 # the zeros of f - f_tau; complex F, which has none) up to the largest taus
 # of the interior rule's timings, p = 4, a JSON document, complex F over
-# several sup passes, and p = 200, whose powers underflow.
+# several sup passes, p = 200, whose powers underflow, and tolerances that
+# send the interior rule to its integrate fallback.
 CONVERGE_CASES = [
     ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
      "--tau", "10,20,40,80"],
@@ -82,6 +83,9 @@ CONVERGE_CASES = [
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "2",
      "--tau", "160.3"],
     ["converge", "--fn", "sinc:sigma=1", "--p", "200", "--tau", "10,40"],
+    # two panels of complex F miss 1e-13 and fall back on integrate
+    ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "1.5",
+     "--tau", "10", "--abs-tol", "1e-13", "--rel-tol", "1e-13"],
 ]
 
 # coeffs, which the benchmark does not run, as CSV and JSON tables.
@@ -158,6 +162,13 @@ SIZE_CASES = [
     ["converge", "--fn", "sinc:sigma=1", "--tau", "1e7"],
     ["counterexample", "--m", "2000000"],
     ["lemma2", "--sigma", "1e6", "--tau", "1e6", "--delta", "0"],
+    # node counts that overflow to inf
+    ["lemma2", "--sigma", "1e308", "--tau", "1", "--delta", "0"],
+    ["lemma2", "--sigma", "1e307", "--tau", "1", "--delta", "0.9"],
+    ["coeffs", "--fn", "sinc:sigma=1e300", "--tau", "1e7"],
+    ["converge", "--fn", "fejer_square:sigma=1e307", "--tau", "1"],
+    ["converge", "--fn", "mollify:base=sinc,sigma=1e307,rho=0.5",
+     "--tau", "1"],
 ]
 
 # Each exits 1 with one line on stderr: a value beyond the float range is

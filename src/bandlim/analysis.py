@@ -11,15 +11,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .approximation import (TrigApproximant, _coefficient_ladder,
-                            _first_level, _on_panels, _panel_tables)
+                            _first_level, _level, _on_panels)
 from .functions import DecayEnvelope, TestFunction, sinc_ratio, INF
 from . import quadrature
 from .kernels import (_nudged_floor, dirichlet, kernel_gap, n_terms,
                       sinc_kernel)
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
                          _bracketed_roots, _check_nodes, _count_panels,
-                         _interpolate, _nodes, _panel_nodes, _panel_sup,
-                         _piece_nodes, _piece_sums, _sampled_sups, integrate)
+                         _interpolate, _nodes, _panel_sup, _piece_nodes,
+                         _piece_sums, _sampled_sups, _SAMPLING_PASS,
+                         integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -139,12 +140,15 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
     <= p sigma, and G is integrable: it is continuous, and |G| <= env^p
     with alpha p > 1.  The step is h = X / M with M = floor(X p sigma /
     (2 pi)) + 1, the largest step strictly below 2 pi / (p sigma) that puts
-    a node on X, and the sum is taken in one call of g on the 2M + 1 nodes
-    |n| <= M, at most ``quadrature.MAX_NODES``.  The terms are positive
-    and env decreases, so the omitted ones add at most the envelope tail
-    integral beyond Mh: the norm lies between S^{1/p} and
-    S^{1/p} + tail_lp(Mh, p)^{1/p}, and the error bound adds a
-    (2M + 1) eps S rounding term to that tail.
+    a node on X, and the sum is taken over the 2M + 1 nodes |n| <= M, at
+    most ``quadrature.MAX_NODES``, in passes of ``_SAMPLING_PASS`` nodes:
+    one call of g and one pairwise sum per pass, then the sum of the
+    passes' sums.  The terms are positive and env decreases, so the
+    omitted ones add at most the envelope tail integral beyond Mh: the norm
+    lies between S^{1/p} and S^{1/p} + tail_lp(Mh, p)^{1/p}, and the error
+    bound adds a (2M + 1) eps S rounding term to that tail, which bounds
+    the rounding of a sum of 2M + 1 positive terms in any order (Higham
+    2002, 4.2).
 
     Other p, for which the theorem does not apply (|g|^p is not entire),
     take adaptive quadrature on the window with panels resolving the
@@ -170,11 +174,14 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
                      f"sum for type {sigma:g} needs")
         h = cutoff / M
         tail = env.tail_lp(M * h, p) ** (1.0 / p)
-        if even:
-            G = power(h * np.arange(M + 1))
-            total = h * (float(G[0]) + 2.0 * float(np.sum(G[1:])))
-        else:
-            total = h * float(np.sum(power(h * np.arange(-M, M + 1))))
+        head = rest = 0.0
+        for start in range(0 if even else -M, M + 1, _SAMPLING_PASS):
+            G = power(h * np.arange(start,
+                                    min(start + _SAMPLING_PASS, M + 1)))
+            if even and start == 0:
+                head, G = float(G[0]), G[1:]
+            rest += float(np.sum(G))
+        total = h * (head + 2.0 * rest) if even else h * rest
         rounding = (2 * M + 1) * math.ulp(1.0) * total
         return _root_norm(total, rounding, p, "real-line", tail)
     tail = env.tail_lp(cutoff, p) ** (1.0 / p)
@@ -316,9 +323,11 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
 
     ||u||_{L^p[-pi, pi]} = (pi / tau)^{1/p} ||f_tau||_{L^p[-tau, tau]} by
     the change of variables t = pi x / tau; the norm of f_tau is the
-    interior rule of :func:`_interior_lp` with g = 0, and its error bound
-    scales by the same factor.  ||u||_inf is the sup of f_tau over
-    [-tau, tau], certified by the same rule.
+    interior rule of :func:`_interior_lp` on the :func:`_level` of 0 at
+    the panel counts n and 2n of the coefficient ladder's first two levels
+    (:func:`_first_level`), and its error bound scales by the same factor.
+    ||u||_inf is the sup of f_tau over [-tau, tau], certified by the same
+    rule.
     """
     if not 1 <= p < INF:
         raise ValueError("p must satisfy 1 <= p < inf")
@@ -326,7 +335,11 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
         raise ValueError("need N >= 1")
     quad = quad or QuadratureSpec()
     N = a.N
-    norm, cert = _interior_lp(np.zeros_like, 0.0, a, p, quad)
+    n = _first_level(a.sigma, a.tau, f"the interior L^{p:g} rule at "
+                     f"tau={a.tau:g} needs")
+    norm, cert = _interior_lp(0.0, a, p, quad,
+                              [_level(np.zeros_like, a.tau, N, panels)
+                               for panels in (n, 2 * n)])
     factor = 2.0 * N ** (1.0 / p) * (math.pi / a.tau) ** (1.0 / p)
     rhs = factor * norm.value
     return InequalityCheck(
@@ -392,8 +405,7 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
     records = []
     for tau in tau_list:
         a, levels = _coefficient_ladder(f, tau, quad)
-        interior, sup_cert = _interior_lp(f.eval_real, f.decay.C, a, p, quad,
-                                          levels)
+        interior, sup_cert = _interior_lp(f.decay.C, a, p, quad, levels)
         tail_integral = f.decay.tail_lp(tau, p)
         tail_value = tail_integral ** (1.0 / p)
         tail = NormEstimate(value=tail_value, error_bound=tail_value,
@@ -407,23 +419,21 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
     return records
 
 
-def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
-                 quad: QuadratureSpec, levels: Optional[tuple] = None
+def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
+                 quad: QuadratureSpec, levels: Sequence[tuple]
                  ) -> tuple[NormEstimate, SupNormCertificate]:
     """||g - f_tau||_{L^p[-tau, tau]} by a fixed panel rule on F = g - f_tau,
     and the certified sup of |F| on [-tau, tau], from F on the panel nodes
-    of two levels.  ``g`` is ``f.eval_real`` for the truncation error of f
-    (type ``a.sigma``, and ``g_sup = f.decay.C`` >= sup |f|), or
-    ``np.zeros_like`` with g_sup = 0 for f_tau itself.
+    of two levels.  g is f for the truncation error of f (type
+    ``a.sigma``, and ``g_sup = f.decay.C`` >= sup |f|), or 0 with
+    g_sup = 0 for f_tau itself.
 
-    ``levels`` holds, for n and 2n equal panels, the pair of the array of g
-    on their :func:`_panel_nodes` and their :func:`_panel_tables`: the last
-    two levels of the coefficient ladder, which :func:`convergence_study`
-    passes on, so that f is sampled once per node and each level's tables
-    are built once.  Without it g is sampled on the first level n of
-    :func:`_first_level` and its double, which checks their nodes against
-    ``quadrature.MAX_NODES`` first.  n > 2N either way, and f_tau on each
-    level is one :func:`_on_panels`, so F is real for real g and f_tau.
+    ``levels`` holds the :func:`_level` of g at n and 2n equal panels,
+    n > 2N: for f, the last two levels of the coefficient ladder, which
+    :func:`convergence_study` passes on, so that f is sampled once per node
+    and each level's tables are built once; for 0, the levels of
+    :func:`check_poly_nikolskii`.  f_tau on each level is one
+    :func:`_on_panels`, so F is real for real g and f_tau.
     :func:`_panel_sup` takes level 2n, with Bernstein's
     |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
 
@@ -433,12 +443,14 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     F, found by :func:`_real_zeros`.  The level-n panels within a level-2n
     panel of such a zero merge into stretches, which are cut at the zeros
     into parts.  Each part is split at its middle into a pair of pieces,
-    each taking the rule of :func:`_piece_nodes` from its outer end (3
-    ORDER nodes: ORDER against two halves of ORDER).  Complex F, as for
-    ``mollify`` of ``expi``, has no such zeros.  A panel or piece whose
-    coarse and fine values differ by more than max(abs_tol, rel_tol S)
-    times its share of [-tau, tau], S the sum of the level-n values, as in
-    :func:`integrate`, falls back on :func:`integrate` over its interval.
+    each taking the rule of :func:`_piece_nodes` with exponent 3 from its
+    outer end (3 ORDER nodes: ORDER against two halves of ORDER).
+    Complex F, as for ``mollify`` of ``expi``, has no such zeros.  A panel
+    or piece whose coarse and fine values differ by more than
+    max(abs_tol, rel_tol S) times its share of [-tau, tau], S the sum of
+    the level-n values, as in :func:`integrate` (whose panels take the same
+    rule with exponent 1), falls back on :func:`integrate` over its
+    interval.
 
     The pieces and the fallback take F from :func:`_interpolate` of the
     level-2n values, which errs by the Hermite-Genocchi term of
@@ -457,15 +469,7 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
     not finite (|F| beyond about 1e154).
     """
     tau = a.tau
-    xq, wq = _nodes(ORDER)
-    if levels is None:
-        n = _first_level(a.sigma, tau, f"the interior L^{p:g} rule at "
-                         f"tau={tau:g} needs")
-        levels = []
-        for panels in (n, 2 * n):
-            x = _panel_nodes(tau, panels)[1]
-            levels.append((np.asarray(g(x.ravel())).reshape(x.shape),
-                           _panel_tables(a.N, panels, xq)))
+    wq = _nodes(ORDER)[1]
 
     def level(samples, tables):
         hw = tau / len(samples)
@@ -499,8 +503,8 @@ def _interior_lp(g: Callable, g_sup: float, a: TrigApproximant, p: float,
             ends, half = _pieces(edges, held, roots)
             _check_nodes(3 * ORDER * len(ends), f"the interior L^{p:g} "
                          f"pieces at tau={tau:g} need")
-            x = _piece_nodes(ends, half)
-            pc, pf = _piece_sums(power(x.ravel()).reshape(x.shape), half)
+            x = _piece_nodes(ends, half, 3)
+            pc, pf = _piece_sums(power(x.ravel()).reshape(x.shape), half, 3)
             keep = ~held
             coarse = np.concatenate([coarse[keep], pc])
             fine = np.concatenate([fine[keep], pf])

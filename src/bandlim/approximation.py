@@ -172,38 +172,35 @@ def fourier_coefficients(f: TestFunction, tau: float,
 
 def _coefficient_ladder(f: TestFunction, tau: float,
                         quad: Optional[QuadratureSpec] = None):
-    """(:func:`fourier_coefficients`, levels): the approximant, and for each
-    of its last two levels, of P and 2P panels, the pair of the (P, ORDER)
-    array of f on its :func:`_panel_nodes` and its :func:`_panel_tables`.
-    The interior rule of ``analysis`` takes them as its first pass instead
-    of sampling f and building the tables again.  Each level's tables are
-    built once, and serve both its forward FFT and the inverse one."""
+    """(:func:`fourier_coefficients`, levels): the approximant, and its
+    last two :func:`_level` of f, of P and 2P panels.  The interior rule of
+    ``analysis`` takes them as its first pass instead of sampling f and
+    building the tables again.  Each level's tables are built once, and
+    serve both its forward FFT and the inverse one."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     quad = quad or QuadratureSpec()
     N = n_terms(f.sigma, tau)
     panels = _first_level(f.sigma, tau, f"coefficients for tau={tau:g} "
                           f"(N={float(N):.6g}) need")
-    xq = _nodes(ORDER)[0]
-
-    tables = _panel_tables(N, panels, xq)
-    prev, prev_samples = _panel_fft_coefficients(f, tau, panels, tables)
+    level = _level(f.eval_real, tau, N, panels)
+    prev = _panel_fft_coefficients(tau, level)
     for _ in range(quad.max_depth):
         panels *= 2
-        prev_tables, tables = tables, _panel_tables(N, panels, xq)
-        coeffs, samples = _panel_fft_coefficients(f, tau, panels, tables)
+        prev_level, level = level, _level(f.eval_real, tau, N, panels)
+        coeffs = _panel_fft_coefficients(tau, level)
         gap = float(np.max(np.abs(coeffs - prev)))
         if gap <= quad.abs_tol:
             return (TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
                                     coefficients=coeffs,
                                     coeff_error=(2 * N + 1) * quad.abs_tol),
-                    ((prev_samples, prev_tables), (samples, tables)))
+                    (prev_level, level))
         try:
             _check_nodes(2 * panels * ORDER, "the next level needs")
         except ValueError as exc:
             cause = str(exc)
             break
-        prev, prev_samples = coeffs, samples
+        prev = coeffs
     else:
         cause = f"all max_depth={quad.max_depth} doublings are used up"
     raise QuadratureNonConvergence(
@@ -226,7 +223,8 @@ def _first_level(sigma: float, tau: float, what: str) -> int:
     its doubles are 5-smooth, so numpy's FFT never takes its Bluestein
     path.
     """
-    count = np.ceil(4.0 * sigma * tau / math.pi)  # may overflow to inf
+    # a Python float, so that the counts below overflow to inf quietly
+    count = float(np.ceil(4.0 * sigma * tau / math.pi))
     _check_nodes(2 * ORDER * count, what)
     panels = _five_smooth(max(1, int(count)))
     _check_nodes(2 * ORDER * panels, what)
@@ -271,11 +269,19 @@ def _panel_tables(N: int, panels: int, xq):
             np.exp((-1j * math.pi / panels) * np.outer(k, xq)))
 
 
-def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int,
-                            tables):
-    """Composite Gauss estimate of c_k on ``panels`` equal panels, and the
-    samples of f it is taken from, with ``tables`` the level's
-    :func:`_panel_tables`.
+def _level(g, tau: float, N: int, panels: int):
+    """One level of ``panels`` equal panels on [-tau, tau] for N terms:
+    (samples, tables), the (P, ORDER) array of ``g`` at its
+    :func:`_panel_nodes` and its :func:`_panel_tables`.  The coefficient
+    ladder samples f on its levels, the polynomial Nikolskii check 0."""
+    tables = _panel_tables(N, panels, _nodes(ORDER)[0])
+    x = _panel_nodes(tau, panels)[1]
+    return np.asarray(g(x.ravel())).reshape(x.shape), tables
+
+
+def _panel_fft_coefficients(tau: float, level):
+    """Composite Gauss estimate of c_k from a :func:`_level` of f on
+    [-tau, tau].
 
     By :func:`_panel_shift` the sum over panels is s_k times bin k of the
     FFT along the panel axis.  That FFT is one real FFT (``np.fft.rfft``)
@@ -284,10 +290,9 @@ def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int,
     0..N, and c_{-k} = conj(c_k).  So the coefficients of a real f are
     exactly conjugate-symmetric, c_0 real.
     """
-    hw, x = _panel_nodes(tau, panels)
+    samples, (shift, phase) = level
+    hw = tau / len(samples)
     wq = _nodes(ORDER)[1]
-    samples = np.asarray(f.eval_real(x.ravel())).reshape(x.shape)
-    shift, phase = tables
 
     def symmetric(part):
         # the view keeps the rfft output alive to the end of the sums;
@@ -306,7 +311,7 @@ def _panel_fft_coefficients(f: TestFunction, tau: float, panels: int,
     coeffs = symmetric(samples.real)
     if np.iscomplexobj(samples) and samples.imag.any():
         coeffs = coeffs + 1j * symmetric(samples.imag)
-    return coeffs, samples
+    return coeffs
 
 
 def _on_panels(coefficients, panels: int, tables):

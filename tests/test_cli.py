@@ -450,6 +450,30 @@ class TestNumericalFailures:
         assert err == f"bandlim {argv[0]}: {message}\n"
         assert "RuntimeWarning" not in err and "nan" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["lemma2", "--sigma", "1e308", "--tau", "1", "--delta", "0"],
+         "the grid for sigma=1e+308, tau=1 needs inf nodes"),
+        (["lemma2", "--sigma", "1e307", "--tau", "1", "--delta", "0.9"],
+         "the grid for sigma=1e+307, tau=1 needs inf nodes"),
+        (["coeffs", "--fn", "sinc:sigma=1e300", "--tau", "1e7"],
+         "coefficients for tau=1e+07 (N=3.1831e+306) need inf nodes"),
+        (["converge", "--fn", "fejer_square:sigma=1e307", "--tau", "1"],
+         "coefficients for tau=1 (N=3.1831e+306) need inf nodes"),
+        (["converge", "--fn", "mollify:base=sinc,sigma=1e307,rho=0.5",
+          "--tau", "1"],
+         "coefficients for tau=1 (N=2.38732e+306) need inf nodes"),
+    ], ids=["lemma2-sigma-1e308", "lemma2-sigma-1e307", "coeffs",
+            "converge-fejer_square", "converge-mollify"])
+    def test_overflowing_node_count_exits_1_with_one_line(self, argv, message,
+                                                          capsys):
+        # a finite panel count times the nodes per panel overflowed in
+        # numpy, whose RuntimeWarning came before the message
+        status, out, err = run_capture(argv, capsys)
+        assert (status, out) == (1, "")
+        assert err == (f"bandlim {argv[0]}: {message}, above the limit of "
+                       f"{quadrature.MAX_NODES}\n")
+
 
 class TestOutputPath:
     @pytest.mark.parametrize("missing_dir", [True, False],

@@ -28,7 +28,7 @@ def catalog_members():
 
 class TestSincRatio:
     def test_switchover_continuity(self):
-        # values straddling the 1e-4 cutoff agree to near machine precision
+        # no jump where a series once took over below |u| = 1e-4
         for u in (9.99e-5, 1.001e-4):
             assert float(sinc_ratio(u)) == pytest.approx(math.sin(u) / u,
                                                          rel=1e-15)
@@ -38,13 +38,40 @@ class TestSincRatio:
 
     @staticmethod
     def whole_array_formula(u):
-        """Oracle: the series and the ratio on every element, then a select."""
+        """Oracle: the quotient everywhere, 1 where u == 0."""
         u = np.asarray(u)
-        small = np.abs(u) < 1e-4
-        safe = np.where(small, 1.0, u)
-        u2 = u * u
-        series = 1.0 - u2 / 6.0 + u2 * u2 / 120.0 - u2 * u2 * u2 / 5040.0
-        return np.where(small, series, np.sin(safe) / safe)
+        safe = np.where(u == 0, 1.0, u)
+        return np.where(u == 0, 1.0, np.sin(safe) / safe)
+
+    def test_matches_mpmath(self):
+        # 40-digit references: real u log-uniform in [1e-300, 3e-4] (the
+        # old series range and below) and in [3e-4, 30]; complex u with
+        # |u| log-uniform in [1e-12, 6e-5] and in [6e-5, 3], any argument
+        import mpmath as mp
+
+        rng = np.random.default_rng(11)
+        real = np.concatenate([10.0 ** rng.uniform(-300.0, math.log10(3e-4),
+                                                   300),
+                               10.0 ** rng.uniform(math.log10(3e-4), 1.5,
+                                                   100)])
+        real[::2] *= -1.0
+        size = np.concatenate([10.0 ** rng.uniform(-12.0, math.log10(6e-5),
+                                                   150),
+                               10.0 ** rng.uniform(math.log10(6e-5), 0.5,
+                                                   50)])
+        cplx = size * np.exp(1j * rng.uniform(-math.pi, math.pi, len(size)))
+        got_real, got_cplx = sinc_ratio(real), sinc_ratio(cplx)
+        with mp.workdps(40):
+            for u, got in zip(real.tolist(), got_real.tolist()):
+                want = float(mp.sin(mp.mpf(u)) / mp.mpf(u))
+                assert abs(got - want) <= 2.0 * math.ulp(want)
+            for u, got in zip(cplx.tolist(), got_cplx.tolist()):
+                want = complex(mp.sin(mp.mpc(u)) / mp.mpc(u))
+                assert abs(got - want) <= 1e-15 * abs(want)
+        for zero in (0.0, -0.0, 0j):
+            assert sinc_ratio(zero) == 1.0
+        assert np.array_equal(sinc_ratio(np.array([0.0, -0.0, 0.5])),
+                              [1.0, 1.0, math.sin(0.5) / 0.5])
 
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("shape", [(40,), (5, 8)])

@@ -1,5 +1,6 @@
 """Property tests for the input validators: each accepts what it documents
-and rejects everything else with its own error type; for the catalog's
+and rejects everything else with its own error type; for the exactness of
+``integrate`` on polynomials of degree 2 ORDER - 1; for the catalog's
 ``abs_even`` flag, which the real-line norms rely on; for the values
 of ``counterexample_run`` against long-double sums; for the CLI's CSV
 writer against ``csv.writer``; and for the soundness of every certified
@@ -24,7 +25,7 @@ from bandlim.functions import (TestFunction, UnknownFunctionError, from_id,
                                make_complex_exponential, make_fejer_square,
                                make_sinc, mollify)
 from bandlim.kernels import kernel_gap, kernel_gap_scan, n_terms
-from bandlim.quadrature import ORDER, QuadratureSpec
+from bandlim.quadrature import ORDER, QuadratureSpec, integrate
 
 # A fixed example count and seed keep the run short and repeatable.
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -59,6 +60,43 @@ class TestQuadratureSpec:
     def test_accepts_supported_tolerances(self, abs_tol, rel_tol):
         spec = QuadratureSpec(abs_tol=abs_tol, rel_tol=rel_tol)
         assert spec.abs_tol == abs_tol and spec.rel_tol == rel_tol
+
+
+class TestIntegrateIsExact:
+    """integrate's coarse/fine rule is ORDER-node Gauss on each panel and
+    its halves, exact on polynomials of degree 2 ORDER - 1."""
+
+    @SETTINGS
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1,
+                           max_size=2 * ORDER),
+           a=st.floats(-100.0, 100.0), width=st.floats(1e-3, 100.0),
+           panels=st.integers(1, 8))
+    def test_polynomial_of_degree_below_2_order(self, coeffs, a, width,
+                                                panels):
+        # p(x) = sum_j c_j s^j, s = (x - m) / h the position in [a, b],
+        # whose integral is h sum_{j even} 2 c_j / (j + 1).  The rule must
+        # hit it to 1e-13 of h sum_j 2 |c_j| / (j + 1), which bounds the
+        # integral of |p|, plus the effect of the rounded nodes: s is off
+        # by at most 4 eps (|m| / h + 1) at each, which moves p by that
+        # times sum_j j |c_j| >= max |dp/ds|, and the integral by 2 h times
+        # as much
+        b = a + width
+        m, h = 0.5 * (a + b), 0.5 * (b - a)
+
+        def p(x):
+            s = (x - m) / h
+            value = np.zeros_like(s)
+            for c in reversed(coeffs):
+                value = value * s + c
+            return value
+
+        got, err = integrate(p, a, b, max_panel_width=width / panels * 1.01)
+        c, j = np.array(coeffs), np.arange(len(coeffs))
+        exact = h * float(np.sum((2.0 * c / (j + 1))[::2]))
+        scale = h * float(np.sum(2.0 * np.abs(c) / (j + 1)))
+        nodes = 8.0 * EPS * (abs(m) + h) * float(np.sum(j * np.abs(c)))
+        assert abs(got - exact) <= 1e-13 * scale + nodes
+        assert err <= 1e-13 * scale + nodes
 
 
 def builds_or_rejects(text: str):

@@ -340,9 +340,9 @@ class TestPieceRule:
         # integral of |x - e|^p (1 + x) from e to e + length
         e = 0.4
         ends, lengths = np.array([e]), np.array([length])
-        x = quadrature._piece_nodes(ends, lengths)
+        x = quadrature._piece_nodes(ends, lengths, 3)
         values = np.abs(x - e) ** p * (1.0 + x)
-        coarse, fine = quadrature._piece_sums(values, lengths)
+        coarse, fine = quadrature._piece_sums(values, lengths, 3)
         L = abs(length)
         exact = L ** (p + 1) * ((1.0 + e) / (p + 1)
                                 + math.copysign(L, length) / (p + 2))
