@@ -56,11 +56,14 @@ LEMMA2_CASES = [
     ["lemma2", "--n-points", "999"],
 ]
 
-# converge beyond sinc at p = 2: other functions, p = 1.5 and 3 (split at
-# the zeros of f - f_tau; complex F, which has none) up to the largest taus
-# of the interior rule's timings, p = 4, a JSON document, complex F over
-# several sup passes, p = 200, whose powers underflow, and tolerances that
-# send the interior rule to its integrate fallback.
+# converge beyond the benchmark's ladder: other functions, p = 1.5 and 3
+# (split at the zeros of f - f_tau; complex F, which has none) up to the
+# largest taus of the interior rule's timings, p = 4, a JSON document,
+# complex F over several sup passes, p = 200, whose powers the rule scales
+# by a power of two, tolerances that send the interior rule to its
+# integrate fallback, sinc at p = 2 on large taus (one level each), and
+# fejer_square at p = 4 and tau 5120.3, where the Gauss bound fails and
+# the rule compares two levels.
 CONVERGE_CASES = [
     ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
      "--tau", "10,20,40,80"],
@@ -83,9 +86,14 @@ CONVERGE_CASES = [
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "2",
      "--tau", "160.3"],
     ["converge", "--fn", "sinc:sigma=1", "--p", "200", "--tau", "10,40"],
+    ["converge", "--fn", "sinc:sigma=1", "--p", "200", "--tau", "40.3"],
     # two panels of complex F miss 1e-13 and fall back on integrate
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "1.5",
      "--tau", "10", "--abs-tol", "1e-13", "--rel-tol", "1e-13"],
+    ["converge", "--fn", "sinc:sigma=1", "--p", "2",
+     "--tau", "1280.3,5120.3"],
+    ["converge", "--fn", "fejer_square:sigma=2", "--p", "4",
+     "--tau", "5120.3"],
 ]
 
 # coeffs, which the benchmark does not run, as CSV and JSON tables.
@@ -96,6 +104,8 @@ COEFFS_CASES = [
     ["coeffs", "--fn", "mollify:base=sinc,sigma=1,rho=0.1", "--tau", "40"],
     # complex f: both parts go through the Gauss-weight sum
     ["coeffs", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--tau", "40"],
+    # 0.5 rate hw of the coefficients' Gauss bound underflows to 0
+    ["coeffs", "--fn", "sinc:sigma=1e-200", "--tau", "1e-200"],
 ]
 
 # lewitan, which the benchmark does not run: the automatic cutoff, the

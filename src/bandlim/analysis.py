@@ -18,9 +18,9 @@ from .kernels import (_nudged_floor, dirichlet, kernel_gap, n_terms,
                       sinc_kernel)
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
                          _bracketed_roots, _check_nodes, _count_panels,
-                         _interpolate, _nodes, _panel_sup, _piece_nodes,
-                         _piece_sums, _sampled_sups, _SAMPLING_PASS,
-                         integrate)
+                         _gauss_bound, _interpolate, _nodes, _panel_sup,
+                         _piece_nodes, _piece_sums, _sampled_sups,
+                         _SAMPLING_PASS, integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -324,10 +324,10 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
     ||u||_{L^p[-pi, pi]} = (pi / tau)^{1/p} ||f_tau||_{L^p[-tau, tau]} by
     the change of variables t = pi x / tau; the norm of f_tau is the
     interior rule of :func:`_interior_lp` on the :func:`_level` of 0 at
-    the panel counts n and 2n of the coefficient ladder's first two levels
-    (:func:`_first_level`), and its error bound scales by the same factor.
-    ||u||_inf is the sup of f_tau over [-tau, tau], certified by the same
-    rule.
+    the coefficient ladder's first panel count n (:func:`_first_level`),
+    and at 2n where the rule needs it, and its error bound scales by the
+    same factor.  ||u||_inf is the sup of f_tau over [-tau, tau], certified
+    by the same rule.
     """
     if not 1 <= p < INF:
         raise ValueError("p must satisfy 1 <= p < inf")
@@ -338,8 +338,8 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
     n = _first_level(a.sigma, a.tau, f"the interior L^{p:g} rule at "
                      f"tau={a.tau:g} needs")
     norm, cert = _interior_lp(0.0, a, p, quad,
-                              [_level(np.zeros_like, a.tau, N, panels)
-                               for panels in (n, 2 * n)])
+                              [_level(np.zeros_like, a.tau, N, n)],
+                              np.zeros_like)
     factor = 2.0 * N ** (1.0 / p) * (math.pi / a.tau) ** (1.0 / p)
     rhs = factor * norm.value
     return InequalityCheck(
@@ -405,12 +405,20 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
     records = []
     for tau in tau_list:
         a, levels = _coefficient_ladder(f, tau, quad)
-        interior, sup_cert = _interior_lp(f.decay.C, a, p, quad, levels)
-        tail_integral = f.decay.tail_lp(tau, p)
-        tail_value = tail_integral ** (1.0 / p)
+        interior, sup_cert = _interior_lp(f.decay.C, a, p, quad, levels,
+                                          f.eval_real)
+        # in units of 2^e where the envelope's p-th power at tau is below
+        # 2^-512, as in the interior rule
+        e = _power_scale(f.decay.bound(tau), p)
+        tail_integral = f.decay.tail_lp(tau, p, e)
+        tail_value = math.ldexp(tail_integral ** (1.0 / p), e)
         tail = NormEstimate(value=tail_value, error_bound=tail_value,
                             p=p, domain=f"|x|>{tau:g}", tail_bound=tail_value)
-        total = (interior.value ** p + tail_integral) ** (1.0 / p)
+        try:
+            total = math.ldexp((math.ldexp(interior.value, -e) ** p
+                                + tail_integral) ** (1.0 / p), e)
+        except OverflowError:  # the tail is below an ulp of the interior
+            total = interior.value
         records.append(ConvergenceRecord(tau=float(tau), p=float(p),
                                          interior_error=interior,
                                          tail_error=tail,
@@ -420,37 +428,42 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
 
 
 def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
-                 quad: QuadratureSpec, levels: Sequence[tuple]
+                 quad: QuadratureSpec, levels: Sequence[tuple], g
                  ) -> tuple[NormEstimate, SupNormCertificate]:
     """||g - f_tau||_{L^p[-tau, tau]} by a fixed panel rule on F = g - f_tau,
     and the certified sup of |F| on [-tau, tau], from F on the panel nodes
-    of two levels.  g is f for the truncation error of f (type
+    of one or two levels.  g is f for the truncation error of f (type
     ``a.sigma``, and ``g_sup = f.decay.C`` >= sup |f|), or 0 with
     g_sup = 0 for f_tau itself.
 
-    ``levels`` holds the :func:`_level` of g at n and 2n equal panels,
-    n > 2N: for f, the last two levels of the coefficient ladder, which
+    ``levels`` holds the :func:`_level` of g at n equal panels, n > 2N, and
+    may hold that at 2n: for f, those of the coefficient ladder, which
     :func:`convergence_study` passes on, so that f is sampled once per node
-    and each level's tables are built once; for 0, the levels of
-    :func:`check_poly_nikolskii`.  f_tau on each level is one
+    and each level's tables are built once; for 0, the level of
+    :func:`check_poly_nikolskii`.  The rule samples level 2n from ``g``
+    where it needs it and ``levels`` lacks it.  f_tau on each level is one
     :func:`_on_panels`, so F is real for real g and f_tau.
-    :func:`_panel_sup` takes level 2n, with Bernstein's
+    :func:`_panel_sup` takes the sup, with Bernstein's
     |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
 
-    Each panel of level n has a coarse Gauss value from level n and a fine
-    one from its two halves on level 2n.  For even p, |F|^p is smooth and
-    these are the rule.  For other p, |F|^p has a kink at each real zero of
-    F, found by :func:`_real_zeros`.  The level-n panels within a level-2n
-    panel of such a zero merge into stretches, which are cut at the zeros
-    into parts.  Each part is split at its middle into a pair of pieces,
-    each taking the rule of :func:`_piece_nodes` with exponent 3 from its
-    outer end (3 ORDER nodes: ORDER against two halves of ORDER).
-    Complex F, as for ``mollify`` of ``expi``, has no such zeros.  A panel
-    or piece whose coarse and fine values differ by more than
-    max(abs_tol, rel_tol S) times its share of [-tau, tau], S the sum of
-    the level-n values, as in :func:`integrate` (whose panels take the same
-    rule with exponent 1), falls back on :func:`integrate` over its
-    interval.
+    At even p, level n alone is the rule, its sup taken on the quarters of
+    its panels, where the proved bound of :func:`_gauss_bound` on |F|^p is
+    at most rel_tol times its Gauss sum; its error is then that bound plus
+    stated rounding (README, "Not every error column is a bound").
+    Otherwise, and at other p, each panel of level n has a coarse Gauss
+    value from level n and a fine one from its two halves on level 2n, and
+    the sup takes the halves of level 2n.  For other p, |F|^p has a kink
+    at each real zero of F, found by :func:`_real_zeros`.  The level-n
+    panels within a level-2n panel of such a zero merge into stretches,
+    which are cut at the zeros into parts.  Each part is split at its
+    middle into a pair of pieces, each taking the rule of
+    :func:`_piece_nodes` with exponent 3 from its outer end (3 ORDER nodes:
+    ORDER against two halves of ORDER).  Complex F, as for ``mollify`` of
+    ``expi``, has no such zeros.  A panel or piece whose coarse and fine
+    values differ by more than max(abs_tol, rel_tol S) times its share of
+    [-tau, tau], S the sum of the level-n values, as in :func:`integrate`
+    (whose panels take the same rule with exponent 1), falls back on
+    :func:`integrate` over its interval.
 
     The pieces and the fallback take F from :func:`_interpolate` of the
     level-2n values, which errs by the Hermite-Genocchi term of
@@ -463,31 +476,37 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     theirs, :func:`_cheb_maps`), and at p not an even integer a zero of F
     that changes no sign at the level-2n nodes is not split at.
 
-    ValueError, before any fallback: an integral below the smallest normal
-    float while some node value is nonzero (|F|^p underflows), a level
-    value that is not finite (|F|^p overflows), or a certified sup that is
-    not finite (|F| beyond about 1e154).
+    The rule runs on 2^-e F, e of :func:`_power_scale` for the largest
+    level-n |F|, and scales the norm back.  ValueError: a level value that
+    is not finite (|F|^p overflows), a certified sup that is not finite
+    (|F| beyond about 1e154), or an integral below the smallest normal
+    float while some node value is nonzero.
     """
     tau = a.tau
-    wq = _nodes(ORDER)[1]
-
-    def level(samples, tables):
-        hw = tau / len(samples)
-        diff = samples - _on_panels(a.coefficients, len(samples), tables)
-        with np.errstate(over="ignore"):
-            return hw, diff, hw * (np.abs(diff) ** p @ wq)
-
-    hw, diff, halves = level(*levels[1])
-    coarse = level(*levels[0])[2]
-    if not (np.isfinite(halves).all() and np.isfinite(coarse).all()):
-        raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
-                         f"overflows")
     coeff_sum = float(np.abs(a.coefficients).sum())
-    sup_cert = _panel_sup(diff, hw, ((a.sigma, g_sup),
-                                     (math.pi * a.N / tau, coeff_sum)))
-    if not math.isfinite(sup_cert.certified_bound):
-        raise ValueError(f"the certified sup of the interior error at "
-                         f"tau={tau:g} is not finite")
+    derivs = ((a.sigma, g_sup), (math.pi * a.N / tau, coeff_sum))
+    hw, diff = _gap(a, *levels[0])
+    coarse, e = _power_sums(diff, hw, p, tau)
+    if p % 2 == 0:
+        integral = float(coarse.sum())
+        bound = _gauss_bound(math.ldexp(g_sup + coeff_sum, -e),
+                             max(a.sigma, math.pi * a.N / tau), p, hw, tau)
+        if bound <= quad.rel_tol * integral:
+            sup_cert = _finite_sup(diff, hw, derivs, True, tau)
+            eps, stages = math.ulp(1.0), (len(diff) - 1).bit_length()
+            parts = 2 if np.iscomplexobj(diff) else 1
+            node_err = (parts * (4 * stages + 8) * eps
+                        * math.ldexp(coeff_sum, -e))
+            err = (bound + (ORDER + stages + 16) * eps * integral
+                   + p * node_err * (2.0 * tau) ** (1.0 / p)
+                   * integral ** (1.0 - 1.0 / p))
+            return _scaled_norm(integral, err, p, e, tau, sup_cert)
+    hw, diff = _gap(a, *(levels[1] if len(levels) > 1
+                         else _level(g, tau, a.N, 2 * len(diff))))
+    sup_cert = _finite_sup(diff, hw, derivs, False, tau)
+    halves = _power_sums(diff, hw, p, tau, e)[0]
+    if e:
+        diff = diff * math.ldexp(1.0, -e)
     fine = halves[0::2] + halves[1::2]
     scale = float(np.abs(coarse).sum())
     edges = np.linspace(-tau, tau, len(coarse) + 1)
@@ -498,7 +517,7 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
 
     if p % 2:
         held, roots = _real_zeros(diff, tau, 32.0 * math.ulp(1.0)
-                                  * (g_sup + coeff_sum))
+                                  * math.ldexp(g_sup + coeff_sum, -e))
         if roots.size:
             ends, half = _pieces(edges, held, roots)
             _check_nodes(3 * ORDER * len(ends), f"the interior L^{p:g} "
@@ -522,10 +541,68 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
         value, value_err = integrate(power, lo, hi, quad)
         integral += float(value)
         err += float(value_err)
+    return _scaled_norm(integral, err, p, e, tau, sup_cert)
+
+
+def _gap(a: TrigApproximant, samples, tables):
+    """(hw, F): the half-width of a :func:`_level` of g and F = g - f_tau
+    at its nodes, in the buffer of f_tau."""
+    values = _on_panels(a.coefficients, len(samples), tables)
+    return a.tau / len(samples), np.subtract(samples, values, out=values)
+
+
+def _finite_sup(diff, hw: float, derivs, quarters: bool,
+                tau: float) -> SupNormCertificate:
+    """:func:`_panel_sup` of F, on ``quarters`` or halves; ValueError unless
+    it is finite."""
+    cert = _panel_sup(diff, hw, derivs, quarters)
+    if not math.isfinite(cert.certified_bound):
+        raise ValueError(f"the certified sup of the interior error at "
+                         f"tau={tau:g} is not finite")
+    return cert
+
+
+def _power_scale(peak: float, p: float) -> int:
+    """e with 2^-e ``peak`` in [1/2, 1) where 0 < peak^p < 2^-512, else 0:
+    a power-of-two scaling, exact, that keeps |2^-e F|^p and its sums above
+    the underflow threshold."""
+    if peak > 0 and p * math.log2(peak) < -512:
+        return math.frexp(peak)[1]
+    return 0
+
+
+def _power_sums(diff, hw: float, p: float, tau: float,
+                e: int | None = None):
+    """(sums, e): the Gauss value hw sum_q w_q |2^-e F|^p of each panel, for
+    F at a level's nodes in ``diff``, with e the :func:`_power_scale` of
+    the largest |F| unless given; ValueError where one is not finite."""
+    power = np.abs(diff)
+    if e is None:
+        e = _power_scale(power.max(), p)
+    if e:
+        power *= math.ldexp(1.0, -e)
+    with np.errstate(over="ignore"):
+        power **= p
+    sums = hw * (power @ _nodes(ORDER)[1])
+    if not np.isfinite(sums).all():
+        raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
+                         f"overflows")
+    return sums, e
+
+
+def _scaled_norm(integral: float, err: float, p: float, e: int, tau: float,
+                 sup_cert: SupNormCertificate):
+    """(:func:`_root_norm` of the integral of |2^-e F|^p, times 2^e, and
+    ``sup_cert``); ValueError where the integral underflows."""
     if integral < sys.float_info.min and sup_cert.grid_max > 0:
         raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
                          f"underflows")
-    return (_root_norm(integral, err, p, f"[{-tau:g},{tau:g}]"), sup_cert)
+    est = _root_norm(integral, err, p, f"[{-tau:g},{tau:g}]")
+    if e:
+        est = NormEstimate(value=math.ldexp(est.value, e),
+                           error_bound=math.ldexp(est.error_bound, e),
+                           p=p, domain=est.domain)
+    return est, sup_cert
 
 
 def _real_zeros(diff, tau: float, delta: float):

@@ -14,7 +14,8 @@ from .functions import TestFunction, sinc_ratio, _maybe_scalar
 from .kernels import dirichlet, n_terms
 from . import quadrature
 from .quadrature import (ORDER, QuadratureNonConvergence, QuadratureSpec,
-                         _check_nodes, _nodes, _panel_nodes, integrate)
+                         _check_nodes, _gauss_bound, _nodes, _panel_nodes,
+                         integrate)
 
 _LEWITAN_TAIL_TARGET = 1e-8
 # Largest Lewitan cutoff K, given or automatic.  The sum takes its 2K + 1
@@ -159,9 +160,14 @@ def fourier_coefficients(f: TestFunction, tau: float,
     at most pi / (2 sigma) wide and whose count exceeds 2N, so the FFT does
     not alias; every level is 5-smooth.
 
-    Error contract: P doubles until the largest difference between the
-    coefficients on P and on 2P panels is at most ``quad.abs_tol``; the
-    2P values are returned.  After ``quad.max_depth`` doublings, or when
+    Error contract: the P0 values are returned when the proved Gauss bound
+    e of each c_k is at most ``quad.abs_tol`` and no sample exceeds
+    ``f.decay.C``; each c_k then errs by at most e + r, r a stated
+    rounding term, and ``coeff_error`` is (2N + 1) (e + r) (README, "Not
+    every error column is a bound").  Otherwise P doubles until the
+    largest difference between the coefficients on P and on 2P panels is
+    at most ``quad.abs_tol``; the 2P values are returned, with the nominal
+    (2N + 1) ``quad.abs_tol``.  After ``quad.max_depth`` doublings, or when
     the next level would need more than ``quadrature.MAX_NODES`` samples,
     :class:`QuadratureNonConvergence` is raised, its message naming which
     of the two stopped the doubling.  A ValueError is raised
@@ -173,10 +179,10 @@ def fourier_coefficients(f: TestFunction, tau: float,
 def _coefficient_ladder(f: TestFunction, tau: float,
                         quad: Optional[QuadratureSpec] = None):
     """(:func:`fourier_coefficients`, levels): the approximant, and its
-    last two :func:`_level` of f, of P and 2P panels.  The interior rule of
-    ``analysis`` takes them as its first pass instead of sampling f and
-    building the tables again.  Each level's tables are built once, and
-    serve both its forward FFT and the inverse one."""
+    :func:`_level` of P0 panels, or its last two, of P and 2P.  The
+    interior rule of ``analysis`` takes them as its first pass instead of
+    sampling f and building the tables again.  Each level's tables are
+    built once, and serve both its forward FFT and the inverse one."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     quad = quad or QuadratureSpec()
@@ -185,6 +191,16 @@ def _coefficient_ladder(f: TestFunction, tau: float,
                           f"(N={float(N):.6g}) need")
     level = _level(f.eval_real, tau, N, panels)
     prev = _panel_fft_coefficients(tau, level)
+    bound = _gauss_bound(f.decay.C, f.sigma + math.pi * N / tau, 1.0,
+                         tau / panels, 0.5)
+    if bound <= quad.abs_tol and np.abs(level[0]).max() <= f.decay.C:
+        parts = 2 if np.iscomplexobj(level[0]) else 1
+        rounding = (parts * f.decay.C * math.ulp(1.0)
+                    * (4 * (panels - 1).bit_length() + ORDER + 4))
+        return (TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
+                                coefficients=prev,
+                                coeff_error=(2 * N + 1) * (bound + rounding)),
+                (level,))
     for _ in range(quad.max_depth):
         panels *= 2
         prev_level, level = level, _level(f.eval_real, tau, N, panels)
@@ -217,11 +233,10 @@ def _first_level(sigma: float, tau: float, what: str) -> int:
 
     Panels are then at most pi / (2 sigma) wide.  On them the Gauss rule
     of ``ORDER`` nodes errs far below rounding for an integrand entire of
-    type 2 sigma, as f(t) e^{-i pi k t / tau} is (Trefethen, *Approximation
-    Theory and Approximation Practice*, 2013, Thm 19.3).  P0 >=
-    4 sigma tau / pi >= 4N > 2N, so the panel FFT does not alias.  P0 and
-    its doubles are 5-smooth, so numpy's FFT never takes its Bluestein
-    path.
+    type 2 sigma, as f(t) e^{-i pi k t / tau} is (:func:`_gauss_bound`).
+    P0 >= 4 sigma tau / pi >= 4N > 2N, so the panel FFT does not alias.
+    P0 and its doubles are 5-smooth, so numpy's FFT never takes its
+    Bluestein path.
     """
     # a Python float, so that the counts below overflow to inf quietly
     count = float(np.ceil(4.0 * sigma * tau / math.pi))
@@ -261,12 +276,20 @@ def _panel_tables(N: int, panels: int, xq):
     (N + 1, Q) phase tables of one level of P = ``panels`` panels with
     reference nodes ``xq``: :func:`_panel_fft_coefficients` takes them, and
     :func:`_on_panels` their conjugates.  ValueError unless P > 2N, so that
-    every |k| <= N has a bin of its own and k <= N < P / 2."""
+    every |k| <= N has a bin of its own and k <= N < P / 2.  For nodes
+    symmetric about 0, as the Gauss nodes are, the left half of the phases
+    is the conjugate of the right half's mirror, bit for bit."""
     if not panels > 2 * N:
         raise ValueError(f"need more than 2N = {2 * N} panels, got {panels}")
     k = np.arange(N + 1)
-    return (_panel_shift(k, panels),
-            np.exp((-1j * math.pi / panels) * np.outer(k, xq)))
+    half = len(xq) // 2
+    symmetric = np.array_equal(xq[::-1], -xq)
+    phase = np.exp((-1j * math.pi / panels)
+                   * np.outer(k, xq[half:] if symmetric else xq))
+    if symmetric:
+        phase = np.concatenate([np.conj(phase[:, ::-1][:, :half]), phase],
+                               axis=1)
+    return _panel_shift(k, panels), phase
 
 
 def _level(g, tau: float, N: int, panels: int):
@@ -338,7 +361,9 @@ def _on_panels(coefficients, panels: int, tables):
         bins = np.zeros((panels // 2 + 1, phase.shape[1]), dtype=complex)
         np.multiply((half * np.conj(shift))[:, None], np.conj(phase),
                     out=bins[:N + 1])
-        return panels * np.fft.irfft(bins, n=panels, axis=0)
+        values = np.fft.irfft(bins, n=panels, axis=0)
+        values *= panels  # in place: no third array of the level's size
+        return values
 
     values = real_part(0.5 * (ahead + behind))
     odd = ahead - behind

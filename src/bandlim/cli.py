@@ -235,7 +235,8 @@ def _run_coeffs(ns):
     f = functions.from_id(ns.function_id)
     a = approximation.fourier_coefficients(f, ns.tau_list[0], ns.quad)
     columns = ["k", "re", "im", "abs_error"]
-    rows = [[k - a.N, float(c.real), float(c.imag), ns.quad.abs_tol]
+    rows = [[k - a.N, float(c.real), float(c.imag),
+             a.coeff_error / (2 * a.N + 1)]
             for k, c in enumerate(a.coefficients)]
     # The coeffs JSON form is the approximant save/load document.
     return columns, rows, a.to_json_dict()

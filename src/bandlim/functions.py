@@ -55,16 +55,20 @@ class DecayEnvelope:
     def bound(self, x):
         return self.C / (1.0 + np.abs(x)) ** self.alpha
 
-    def tail_lp(self, cutoff: float, p: float) -> float:
-        """Integral of bound(x)^p over |x| > cutoff (requires alpha*p > 1).
-        A value beyond the float range, or for C > 0 below the smallest
-        normal float, raises ValueError."""
+    def tail_lp(self, cutoff: float, p: float, e: int = 0) -> float:
+        """Integral of (2^-e bound(x))^p over |x| > cutoff (requires
+        alpha*p > 1); the exact scaling 2^-e keeps the p-th power of a
+        small bound above the underflow threshold.  A value beyond the
+        float range, or for C > 0 below the smallest normal float, raises
+        ValueError."""
         ap = self.alpha * p
         if ap <= 1:
             raise ValueError("non-integrable tail envelope")
         try:
-            value = (2.0 * self.C ** p * (1.0 + cutoff) ** (1.0 - ap)
-                     / (ap - 1.0))
+            value = 2.0 * (math.ldexp(self.bound(cutoff), -e) ** p
+                           * (1.0 + cutoff) if e else
+                           self.C ** p * (1.0 + cutoff) ** (1.0 - ap)
+                           ) / (ap - 1.0)
         except OverflowError:
             value = math.inf
         what = (f"the envelope tail integral for C={self.C:g}, "

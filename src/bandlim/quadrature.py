@@ -33,7 +33,8 @@ MAX_NODES = 2 ** 22
 # Panels per pass of the certified sup rule (_cheb_sums, _sampled_sups),
 # so that the temporaries of a pass stay small: 256 ORDER = 3840 values
 # of F, and (256, 2R) = (256, 58) floats (119 KB, below glibc's 128 KiB
-# mmap threshold) in each product of _cheb_sums.
+# mmap threshold) in each product of _cheb_sums; half as many panels on
+# quarters.
 _SUP_PASS = 256
 # Nodes per pass of the even-p sampling sum of analysis._lp_norm_envelope:
 # 2^16 complex values of g are 1 MiB, and every sum of the inequalities
@@ -96,6 +97,26 @@ def gauss_panel(g, a: float, b: float, order: int = ORDER):
     return hw * np.tensordot(w, y, axes=(0, 0))
 
 
+def _gauss_bound(m0: float, rate: float, power: float, hw: float,
+                 length: float) -> float:
+    """Bound on the error of the ORDER-node Gauss rule on panels of
+    half-width ``hw`` that cover a length 2 ``length``, for an integrand
+    with |g| <= (m0 e^(rate b))^power on |Im z| <= b: Trefethen's bound on
+    each panel's ellipse E_rho (README, "Not every error column is a
+    bound"), at the rho with a (rho + 1/rho) = 2 ORDER + 2, near its
+    minimum.  0 for m0 = 0, inf beyond the float range."""
+    if not m0 > 0:
+        return 0.0
+    a, q = 0.5 * power * rate * hw, ORDER + 1.0
+    # a may underflow to 0, where rho is the cap
+    rho = (2.0 if a >= q else 1e100 if a == 0
+           else min(1e100, (q + math.sqrt(q * q - a * a)) / a))
+    log_bound = (power * math.log(m0) + a * (rho - 1.0 / rho)
+                 - math.log(rho * rho - 1.0) - 2 * ORDER * math.log(rho))
+    return (length * 64.0 / 15.0 * math.exp(log_bound) if log_bound < 700
+            else math.inf)
+
+
 def _check_nodes(count: float, what: str, unit: str = "nodes") -> None:
     """ValueError starting with ``what`` unless count <= ``MAX_NODES``; the
     comparison is in floats, so that an inf or NaN count fails too."""
@@ -142,17 +163,31 @@ def _barycentric_weights(order: int):
 
 
 @lru_cache(maxsize=None)
-def _cheb_maps(order: int):
-    """(A, B, factor, Lambda_Q) of :func:`_panel_sup` for Q = ``order``."""
+def _cheb_maps(order: int, pieces: int):
+    """(A, B, factor, Lambda_Q) of :func:`_panel_sup` for Q = ``order`` and
+    ``pieces`` pieces per panel.  Lambda_Q comes with the maps so that
+    :func:`_lebesgue` runs before the first pass: run after it, the
+    inequalities matrix peaked 0.15-0.2 MB higher."""
     x, _ = _nodes(order)
     R = 2 * order - 1
     theta = (math.pi / R) * (np.arange(R) + 0.5)
-    t = np.concatenate([np.cos(theta) - 1.0, np.cos(theta) + 1.0]) / 2.0
-    A = np.prod((t[:, None, None] - x) / (x[:, None] - x + np.eye(order)),
-                axis=2, where=~np.eye(order, dtype=bool))
+    eye = np.eye(order)
+    pts = (np.cos(theta) + (2 * np.arange(pieces) + 1 - pieces)[:, None])
+    # piece by piece: (R, Q, Q) temporaries, below glibc's mmap threshold
+    A = np.concatenate([
+        np.prod((t[:, None, None] - x) / (x[:, None] - x + eye), axis=2,
+                where=eye == 0) for t in pts / pieces])
     B = np.cos(np.outer(np.arange(R), theta)) * (2.0 - np.eye(R, 1)) / R
     kappa = 2 * R + (1.0 + 2.0 * math.log(R) / math.pi) * (
         2.0 * math.sqrt(2.0) * np.abs(A).sum(axis=1).max() + 1.0)
+    return (A, B, 1.0 + 4.0 * order * math.ulp(1.0) * (1.0 + kappa),
+            _lebesgue(order))
+
+
+@lru_cache(maxsize=None)
+def _lebesgue(order: int) -> float:
+    """Lambda_Q of :func:`_panel_sup`, once per process."""
+    x, _ = _nodes(order)
     n = 16 * order * order  # cells; the Lebesgue function at their midpoints
     # Whole, these (n, Q) temporaries (432 KB at Q = 15) are mmapped; their
     # free raises glibc's mmap and trim thresholds, which keeps a warm pass's
@@ -161,11 +196,11 @@ def _cheb_maps(order: int):
     terms = _barycentric_weights(order) / (
         ((2.0 * np.arange(n) + 1.0) / n - 1.0)[:, None] - x)
     on_grid = (np.abs(terms).sum(axis=1) / np.abs(terms.sum(axis=1))).max()
-    return (A, B, 1.0 + 4.0 * order * math.ulp(1.0) * (1.0 + kappa),
-            float(on_grid) / (1.0 - (order - 1) ** 2 / n))
+    return float(on_grid) / (1.0 - (order - 1) ** 2 / n)
 
 
-def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
+def _panel_sup(values, hw: float, derivs,
+               quarters: bool) -> SupNormCertificate:
     """Certified sup |F| over the P equal panels of half-width ``hw`` that
     tile [-L, L], L = P hw, from the (P, Q) array of F at each panel's
     Gauss-Legendre nodes, for F with sup |F^(k)| <= sum r^k c over the
@@ -173,21 +208,21 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
 
     p interpolates the values v on a panel; |F - p| <= hw^Q 2^Q Q! / (2Q)!
     sup |F^(Q)| by Hermite-Genocchi (complex F too; node polynomial P_Q /
-    k_Q).  On each half panel |p|^2 has degree 2Q - 2: from w = |A v|^2 at
-    its R = 2Q - 1 Chebyshev points, a = B w are its Chebyshev
-    coefficients, and max |p|^2 <= s = sum |a_k|.  Rounding (v, A and B
-    exact; Higham 2002, 3.1): a sum of fewer than 2Q products errs by at
-    most gamma = 2Q eps times its terms' moduli, and each sum here is one:
-    A v is a sum of Q real products per part (for complex v, A Re v and
-    A Im v, in :func:`_cheb_sums`), w of two, and B w of R.  With
-    X = max |p|^2 on the panel and Lambda the largest row sum of |A|,
-    |du| <= sqrt(2) gamma Lambda X^(1/2) and |dw| <= gamma (2 sqrt(2)
-    Lambda + 1) X, which moves max |p|^2 on a half by at most Lambda_R =
-    1 + (2/pi) log R (Chebyshev Lebesgue constant) times as much;
-    sum |da_k| <= 2 gamma R X (columns of |B| sum to < 2); s errs by
+    k_Q).  On each half panel (or quarter, :func:`_cheb_maps`) |p|^2 has
+    degree 2Q - 2: from w = |A v|^2 at its R = 2Q - 1 Chebyshev points,
+    a = B w are its Chebyshev coefficients, and max |p|^2 <= s = sum |a_k|.
+    Rounding (v, A and B exact; Higham 2002, 3.1): a sum of fewer than 2Q
+    products errs by at most gamma = 2Q eps times its terms' moduli, and
+    each sum here is one: A v is a sum of Q real products per part (for
+    complex v, A Re v and A Im v, in :func:`_cheb_sums`), w of two, and
+    B w of R.  With X = max |p|^2 on the panel and Lambda the largest row
+    sum of |A|, |du| <= sqrt(2) gamma Lambda X^(1/2) and |dw| <= gamma (2
+    sqrt(2) Lambda + 1) X, which moves max |p|^2 on a piece by at most
+    Lambda_R = 1 + (2/pi) log R (Chebyshev Lebesgue constant) times as
+    much; sum |da_k| <= 2 gamma R X (columns of |B| sum to < 2); s errs by
     gamma s.  So X <= s + gamma (s + kappa X), kappa = 2R + Lambda_R
     (2 sqrt(2) Lambda + 1), to first order, and
-    X <= s (1 + 2 gamma (1 + kappa)) with s the larger of the halves' sums.
+    X <= s (1 + 2 gamma (1 + kappa)) with s the largest of the pieces' sums.
 
     Rounded nodes: v holds F at fl(m_j + fl(hw x_q)) of
     :func:`_panel_nodes`.  Rounding moves a node by at most 2uL (hw),
@@ -197,43 +232,54 @@ def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
     degree Q - 1, so by Markov it is (Q - 1)^2 Lambda_Q-Lipschitz: with g
     its largest value at the midpoints of n = 16 Q^2 equal cells of
     [-1, 1], Lambda_Q <= g / (1 - (Q - 1)^2 / n), 6.85 for Q = 15.
+
+    With ``quarters``, the pieces are each panel's quarters.
     """
-    # np.max keeps a NaN sum (inf - inf after overflow) where max() drops it
+    Q, pieces = values.shape[1], 4 if quarters else 2
+    step = 2 * _SUP_PASS // pieces  # (step, pieces R) temporaries
+    passes = range(0, len(values), step)
+    peak, s = np.empty(len(passes)), np.empty(len(passes))
+    # np.max keeps a NaN (inf - inf after overflow), where max() drops it
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.max([_cheb_sums(values[i:i + _SUP_PASS]).max()
-                    for i in range(0, len(values), _SUP_PASS)])
+        for n, i in enumerate(passes):
+            part = values[i:i + step]
+            peak[n] = np.abs(part).max()
+            s[n] = _cheb_sums(part, pieces).max()
+    best = _cheb_maps(Q, pieces)[2] * np.max(s)
     return SupNormCertificate(
-        grid_max=float(np.abs(values).max()), spacing=2.0 * hw,
-        certified_bound=_sup_bound(s, hw, len(values), values.shape[1],
-                                   derivs))
+        grid_max=float(np.max(peak)), spacing=2.0 * hw,
+        certified_bound=_sup_bound(best, hw, len(values), Q, derivs))
 
 
-def _cheb_sums(values):
+def _cheb_sums(values, pieces: int = 2):
     """For each panel of the (n, Q) block ``values`` of :func:`_panel_sup`,
-    the larger of the sums s = sum |a_k| of its two halves.
+    the largest of the sums s = sum |a_k| of its pieces.
 
     Complex values go through two real products, of contiguous copies of
     their real and imaginary parts, and w = re^2 + im^2: half the real
     multiplications of a complex product, no temporary larger than
-    (n, 2R) floats, and for a zero imaginary part the real sums bit for
-    bit."""
-    to_cheb, to_coeffs = _cheb_maps(values.shape[1])[:2]
+    (n, pieces R) floats, and for a zero imaginary part the real sums bit
+    for bit."""
+    to_cheb, to_coeffs = _cheb_maps(values.shape[1], pieces)[:2]
     u = np.ascontiguousarray(values.real) @ to_cheb.T
     w = u * u
     if np.iscomplexobj(values):
         u = np.ascontiguousarray(values.imag) @ to_cheb.T
         w += u * u
-    s = np.abs(w.reshape(-1, len(to_coeffs)) @ to_coeffs.T).sum(axis=1)
-    return np.maximum(s[0::2], s[1::2])
+    a = w.reshape(-1, len(to_coeffs)) @ to_coeffs.T
+    s = np.abs(a, out=a).sum(axis=1)
+    while len(s) > len(values):  # pairs of pieces, for pieces a power of 2
+        s = np.maximum(s[0::2], s[1::2])
+    return s
 
 
-def _sup_bound(s: float, hw: float, panels: int, Q: int, derivs) -> float:
-    """The certified sup of :func:`_panel_sup` from s, the largest
-    :func:`_cheb_sums` value over sampled panels of half-width ``hw`` and Q
-    nodes, on the :func:`_panel_nodes` of ``panels`` panels that tile
-    [-L, L], L = panels hw."""
-    _, _, factor, lebesgue = _cheb_maps(Q)
-    return math.sqrt(factor * s) + (
+def _sup_bound(x: float, hw: float, panels: int, Q: int, derivs) -> float:
+    """The certified sup of :func:`_panel_sup` from x >= max |p|^2, the
+    largest :func:`_cheb_sums` value times its rounding factor over sampled
+    panels of half-width ``hw`` and Q nodes, on the :func:`_panel_nodes` of
+    ``panels`` panels that tile [-L, L], L = panels hw."""
+    lebesgue = _lebesgue(Q)
+    return math.sqrt(x) + (
         2.0 ** Q * math.factorial(Q) / math.factorial(2 * Q)
         * sum((r * hw) ** Q * c for r, c in derivs)
         + 3.0 * math.ulp(1.0) * panels * hw * lebesgue
@@ -281,8 +327,10 @@ def _sampled_sups(F, X, panels, derivs, even: bool = False):
     best = hits[np.searchsorted(hits, starts)]
     argmax = -X + hw * (2.0 * j[best] + 1.0) + hw * xq[at[best]]
     sums = np.maximum.reduceat(sums, starts)
+    factor = _cheb_maps(ORDER, 2)[2]
     return [(SupNormCertificate(float(m), 2.0 * h,
-                                _sup_bound(s, h, P, ORDER, d)), float(a))
+                                _sup_bound(factor * s, h, P, ORDER, d)),
+             float(a))
             for m, h, s, P, d, a in zip(observed, hw.tolist(), sums,
                                         panels.tolist(), derivs, argmax)]
 

@@ -16,3 +16,9 @@ def oracle():
 def thresholds():
     with open(FIXTURES / "convergence_thresholds.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="session")
+def two_level_rows():
+    with open(FIXTURES / "two_level_rows.json", encoding="utf-8") as fh:
+        return json.load(fh)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bandlim import analysis, quadrature
+from bandlim import analysis, approximation, quadrature
 from bandlim.analysis import (DecompositionValues, check_nikolskii,
                               check_plancherel_polya, check_poly_nikolskii,
                               convergence_study, counterexample_run,
@@ -28,8 +28,8 @@ QUAD = QuadratureSpec()
 
 def first_levels(g, a):
     """The :func:`_level` of g at the first panel count n of the
-    coefficient ladder at a.tau and at 2n, which the interior rule takes
-    (check_poly_nikolskii builds them so for g = 0)."""
+    coefficient ladder at a.tau and at 2n, as the ladder passes them on to
+    the interior rule when it doubles."""
     n = _first_level(a.sigma, a.tau, "the test needs")
     return [_level(g, a.tau, a.N, panels) for panels in (n, 2 * n)]
 
@@ -364,7 +364,8 @@ class TestSupCertificate:
         # certificates bound the largest sample of the other
         a = POLY_APPROXIMANTS[name]()
         _, panel = analysis._interior_lp(
-            0.0, a, 2.0, QUAD, first_levels(np.zeros_like, a))
+            0.0, a, 2.0, QUAD, first_levels(np.zeros_like, a),
+            np.zeros_like)
         grid = sup_norm_certified(a.evaluate, math.pi * a.N / a.tau,
                                   -a.tau, a.tau)
         assert panel.certified_bound >= grid.grid_max
@@ -746,11 +747,11 @@ class TestConvergenceStudy:
             assert rec.total_error == pytest.approx(expect, rel=1e-6)
 
     def test_underflowing_interior_raises(self):
-        # |f - f_tau| is about 0.019 at tau 10, and 0.019^200 is below
-        # every float
-        with pytest.raises(ValueError, match="interior L.200 integral at "
+        # |f - f_tau| peaks at about 0.019 = 0.61 * 2^-5 at tau 10; the rule
+        # scales it by 2^5, and 0.61^5000 is below every float
+        with pytest.raises(ValueError, match="interior L.5000 integral at "
                                              "tau=10 underflows"):
-            convergence_study(make_sinc(1.0), 200.0, [10.0], QUAD)
+            convergence_study(make_sinc(1.0), 5000.0, [10.0], QUAD)
 
     def test_rejects_unsorted_ladder(self):
         with pytest.raises(ValueError):
@@ -827,7 +828,8 @@ class TestInteriorRule:
         for tau in (12.3, 61.7):
             a = fourier_coefficients(f, tau, QUAD)
             got, _ = analysis._interior_lp(
-                f.decay.C, a, p, QUAD, first_levels(f.eval_real, a))
+                f.decay.C, a, p, QUAD, first_levels(f.eval_real, a),
+            f.eval_real)
             ref = oracle(f, a, p)
             assert abs(got.value - ref.value) \
                 <= got.error_bound + ref.error_bound + rounding_term(a, p)
@@ -868,7 +870,8 @@ class TestInteriorRule:
             convergence_study(f, 2.0, [tau], QUAD)
         with pytest.raises(ValueError, match="above the limit"):
             analysis._interior_lp(
-                f.decay.C, a, 2.0, QUAD, first_levels(f.eval_real, a))
+                f.decay.C, a, 2.0, QUAD, first_levels(f.eval_real, a),
+            f.eval_real)
         monkeypatch.setattr(quadrature, "MAX_NODES", fine_level)
         (rec,) = convergence_study(base, 2.0, [tau], QUAD)
         assert rec.interior_error.value == pytest.approx(
@@ -883,6 +886,85 @@ class TestInteriorRule:
         tol = (rec.interior_error.error_bound
                + 16.0 * np.finfo(float).eps * fnorm)
         assert abs(rec.interior_error.value - interior) <= tol
+
+
+class TestOneLevel:
+    """At even p the first panel level alone is the rule where its proved
+    Gauss bound holds; elsewhere the ladder doubles and the interior rule
+    compares two levels, as it did for every tau before."""
+
+    def test_forced_fallback_is_the_two_level_rule(self, monkeypatch,
+                                                   two_level_rows):
+        # with no bound proved, every row is the two-level rule's, bit for
+        # bit, coefficients from the level of 2 P0 panels included
+        for module in (analysis, approximation):
+            monkeypatch.setattr(module, "_gauss_bound",
+                                lambda *args: math.inf)
+        for case in two_level_rows["converge"]:
+            (rec,) = convergence_study(from_id(case["fn"]), case["p"],
+                                       [case["tau"]], QUAD)
+            got = [rec.interior_error.value, rec.interior_error.error_bound,
+                   rec.tail_error.value, rec.total_error,
+                   rec.sup_error.certified_bound, rec.sup_error.grid_max]
+            assert [repr(v) for v in got] == case["row"], case
+        for case in two_level_rows["poly_nikolskii"]:
+            chk = check_poly_nikolskii(exp_coefficients(case["tau"]),
+                                       case["p"], QUAD)
+            got = [chk.lhs, chk.rhs, chk.error_bound]
+            assert [repr(v) for v in got] == case["row"], case
+
+    def test_natural_fallback_at_p_4(self):
+        # fejer_square at p = 4 and tau 5120.3: the bound sees
+        # C + sum |c_k|, not the size of F, and exceeds the integral 7.6e7
+        # times, so the rule samples 2 P0 and its error is a level difference
+        base = make_fejer_square(2.0)
+        calls = []
+
+        def eval_real(x):
+            calls.append(np.size(x))
+            return base.eval_real(x)
+
+        tau = 5120.3
+        (rec,) = convergence_study(
+            dataclasses.replace(base, eval_real=eval_real), 4.0, [tau], QUAD)
+        n = _first_level(base.sigma, tau, "") * quadrature.ORDER
+        assert calls == [n, 2 * n]
+        est = rec.interior_error
+        assert est.error_bound < 1e-6 * est.value
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    def test_one_level_error_is_bound_plus_rounding(self, p):
+        # sinc at tau 80.3: the interior error is the proved bound (below
+        # 1e-16 of the value in the norm) plus the rounding of f_tau's
+        # nodes, carried into the norm as (2 tau)^(1/p) delta, and of the
+        # Gauss sums
+        f, tau = make_sinc(1.0), 80.3
+        (rec,) = convergence_study(f, p, [tau], QUAD)
+        a = fourier_coefficients(f, tau, QUAD)
+        P = _first_level(f.sigma, tau, "")
+        stages = (P - 1).bit_length()
+        eps = np.finfo(float).eps
+        delta = (4 * stages + 8) * eps * np.abs(a.coefficients).sum()
+        est = rec.interior_error
+        floor = (2.0 * tau) ** (1.0 / p) * delta
+        sums = (quadrature.ORDER + stages + 16) * eps * est.value / p
+        assert floor <= est.error_bound <= floor + sums + 1e-16 * est.value
+
+    def test_large_p_norm_lies_between_its_floor_and_the_sup(self):
+        # p = 200: |F|^200 underflows unscaled; the rule scales F by a power
+        # of two.  |F| >= m / 2 within m / (2 D) of its largest node value
+        # m, D >= sup |F'|, and at least half of that interval lies in
+        # [-tau, tau]; above, the norm is at most (2 tau)^(1/p) sup |F|
+        f, tau, p = make_sinc(1.0), 40.3, 200.0
+        (rec,) = convergence_study(f, p, [tau], QUAD)
+        a = fourier_coefficients(f, tau, QUAD)
+        m = rec.sup_error.grid_max
+        D = (f.sigma * f.decay.C
+             + math.pi * a.N / tau * np.abs(a.coefficients).sum())
+        norm = rec.interior_error.value
+        assert math.isfinite(norm) and math.isfinite(rec.total_error)
+        assert (0.5 * m * (m / (2.0 * D)) ** (1.0 / p) <= norm
+                <= (2.0 * tau) ** (1.0 / p) * rec.sup_error.certified_bound)
 
 
 class TestSplitAtRoots:
@@ -952,7 +1034,8 @@ class TestSplitAtRoots:
         f, tau = make_sinc(1.0), 20.3
         a = fourier_coefficients(f, tau, QUAD)
         got, _ = analysis._interior_lp(
-            f.decay.C, a, 1.5, QUAD, first_levels(f.eval_real, a))
+            f.decay.C, a, 1.5, QUAD, first_levels(f.eval_real, a),
+            f.eval_real)
         x = np.linspace(-tau, tau, int(200 * tau) + 1)
         F = (f.eval_real(x) - a.evaluate(x)).real
         change = np.flatnonzero(np.signbit(F[:-1]) != np.signbit(F[1:]))
@@ -1025,14 +1108,15 @@ class TestSharedLadder:
             calls.append(np.size(x))
             return base.eval_real(x)
 
-        taus = [10.0, 40.1, 80.2, 160.3, 320.4]
-        convergence_study(dataclasses.replace(base, eval_real=eval_real), p,
-                          taus, QUAD)
-        # levels P0 and 2 P0 only: the coefficients return at their first
-        # doubling, and the interior rule samples nothing more
-        levels = [_first_level(base.sigma, tau, "") for tau in taus]
-        assert calls == [n * P * quadrature.ORDER
-                         for P in levels for n in (1, 2)]
+        f = dataclasses.replace(base, eval_real=eval_real)
+        for tau in [10.0, 40.1, 80.2, 160.3, 320.4]:
+            calls.clear()
+            convergence_study(f, p, [tau], QUAD)
+            # level P0: its Gauss bounds accept it for the coefficients and,
+            # at p = 2, for the interior rule, which samples nothing more;
+            # at p = 4 the rule samples level 2 P0 where its bound fails
+            n = _first_level(base.sigma, tau, "") * quadrature.ORDER
+            assert calls in ([[n], [n, 2 * n]] if p == 4 else [[n]])
 
     def test_every_fft_length_is_five_smooth(self, monkeypatch):
         lengths = []
@@ -1047,11 +1131,14 @@ class TestSharedLadder:
         taus = [40.1, 80.2, 160.3, 320.4]
         convergence_study(make_sinc(1.0), 2.0, taus, QUAD)
         check_poly_nikolskii(exp_coefficients(40.1), 2.0, QUAD)
+        assert set(lengths) == {54, 108, 216, 432}
+        # p = 1.5 takes the levels of 2 P0 panels too
+        convergence_study(make_sinc(1.0), 1.5, taus, QUAD)
         assert set(lengths) == {54, 108, 216, 432, 864}
         for tau in (1280.3, 5120.3, 20480.3):
             lengths.clear()
             fourier_coefficients(make_sinc(1.0), tau, QUAD)
-            assert len(lengths) == 2
+            assert len(lengths) == 1
             assert all(_five_smooth(n) == n for n in lengths)
 
     @pytest.mark.parametrize("p", [1.5, 2.0])
@@ -1101,14 +1188,14 @@ class TestPanelSup:
         hw = 0.2
         mids = hw * (2.0 * np.arange(-20, 20) + 1.0)
         values = np.exp(1j * omega * (mids[:, None] + hw * xq))
-        cert = analysis._panel_sup(values, hw, ((omega, 1.0),))
+        cert = analysis._panel_sup(values, hw, ((omega, 1.0),), False)
         assert 1.0 <= cert.certified_bound <= 1.0 + 1e-12
         assert cert.grid_max <= cert.certified_bound
         assert cert.spacing == 2.0 * hw
 
     def test_zero_values(self):
         cert = analysis._panel_sup(np.zeros((4, 15), dtype=complex), 0.1,
-                                   ((1.0, 0.0), (1.0, 0.0)))
+                                   ((1.0, 0.0), (1.0, 0.0)), False)
         assert cert.certified_bound == 0.0 and cert.grid_max == 0.0
 
     @pytest.mark.filterwarnings("error")
@@ -1117,7 +1204,7 @@ class TestPanelSup:
         # |F| = 1e200 overflows the squares of one pass, whose sum is NaN
         values = np.ones((quadrature._SUP_PASS + 1, 15))
         values[panel] = 1e200
-        cert = analysis._panel_sup(values, 0.01, ((1.0, 1.0),))
+        cert = analysis._panel_sup(values, 0.01, ((1.0, 1.0),), False)
         assert not cert.certified_bound < cert.grid_max
 
     def test_zero_approximant_has_zero_norm_at_large_p(self):
@@ -1125,7 +1212,8 @@ class TestPanelSup:
                             coefficients=np.zeros(3, dtype=complex),
                             coeff_error=0.0)
         est, cert = analysis._interior_lp(
-            0.0, a, 200.0, QUAD, first_levels(np.zeros_like, a))
+            0.0, a, 200.0, QUAD, first_levels(np.zeros_like, a),
+            np.zeros_like)
         assert est.value == 0.0 and cert.certified_bound == 0.0
 
     def test_rounded_nodes_term_at_large_tau(self, monkeypatch):
@@ -1135,17 +1223,17 @@ class TestPanelSup:
         seen = []
         panel_sup = analysis._panel_sup
 
-        def spy(values, hw, derivs):
-            seen.append((values, hw, derivs))
-            return panel_sup(values, hw, derivs)
+        def spy(values, hw, derivs, quarters):
+            seen.append((values, hw, derivs, quarters))
+            return panel_sup(values, hw, derivs, quarters)
 
         monkeypatch.setattr(analysis, "_panel_sup", spy)
         (rec,) = convergence_study(f, 2.0, [tau], QUAD)
-        ((values, hw, derivs),) = seen
+        ((values, hw, derivs, quarters),) = seen
         cert = rec.sup_error.certified_bound
-        chebyshev_part = panel_sup(values, hw, ()).certified_bound
+        chebyshev_part = panel_sup(values, hw, (), quarters).certified_bound
         term = (3.0 * np.finfo(float).eps * len(values) * hw
-                * quadrature._cheb_maps(values.shape[1])[3]
+                * quadrature._lebesgue(values.shape[1])
                 * sum(r * c for r, c in derivs))
         assert term > 1e-11
         assert cert - chebyshev_part == pytest.approx(term, rel=1e-6)

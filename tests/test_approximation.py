@@ -14,7 +14,8 @@ from bandlim.approximation import (_LEWITAN_VALUES_PER_TERM, MAX_LEWITAN_K,
 from bandlim.analysis import exp_coefficients
 from bandlim.functions import (DecayEnvelope, PMembership, TestFunction,
                                from_id, make_complex_exponential,
-                               make_fejer_square, make_sinc, sinc_ratio)
+                               make_fejer_square, make_sinc, mollify,
+                               sinc_ratio)
 from bandlim.kernels import n_terms
 from bandlim.quadrature import (MAX_NODES, ORDER, QuadratureNonConvergence,
                                 QuadratureSpec, _nodes)
@@ -132,6 +133,91 @@ def is_five_smooth(n):
 # conjugate-symmetric.
 REAL_FUNCTIONS = ["sinc:sigma=1", "fejer_square:sigma=2",
                   "mollify:base=sinc,sigma=1,rho=0.1"]
+
+
+def fejer_coefficient(sigma, u, tau):
+    """(1 / 2 tau) int_{-tau}^{tau} (sin(sigma t / 2) / (sigma t / 2))^2
+    cos(u t) dt in mpmath, from 2 (1 - cos sigma t) / (sigma t)^2 and
+    G(a) = int_0^tau (1 - cos a t) / t^2 dt = a Si(a tau) - (1 - cos a tau)
+    / tau."""
+    import mpmath as mp
+
+    def G(a):
+        a = abs(a)
+        return a * mp.si(a * tau) - (1 - mp.cos(a * tau)) / tau
+
+    return 2 * (G(sigma + u) / 2 + G(sigma - u) / 2 - G(u)) / (sigma ** 2
+                                                               * tau)
+
+
+def sinc_coefficient(tau, w):
+    """(1 / 2 tau) int_{-tau}^{tau} sin(t) / (pi t) cos(w t) dt in mpmath."""
+    import mpmath as mp
+
+    return (mp.si((1 + w) * tau) + mp.si((1 - w) * tau)) / (2 * mp.pi * tau)
+
+
+# c_k(tau, w = pi k / tau) of each function in mpmath, in closed form.
+COEFFICIENT_CASES = {
+    "sinc": (lambda: make_sinc(1.0), sinc_coefficient),
+    "fejer_square": (lambda: make_fejer_square(2.0),
+                     lambda tau, w: fejer_coefficient(2, w, tau)),
+    # (sin(x / 2) / (x / 2))^2 e^(0.75 i x): a fejer_square of type 1
+    # shifted in frequency
+    "mollify_expi": (lambda: mollify(make_complex_exponential(1.0), 0.5),
+                     lambda tau, w: fejer_coefficient(1, w - 0.75, tau)),
+}
+
+
+class TestCoefficientsAgainstMpmath:
+    """Every c_k lies within the abs_error that coeffs prints for it,
+    coeff_error / (2N + 1), of its value at 30 digits."""
+
+    @pytest.mark.parametrize("tau", [5.0, 40.0, 120.0])
+    @pytest.mark.parametrize("name", sorted(COEFFICIENT_CASES))
+    def test_within_abs_error(self, name, tau):
+        import mpmath as mp
+
+        make, exact = COEFFICIENT_CASES[name]
+        a = fourier_coefficients(make(), tau, QUAD)
+        abs_error = a.coeff_error / (2 * a.N + 1)
+        assert abs_error < 1e-12  # far below the nominal abs_tol
+        with mp.workdps(30):
+            t = mp.mpf(tau)
+            for k, c in zip(range(-a.N, a.N + 1), a.coefficients):
+                ref = complex(exact(t, mp.pi * k / t))
+                assert abs(c - ref) <= abs_error, (k, c, ref)
+
+    @pytest.mark.parametrize("name", sorted(COEFFICIENT_CASES))
+    def test_closed_forms_match_quadrature(self, name):
+        # the closed forms against mpmath quadrature at tau 5
+        import mpmath as mp
+
+        make, exact = COEFFICIENT_CASES[name]
+        f = make()
+        N = n_terms(f.sigma, 5.0)
+        with mp.workdps(30):
+            # the mpmath formula is the catalog's function
+            x = np.linspace(-5.0, 5.0, 7)
+            assert np.allclose(f.eval_real(x), [complex(_mp_value(name, v))
+                                                for v in x], rtol=1e-15)
+            t = mp.mpf(5)
+            for k in (-N, 0, N):
+                w = mp.pi * k / t
+                q = mp.quad(lambda v: _mp_value(name, v) * mp.expj(-w * v),
+                            mp.linspace(-t, t, 9)) / (2 * t)
+                assert abs(q - exact(t, w)) < 1e-25, (name, k)
+
+
+def _mp_value(name, x):
+    """The function of ``COEFFICIENT_CASES[name]`` at x in mpmath."""
+    import mpmath as mp
+
+    if name == "sinc":
+        return mp.sinc(x) / mp.pi
+    if name == "fejer_square":
+        return mp.sinc(x) ** 2
+    return mp.sinc(x / 2) ** 2 * mp.expj(0.75 * x)
 
 
 class TestConjugateSymmetry:

@@ -377,12 +377,25 @@ class TestQuadFlags:
         assert err.endswith(f"bandlim: error: unrecognized arguments: "
                             f"{given}\n")
 
-    def test_coeffs_abs_tol_reaches_the_rows(self, capsys):
+    def test_coeffs_abs_tol_reaches_the_rows(self, capsys, monkeypatch):
+        # the ladder accepts the rows' coefficients against --abs-tol, and
+        # each row prints their proved error, within it
+        seen = []
+        ladder = approximation._coefficient_ladder
+
+        def spy(f, tau, quad=None):
+            seen.append(quad.abs_tol)
+            return ladder(f, tau, quad)
+
+        monkeypatch.setattr(approximation, "_coefficient_ladder", spy)
         status, out, err = run_capture(
             ["coeffs", "--fn", "sinc:sigma=1", "--tau", "3",
              "--abs-tol", "1e-8"], capsys)
-        assert status == 0
-        assert [line.split(",")[3] for line in out.split()[1:]] == ["1e-08"]
+        assert status == 0 and seen == [1e-8]
+        monkeypatch.undo()
+        a = approximation.fourier_coefficients(functions.make_sinc(1.0), 3.0)
+        rows = [float(line.split(",")[3]) for line in out.split()[1:]]
+        assert rows == [a.coeff_error / (2 * a.N + 1)] and rows[0] < 1e-8
 
 
 class TestLewitan:
@@ -415,6 +428,11 @@ class TestNumericalFailures:
         (["counterexample", "--m", "1" + "0" * 400], "beyond the float range"),
         (["counterexample", "--m", "1..100000"],
          "coefficients in all, above the limit"),
+        # the interior passes when scaled, but the envelope tail's scaled
+        # 2000th power underflows
+        (["converge", "--fn", "fejer_square:sigma=2", "--p", "2000",
+          "--tau", "40"], "the envelope tail integral for C=4, alpha=2, "
+         "p=2000 beyond 40 underflows\n"),
     ])
     def test_exit_1_with_message(self, argv, text, capsys):
         status, out, err = run_capture(argv, capsys)
@@ -423,12 +441,23 @@ class TestNumericalFailures:
         assert text in err and out == ""
 
     def test_underflowing_p_exits_1_with_one_line(self, capsys):
-        # |f - f_tau|^200 underflows at every node, which printed zeros
+        # |f - f_tau|^5000 underflows at every node even when scaled to a
+        # largest value of 0.61, which printed zeros
         status, out, err = run_capture(
-            ["converge", "--fn", "sinc:sigma=1", "--p", "200",
+            ["converge", "--fn", "sinc:sigma=1", "--p", "5000",
              "--tau", "10,40"], capsys)
         assert (status, out, err.count("\n")) == (1, "", 1)
         assert err.startswith("bandlim converge: ") and "underflows" in err
+
+    def test_underflowing_gauss_ellipse_exits_0(self, capsys):
+        # 0.5 rate hw underflows to 0 in the coefficients' Gauss bound,
+        # which divided by it
+        status, out, err = run_capture(
+            ["coeffs", "--fn", "sinc:sigma=1e-200", "--tau", "1e-200"],
+            capsys)
+        assert (status, err) == (0, "")
+        (row,) = out.split()[1:]
+        assert all(math.isfinite(float(v)) for v in row.split(","))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, message", [

@@ -239,6 +239,18 @@ class TestDecayEnvelope:
         assert env.tail_lp(10.0, 200.0) > 0.0
         assert DecayEnvelope(C=0.0, alpha=1.0).tail_lp(10.0, 300.0) == 0.0
 
+    def test_scaled_tail_is_exact_and_checked(self):
+        # 2^-e bound(10) = 0.926 at e = -4: the scaled integral is 2^(-p e)
+        # times the unscaled one at p = 200, finite at p = 300, where the
+        # unscaled one underflows, and below every float at p = 20000
+        env = make_sinc(1.0).decay
+        e = math.frexp(env.bound(10.0))[1]
+        assert env.tail_lp(10.0, 200.0, e) == pytest.approx(
+            math.ldexp(env.tail_lp(10.0, 200.0), -200 * e), rel=1e-12)
+        assert env.tail_lp(10.0, 300.0, e) > 0.0
+        with pytest.raises(ValueError, match="underflows"):
+            env.tail_lp(10.0, 20000.0, e)
+
     def test_cutoff_for_tail_in_logs(self):
         env = mollify(make_fejer_square(1e-100), 0.5).decay
         ap = env.alpha * 2.0

@@ -4,7 +4,8 @@ and rejects everything else with its own error type; for the exactness of
 ``abs_even`` flag, which the real-line norms rely on; for the values
 of ``counterexample_run`` against long-double sums; for the CLI's CSV
 writer against ``csv.writer``; and for the soundness of every certified
-sup against a grid 20 times finer than the certificate's nodes."""
+sup against a grid 20 times finer than the certificate's nodes; and for
+the interior L^2 error of sinc against the Parseval identity."""
 
 import csv
 import dataclasses
@@ -315,7 +316,7 @@ class TestCertifiedSupsAreSound:
         a, levels = _coefficient_ladder(f, tau)
         (rec,) = convergence_study(f, 2.0, [tau])
         dense = fine_max(lambda x: f.eval_real(x) - a.evaluate(x), tau,
-                         levels[1][0].size)
+                         2 * levels[0][0].size)
         slack = 64 * EPS * (f.decay.C + np.abs(a.coefficients).sum())
         assert dense <= rec.sup_error.certified_bound + slack
 
@@ -338,3 +339,38 @@ class TestCertifiedSupsAreSound:
                          (1.0 + delta) * tau, report.n_points)
         slack = 16 * EPS * (sigma / math.pi + (2 * N + 1) / (2.0 * tau))
         assert dense <= report.certified_max + slack
+
+
+def sinc_parseval(sigma: float, tau: float) -> float:
+    """||f - f_tau||_{L^2[-tau, tau]} for f = sin(sigma x) / (pi x) at 30
+    digits, by Parseval: ||f||^2 - 2 tau sum |c_k|^2, with
+    ||f||^2 = 2 (sigma Si(2 sigma tau) - sin^2(sigma tau) / tau) / pi^2 and
+    c_k = (Si((sigma + w) tau) + Si((sigma - w) tau)) / (2 pi tau),
+    w = pi k / tau."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        s, t = mp.mpf(sigma), mp.mpf(tau)
+        norm2 = (2 * (s * mp.si(2 * s * t) - mp.sin(s * t) ** 2 / t)
+                 / mp.pi ** 2)
+        csum = mp.mpf(0)
+        for k in range(n_terms(sigma, tau) + 1):
+            w = mp.pi * k / t
+            c = (mp.si((s + w) * t) + mp.si((s - w) * t)) / (2 * mp.pi * t)
+            csum += c * c if k == 0 else 2 * c * c
+        return float(mp.sqrt(norm2 - 2 * t * csum)), float(mp.sqrt(norm2))
+
+
+class TestInteriorAgainstParseval:
+    """The interior L^2 error of sinc, one level per tau, lies within its
+    interior_err plus the benchmark's rounding floor 16 eps ||f|| of the
+    Parseval value."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(sigma=st.floats(min_value=0.5, max_value=1.5),
+           tau=st.floats(min_value=5.0, max_value=400.0))
+    def test_within_interior_err(self, sigma, tau):
+        (rec,) = convergence_study(make_sinc(sigma), 2.0, [tau])
+        interior, fnorm = sinc_parseval(sigma, tau)
+        est = rec.interior_error
+        assert abs(est.value - interior) <= est.error_bound + 16 * EPS * fnorm

@@ -66,18 +66,23 @@ class TestPanelNodes:
         calls = []
         tau = 80.3
         fourier_coefficients(self.recording_sinc(calls), tau)
-        assert len(calls) >= 2
+        assert len(calls) == 1
         for x in calls:
             self.assert_panel_nodes(x, tau)
 
     def test_interior_levels(self):
-        # at p = 2 the interior rule samples nothing: its two levels are
-        # the last two of the coefficient ladder
+        # at p = 2 the interior rule samples nothing: it takes the
+        # coefficient ladder's level alone; at p = 1.5 it samples the
+        # level of twice as many panels itself
         tau = 80.3
         calls = []
         analysis.convergence_study(self.recording_sinc(calls), 2.0, [tau])
+        (level,) = calls
+        self.assert_panel_nodes(level, tau)
+        calls.clear()
+        analysis.convergence_study(self.recording_sinc(calls), 1.5, [tau])
         coarse, fine = calls
-        assert fine.size == 2 * coarse.size
+        assert fine.size == 2 * coarse.size == 2 * level.size
         self.assert_panel_nodes(fine, tau)
         self.assert_panel_nodes(coarse, tau)
 
@@ -115,7 +120,7 @@ class TestPanelNodes:
 def complex_cheb_sums(values):
     """_cheb_sums by one complex product, as numpy runs values @ A.T for
     complex values and a real A."""
-    to_cheb, to_coeffs = quadrature._cheb_maps(values.shape[1])[:2]
+    to_cheb, to_coeffs = quadrature._cheb_maps(values.shape[1], 2)[:2]
     u = (values @ to_cheb.T).reshape(-1, len(to_coeffs))
     w = u.real ** 2 + u.imag ** 2
     s = np.abs(w @ to_coeffs.T).sum(axis=1)
@@ -143,7 +148,7 @@ class TestChebSums:
         # Each entry of A v rounds within gamma_Q = Q eps of sum |A| |v| on
         # either path, so s moves by at most about 4 Q eps times s_abs,
         # the sums of moduli; OpenBLAS gives the same bits.
-        A, B = quadrature._cheb_maps(quadrature.ORDER)[:2]
+        A, B = quadrature._cheb_maps(quadrature.ORDER, 2)[:2]
         eps = np.finfo(float).eps
         for v in complex_blocks():
             moduli = ((np.abs(v.real) @ np.abs(A).T) ** 2
@@ -306,7 +311,7 @@ class TestPieceRule:
         P = 2 * _first_level(a.sigma, tau, "")
         values = a.on_panels(P, quadrature._nodes(Q)[0])
         rounding = 16.0 * np.finfo(float).eps * np.abs(a.coefficients).sum()
-        tol = (quadrature._cheb_maps(Q)[3] + 1.0) * rounding
+        tol = (quadrature._lebesgue(Q) + 1.0) * rounding
         x = np.random.default_rng(1).uniform(-tau, tau, 5000)
         assert np.max(np.abs(quadrature._interpolate(values, tau, x)
                              - a.evaluate(x))) <= tol
