@@ -106,6 +106,11 @@ COEFFS_CASES = [
     ["coeffs", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--tau", "40"],
     # 0.5 rate hw of the coefficients' Gauss bound underflows to 0
     ["coeffs", "--fn", "sinc:sigma=1e-200", "--tau", "1e-200"],
+    # a sample |fl(e^{i omega x})| = 1 + 2^-52 above C = 1: the ladder doubles
+    ["coeffs", "--fn", "expi:omega=3.7", "--tau", "320.3"],
+    # one level, whose rounding term takes C = 2.5e12, not the largest
+    # sample 0.318
+    ["coeffs", "--fn", "mollify:base=sinc,sigma=1,rho=1e-6", "--tau", "10"],
 ]
 
 # lewitan, which the benchmark does not run: the automatic cutoff, the

@@ -443,16 +443,16 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     :func:`check_poly_nikolskii`.  The rule samples level 2n from ``g``
     where it needs it and ``levels`` lacks it.  f_tau on each level is one
     :func:`_on_panels`, so F is real for real g and f_tau.
-    :func:`_panel_sup` takes the sup, with Bernstein's
+    :func:`_panel_sup` takes the sup once, on the quarters of the level-n
+    panels, whatever p, with Bernstein's
     |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
 
-    At even p, level n alone is the rule, its sup taken on the quarters of
-    its panels, where the proved bound of :func:`_gauss_bound` on |F|^p is
-    at most rel_tol times its Gauss sum; its error is then that bound plus
-    stated rounding (README, "Not every error column is a bound").
-    Otherwise, and at other p, each panel of level n has a coarse Gauss
-    value from level n and a fine one from its two halves on level 2n, and
-    the sup takes the halves of level 2n.  For other p, |F|^p has a kink
+    At even p, level n alone is the rule where the proved bound of
+    :func:`_gauss_bound` on |F|^p is at most rel_tol times its Gauss sum;
+    its error is then that bound plus stated rounding (README, "Not every
+    error column is a bound").  Otherwise, and at other p, each panel of
+    level n has a coarse Gauss value from level n and a fine one from its
+    two halves on level 2n.  For other p, |F|^p has a kink
     at each real zero of F, found by :func:`_real_zeros`.  The level-n
     panels within a level-2n panel of such a zero merge into stretches,
     which are cut at the zeros into parts.  Each part is split at its
@@ -476,23 +476,28 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     theirs, :func:`_cheb_maps`), and at p not an even integer a zero of F
     that changes no sign at the level-2n nodes is not split at.
 
-    The rule runs on 2^-e F, e of :func:`_power_scale` for the largest
-    level-n |F|, and scales the norm back.  ValueError: a level value that
-    is not finite (|F|^p overflows), a certified sup that is not finite
-    (|F| beyond about 1e154), or an integral below the smallest normal
-    float while some node value is nonzero.
+    The rule runs on 2^-e F, e of :func:`_power_scale` for the sup's
+    ``grid_max``, the largest level-n |F|, and scales the norm back.
+    ValueError: a level value that is not finite (|F|^p overflows, checked
+    on level n before the sup), a certified sup that is not finite (|F|
+    beyond about 1e154), or an integral below the smallest normal float
+    while some node value is nonzero.
     """
     tau = a.tau
     coeff_sum = float(np.abs(a.coefficients).sum())
     derivs = ((a.sigma, g_sup), (math.pi * a.N / tau, coeff_sum))
     hw, diff = _gap(a, *levels[0])
-    coarse, e = _power_sums(diff, hw, p, tau)
+    sup_cert = _panel_sup(diff, hw, derivs)
+    e = _power_scale(sup_cert.grid_max, p)
+    coarse = _power_sums(diff, hw, p, tau, e)
+    if not math.isfinite(sup_cert.certified_bound):
+        raise ValueError(f"the certified sup of the interior error at "
+                         f"tau={tau:g} is not finite")
     if p % 2 == 0:
         integral = float(coarse.sum())
         bound = _gauss_bound(math.ldexp(g_sup + coeff_sum, -e),
                              max(a.sigma, math.pi * a.N / tau), p, hw, tau)
         if bound <= quad.rel_tol * integral:
-            sup_cert = _finite_sup(diff, hw, derivs, True, tau)
             eps, stages = math.ulp(1.0), (len(diff) - 1).bit_length()
             parts = 2 if np.iscomplexobj(diff) else 1
             node_err = (parts * (4 * stages + 8) * eps
@@ -503,8 +508,7 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
             return _scaled_norm(integral, err, p, e, tau, sup_cert)
     hw, diff = _gap(a, *(levels[1] if len(levels) > 1
                          else _level(g, tau, a.N, 2 * len(diff))))
-    sup_cert = _finite_sup(diff, hw, derivs, False, tau)
-    halves = _power_sums(diff, hw, p, tau, e)[0]
+    halves = _power_sums(diff, hw, p, tau, e)
     if e:
         diff = diff * math.ldexp(1.0, -e)
     fine = halves[0::2] + halves[1::2]
@@ -551,17 +555,6 @@ def _gap(a: TrigApproximant, samples, tables):
     return a.tau / len(samples), np.subtract(samples, values, out=values)
 
 
-def _finite_sup(diff, hw: float, derivs, quarters: bool,
-                tau: float) -> SupNormCertificate:
-    """:func:`_panel_sup` of F, on ``quarters`` or halves; ValueError unless
-    it is finite."""
-    cert = _panel_sup(diff, hw, derivs, quarters)
-    if not math.isfinite(cert.certified_bound):
-        raise ValueError(f"the certified sup of the interior error at "
-                         f"tau={tau:g} is not finite")
-    return cert
-
-
 def _power_scale(peak: float, p: float) -> int:
     """e with 2^-e ``peak`` in [1/2, 1) where 0 < peak^p < 2^-512, else 0:
     a power-of-two scaling, exact, that keeps |2^-e F|^p and its sums above
@@ -571,14 +564,10 @@ def _power_scale(peak: float, p: float) -> int:
     return 0
 
 
-def _power_sums(diff, hw: float, p: float, tau: float,
-                e: int | None = None):
-    """(sums, e): the Gauss value hw sum_q w_q |2^-e F|^p of each panel, for
-    F at a level's nodes in ``diff``, with e the :func:`_power_scale` of
-    the largest |F| unless given; ValueError where one is not finite."""
+def _power_sums(diff, hw: float, p: float, tau: float, e: int):
+    """The Gauss value hw sum_q w_q |2^-e F|^p of each panel, for F at a
+    level's nodes in ``diff``; ValueError where one is not finite."""
     power = np.abs(diff)
-    if e is None:
-        e = _power_scale(power.max(), p)
     if e:
         power *= math.ldexp(1.0, -e)
     with np.errstate(over="ignore"):
@@ -587,7 +576,7 @@ def _power_sums(diff, hw: float, p: float, tau: float,
     if not np.isfinite(sums).all():
         raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
                          f"overflows")
-    return sums, e
+    return sums
 
 
 def _scaled_norm(integral: float, err: float, p: float, e: int, tau: float,

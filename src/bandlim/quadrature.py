@@ -30,11 +30,11 @@ MAX_INTEGRAND_POINTS = 2 ** 24
 # Most nodes (or coefficients) one array of the library may hold, checked by
 # _check_nodes before it is built: 2^22 complex values are 64 MiB.
 MAX_NODES = 2 ** 22
-# Panels per pass of the certified sup rule (_cheb_sums, _sampled_sups),
-# so that the temporaries of a pass stay small: 256 ORDER = 3840 values
-# of F, and (256, 2R) = (256, 58) floats (119 KB, below glibc's 128 KiB
-# mmap threshold) in each product of _cheb_sums; half as many panels on
-# quarters.
+# Panels per pass of the sampled sups on halves (_sampled_sups), and twice
+# the panels per pass of _panel_sup on quarters, so that the temporaries
+# of a pass stay small: 256 ORDER = 3840 values of F, and (256, 2R) =
+# (256, 58) floats (119 KB, below glibc's 128 KiB mmap threshold) in each
+# product of _cheb_sums.
 _SUP_PASS = 256
 # Nodes per pass of the even-p sampling sum of analysis._lp_norm_envelope:
 # 2^16 complex values of g are 1 MiB, and every sum of the inequalities
@@ -199,8 +199,7 @@ def _lebesgue(order: int) -> float:
     return float(on_grid) / (1.0 - (order - 1) ** 2 / n)
 
 
-def _panel_sup(values, hw: float, derivs,
-               quarters: bool) -> SupNormCertificate:
+def _panel_sup(values, hw: float, derivs) -> SupNormCertificate:
     """Certified sup |F| over the P equal panels of half-width ``hw`` that
     tile [-L, L], L = P hw, from the (P, Q) array of F at each panel's
     Gauss-Legendre nodes, for F with sup |F^(k)| <= sum r^k c over the
@@ -208,7 +207,7 @@ def _panel_sup(values, hw: float, derivs,
 
     p interpolates the values v on a panel; |F - p| <= hw^Q 2^Q Q! / (2Q)!
     sup |F^(Q)| by Hermite-Genocchi (complex F too; node polynomial P_Q /
-    k_Q).  On each half panel (or quarter, :func:`_cheb_maps`) |p|^2 has
+    k_Q).  On each quarter panel (:func:`_cheb_maps`) |p|^2 has
     degree 2Q - 2: from w = |A v|^2 at its R = 2Q - 1 Chebyshev points,
     a = B w are its Chebyshev coefficients, and max |p|^2 <= s = sum |a_k|.
     Rounding (v, A and B exact; Higham 2002, 3.1): a sum of fewer than 2Q
@@ -232,11 +231,9 @@ def _panel_sup(values, hw: float, derivs,
     degree Q - 1, so by Markov it is (Q - 1)^2 Lambda_Q-Lipschitz: with g
     its largest value at the midpoints of n = 16 Q^2 equal cells of
     [-1, 1], Lambda_Q <= g / (1 - (Q - 1)^2 / n), 6.85 for Q = 15.
-
-    With ``quarters``, the pieces are each panel's quarters.
+    :func:`_sampled_sups` takes the same rule on halves.
     """
-    Q, pieces = values.shape[1], 4 if quarters else 2
-    step = 2 * _SUP_PASS // pieces  # (step, pieces R) temporaries
+    Q, step = values.shape[1], _SUP_PASS // 2  # (step, 4R) temporaries
     passes = range(0, len(values), step)
     peak, s = np.empty(len(passes)), np.empty(len(passes))
     # np.max keeps a NaN (inf - inf after overflow), where max() drops it
@@ -244,8 +241,8 @@ def _panel_sup(values, hw: float, derivs,
         for n, i in enumerate(passes):
             part = values[i:i + step]
             peak[n] = np.abs(part).max()
-            s[n] = _cheb_sums(part, pieces).max()
-    best = _cheb_maps(Q, pieces)[2] * np.max(s)
+            s[n] = _cheb_sums(part, 4).max()
+    best = _cheb_maps(Q, 4)[2] * np.max(s)
     return SupNormCertificate(
         grid_max=float(np.max(peak)), spacing=2.0 * hw,
         certified_bound=_sup_bound(best, hw, len(values), Q, derivs))
@@ -287,9 +284,10 @@ def _sup_bound(x: float, hw: float, panels: int, Q: int, derivs) -> float:
 
 
 def _sampled_sups(F, X, panels, derivs, even: bool = False):
-    """[(:func:`_panel_sup` certificate, node of the largest |F|)], one per
-    cell i, for F(i, .) at the :func:`_panel_nodes` of ``panels[i]`` equal
-    panels on [-X[i], X[i]], with the derivative bounds ``derivs[i]``.
+    """[(certificate of the :func:`_panel_sup` rule on halves, node of the
+    largest |F|)], one per cell i, for F(i, .) at the :func:`_panel_nodes`
+    of ``panels[i]`` equal panels on [-X[i], X[i]], with the derivative
+    bounds ``derivs[i]``.
 
     ``even`` states that |F(i, -x)| = |F(i, x)|: only the panels j >= P // 2
     are sampled, which tile [0, X], or [-hw, X] for odd P, so the sup over

@@ -103,19 +103,33 @@ def sampling_nodes(env, p, sigma, quad=QUAD):
 
 
 class TestLineNormSampling:
-    def test_sinc_p4_closed_form(self):
-        # ||sinc||_4^4 = 2 / (3 pi^3) for sin(x) / (pi x)
-        exact = (2.0 / (3.0 * math.pi ** 3)) ** 0.25
-        est = lp_norm_line(make_sinc(1.0), 4.0, QUAD)
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_sinc_p4_closed_form(self, sigma):
+        # ||sinc||_4^4 = 2 sigma^3 / (3 pi^3) for sin(sigma x) / (pi x)
+        exact = (2.0 * sigma ** 3 / (3.0 * math.pi ** 3)) ** 0.25
+        est = lp_norm_line(make_sinc(sigma), 4.0, QUAD)
         assert abs(est.value - exact) <= est.error_bound
         # the truncated sum of positive terms sits below the whole line
         assert -1e-12 <= exact - est.value <= est.error_bound
 
-    def test_sinc_p6_closed_form(self):
-        # ||sinc||_6^6 = 11 / (20 pi^5) for sin(x) / (pi x)
-        exact = (11.0 / (20.0 * math.pi ** 5)) ** (1.0 / 6.0)
-        est = lp_norm_line(make_sinc(1.0), 6.0, QUAD)
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_sinc_p6_closed_form(self, sigma):
+        # ||sinc||_6^6 = 11 sigma^5 / (20 pi^5) for sin(sigma x) / (pi x)
+        exact = (11.0 * sigma ** 5 / (20.0 * math.pi ** 5)) ** (1.0 / 6.0)
+        est = lp_norm_line(make_sinc(sigma), 6.0, QUAD)
         assert -1e-12 <= exact - est.value <= est.error_bound
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("p", [1.0, 3.0, 4.0])
+    def test_fejer_square_closed_form(self, p, sigma):
+        # ||f||_p^p = (2 / sigma) int (sin u / u)^(2p) du for
+        # f = (sin(sigma x / 2) / (sigma x / 2))^2: the adaptive window at
+        # p = 1 and 3, the sampling sum at p = 4
+        integral = {1.0: math.pi, 3.0: 11.0 * math.pi / 20.0,
+                    4.0: 151.0 * math.pi / 315.0}[p]
+        exact = (2.0 / sigma * integral) ** (1.0 / p)
+        est = lp_norm_line(make_fejer_square(sigma), p, QUAD)
+        assert abs(est.value - exact) <= est.error_bound
 
     def test_fejer_real_line_matches_known_norm(self):
         f = make_fejer_square(2.0)
@@ -895,23 +909,47 @@ class TestOneLevel:
 
     def test_forced_fallback_is_the_two_level_rule(self, monkeypatch,
                                                    two_level_rows):
-        # with no bound proved, every row is the two-level rule's, bit for
-        # bit, coefficients from the level of 2 P0 panels included
-        for module in (analysis, approximation):
-            monkeypatch.setattr(module, "_gauss_bound",
-                                lambda *args: math.inf)
+        # with no bound proved, every norm is the two-level rule's, bit for
+        # bit, coefficients from the level of 2 P0 panels included; the sup
+        # is the first level's whichever branch the interior rule takes (with
+        # the ladder forced too, its coefficients and so its last bits move)
+        def sups():
+            rows = [convergence_study(from_id(case["fn"]), case["p"],
+                                      [case["tau"]], QUAD)[0].sup_error
+                    for case in two_level_rows["converge"]]
+            return [repr(v) for v in rows] + [
+                repr(check_poly_nikolskii(exp_coefficients(case["tau"]),
+                                          case["p"], QUAD).lhs)
+                for case in two_level_rows["poly_nikolskii"]]
+
+        unforced = sups()
+        monkeypatch.setattr(analysis, "_gauss_bound", lambda *args: math.inf)
+        assert sups() == unforced
+        monkeypatch.setattr(approximation, "_gauss_bound",
+                            lambda *args: math.inf)
         for case in two_level_rows["converge"]:
             (rec,) = convergence_study(from_id(case["fn"]), case["p"],
                                        [case["tau"]], QUAD)
             got = [rec.interior_error.value, rec.interior_error.error_bound,
-                   rec.tail_error.value, rec.total_error,
-                   rec.sup_error.certified_bound, rec.sup_error.grid_max]
-            assert [repr(v) for v in got] == case["row"], case
+                   rec.tail_error.value, rec.total_error]
+            assert [repr(v) for v in got] == case["row"][:4], case
         for case in two_level_rows["poly_nikolskii"]:
             chk = check_poly_nikolskii(exp_coefficients(case["tau"]),
                                        case["p"], QUAD)
-            got = [chk.lhs, chk.rhs, chk.error_bound]
-            assert [repr(v) for v in got] == case["row"], case
+            got = [chk.rhs, chk.error_bound]
+            assert [repr(v) for v in got] == case["row"][1:], case
+
+    @pytest.mark.parametrize("fn_id, tau", [
+        ("sinc:sigma=1", 40.3),
+        # p = 4 takes two levels here
+        ("fejer_square:sigma=2", 5120.3),
+        # complex F
+        ("mollify:base=expi,omega=1,rho=0.5", 40.3)])
+    def test_sup_is_the_same_for_every_p(self, fn_id, tau):
+        f = from_id(fn_id)
+        sups = {repr(convergence_study(f, p, [tau], QUAD)[0].sup_error)
+                for p in (1.5, 2.0, 3.0, 4.0)}
+        assert len(sups) == 1
 
     def test_natural_fallback_at_p_4(self):
         # fejer_square at p = 4 and tau 5120.3: the bound sees
@@ -1188,14 +1226,14 @@ class TestPanelSup:
         hw = 0.2
         mids = hw * (2.0 * np.arange(-20, 20) + 1.0)
         values = np.exp(1j * omega * (mids[:, None] + hw * xq))
-        cert = analysis._panel_sup(values, hw, ((omega, 1.0),), False)
+        cert = analysis._panel_sup(values, hw, ((omega, 1.0),))
         assert 1.0 <= cert.certified_bound <= 1.0 + 1e-12
         assert cert.grid_max <= cert.certified_bound
         assert cert.spacing == 2.0 * hw
 
     def test_zero_values(self):
         cert = analysis._panel_sup(np.zeros((4, 15), dtype=complex), 0.1,
-                                   ((1.0, 0.0), (1.0, 0.0)), False)
+                                   ((1.0, 0.0), (1.0, 0.0)))
         assert cert.certified_bound == 0.0 and cert.grid_max == 0.0
 
     @pytest.mark.filterwarnings("error")
@@ -1204,7 +1242,7 @@ class TestPanelSup:
         # |F| = 1e200 overflows the squares of one pass, whose sum is NaN
         values = np.ones((quadrature._SUP_PASS + 1, 15))
         values[panel] = 1e200
-        cert = analysis._panel_sup(values, 0.01, ((1.0, 1.0),), False)
+        cert = analysis._panel_sup(values, 0.01, ((1.0, 1.0),))
         assert not cert.certified_bound < cert.grid_max
 
     def test_zero_approximant_has_zero_norm_at_large_p(self):
@@ -1223,15 +1261,15 @@ class TestPanelSup:
         seen = []
         panel_sup = analysis._panel_sup
 
-        def spy(values, hw, derivs, quarters):
-            seen.append((values, hw, derivs, quarters))
-            return panel_sup(values, hw, derivs, quarters)
+        def spy(values, hw, derivs):
+            seen.append((values, hw, derivs))
+            return panel_sup(values, hw, derivs)
 
         monkeypatch.setattr(analysis, "_panel_sup", spy)
         (rec,) = convergence_study(f, 2.0, [tau], QUAD)
-        ((values, hw, derivs, quarters),) = seen
+        ((values, hw, derivs),) = seen
         cert = rec.sup_error.certified_bound
-        chebyshev_part = panel_sup(values, hw, (), quarters).certified_bound
+        chebyshev_part = panel_sup(values, hw, ()).certified_bound
         term = (3.0 * np.finfo(float).eps * len(values) * hw
                 * quadrature._lebesgue(values.shape[1])
                 * sum(r * c for r, c in derivs))

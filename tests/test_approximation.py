@@ -188,6 +188,24 @@ class TestCoefficientsAgainstMpmath:
                 ref = complex(exact(t, mp.pi * k / t))
                 assert abs(c - ref) <= abs_error, (k, c, ref)
 
+    def test_expi_within_abs_error(self):
+        # |fl(e^{i omega x})| = 1 + 2^-52 exceeds C = 1 at some node, so the
+        # ladder doubles and prints the nominal abs_tol; on P0 alone e + r
+        # would read 2.8e-14 against an error of 5.1e-14, as the rounding of
+        # e^{i omega x}, about eps omega |x|, is not counted.  c_k is
+        # sinc(u - pi k) at u = omega tau, the product of the two floats
+        # (exp_coefficients' float u is itself 2.6e-14 off)
+        import mpmath as mp
+
+        omega, tau = 3.7, 320.3
+        a = fourier_coefficients(make_complex_exponential(omega), tau, QUAD)
+        abs_error = a.coeff_error / (2 * a.N + 1)
+        with mp.workdps(40):
+            u = mp.mpf(omega) * mp.mpf(tau)
+            for k, c in zip(range(-a.N, a.N + 1), a.coefficients):
+                ref = complex(mp.sinc(u - mp.pi * k))
+                assert abs(c - ref) <= abs_error, (k, c, ref)
+
     @pytest.mark.parametrize("name", sorted(COEFFICIENT_CASES))
     def test_closed_forms_match_quadrature(self, name):
         # the closed forms against mpmath quadrature at tau 5
