@@ -63,7 +63,9 @@ LEMMA2_CASES = [
 # by a power of two, tolerances that send the interior rule to its
 # integrate fallback, sinc at p = 2 on large taus (one level each), and
 # fejer_square at p = 4 and tau 5120.3, where the Gauss bound fails and
-# the rule compares two levels.
+# the rule compares two levels, and a mollified fejer_square with
+# C = 4.55e30, whose coefficient ladder doubles and hands the rule its
+# coarser level.
 CONVERGE_CASES = [
     ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
      "--tau", "10,20,40,80"],
@@ -94,6 +96,12 @@ CONVERGE_CASES = [
      "--tau", "1280.3,5120.3"],
     ["converge", "--fn", "fejer_square:sigma=2", "--p", "4",
      "--tau", "5120.3"],
+    ["converge", "--fn", "mollify:base=fejer_square,sigma=1e-14,rho=0.5",
+     "--p", "2", "--tau", "10,40.3"],
+    ["converge", "--fn", "mollify:base=fejer_square,sigma=1e-14,rho=0.5",
+     "--p", "1.5", "--tau", "10,40.3"],
+    ["converge", "--fn", "mollify:base=fejer_square,sigma=1e-14,rho=0.5",
+     "--p", "4", "--tau", "40.3"],
 ]
 
 # coeffs, which the benchmark does not run, as CSV and JSON tables.
@@ -111,6 +119,9 @@ COEFFS_CASES = [
     # one level, whose rounding term takes C = 2.5e12, not the largest
     # sample 0.318
     ["coeffs", "--fn", "mollify:base=sinc,sigma=1,rho=1e-6", "--tau", "10"],
+    # C = 4.55e30: the ladder doubles
+    ["coeffs", "--fn", "mollify:base=fejer_square,sigma=1e-14,rho=0.5",
+     "--tau", "10"],
 ]
 
 # lewitan, which the benchmark does not run: the automatic cutoff, the
@@ -137,9 +148,11 @@ COUNTEREXAMPLE_CASES = [
     ["counterexample", "--m", "15,14,1,15"],
 ]
 
-# The benchmark runs the inequalities matrix as CSV only.
+# The benchmark runs the inequalities matrix as CSV only.  An abs_tol whose
+# p-th power overflows leaves the real-line windows at their floor.
 INEQUALITIES_CASES = [
     ["inequalities", "--format", "json"],
+    ["inequalities", "--abs-tol", "1e78"],
 ]
 
 # Each exits 2 with one line on stderr.  The --output directory is relative

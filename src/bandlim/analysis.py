@@ -127,7 +127,8 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
                       even: bool = False) -> NormEstimate:
     """Real-line L^p norm of g, of exponential type <= sigma with
     |g| <= env, over the window [-X, X] plus the envelope tail beyond it,
-    X = clamp(env.cutoff_for_tail(abs_tol^p, p), 50, _X_MAX).
+    X = clamp(env.cutoff_for_tail(abs_tol^p, p), 50, _X_MAX), the budget
+    abs_tol^p taken as inf where it overflows.
 
     Even integer p takes the exact sampling sum.  Theorem (Plancherel and
     Polya 1937; Boas, *Entire Functions*, 1954, ch. 6): if G is entire of
@@ -161,7 +162,11 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
     the quadrature runs on [0, X] with the same panel width, and its
     integral and error are doubled before the one p-th root.
     """
-    cutoff = env.cutoff_for_tail(quad.abs_tol ** p, p)
+    try:
+        budget = quad.abs_tol ** p
+    except OverflowError:  # no tail is that large: the window's floor
+        budget = math.inf
+    cutoff = env.cutoff_for_tail(budget, p)
     cutoff = max(50.0, min(_X_MAX, cutoff))
 
     def power(x):
@@ -338,7 +343,7 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
     n = _first_level(a.sigma, a.tau, f"the interior L^{p:g} rule at "
                      f"tau={a.tau:g} needs")
     norm, cert = _interior_lp(0.0, a, p, quad,
-                              [_level(np.zeros_like, a.tau, N, n)],
+                              _level(np.zeros_like, a.tau, N, n),
                               np.zeros_like)
     factor = 2.0 * N ** (1.0 / p) * (math.pi / a.tau) ** (1.0 / p)
     rhs = factor * norm.value
@@ -404,8 +409,8 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
 
     records = []
     for tau in tau_list:
-        a, levels = _coefficient_ladder(f, tau, quad)
-        interior, sup_cert = _interior_lp(f.decay.C, a, p, quad, levels,
+        a, level = _coefficient_ladder(f, tau, quad)
+        interior, sup_cert = _interior_lp(f.decay.C, a, p, quad, level,
                                           f.eval_real)
         # in units of 2^e where the envelope's p-th power at tau is below
         # 2^-512, as in the interior rule
@@ -428,7 +433,7 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
 
 
 def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
-                 quad: QuadratureSpec, levels: Sequence[tuple], g
+                 quad: QuadratureSpec, level: tuple, g
                  ) -> tuple[NormEstimate, SupNormCertificate]:
     """||g - f_tau||_{L^p[-tau, tau]} by a fixed panel rule on F = g - f_tau,
     and the certified sup of |F| on [-tau, tau], from F on the panel nodes
@@ -436,13 +441,12 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     ``a.sigma``, and ``g_sup = f.decay.C`` >= sup |f|), or 0 with
     g_sup = 0 for f_tau itself.
 
-    ``levels`` holds the :func:`_level` of g at n equal panels, n > 2N, and
-    may hold that at 2n: for f, those of the coefficient ladder, which
-    :func:`convergence_study` passes on, so that f is sampled once per node
-    and each level's tables are built once; for 0, the level of
-    :func:`check_poly_nikolskii`.  The rule samples level 2n from ``g``
-    where it needs it and ``levels`` lacks it.  f_tau on each level is one
-    :func:`_on_panels`, so F is real for real g and f_tau.
+    ``level`` is the :func:`_level` of g at n equal panels, n > 2N: for f,
+    the one that the coefficient ladder hands :func:`convergence_study`,
+    so that f is not sampled again there; for 0, the level of
+    :func:`check_poly_nikolskii`.  The rule builds level 2n from ``g``
+    where it needs it.  f_tau on each level is one :func:`_on_panels`, so
+    F is real for real g and f_tau.
     :func:`_panel_sup` takes the sup once, on the quarters of the level-n
     panels, whatever p, with Bernstein's
     |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
@@ -486,7 +490,7 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     tau = a.tau
     coeff_sum = float(np.abs(a.coefficients).sum())
     derivs = ((a.sigma, g_sup), (math.pi * a.N / tau, coeff_sum))
-    hw, diff = _gap(a, *levels[0])
+    hw, diff = _gap(a, *level)
     sup_cert = _panel_sup(diff, hw, derivs)
     e = _power_scale(sup_cert.grid_max, p)
     coarse = _power_sums(diff, hw, p, tau, e)
@@ -506,8 +510,7 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
                    + p * node_err * (2.0 * tau) ** (1.0 / p)
                    * integral ** (1.0 - 1.0 / p))
             return _scaled_norm(integral, err, p, e, tau, sup_cert)
-    hw, diff = _gap(a, *(levels[1] if len(levels) > 1
-                         else _level(g, tau, a.N, 2 * len(diff))))
+    hw, diff = _gap(a, *_level(g, tau, a.N, 2 * len(diff)))
     halves = _power_sums(diff, hw, p, tau, e)
     if e:
         diff = diff * math.ldexp(1.0, -e)

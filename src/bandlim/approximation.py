@@ -150,7 +150,9 @@ def _trig_sums(coefficients, theta):
 def fourier_coefficients(f: TestFunction, tau: float,
                          quad: Optional[QuadratureSpec] = None) -> TrigApproximant:
     """c_k = (1/2 tau) * integral_{-tau}^{tau} f(t) e^{-i pi k t / tau} dt
-    for |k| <= N, each to absolute accuracy quad.abs_tol.
+    for |k| <= N, each within ``coeff_error`` / (2N + 1): e + r on the
+    first level, which can exceed quad.abs_tol where r does, and the
+    nominal quad.abs_tol where P doubles (the error contract below).
 
     Method: the composite Gauss-Legendre rule of :func:`_panel_nodes`
     on P equal panels, with all coefficients taken from one real FFT of
@@ -178,11 +180,13 @@ def fourier_coefficients(f: TestFunction, tau: float,
 
 def _coefficient_ladder(f: TestFunction, tau: float,
                         quad: Optional[QuadratureSpec] = None):
-    """(:func:`fourier_coefficients`, levels): the approximant, and its
-    :func:`_level` of P0 panels, or its last two, of P and 2P.  The
-    interior rule of ``analysis`` takes them as its first pass instead of
-    sampling f and building the tables again.  Each level's tables are
-    built once, and serve both its forward FFT and the inverse one."""
+    """(:func:`fourier_coefficients`, level): the approximant, and one
+    :func:`_level` of f: that of P0 panels where P0 is accepted, and where
+    P doubles, that of the coarser count P of the pair that agreed.  The
+    interior rule of ``analysis`` takes it as its level n instead of
+    sampling f and building the tables again, and builds its level 2n
+    itself.  Each level's tables serve both its forward FFT and the
+    inverse one."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     quad = quad or QuadratureSpec()
@@ -200,7 +204,7 @@ def _coefficient_ladder(f: TestFunction, tau: float,
         return (TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
                                 coefficients=prev,
                                 coeff_error=(2 * N + 1) * (bound + rounding)),
-                (level,))
+                level)
     for _ in range(quad.max_depth):
         panels *= 2
         prev_level, level = level, _level(f.eval_real, tau, N, panels)
@@ -210,7 +214,7 @@ def _coefficient_ladder(f: TestFunction, tau: float,
             return (TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
                                     coefficients=coeffs,
                                     coeff_error=(2 * N + 1) * quad.abs_tol),
-                    (prev_level, level))
+                    prev_level)
         try:
             _check_nodes(2 * panels * ORDER, "the next level needs")
         except ValueError as exc:
@@ -253,43 +257,28 @@ def _five_smooth(n: int) -> int:
     while p5 < best:
         p35 = p5
         while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
+            # p35 2^j with 2^j >= ceil(n / p35)
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _panel_shift(k, panels: int):
-    """s_k = (-1)^k e^{-i pi k / P} for the wavenumbers ``k``, so that
-    e^{-i pi k m_j / tau} = s_k e^{-2 pi i j k / P} at the midpoints m_j of
-    the P panels of :func:`_panel_nodes` on [-tau, tau].  The forward panel
-    FFT takes s_k, its transpose :meth:`TrigApproximant.on_panels` the
-    conjugate."""
-    return np.where(k % 2 == 0, 1.0, -1.0) * np.exp(-1j * math.pi * k / panels)
 
 
 def _panel_tables(N: int, panels: int, xq):
     """(s_k, e^{-i pi k x_q / P}) for 0 <= k <= N, the (N + 1,) and
     (N + 1, Q) phase tables of one level of P = ``panels`` panels with
     reference nodes ``xq``: :func:`_panel_fft_coefficients` takes them, and
-    :func:`_on_panels` their conjugates.  ValueError unless P > 2N, so that
-    every |k| <= N has a bin of its own and k <= N < P / 2.  For nodes
-    symmetric about 0, as the Gauss nodes are, the left half of the phases
-    is the conjugate of the right half's mirror, bit for bit."""
+    :func:`_on_panels` their conjugates.  s_k = (-1)^k e^{-i pi k / P}, so
+    that e^{-i pi k m_j / tau} = s_k e^{-2 pi i j k / P} at the midpoints
+    m_j of the P panels of :func:`_panel_nodes` on [-tau, tau].  ValueError
+    unless P > 2N, so that every |k| <= N has a bin of its own and
+    k <= N < P / 2."""
     if not panels > 2 * N:
         raise ValueError(f"need more than 2N = {2 * N} panels, got {panels}")
     k = np.arange(N + 1)
-    half = len(xq) // 2
-    symmetric = np.array_equal(xq[::-1], -xq)
-    phase = np.exp((-1j * math.pi / panels)
-                   * np.outer(k, xq[half:] if symmetric else xq))
-    if symmetric:
-        phase = np.concatenate([np.conj(phase[:, ::-1][:, :half]), phase],
-                               axis=1)
-    return _panel_shift(k, panels), phase
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    return (sign * np.exp(-1j * math.pi * k / panels),
+            np.exp((-1j * math.pi / panels) * np.outer(k, xq)))
 
 
 def _level(g, tau: float, N: int, panels: int):
@@ -306,12 +295,12 @@ def _panel_fft_coefficients(tau: float, level):
     """Composite Gauss estimate of c_k from a :func:`_level` of f on
     [-tau, tau].
 
-    By :func:`_panel_shift` the sum over panels is s_k times bin k of the
-    FFT along the panel axis.  That FFT is one real FFT (``np.fft.rfft``)
-    of the real part of the samples, and one of the imaginary part when
-    that is nonzero.  Each part gives c_k for 0 <= k <= N from its bins
-    0..N, and c_{-k} = conj(c_k).  So the coefficients of a real f are
-    exactly conjugate-symmetric, c_0 real.
+    By the midpoint identity of :func:`_panel_tables` the sum over panels
+    is s_k times bin k of the FFT along the panel axis.  That FFT is one
+    real FFT (``np.fft.rfft``) of the real part of the samples, and one of
+    the imaginary part when that is nonzero.  Each part gives c_k for
+    0 <= k <= N from its bins 0..N, and c_{-k} = conj(c_k).  So the
+    coefficients of a real f are exactly conjugate-symmetric, c_0 real.
     """
     samples, (shift, phase) = level
     hw = tau / len(samples)

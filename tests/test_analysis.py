@@ -28,10 +28,10 @@ QUAD = QuadratureSpec()
 
 def first_levels(g, a):
     """The :func:`_level` of g at the first panel count n of the
-    coefficient ladder at a.tau and at 2n, as the ladder passes them on to
-    the interior rule when it doubles."""
+    coefficient ladder at a.tau, as the ladder passes it on to the
+    interior rule where it accepts n."""
     n = _first_level(a.sigma, a.tau, "the test needs")
-    return [_level(g, a.tau, a.N, panels) for panels in (n, 2 * n)]
+    return _level(g, a.tau, a.N, n)
 
 
 def zero_function():
@@ -76,6 +76,14 @@ class TestLpNorms:
         # but its integral, about 1e-417, is below every float
         with pytest.raises(ValueError, match="underflows"):
             lp_norm_line(make_sinc(1.0), 100.0, QUAD)
+
+    def test_overflowing_tail_budget_takes_the_window_floor(self):
+        # abs_tol^4 = 1e400 overflowed as a Python float and raised
+        # OverflowError; the window now drops to its floor of 50
+        est = lp_norm_line(make_sinc(1.0), 4.0, QuadratureSpec(abs_tol=1e100))
+        exact = (2.0 / (3.0 * math.pi ** 3)) ** 0.25
+        assert math.isfinite(est.value) and math.isfinite(est.error_bound)
+        assert abs(est.value - exact) <= est.error_bound
 
     def test_line_norm_rejects_nonmember(self):
         with pytest.raises(ValueError):
@@ -951,6 +959,20 @@ class TestOneLevel:
                 for p in (1.5, 2.0, 3.0, 4.0)}
         assert len(sups) == 1
 
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("tau", [10.0, 40.3])
+    def test_doubled_ladder_hands_over_its_coarser_level(self, tau, p):
+        # C = 4.55e30 fails the first level's Gauss bound, so the ladder
+        # doubles, and the interior rule takes the coarser level of the
+        # pair that agreed and builds its own level of twice the panels
+        f = from_id("mollify:base=fejer_square,sigma=1e-14,rho=0.5")
+        a = fourier_coefficients(f, tau, QUAD)
+        assert a.coeff_error == (2 * a.N + 1) * QUAD.abs_tol
+        (rec,) = convergence_study(f, p, [tau], QUAD)
+        got, ref = rec.interior_error, interior_by_tight_rule(f, a, p)
+        assert abs(got.value - ref.value) \
+            <= got.error_bound + ref.error_bound + rounding_term(a, p)
+
     def test_natural_fallback_at_p_4(self):
         # fejer_square at p = 4 and tau 5120.3: the bound sees
         # C + sum |c_k|, not the size of F, and exceeds the integral 7.6e7
@@ -1131,7 +1153,7 @@ class TestSplitAtRoots:
 
 class TestSharedLadder:
     """One 5-smooth panel ladder per tau: the interior rule takes the
-    coefficient ladder's levels and its samples of f."""
+    coefficient ladder's level and its samples of f."""
 
     @pytest.mark.parametrize("p", [2.0, 4.0])
     @pytest.mark.parametrize("fn_id", [

@@ -1,8 +1,11 @@
+import bisect
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandlim import quadrature
 from bandlim.approximation import (_LEWITAN_VALUES_PER_TERM, MAX_LEWITAN_K,
@@ -150,11 +153,13 @@ def fejer_coefficient(sigma, u, tau):
                                                                * tau)
 
 
-def sinc_coefficient(tau, w):
-    """(1 / 2 tau) int_{-tau}^{tau} sin(t) / (pi t) cos(w t) dt in mpmath."""
+def sinc_coefficient(tau, w, sigma=1):
+    """(1 / 2 tau) int_{-tau}^{tau} sin(sigma t) / (pi t) cos(w t) dt in
+    mpmath."""
     import mpmath as mp
 
-    return (mp.si((1 + w) * tau) + mp.si((1 - w) * tau)) / (2 * mp.pi * tau)
+    return ((mp.si((sigma + w) * tau) + mp.si((sigma - w) * tau))
+            / (2 * mp.pi * tau))
 
 
 # c_k(tau, w = pi k / tau) of each function in mpmath, in closed form.
@@ -186,6 +191,27 @@ class TestCoefficientsAgainstMpmath:
             t = mp.mpf(tau)
             for k, c in zip(range(-a.N, a.N + 1), a.coefficients):
                 ref = complex(exact(t, mp.pi * k / t))
+                assert abs(c - ref) <= abs_error, (k, c, ref)
+
+    # the settings of the soundness properties in test_properties.py
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(sigma=st.floats(min_value=0.3, max_value=3.0),
+           tau=st.floats(min_value=1.0, max_value=150.0))
+    @pytest.mark.parametrize("name", ["sinc", "fejer_square"])
+    def test_within_abs_error_over_sigma_and_tau(self, name, sigma, tau):
+        import mpmath as mp
+
+        make, exact = {
+            "sinc": (make_sinc, lambda s, t, w: sinc_coefficient(t, w, s)),
+            "fejer_square": (make_fejer_square,
+                             lambda s, t, w: fejer_coefficient(s, w, t)),
+        }[name]
+        a = fourier_coefficients(make(sigma), tau, QUAD)
+        abs_error = a.coeff_error / (2 * a.N + 1)
+        with mp.workdps(30):
+            s, t = mp.mpf(sigma), mp.mpf(tau)
+            for k, c in zip(range(-a.N, a.N + 1), a.coefficients):
+                ref = complex(exact(s, t, mp.pi * k / t))
                 assert abs(c - ref) <= abs_error, (k, c, ref)
 
     def test_expi_within_abs_error(self):
@@ -288,6 +314,18 @@ class TestFirstLevel:
         smooth = [n for n in range(1, 3001) if is_five_smooth(n)]
         for n in range(1, 2701):
             assert _five_smooth(n) == next(m for m in smooth if m >= n)
+        # m - 1, m and m + 1 for every 5-smooth m up to the largest P0
+        # that the node limit admits
+        top = 139968
+        assert _five_smooth(MAX_NODES // 30) == top
+        smooth = sorted(2 ** i * 3 ** j * 5 ** k for i in range(19)
+                        for j in range(12) for k in range(9)
+                        if 2 ** i * 3 ** j * 5 ** k <= 2 * top)
+        for m in smooth[:bisect.bisect_right(smooth, top)]:
+            for n in (m - 1, m, m + 1):
+                if n >= 1:
+                    expected = smooth[bisect.bisect_left(smooth, n)]
+                    assert _five_smooth(n) == expected, n
 
     def test_benchmark_ladder(self):
         # panels at most pi / 2 wide, 5-smooth, and more than 2N

@@ -245,6 +245,15 @@ class TestInequalities:
         ]:
             assert rows[key] == check.error_bound > 0, key
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_abs_tol_power_exits_0(self, capsys):
+        # abs_tol^4 of the p = 4 Nikolskii row overflowed as a Python
+        # float, which printed a traceback and exited 1
+        status, out, err = run_capture(["inequalities", "--abs-tol", "1e78"],
+                                       capsys)
+        assert (status, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 19
+
 
 class TestLemma2:
     def test_single_cell(self, capsys):

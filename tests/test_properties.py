@@ -313,10 +313,10 @@ class TestCertifiedSupsAreSound:
            param=st.floats(min_value=0.5, max_value=1.5), tau=tau_param)
     def test_truncation_sup(self, name, param, tau):
         f = SUP_MEMBERS[name](param)
-        a, levels = _coefficient_ladder(f, tau)
+        a, level = _coefficient_ladder(f, tau)
         (rec,) = convergence_study(f, 2.0, [tau])
         dense = fine_max(lambda x: f.eval_real(x) - a.evaluate(x), tau,
-                         2 * levels[0][0].size)
+                         2 * level[0].size)
         slack = 64 * EPS * (f.decay.C + np.abs(a.coefficients).sum())
         assert dense <= rec.sup_error.certified_bound + slack
 

@@ -449,7 +449,7 @@ def exp_site(gate, monkeypatch):
 # (largest node count, site).  The sinc approximant at tau = 10 (N = 3) has
 # 15 first-level panels, the 5-smooth count above 40 / pi, whose level of
 # 30 panels takes 450 nodes in fourier_coefficients and in the convergence
-# study, which takes the interior rule's levels from it; the squared-Fejer
+# study, which takes the interior rule's level from it; the squared-Fejer
 # sup, |f| being even, the 1000 panels j >= P // 2 of its P = 1999, of 15
 # nodes each; the lemma2 cell takes
 # ceil(1000 / 15) = 67 panels; the sinc L^2 sampling sum, |sinc| being
