@@ -89,6 +89,9 @@ CONVERGE_CASES = [
      "--tau", "160.3"],
     ["converge", "--fn", "sinc:sigma=1", "--p", "200", "--tau", "10,40"],
     ["converge", "--fn", "sinc:sigma=1", "--p", "200", "--tau", "40.3"],
+    # complex F scaled by 2^-e, e = -4 and -8
+    ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "200",
+     "--tau", "10.3,40.3"],
     # two panels of complex F miss 1e-13 and fall back on integrate
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "1.5",
      "--tau", "10", "--abs-tol", "1e-13", "--rel-tol", "1e-13"],
@@ -116,11 +119,15 @@ COEFFS_CASES = [
     ["coeffs", "--fn", "sinc:sigma=1e-200", "--tau", "1e-200"],
     # a sample |fl(e^{i omega x})| = 1 + 2^-52 above C = 1: the ladder doubles
     ["coeffs", "--fn", "expi:omega=3.7", "--tau", "320.3"],
-    # one level, whose rounding term takes C = 2.5e12, not the largest
-    # sample 0.318
+    # the rounding term takes C = 2.5e12, not the largest sample 0.318,
+    # and exceeds abs_tol: the ladder doubles
     ["coeffs", "--fn", "mollify:base=sinc,sigma=1,rho=1e-6", "--tau", "10"],
-    # C = 4.55e30: the ladder doubles
+    # C = 4.55e30: the Gauss bound fails, and the ladder doubles
     ["coeffs", "--fn", "mollify:base=fejer_square,sigma=1e-14,rho=0.5",
+     "--tau", "10"],
+    # C = 4.55e28: the Gauss bound passes, its rounding term (3.5e14 per
+    # coefficient) does not, and the ladder doubles
+    ["coeffs", "--fn", "mollify:base=fejer_square,sigma=1e-13,rho=0.5",
      "--tau", "10"],
 ]
 

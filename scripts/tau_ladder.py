@@ -4,10 +4,13 @@ thread: wall time, tracemalloc peak and minor page faults per call, and the
 exponents of time and memory in tau.
 
 For each function (sinc sigma=1, fejer_square sigma=2), p (2 and 1.5) and
-tau of the ladder 20.3, 80.3, ..., 20480.3 (a factor 4 apart), one
-``convergence_study(f, p, [tau])`` call warms up, five timed calls give the
-best wall time and the minor page faults (``ru_minflt``) per call, and one
-more call under tracemalloc gives the peak of traced memory.  The fitted
+tau of the ladder 20.3, 80.3, ..., 20480.3 (a factor 4 apart), a rung, one
+``convergence_study(f, p, [tau])`` call warms up.  Then five rounds each
+call every rung once, the odd rounds in reverse order, so that a slow
+stretch of the machine slows one call of many rungs rather than every call
+of a few; the five calls of a rung give its best wall time and its minor
+page faults (``ru_minflt``) per call.  Last, one more call of each rung
+under tracemalloc gives the peak of traced memory.  The fitted
 exponents are least-squares slopes of log time and log peak against log
 tau over the rungs from 320.3 up, where fixed costs no longer dominate.
 The document also records the machine, Python and numpy.  Run from the
@@ -44,24 +47,34 @@ TIMED = 5
 FIT_FROM = 320.3
 
 
-def measure(study, f, p: float, tau: float) -> dict:
-    """One rung: best wall time of ``TIMED`` calls, their minor faults per
-    call, and the tracemalloc peak of one more call."""
-    study(f, p, [tau])
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    walls = []
-    for _ in range(TIMED):
-        start = time.perf_counter()
+def measure(study, rungs) -> list[dict]:
+    """Per rung (f, p, tau) of ``rungs``: the best wall time of its
+    ``TIMED`` calls, one in each round over all rungs, their minor faults
+    per call, and the tracemalloc peak of one more call."""
+    for f, p, tau in rungs:
         study(f, p, [tau])
-        walls.append(time.perf_counter() - start)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    tracemalloc.start()
-    study(f, p, [tau])
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return {"tau": tau, "wall_ms": round(1e3 * min(walls), 3),
-            "peak_mib": round(peak / 2 ** 20, 3),
-            "minflt_per_call": faults / TIMED}
+    walls = [[] for _ in rungs]
+    faults = [0] * len(rungs)
+    order = list(range(len(rungs)))
+    for r in range(TIMED):
+        for i in order[::-1] if r % 2 else order:
+            f, p, tau = rungs[i]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            study(f, p, [tau])
+            walls[i].append(time.perf_counter() - start)
+            faults[i] += (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                          - before)
+    rows = []
+    for (f, p, tau), wall, fault in zip(rungs, walls, faults):
+        tracemalloc.start()
+        study(f, p, [tau])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        rows.append({"tau": tau, "wall_ms": round(1e3 * min(wall), 3),
+                     "peak_mib": round(peak / 2 ** 20, 3),
+                     "minflt_per_call": fault / TIMED})
+    return rows
 
 
 def slope(points) -> float:
@@ -96,10 +109,12 @@ def main() -> int:
     from bandlim.analysis import convergence_study
     from bandlim.functions import from_id
 
+    measured = measure(convergence_study, [(from_id(fn), p, tau)
+                                           for fn, p in CASES
+                                           for tau in LADDER])
     rows, fits = [], []
-    for fn, p in CASES:
-        rungs = [measure(convergence_study, from_id(fn), p, tau)
-                 for tau in LADDER]
+    for j, (fn, p) in enumerate(CASES):
+        rungs = measured[j * len(LADDER):(j + 1) * len(LADDER)]
         for rung in rungs:
             rows.append({"f": fn, "p": p, **rung})
             print(json.dumps(rows[-1]), file=sys.stderr)

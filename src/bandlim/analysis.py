@@ -44,8 +44,6 @@ _CONTRACTION = 0.1
 class NormEstimate:
     value: float
     error_bound: float
-    p: float
-    domain: str
     tail_bound: float = 0.0
 
 
@@ -82,7 +80,7 @@ class DecompositionValues:
     error_bound: float
 
 
-def _root_norm(integral: float, err: float, p: float, domain: str,
+def _root_norm(integral: float, err: float, p: float,
                tail: float = 0.0) -> NormEstimate:
     """integral^(1/p), its error bound the first-order propagation of
     ``err`` into the p-th root (guarded near zero, where the derivative
@@ -90,8 +88,7 @@ def _root_norm(integral: float, err: float, p: float, domain: str,
     value = integral ** (1.0 / p)
     root = (err ** (1.0 / p) if integral <= err
             else err / (p * value ** (p - 1.0)))
-    return NormEstimate(value=value, error_bound=tail + root, p=p,
-                        domain=domain, tail_bound=tail)
+    return NormEstimate(value, tail + root, tail)
 
 
 def lp_norm_interval(g: Callable, p: float, a: float, b: float,
@@ -114,7 +111,7 @@ def lp_norm_interval(g: Callable, p: float, a: float, b: float,
 
     integral, err = integrate(integrand, a, b, quad,
                               max_panel_width=max_panel_width)
-    return _root_norm(float(integral), float(err), p, f"[{a:g},{b:g}]")
+    return _root_norm(float(integral), float(err), p)
 
 
 def _osc_width(sigma: float) -> float:
@@ -188,13 +185,12 @@ def _lp_norm_envelope(g: Callable, env: DecayEnvelope, p: float,
             rest += float(np.sum(G))
         total = h * (head + 2.0 * rest) if even else h * rest
         rounding = (2 * M + 1) * math.ulp(1.0) * total
-        return _root_norm(total, rounding, p, "real-line", tail)
+        return _root_norm(total, rounding, p, tail)
     tail = env.tail_lp(cutoff, p) ** (1.0 / p)
     integral, err = integrate(power, 0.0 if even else -cutoff, cutoff, quad,
                               max_panel_width=_osc_width(sigma))
     scale = 2.0 if even else 1.0
-    return _root_norm(scale * float(integral), scale * float(err), p,
-                      "real-line", tail)
+    return _root_norm(scale * float(integral), scale * float(err), p, tail)
 
 
 def lp_norm_line(f: TestFunction, p: float,
@@ -417,8 +413,7 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
         e = _power_scale(f.decay.bound(tau), p)
         tail_integral = f.decay.tail_lp(tau, p, e)
         tail_value = math.ldexp(tail_integral ** (1.0 / p), e)
-        tail = NormEstimate(value=tail_value, error_bound=tail_value,
-                            p=p, domain=f"|x|>{tau:g}", tail_bound=tail_value)
+        tail = NormEstimate(tail_value, tail_value, tail_value)
         try:
             total = math.ldexp((math.ldexp(interior.value, -e) ** p
                                 + tail_integral) ** (1.0 / p), e)
@@ -480,8 +475,12 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     theirs, :func:`_cheb_maps`), and at p not an even integer a zero of F
     that changes no sign at the level-2n nodes is not split at.
 
-    The rule runs on 2^-e F, e of :func:`_power_scale` for the sup's
-    ``grid_max``, the largest level-n |F|, and scales the norm back.
+    The rule scales once: right after the sup, e of :func:`_power_scale`
+    for its ``grid_max``, the largest level-n |F|, and where e != 0, F,
+    g_sup and sum |c_k| are multiplied by 2^-e in place, and so is level 2n
+    where it is built.  Every later value (the power sums, the Gauss bound,
+    the rounding terms, the zero threshold) is in these units, exact as
+    2^-e is a power of two, and :func:`_scaled_norm` scales the norm back.
     ValueError: a level value that is not finite (|F|^p overflows, checked
     on level n before the sup), a certified sup that is not finite (|F|
     beyond about 1e154), or an integral below the smallest normal float
@@ -493,27 +492,29 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     hw, diff = _gap(a, *level)
     sup_cert = _panel_sup(diff, hw, derivs)
     e = _power_scale(sup_cert.grid_max, p)
-    coarse = _power_sums(diff, hw, p, tau, e)
+    if e:
+        diff *= math.ldexp(1.0, -e)
+        g_sup, coeff_sum = math.ldexp(g_sup, -e), math.ldexp(coeff_sum, -e)
+    coarse = _power_sums(diff, hw, p, tau)
     if not math.isfinite(sup_cert.certified_bound):
         raise ValueError(f"the certified sup of the interior error at "
                          f"tau={tau:g} is not finite")
     if p % 2 == 0:
         integral = float(coarse.sum())
-        bound = _gauss_bound(math.ldexp(g_sup + coeff_sum, -e),
+        bound = _gauss_bound(g_sup + coeff_sum,
                              max(a.sigma, math.pi * a.N / tau), p, hw, tau)
         if bound <= quad.rel_tol * integral:
             eps, stages = math.ulp(1.0), (len(diff) - 1).bit_length()
             parts = 2 if np.iscomplexobj(diff) else 1
-            node_err = (parts * (4 * stages + 8) * eps
-                        * math.ldexp(coeff_sum, -e))
+            node_err = parts * (4 * stages + 8) * eps * coeff_sum
             err = (bound + (ORDER + stages + 16) * eps * integral
                    + p * node_err * (2.0 * tau) ** (1.0 / p)
                    * integral ** (1.0 - 1.0 / p))
             return _scaled_norm(integral, err, p, e, tau, sup_cert)
     hw, diff = _gap(a, *_level(g, tau, a.N, 2 * len(diff)))
-    halves = _power_sums(diff, hw, p, tau, e)
     if e:
-        diff = diff * math.ldexp(1.0, -e)
+        diff *= math.ldexp(1.0, -e)
+    halves = _power_sums(diff, hw, p, tau)
     fine = halves[0::2] + halves[1::2]
     scale = float(np.abs(coarse).sum())
     edges = np.linspace(-tau, tau, len(coarse) + 1)
@@ -523,8 +524,8 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
         return np.abs(_interpolate(diff, tau, x)) ** p
 
     if p % 2:
-        held, roots = _real_zeros(diff, tau, 32.0 * math.ulp(1.0)
-                                  * math.ldexp(g_sup + coeff_sum, -e))
+        held, roots = _real_zeros(diff, tau,
+                                  32.0 * math.ulp(1.0) * (g_sup + coeff_sum))
         if roots.size:
             ends, half = _pieces(edges, held, roots)
             _check_nodes(3 * ORDER * len(ends), f"the interior L^{p:g} "
@@ -567,12 +568,11 @@ def _power_scale(peak: float, p: float) -> int:
     return 0
 
 
-def _power_sums(diff, hw: float, p: float, tau: float, e: int):
-    """The Gauss value hw sum_q w_q |2^-e F|^p of each panel, for F at a
-    level's nodes in ``diff``; ValueError where one is not finite."""
+def _power_sums(diff, hw: float, p: float, tau: float):
+    """The Gauss value hw sum_q w_q |F|^p of each panel, for F (already
+    scaled by the interior rule) at a level's nodes in ``diff``; ValueError
+    where one is not finite."""
     power = np.abs(diff)
-    if e:
-        power *= math.ldexp(1.0, -e)
     with np.errstate(over="ignore"):
         power **= p
     sums = hw * (power @ _nodes(ORDER)[1])
@@ -589,11 +589,10 @@ def _scaled_norm(integral: float, err: float, p: float, e: int, tau: float,
     if integral < sys.float_info.min and sup_cert.grid_max > 0:
         raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
                          f"underflows")
-    est = _root_norm(integral, err, p, f"[{-tau:g},{tau:g}]")
+    est = _root_norm(integral, err, p)
     if e:
-        est = NormEstimate(value=math.ldexp(est.value, e),
-                           error_bound=math.ldexp(est.error_bound, e),
-                           p=p, domain=est.domain)
+        est = NormEstimate(math.ldexp(est.value, e),
+                           math.ldexp(est.error_bound, e))
     return est, sup_cert
 
 

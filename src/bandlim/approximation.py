@@ -150,9 +150,9 @@ def _trig_sums(coefficients, theta):
 def fourier_coefficients(f: TestFunction, tau: float,
                          quad: Optional[QuadratureSpec] = None) -> TrigApproximant:
     """c_k = (1/2 tau) * integral_{-tau}^{tau} f(t) e^{-i pi k t / tau} dt
-    for |k| <= N, each within ``coeff_error`` / (2N + 1): e + r on the
-    first level, which can exceed quad.abs_tol where r does, and the
-    nominal quad.abs_tol where P doubles (the error contract below).
+    for |k| <= N, each within ``coeff_error`` / (2N + 1), which is at most
+    quad.abs_tol: e + r on the first level, the nominal quad.abs_tol where
+    P doubles (the error contract below).
 
     Method: the composite Gauss-Legendre rule of :func:`_panel_nodes`
     on P equal panels, with all coefficients taken from one real FFT of
@@ -163,12 +163,13 @@ def fourier_coefficients(f: TestFunction, tau: float,
     not alias; every level is 5-smooth.
 
     Error contract: the P0 values are returned when the proved Gauss bound
-    e of each c_k is at most ``quad.abs_tol`` and no sample exceeds
-    ``f.decay.C``; each c_k then errs by at most e + r, r a stated
-    rounding term, and ``coeff_error`` is (2N + 1) (e + r) (README, "Not
-    every error column is a bound").  Otherwise P doubles until the
-    largest difference between the coefficients on P and on 2P panels is
-    at most ``quad.abs_tol``; the 2P values are returned, with the nominal
+    e of each c_k plus r, a stated rounding term that grows with
+    ``f.decay.C``, is at most ``quad.abs_tol`` and no sample exceeds
+    ``f.decay.C``; each c_k then errs by at most e + r, and
+    ``coeff_error`` is (2N + 1) (e + r) (README, "Not every error column
+    is a bound").  Otherwise P doubles until the largest difference
+    between the coefficients on P and on 2P panels is at most
+    ``quad.abs_tol``; the 2P values are returned, with the nominal
     (2N + 1) ``quad.abs_tol``.  After ``quad.max_depth`` doublings, or when
     the next level would need more than ``quadrature.MAX_NODES`` samples,
     :class:`QuadratureNonConvergence` is raised, its message naming which
@@ -181,12 +182,13 @@ def fourier_coefficients(f: TestFunction, tau: float,
 def _coefficient_ladder(f: TestFunction, tau: float,
                         quad: Optional[QuadratureSpec] = None):
     """(:func:`fourier_coefficients`, level): the approximant, and one
-    :func:`_level` of f: that of P0 panels where P0 is accepted, and where
-    P doubles, that of the coarser count P of the pair that agreed.  The
-    interior rule of ``analysis`` takes it as its level n instead of
-    sampling f and building the tables again, and builds its level 2n
-    itself.  Each level's tables serve both its forward FFT and the
-    inverse one."""
+    :func:`_level` of f: that of P0 panels where P0 is accepted (e + r <=
+    abs_tol, r = parts C eps (4 ceil(log2 P0) + ORDER + 4), parts 2 for
+    complex samples, and no sample above C), and where P doubles, that of
+    the coarser count P of the pair that agreed.  The interior rule of
+    ``analysis`` takes it as its level n instead of sampling f and
+    building the tables again, and builds its level 2n itself.  Each
+    level's tables serve both its forward FFT and the inverse one."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     quad = quad or QuadratureSpec()
@@ -197,10 +199,11 @@ def _coefficient_ladder(f: TestFunction, tau: float,
     prev = _panel_fft_coefficients(tau, level)
     bound = _gauss_bound(f.decay.C, f.sigma + math.pi * N / tau, 1.0,
                          tau / panels, 0.5)
-    if bound <= quad.abs_tol and np.abs(level[0]).max() <= f.decay.C:
-        parts = 2 if np.iscomplexobj(level[0]) else 1
-        rounding = (parts * f.decay.C * math.ulp(1.0)
-                    * (4 * (panels - 1).bit_length() + ORDER + 4))
+    parts = 2 if np.iscomplexobj(level[0]) else 1
+    rounding = (parts * f.decay.C * math.ulp(1.0)
+                * (4 * (panels - 1).bit_length() + ORDER + 4))
+    if (bound + rounding <= quad.abs_tol
+            and np.abs(level[0]).max() <= f.decay.C):
         return (TrigApproximant(tau=float(tau), sigma=f.sigma, N=N,
                                 coefficients=prev,
                                 coeff_error=(2 * N + 1) * (bound + rounding)),
@@ -388,12 +391,16 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
     """Symmetric partial sum of sum_k f(x + k tau) * w(x/tau + k).
 
     In 'verbatim' mode the weight is sin^2(u)/u^2; 'classical' uses the
-    partition-of-unity weight sin^2(pi u)/(pi u)^2.  ``K = 0`` picks the
-    cutoff from the decay envelope so the returned tail bound is below
-    1e-8.  K is at most ``MAX_LEWITAN_K``, and a K <= |x| / tau + 1 is
-    raised to ceil(|x| / tau) + 2.  The terms are summed in chunks of
+    partition-of-unity weight sin^2(pi u)/(pi u)^2.  Returns ``(value,
+    tail_bound)``: by the decay envelope C (1 + |x|)^-alpha and the 1/u^2
+    decay of the weight, the discarded |k| > K terms sum to at most
+    2 C / (D (K - beta)^(alpha + 1)), beta = |x| / tau, with the one
+    coefficient D = s^2 tau^alpha (alpha + 1), s = pi for 'classical' and
+    1 for 'verbatim'.  ``K = 0`` picks the cutoff from that bound so that
+    it is below 1e-8.  K is at most ``MAX_LEWITAN_K``, and a K <= beta + 1
+    is raised to ceil(beta) + 2.  The terms are summed in chunks of
     ``quadrature.MAX_NODES`` // ``_LEWITAN_VALUES_PER_TERM``, and then the
-    chunk sums.  Returns ``(value, tail_bound)``.
+    chunk sums.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -406,10 +413,15 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
     if not beta < MAX_LEWITAN_K - 2:
         raise ValueError(f"|x| / tau must stay below {MAX_LEWITAN_K - 2}")
     env = f.decay
-    tau_alpha = _tau_power(tau, env.alpha)
-
+    denom = scale ** 2 * _tau_power(tau, env.alpha) * (env.alpha + 1.0)
     if K == 0:
-        K = _auto_cutoff(env, tau_alpha, beta, scale)
+        reach = beta + (2.0 * env.C / (denom * _LEWITAN_TAIL_TARGET)) \
+            ** (1.0 / (env.alpha + 1.0))
+        if not reach <= MAX_LEWITAN_K:
+            raise ValueError(
+                "decay envelope too weak for the automatic Lewitan cutoff; "
+                "pass K explicitly")
+        K = max(math.ceil(reach), math.ceil(beta) + 2)
     if K <= beta + 1:
         K = math.ceil(beta) + 2
 
@@ -421,7 +433,7 @@ def lewitan(f: TestFunction, tau: float, x: float, K: int = 0,
         samples = np.asarray(f.eval_real(x + k * tau))
         partials.append(np.sum(samples * weights))
     value = np.sum(partials)
-    tail = _tail_bound(env, tau_alpha, beta, scale, K)
+    tail = 2.0 * env.C / (denom * (K - beta) ** (env.alpha + 1.0))
     if np.iscomplexobj(value):
         return complex(value), tail
     return float(value), tail
@@ -441,24 +453,3 @@ def _tau_power(tau: float, alpha: float) -> float:
                          f"finite")
     return value
 
-
-def _tail_bound(env, tau_alpha: float, beta: float, scale: float,
-                K: int) -> float:
-    """Bound on the discarded |k| > K terms via the decay envelope and the
-    1/u^2 weight decay; requires K > beta.  ``tau_alpha`` is
-    tau ** env.alpha."""
-    return (2.0 * env.C
-            / (scale ** 2 * tau_alpha * (env.alpha + 1.0)
-               * (K - beta) ** (env.alpha + 1.0)))
-
-
-def _auto_cutoff(env, tau_alpha: float, beta: float, scale: float) -> int:
-    gap = (2.0 * env.C
-           / (scale ** 2 * tau_alpha * (env.alpha + 1.0)
-              * _LEWITAN_TAIL_TARGET)) ** (1.0 / (env.alpha + 1.0))
-    reach = beta + gap
-    if not reach <= MAX_LEWITAN_K:
-        raise ValueError(
-            "decay envelope too weak for the automatic Lewitan cutoff; "
-            "pass K explicitly")
-    return max(math.ceil(reach), math.ceil(beta) + 2)

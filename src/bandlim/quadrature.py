@@ -465,10 +465,14 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
     Gauss rule over the panel, x = l + L t, and the same rule over its two
     halves); a panel whose estimates differ by more than its share of
     max(abs_tol, rel_tol S), S the sum of |coarse| of the first pass, is
-    bisected.  Returns ``(value, err)`` where ``err`` bounds the
-    accumulated panel-estimate differences.  A pass that would
-    take the call above ``MAX_INTEGRAND_POINTS`` raises
-    :class:`QuadratureNonConvergence` before its abscissae are built.
+    bisected.  Every panel starts at depth 0 and only bisected panels go
+    on, so the open panels of pass d all have depth d; a panel that fails
+    in the pass after ``max_depth`` bisections raises
+    :class:`QuadratureNonConvergence`, naming the worst of them.  Returns
+    ``(value, err)`` where ``err`` bounds the accumulated panel-estimate
+    differences.  A pass that would take the call above
+    ``MAX_INTEGRAND_POINTS`` raises :class:`QuadratureNonConvergence`
+    before its abscissae are built.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -484,12 +488,11 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         raise _over_budget(a, b, n0 * per_panel)
     edges = np.linspace(a, b, n0 + 1)
     lefts, rights = edges[:-1], edges[1:]
-    depths = np.zeros(n0, dtype=np.int64)
 
     total_width = b - a
     value = err = 0.0
     scale = None
-    points = 0
+    points = depth = 0
 
     while lefts.size:
         points += per_panel * lefts.size
@@ -508,19 +511,18 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         err = err + float(diff[ok].sum())
 
         bad = ~ok
-        stuck = bad & (depths >= spec.max_depth)
-        if stuck.any():
-            i = int(np.argmax(np.where(stuck, diff, -np.inf)))
+        if bad.any() and depth >= spec.max_depth:
+            i = int(np.argmax(np.where(bad, diff, -np.inf)))
             mid = 0.5 * (lefts[i] + rights[i])
             raise QuadratureNonConvergence(
                 f"quadrature did not converge near x={mid:.6g} "
                 f"(panel error {diff[i]:.3g} > tol {tol[i]:.3g})")
 
-        l, r, d = lefts[bad], rights[bad], depths[bad]
+        l, r = lefts[bad], rights[bad]
         mids = 0.5 * (l + r)
         lefts = np.concatenate([l, mids])
         rights = np.concatenate([mids, r])
-        depths = np.concatenate([d + 1, d + 1])
+        depth += 1
 
     return value, err
 

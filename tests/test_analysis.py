@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandlim import analysis, approximation, quadrature
 from bandlim.analysis import (DecompositionValues, check_nikolskii,
@@ -138,6 +140,25 @@ class TestLineNormSampling:
         exact = (2.0 / sigma * integral) ** (1.0 / p)
         est = lp_norm_line(make_fejer_square(sigma), p, QUAD)
         assert abs(est.value - exact) <= est.error_bound
+
+    # the settings of the soundness properties in test_properties.py
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(sigma=st.floats(min_value=0.3, max_value=3.0))
+    @pytest.mark.parametrize("name, p", [
+        ("sinc", 2.0), ("sinc", 4.0), ("sinc", 6.0),
+        ("fejer_square", 1.0), ("fejer_square", 3.0), ("fejer_square", 4.0)])
+    def test_closed_form_over_sigma(self, name, p, sigma):
+        # ||f||_p^p = sigma^(p - 1) pi^-p I_p for f = sin(sigma x) / (pi x),
+        # and (2 / sigma) I_2p for fejer_square, I_q = int |sin u / u|^q du
+        integral = {2: math.pi, 4: 2.0 * math.pi / 3.0,
+                    6: 11.0 * math.pi / 20.0, 8: 151.0 * math.pi / 315.0}
+        if name == "sinc":
+            f = make_sinc(sigma)
+            power = sigma ** (p - 1.0) / math.pi ** p * integral[p]
+        else:
+            f, power = make_fejer_square(sigma), 2.0 / sigma * integral[2 * p]
+        est = lp_norm_line(f, p, QUAD)
+        assert abs(est.value - power ** (1.0 / p)) <= est.error_bound
 
     def test_fejer_real_line_matches_known_norm(self):
         f = make_fejer_square(2.0)
@@ -855,7 +876,6 @@ class TestInteriorRule:
             ref = oracle(f, a, p)
             assert abs(got.value - ref.value) \
                 <= got.error_bound + ref.error_bound + rounding_term(a, p)
-            assert got.domain == ref.domain
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     def test_takes_no_evaluate_call(self, p, monkeypatch):
@@ -962,16 +982,18 @@ class TestOneLevel:
     @pytest.mark.parametrize("p", [1.5, 2.0])
     @pytest.mark.parametrize("tau", [10.0, 40.3])
     def test_doubled_ladder_hands_over_its_coarser_level(self, tau, p):
-        # C = 4.55e30 fails the first level's Gauss bound, so the ladder
+        # C = 4.55e30 fails the first level's Gauss bound, and C = 4.55e28
+        # its rounding term (about 3.5e14 at tau 10), so the ladder
         # doubles, and the interior rule takes the coarser level of the
         # pair that agreed and builds its own level of twice the panels
-        f = from_id("mollify:base=fejer_square,sigma=1e-14,rho=0.5")
-        a = fourier_coefficients(f, tau, QUAD)
-        assert a.coeff_error == (2 * a.N + 1) * QUAD.abs_tol
-        (rec,) = convergence_study(f, p, [tau], QUAD)
-        got, ref = rec.interior_error, interior_by_tight_rule(f, a, p)
-        assert abs(got.value - ref.value) \
-            <= got.error_bound + ref.error_bound + rounding_term(a, p)
+        for sigma in ("1e-14", "1e-13"):
+            f = from_id(f"mollify:base=fejer_square,sigma={sigma},rho=0.5")
+            a = fourier_coefficients(f, tau, QUAD)
+            assert a.coeff_error == (2 * a.N + 1) * QUAD.abs_tol
+            (rec,) = convergence_study(f, p, [tau], QUAD)
+            got, ref = rec.interior_error, interior_by_tight_rule(f, a, p)
+            assert abs(got.value - ref.value) \
+                <= got.error_bound + ref.error_bound + rounding_term(a, p)
 
     def test_natural_fallback_at_p_4(self):
         # fejer_square at p = 4 and tau 5120.3: the bound sees

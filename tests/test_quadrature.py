@@ -218,7 +218,8 @@ class TestAdaptive:
 
     def test_nonconvergence_raises(self):
         spec = QuadratureSpec(max_depth=3, abs_tol=1e-13, rel_tol=1e-14)
-        with pytest.raises(QuadratureNonConvergence):
+        with pytest.raises(QuadratureNonConvergence,
+                           match=r"near x=0\.125 \(panel error"):
             integrate(lambda x: np.abs(x - 0.1234) ** 0.2, -1.0, 1.0, spec)
 
     def test_budget_stops_runaway_refinement(self, monkeypatch):
