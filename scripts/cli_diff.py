@@ -207,11 +207,17 @@ SIZE_CASES = [
 ]
 
 # Each exits 1 with one line on stderr: a value beyond the float range is
-# refused, not printed as nan or inf.
+# refused, not printed as nan or inf.  The last is an envelope tail of
+# 2.9e308; the mollified fejer_square before it, whose C^2 overflows but
+# whose tail, 5.5e198, does not, exits 0.
 OVERFLOW_CASES = [
     ["lemma2", "--sigma", "1", "--tau", "1e-160", "--delta", "0.5"],
     ["converge", "--fn", "sinc:sigma=1e160", "--tau", "1e-160"],
     ["converge", "--fn", "sinc:sigma=1e160", "--p", "1.5", "--tau", "1e-160"],
+    ["converge", "--fn", "mollify:base=fejer_square,sigma=1e-100,rho=0.5",
+     "--p", "2", "--tau", "10"],
+    ["converge", "--fn", "fejer_square:sigma=3.27e-154", "--p", "1.01",
+     "--tau", "0.001"],
 ]
 
 # -P keeps the working directory off sys.path, so only SRC supplies bandlim.

@@ -20,6 +20,18 @@ repository root:
 
 SRC (default ``src``) holds the ``bandlim`` package; PATH defaults to
 ``BENCH_tau_ladder.json``.
+
+Whole runs drift by up to +-9% against each other, more than a change
+worth telling apart.  So two trees are compared by alternating fresh
+worker processes of both, rung by rung:
+
+    python3 scripts/tau_ladder.py --compare PARENT_SRC CHANGE_SRC
+
+For each of ``ROUNDS`` rounds and each rung, one worker per tree, the
+two in alternating order, imports its tree, warms up with one call and
+times ``TIMED`` more; the ratio of the two best walls is change / parent.
+One JSON line per rung goes to stdout: the median best wall of each tree,
+and the median, least and largest ratio over the rounds.
 """
 
 from __future__ import annotations
@@ -35,6 +47,8 @@ import math  # noqa: E402
 import pathlib  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -43,8 +57,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 LADDER = [20.0 * 4 ** j + 0.3 for j in range(6)]
 CASES = [("sinc:sigma=1", 2.0), ("fejer_square:sigma=2", 2.0),
          ("sinc:sigma=1", 1.5), ("fejer_square:sigma=2", 1.5)]
+RUNGS = [(fn, p, tau) for fn, p in CASES for tau in LADDER]
 TIMED = 5
 FIT_FROM = 320.3
+ROUNDS = 5
 
 
 def measure(study, rungs) -> list[dict]:
@@ -77,6 +93,51 @@ def measure(study, rungs) -> list[dict]:
     return rows
 
 
+def best_wall(src: str, index: int) -> float:
+    """The best of ``TIMED`` walls (s) of rung ``index`` of ``RUNGS`` in this
+    process, with ``bandlim`` imported from ``src``, after one warm-up."""
+    sys.path.insert(0, src)
+    from bandlim.analysis import convergence_study
+    from bandlim.functions import from_id
+
+    fn, p, tau = RUNGS[index]
+    f = from_id(fn)
+    convergence_study(f, p, [tau])
+    walls = []
+    for _ in range(TIMED):
+        start = time.perf_counter()
+        convergence_study(f, p, [tau])
+        walls.append(time.perf_counter() - start)
+    return min(walls)
+
+
+def compare(parent: str, change: str) -> list[dict]:
+    """Per rung, the best walls of fresh workers of both trees in
+    ``ROUNDS`` rounds, the order of the two alternating from rung to rung
+    and from round to round, and the change / parent ratios."""
+    walls = {tree: [[] for _ in RUNGS] for tree in (parent, change)}
+    for r in range(ROUNDS):
+        for i in range(len(RUNGS)):
+            order = (parent, change) if (r + i) % 2 == 0 else (change, parent)
+            for tree in order:
+                out = subprocess.run(
+                    [sys.executable, __file__, "--worker", tree, str(i)],
+                    check=True, capture_output=True, text=True).stdout
+                walls[tree][i].append(float(out))
+    rows = []
+    for i, (fn, p, tau) in enumerate(RUNGS):
+        ratios = [b / a for a, b in zip(walls[parent][i], walls[change][i])]
+        rows.append({
+            "f": fn, "p": p, "tau": tau,
+            "parent_ms": round(1e3 * statistics.median(walls[parent][i]), 3),
+            "change_ms": round(1e3 * statistics.median(walls[change][i]), 3),
+            "ratio": round(statistics.median(ratios), 3),
+            "ratio_min": round(min(ratios), 3),
+            "ratio_max": round(max(ratios), 3)})
+        print(json.dumps(rows[-1]))
+    return rows
+
+
 def slope(points) -> float:
     """Least-squares slope of log y against log x."""
     xs = [math.log(x) for x, _ in points]
@@ -103,15 +164,24 @@ def main() -> int:
     parser.add_argument("src", nargs="?", default=str(ROOT / "src"))
     parser.add_argument("--output",
                         default=str(ROOT / "BENCH_tau_ladder.json"))
+    parser.add_argument("--compare", nargs=2,
+                        metavar=("PARENT_SRC", "CHANGE_SRC"),
+                        help="alternate workers of two trees, rung by rung")
+    parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.worker:
+        print(repr(best_wall(args.worker[0], int(args.worker[1]))))
+        return 0
+    if args.compare:
+        compare(*args.compare)
+        return 0
     sys.path.insert(0, args.src)
     import numpy as np
     from bandlim.analysis import convergence_study
     from bandlim.functions import from_id
 
     measured = measure(convergence_study, [(from_id(fn), p, tau)
-                                           for fn, p in CASES
-                                           for tau in LADDER])
+                                           for fn, p, tau in RUNGS])
     rows, fits = [], []
     for j, (fn, p) in enumerate(CASES):
         rungs = measured[j * len(LADDER):(j + 1) * len(LADDER)]

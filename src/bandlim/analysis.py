@@ -328,7 +328,8 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
     the coefficient ladder's first panel count n (:func:`_first_level`),
     and at 2n where the rule needs it, and its error bound scales by the
     same factor.  ||u||_inf is the sup of f_tau over [-tau, tau], certified
-    by the same rule.
+    by the same rule, on the right half where the c_k are real to within
+    its remainder terms (g = 0 is even).
     """
     if not 1 <= p < INF:
         raise ValueError("p must satisfy 1 <= p < inf")
@@ -340,7 +341,7 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
                      f"tau={a.tau:g} needs")
     norm, cert = _interior_lp(0.0, a, p, quad,
                               _level(np.zeros_like, a.tau, N, n),
-                              np.zeros_like)
+                              np.zeros_like, True)
     factor = 2.0 * N ** (1.0 / p) * (math.pi / a.tau) ** (1.0 / p)
     rhs = factor * norm.value
     return InequalityCheck(
@@ -407,12 +408,16 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
     for tau in tau_list:
         a, level = _coefficient_ladder(f, tau, quad)
         interior, sup_cert = _interior_lp(f.decay.C, a, p, quad, level,
-                                          f.eval_real)
+                                          f.eval_real, f.abs_even)
         # in units of 2^e where the envelope's p-th power at tau is below
-        # 2^-512, as in the interior rule
-        e = _power_scale(f.decay.bound(tau), p)
+        # 2^-512, as in the interior rule, or above 2^512
+        e = _power_scale(f.decay.bound(tau), p, True)
         tail_integral = f.decay.tail_lp(tau, p, e)
-        tail_value = math.ldexp(tail_integral ** (1.0 / p), e)
+        try:
+            tail_value = math.ldexp(tail_integral ** (1.0 / p), e)
+        except OverflowError:
+            raise ValueError(f"the envelope tail at tau={tau:g} overflows"
+                             ) from None
         tail = NormEstimate(tail_value, tail_value, tail_value)
         try:
             total = math.ldexp((math.ldexp(interior.value, -e) ** p
@@ -428,7 +433,7 @@ def convergence_study(f: TestFunction, p: float, tau_list: Sequence[float],
 
 
 def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
-                 quad: QuadratureSpec, level: tuple, g
+                 quad: QuadratureSpec, level: tuple, g, even: bool = False
                  ) -> tuple[NormEstimate, SupNormCertificate]:
     """||g - f_tau||_{L^p[-tau, tau]} by a fixed panel rule on F = g - f_tau,
     and the certified sup of |F| on [-tau, tau], from F on the panel nodes
@@ -444,7 +449,11 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     F is real for real g and f_tau.
     :func:`_panel_sup` takes the sup once, on the quarters of the level-n
     panels, whatever p, with Bernstein's
-    |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.
+    |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.  ``even``
+    states that g(-x) = conj g(x) on the real line (``f.abs_even``, or
+    g = 0); then F(-x) - conj F(x) = sum_k (conj c_k - c_k)
+    e^(-i pi k x / tau), so |F(-x)| <= |F(x)| + 2 sum |Im c_k|, the defect
+    with which :func:`_panel_sup` may certify the right half alone.
 
     At even p, level n alone is the rule where the proved bound of
     :func:`_gauss_bound` on |F|^p is at most rel_tol times its Gauss sum;
@@ -490,7 +499,9 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     coeff_sum = float(np.abs(a.coefficients).sum())
     derivs = ((a.sigma, g_sup), (math.pi * a.N / tau, coeff_sum))
     hw, diff = _gap(a, *level)
-    sup_cert = _panel_sup(diff, hw, derivs)
+    defect = (2.0 * float(np.abs(a.coefficients.imag).sum()) if even
+              else math.inf)
+    sup_cert = _panel_sup(diff, hw, derivs, defect)
     e = _power_scale(sup_cert.grid_max, p)
     if e:
         diff *= math.ldexp(1.0, -e)
@@ -559,13 +570,13 @@ def _gap(a: TrigApproximant, samples, tables):
     return a.tau / len(samples), np.subtract(samples, values, out=values)
 
 
-def _power_scale(peak: float, p: float) -> int:
-    """e with 2^-e ``peak`` in [1/2, 1) where 0 < peak^p < 2^-512, else 0:
-    a power-of-two scaling, exact, that keeps |2^-e F|^p and its sums above
-    the underflow threshold."""
-    if peak > 0 and p * math.log2(peak) < -512:
-        return math.frexp(peak)[1]
-    return 0
+def _power_scale(peak: float, p: float, both: bool = False) -> int:
+    """e with 2^-e ``peak`` in [1/2, 1) where 0 < peak^p < 2^-512, and for
+    ``both`` also where inf > peak^p > 2^512, else 0: a power-of-two
+    scaling, exact, that keeps |2^-e F|^p and its sums above the underflow
+    threshold, and for ``both`` below the overflow threshold."""
+    log = p * math.log2(peak) if 0 < peak < math.inf else 0.0
+    return math.frexp(peak)[1] if log < -512 or both and log > 512 else 0
 
 
 def _power_sums(diff, hw: float, p: float, tau: float):

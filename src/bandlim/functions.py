@@ -123,8 +123,8 @@ class PMembership:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A catalog member.  ``abs_even``: |f(-x + iy)| = |f(x + iy)| for all
-    real x, y."""
+    """A catalog member.  ``abs_even``: f(-x + iy) = conj f(x + iy) for all
+    real x, y, so |f(-x + iy)| = |f(x + iy)|."""
 
     id: str
     sigma: float
@@ -208,7 +208,8 @@ def mollify(f: TestFunction, rho: float) -> TestFunction:
     That value is stored as sigma: it can exceed the original sigma, and
     undershooting the type would break the bandwidth-dependent machinery
     built on top (coefficient counts, certificate spacings).  The weight is
-    even and real on the real line, so f_rho keeps ``f.abs_even``.
+    even with real Taylor coefficients, so w(-x + iy) = conj w(x + iy), and
+    f_rho keeps ``f.abs_even``.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")

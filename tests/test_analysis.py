@@ -1066,6 +1066,23 @@ class TestSplitAtRoots:
         assert abs(rec.interior_error.value - ref.value) \
             <= rec.interior_error.error_bound + rounding_term(a, 1.5)
 
+    def test_zero_search_stops_once_newton_converges(self, monkeypatch):
+        # a converged root's next iterate lands on the end of its bracket,
+        # where it stays instead of being bisected while others converge
+        seen, calls = [], []
+        roots = analysis._bracketed_roots
+        monkeypatch.setattr(analysis, "_bracketed_roots",
+                            lambda *args: seen.append(args) or roots(*args))
+        convergence_study(make_sinc(1.0), 1.5, [320.3], QUAD)
+        barycentric = quadrature._barycentric
+        monkeypatch.setattr(quadrature, "_barycentric",
+                            lambda *args, **kw: calls.append(1)
+                            or barycentric(*args, **kw))
+        ((values, X, brackets),) = seen
+        found = roots(values, X, brackets)
+        assert len(found) == len(brackets) > 100
+        assert len(calls) <= 6
+
     def test_pieces_take_no_evaluate_call(self, monkeypatch):
         # F on the pieces comes from one _interpolate call per tau, and
         # none from evaluate
@@ -1298,6 +1315,33 @@ class TestPanelSup:
             np.zeros_like)
         assert est.value == 0.0 and cert.certified_bound == 0.0
 
+    @pytest.mark.parametrize("tau", [40.3, 320.3, 5120.3])
+    @pytest.mark.parametrize("fn_id", [
+        "sinc:sigma=1", "fejer_square:sigma=2",
+        "mollify:base=expi,omega=1,rho=0.5"])
+    def test_half_tiling_bounds_both_halves(self, fn_id, tau, monkeypatch):
+        # abs_even f: the rule certifies the panels right of 0 and adds the
+        # defect 2 sum |Im c_k|; the dense max runs over all of [-tau, tau],
+        # on 2^20 points, with f_tau from one inverse FFT:
+        # f_tau(-tau + 2 tau j / M) = sum_k c_k (-1)^k e^(2 pi i k j / M)
+        f = from_id(fn_id)
+        defects = []
+        panel_sup = analysis._panel_sup
+        monkeypatch.setattr(
+            analysis, "_panel_sup", lambda values, hw, derivs, defect:
+            defects.append(defect) or panel_sup(values, hw, derivs, defect))
+        (rec,) = convergence_study(f, 2.0, [tau], QUAD)
+        assert math.isfinite(defects[0])
+        a = fourier_coefficients(f, tau, QUAD)
+        M, k = 2 ** 20, np.arange(-a.N, a.N + 1)
+        spectrum = np.zeros(M, dtype=complex)
+        spectrum[k % M] = a.coefficients * np.where(k % 2, -M, M)
+        x = -tau + (2.0 * tau / M) * np.arange(M)
+        dense = np.max(np.abs(f.eval_real(x) - np.fft.ifft(spectrum)))
+        slack = 64 * np.finfo(float).eps * (f.decay.C
+                                             + np.abs(a.coefficients).sum())
+        assert dense <= rec.sup_error.certified_bound + slack
+
     def test_rounded_nodes_term_at_large_tau(self, monkeypatch):
         # f is sampled at rounded nodes, up to about 1e-12 off at this tau
         f = make_sinc(1.0)
@@ -1305,20 +1349,25 @@ class TestPanelSup:
         seen = []
         panel_sup = analysis._panel_sup
 
-        def spy(values, hw, derivs):
-            seen.append((values, hw, derivs))
-            return panel_sup(values, hw, derivs)
+        def spy(values, hw, derivs, defect):
+            seen.append((values, hw, derivs, defect))
+            return panel_sup(values, hw, derivs, defect)
 
         monkeypatch.setattr(analysis, "_panel_sup", spy)
         (rec,) = convergence_study(f, 2.0, [tau], QUAD)
-        ((values, hw, derivs),) = seen
+        ((values, hw, derivs, defect),) = seen
         cert = rec.sup_error.certified_bound
-        chebyshev_part = panel_sup(values, hw, ()).certified_bound
-        term = (3.0 * np.finfo(float).eps * len(values) * hw
+        # sinc is abs_even: the right half of the panels is certified, with
+        # the defect 2 sum |Im c_k| added and the node term of all of them
+        P = len(values)
+        chebyshev_part = panel_sup(values[P // 2:], hw, ()).certified_bound
+        term = (3.0 * np.finfo(float).eps * P * hw
                 * quadrature._lebesgue(values.shape[1])
                 * sum(r * c for r, c in derivs))
         assert term > 1e-11
-        assert cert - chebyshev_part == pytest.approx(term, rel=1e-6)
+        assert 0 < defect < term
+        assert cert - chebyshev_part == pytest.approx(term + defect,
+                                                      rel=1e-6)
         a = fourier_coefficients(f, tau, QUAD)
         # |f - f_tau| is largest at the ends of the window
         for x in (np.linspace(-tau, 30.0 - tau, 20001),

@@ -432,8 +432,10 @@ class TestNumericalFailures:
         (["lewitan", "--fn", "fejer_square:sigma=2", "--tau", "1e-200",
           "--x", "0"], "is too small"),
         (["counterexample", "--m", "100000000"], "above the limit"),
-        (["converge", "--fn", "mollify:base=fejer_square,sigma=1e-100,rho=0.5",
-          "--p", "2", "--tau", "10"], "overflows"),
+        # the envelope tail, C (2 / (2p - 1))^(1/p) = 2.9e308 for
+        # C = 1.5e308 and tau near 0, is beyond the float range
+        (["converge", "--fn", "fejer_square:sigma=3.27e-154", "--p", "1.01",
+          "--tau", "0.001"], "overflows"),
         (["counterexample", "--m", "1" + "0" * 400], "beyond the float range"),
         (["counterexample", "--m", "1..100000"],
          "coefficients in all, above the limit"),
@@ -448,6 +450,18 @@ class TestNumericalFailures:
         assert status == 1
         assert err.startswith(f"bandlim {argv[0]}: ")
         assert text in err and out == ""
+
+    def test_overflowing_envelope_power_is_scaled(self, capsys):
+        # C = 4.55e202: C^2 and bound(10)^2 overflow, but the tail is 5.5e198
+        status, out, err = run_capture(
+            ["converge", "--fn", "mollify:base=fejer_square,sigma=1e-100,"
+             "rho=0.5", "--p", "2", "--tau", "10"], capsys)
+        assert (status, err) == (0, "")
+        (row,) = out.split()[1:]
+        values = [float(v) for v in row.split(",")]
+        assert all(math.isfinite(v) for v in values)
+        assert values[4] == pytest.approx(5.5107e198, rel=1e-4)
+        assert values[5] == values[4]
 
     def test_underflowing_p_exits_1_with_one_line(self, capsys):
         # |f - f_tau|^5000 underflows at every node even when scaled to a

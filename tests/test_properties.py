@@ -176,6 +176,20 @@ class TestAbsEven:
 
     @SETTINGS
     @given(name=st.sampled_from(sorted(ABS_EVEN_MEMBERS)), param=type_param,
+           rho=rho_param, x=st.floats(min_value=-50.0, max_value=50.0),
+           y=st.floats(min_value=-5.0, max_value=5.0))
+    def test_conjugate_symmetric_along_horizontal_lines(self, name, param,
+                                                        rho, x, y):
+        # f(-x + iy) = conj f(x + iy), which the interior rule's half
+        # tiling of its sup takes from the flag
+        f = ABS_EVEN_MEMBERS[name](param, rho)
+        left = complex(f.eval_complex(complex(-x, y)))
+        right = complex(f.eval_complex(complex(x, y))).conjugate()
+        assert abs(left - right) <= 4 * np.spacing(max(abs(left),
+                                                       abs(right)))
+
+    @SETTINGS
+    @given(name=st.sampled_from(sorted(ABS_EVEN_MEMBERS)), param=type_param,
            rho=rho_param)
     def test_mollify_keeps_an_unset_flag(self, name, param, rho):
         base = ABS_EVEN_MEMBERS[name](param, rho)

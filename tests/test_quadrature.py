@@ -140,9 +140,53 @@ def complex_blocks():
         yield rng.uniform(1e-3, 1e3) * np.exp(1j * omega * x)
 
 
+def pairwise_cheb_sums(values, pieces):
+    """_cheb_sums by contiguous copies of the parts and numpy's row sums
+    of |a|, then a pairwise max over the pieces, for ``pieces`` a power
+    of 2."""
+    to_cheb, to_coeffs = quadrature._cheb_maps(values.shape[1], pieces)[:2]
+    u = np.ascontiguousarray(values.real) @ to_cheb.T
+    w = u * u
+    if np.iscomplexobj(values):
+        u = np.ascontiguousarray(values.imag) @ to_cheb.T
+        w += u * u
+    s = np.abs(w.reshape(-1, len(to_coeffs)) @ to_coeffs.T).sum(axis=1)
+    while len(s) > len(values):
+        s = np.maximum(s[0::2], s[1::2])
+    return s
+
+
 class TestChebSums:
     """Complex values reach the Chebyshev sums of the sup rule through two
     real products, one per part."""
+
+    @pytest.mark.parametrize("pieces", [2, 4])
+    def test_matches_pairwise_reference(self, pieces):
+        # the same products; only the order of the sum over k differs, and
+        # each sum has R = 29 nonnegative terms
+        rng = np.random.default_rng(31)
+        eps = np.finfo(float).eps
+        for v in (rng.standard_normal((256, 15)), *complex_blocks()):
+            want = pairwise_cheb_sums(v, pieces)
+            got = quadrature._cheb_sums(v, pieces)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 2 * 15 * eps * want)
+        v[7, 3] = np.nan
+        got = quadrature._cheb_sums(v, pieces)
+        assert np.isnan(got[7]) and not np.isnan(np.delete(got, 7)).any()
+
+    @pytest.mark.parametrize("pieces", [2, 4])
+    def test_block_size_moves_no_bit(self, pieces):
+        # a panel's sums do not depend on the block around it, so that a
+        # scan split into other passes certifies the same bits (lemma2's
+        # matrix against its per-cell scans); one panel alone takes a
+        # matrix-vector product, which rounds otherwise
+        rng = np.random.default_rng(32)
+        v = rng.standard_normal((256, 15))
+        full = quadrature._cheb_sums(v, pieces)
+        for start, stop in ((0, 2), (3, 40), (17, 210), (100, 256)):
+            assert (quadrature._cheb_sums(v[start:stop], pieces).tobytes()
+                    == full[start:stop].tobytes())
 
     def test_matches_complex_product(self):
         # Each entry of A v rounds within gamma_Q = Q eps of sum |A| |v| on
