@@ -63,7 +63,7 @@ LEMMA2_CASES = [
 # by a power of two, tolerances that send the interior rule to its
 # integrate fallback, sinc at p = 2 on large taus (one level each), and
 # fejer_square at p = 4 and tau 5120.3, where the Gauss bound fails and
-# the rule compares two levels, and a mollified fejer_square with
+# the rule compares two rule sizes, and a mollified fejer_square with
 # C = 4.55e30, whose coefficient ladder doubles and hands the rule its
 # coarser level.
 CONVERGE_CASES = [
@@ -92,7 +92,7 @@ CONVERGE_CASES = [
     # complex F scaled by 2^-e, e = -4 and -8
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "200",
      "--tau", "10.3,40.3"],
-    # two panels of complex F miss 1e-13 and fall back on integrate
+    # ten panels of complex F miss 1e-13 and fall back on integrate
     ["converge", "--fn", "mollify:base=expi,omega=1,rho=0.5", "--p", "1.5",
      "--tau", "10", "--abs-tol", "1e-13", "--rel-tol", "1e-13"],
     ["converge", "--fn", "sinc:sigma=1", "--p", "2",
@@ -105,6 +105,15 @@ CONVERGE_CASES = [
      "--p", "1.5", "--tau", "10,40.3"],
     ["converge", "--fn", "mollify:base=fejer_square,sigma=1e-14,rho=0.5",
      "--p", "4", "--tau", "40.3"],
+    # the interior rule on one level at p = 1.5 and 3; F at rounding level,
+    # with no zero above the threshold, so that the rule falls back on
+    # integrate; p = 199.5, whose rule weights and quotients take logs
+    ["converge", "--fn", "fejer_square:sigma=2", "--p", "1.5",
+     "--tau", "320.3"],
+    ["converge", "--fn", "sinc:sigma=1", "--p", "3", "--tau", "320.3"],
+    ["converge", "--fn", "mollify:base=sinc,sigma=1,rho=1e-6", "--p", "1.5",
+     "--tau", "40.3"],
+    ["converge", "--fn", "sinc:sigma=1", "--p", "199.5", "--tau", "10"],
 ]
 
 # coeffs, which the benchmark does not run, as CSV and JSON tables.
@@ -208,14 +217,17 @@ SIZE_CASES = [
 
 # Each exits 1 with one line on stderr: a value beyond the float range is
 # refused, not printed as nan or inf.  The last is an envelope tail of
-# 2.9e308; the mollified fejer_square before it, whose C^2 overflows but
-# whose tail, 5.5e198, does not, exits 0.
+# 2.9e308; the mollified fejer_square and the fejer_square at
+# sigma = 1e-90 before it, whose C^2 overflows but whose tails, 5.5e198
+# and 4.1e101, do not, exit 0.
 OVERFLOW_CASES = [
     ["lemma2", "--sigma", "1", "--tau", "1e-160", "--delta", "0.5"],
     ["converge", "--fn", "sinc:sigma=1e160", "--tau", "1e-160"],
     ["converge", "--fn", "sinc:sigma=1e160", "--p", "1.5", "--tau", "1e-160"],
     ["converge", "--fn", "mollify:base=fejer_square,sigma=1e-100,rho=0.5",
      "--p", "2", "--tau", "10"],
+    ["converge", "--fn", "fejer_square:sigma=1e-90", "--p", "2",
+     "--tau", "1e53"],
     ["converge", "--fn", "fejer_square:sigma=3.27e-154", "--p", "1.01",
      "--tau", "0.001"],
 ]

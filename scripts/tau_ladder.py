@@ -8,9 +8,12 @@ tau of the ladder 20.3, 80.3, ..., 20480.3 (a factor 4 apart), a rung, one
 ``convergence_study(f, p, [tau])`` call warms up.  Then five rounds each
 call every rung once, the odd rounds in reverse order, so that a slow
 stretch of the machine slows one call of many rungs rather than every call
-of a few; the five calls of a rung give its best wall time and its minor
-page faults (``ru_minflt``) per call.  Last, one more call of each rung
-under tracemalloc gives the peak of traced memory.  The fitted
+of a few; the five calls of a rung give its best wall time.  Then one more
+call of each rung under tracemalloc gives the peak of traced memory.  Last,
+one fresh worker process per rung, which runs that rung alone (one warm-up
+call, then five), gives its minor page faults (``ru_minflt``) per warm
+call: in the shared process they depend on the rungs run before.  The
+fitted
 exponents are least-squares slopes of log time and log peak against log
 tau over the rungs from 320.3 up, where fixed costs no longer dominate.
 The document also records the machine, Python and numpy.  Run from the
@@ -29,7 +32,8 @@ worker processes of both, rung by rung:
 
 For each of ``ROUNDS`` rounds and each rung, one worker per tree, the
 two in alternating order, imports its tree, warms up with one call and
-times ``TIMED`` more; the ratio of the two best walls is change / parent.
+times ``TIMED`` more (the worker above); the ratio of the two best walls
+is change / parent.
 One JSON line per rung goes to stdout: the median best wall of each tree,
 and the median, least and largest ratio over the rounds.
 """
@@ -63,39 +67,37 @@ FIT_FROM = 320.3
 ROUNDS = 5
 
 
-def measure(study, rungs) -> list[dict]:
-    """Per rung (f, p, tau) of ``rungs``: the best wall time of its
-    ``TIMED`` calls, one in each round over all rungs, their minor faults
-    per call, and the tracemalloc peak of one more call."""
+def measure(study, rungs, src: str) -> list[dict]:
+    """Per rung (f, p, tau) of ``rungs`` (those of ``RUNGS``): the best
+    wall time of its ``TIMED`` calls, one in each round over all rungs,
+    the tracemalloc peak of one more call, and the minor faults per warm
+    call of a fresh :func:`run_worker` of ``src`` that runs it alone."""
     for f, p, tau in rungs:
         study(f, p, [tau])
     walls = [[] for _ in rungs]
-    faults = [0] * len(rungs)
     order = list(range(len(rungs)))
     for r in range(TIMED):
         for i in order[::-1] if r % 2 else order:
             f, p, tau = rungs[i]
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             study(f, p, [tau])
             walls[i].append(time.perf_counter() - start)
-            faults[i] += (resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                          - before)
     rows = []
-    for (f, p, tau), wall, fault in zip(rungs, walls, faults):
+    for i, ((f, p, tau), wall) in enumerate(zip(rungs, walls)):
         tracemalloc.start()
         study(f, p, [tau])
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         rows.append({"tau": tau, "wall_ms": round(1e3 * min(wall), 3),
                      "peak_mib": round(peak / 2 ** 20, 3),
-                     "minflt_per_call": fault / TIMED})
+                     "minflt_per_call": run_worker(src, i)[1]})
     return rows
 
 
-def best_wall(src: str, index: int) -> float:
-    """The best of ``TIMED`` walls (s) of rung ``index`` of ``RUNGS`` in this
-    process, with ``bandlim`` imported from ``src``, after one warm-up."""
+def worker(src: str, index: int) -> tuple[float, float]:
+    """(the best of ``TIMED`` walls (s), minor faults per call) of rung
+    ``index`` of ``RUNGS`` alone in this process, with ``bandlim``
+    imported from ``src``, after one warm-up call."""
     sys.path.insert(0, src)
     from bandlim.analysis import convergence_study
     from bandlim.functions import from_id
@@ -104,11 +106,22 @@ def best_wall(src: str, index: int) -> float:
     f = from_id(fn)
     convergence_study(f, p, [tau])
     walls = []
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(TIMED):
         start = time.perf_counter()
         convergence_study(f, p, [tau])
         walls.append(time.perf_counter() - start)
-    return min(walls)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    return min(walls), faults / TIMED
+
+
+def run_worker(src: str, index: int) -> tuple[float, float]:
+    """:func:`worker` of rung ``index`` in a fresh process of ``src``."""
+    out = subprocess.run([sys.executable, __file__, "--worker", src,
+                          str(index)], check=True, capture_output=True,
+                         text=True).stdout
+    wall, faults = out.split()
+    return float(wall), float(faults)
 
 
 def compare(parent: str, change: str) -> list[dict]:
@@ -120,10 +133,7 @@ def compare(parent: str, change: str) -> list[dict]:
         for i in range(len(RUNGS)):
             order = (parent, change) if (r + i) % 2 == 0 else (change, parent)
             for tree in order:
-                out = subprocess.run(
-                    [sys.executable, __file__, "--worker", tree, str(i)],
-                    check=True, capture_output=True, text=True).stdout
-                walls[tree][i].append(float(out))
+                walls[tree][i].append(run_worker(tree, i)[0])
     rows = []
     for i, (fn, p, tau) in enumerate(RUNGS):
         ratios = [b / a for a, b in zip(walls[parent][i], walls[change][i])]
@@ -170,7 +180,7 @@ def main() -> int:
     parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
-        print(repr(best_wall(args.worker[0], int(args.worker[1]))))
+        print(*map(repr, worker(args.worker[0], int(args.worker[1]))))
         return 0
     if args.compare:
         compare(*args.compare)
@@ -181,7 +191,7 @@ def main() -> int:
     from bandlim.functions import from_id
 
     measured = measure(convergence_study, [(from_id(fn), p, tau)
-                                           for fn, p, tau in RUNGS])
+                                           for fn, p, tau in RUNGS], args.src)
     rows, fits = [], []
     for j, (fn, p) in enumerate(CASES):
         rungs = measured[j * len(LADDER):(j + 1) * len(LADDER)]

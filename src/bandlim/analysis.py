@@ -18,9 +18,9 @@ from .kernels import (_nudged_floor, dirichlet, kernel_gap, n_terms,
                       sinc_kernel)
 from .quadrature import (ORDER, QuadratureSpec, SupNormCertificate,
                          _bracketed_roots, _check_nodes, _count_panels,
-                         _gauss_bound, _interpolate, _nodes, _panel_sup,
-                         _piece_nodes, _piece_sums, _sampled_sups,
-                         _SAMPLING_PASS, integrate)
+                         _gauss_bound, _interpolate, _jacobi, _nodes,
+                         _panel_sup, _sampled_sups, _SAMPLING_PASS,
+                         integrate)
 
 # Hard cap on the window for real-line norms; beyond it the analytic
 # envelope tail is folded into the error bound instead.
@@ -325,9 +325,8 @@ def check_poly_nikolskii(a: TrigApproximant, p: float,
     ||u||_{L^p[-pi, pi]} = (pi / tau)^{1/p} ||f_tau||_{L^p[-tau, tau]} by
     the change of variables t = pi x / tau; the norm of f_tau is the
     interior rule of :func:`_interior_lp` on the :func:`_level` of 0 at
-    the coefficient ladder's first panel count n (:func:`_first_level`),
-    and at 2n where the rule needs it, and its error bound scales by the
-    same factor.  ||u||_inf is the sup of f_tau over [-tau, tau], certified
+    the coefficient ladder's first panel count (:func:`_first_level`), and
+    its error bound scales by the same factor.  ||u||_inf is the sup of f_tau over [-tau, tau], certified
     by the same rule, on the right half where the c_k are real to within
     its remainder terms (g = 0 is even).
     """
@@ -437,17 +436,17 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
                  ) -> tuple[NormEstimate, SupNormCertificate]:
     """||g - f_tau||_{L^p[-tau, tau]} by a fixed panel rule on F = g - f_tau,
     and the certified sup of |F| on [-tau, tau], from F on the panel nodes
-    of one or two levels.  g is f for the truncation error of f (type
+    of one level.  g is f for the truncation error of f (type
     ``a.sigma``, and ``g_sup = f.decay.C`` >= sup |f|), or 0 with
     g_sup = 0 for f_tau itself.
 
     ``level`` is the :func:`_level` of g at n equal panels, n > 2N: for f,
     the one that the coefficient ladder hands :func:`convergence_study`,
     so that f is not sampled again there; for 0, the level of
-    :func:`check_poly_nikolskii`.  The rule builds level 2n from ``g``
-    where it needs it.  f_tau on each level is one :func:`_on_panels`, so
-    F is real for real g and f_tau.
-    :func:`_panel_sup` takes the sup once, on the quarters of the level-n
+    :func:`check_poly_nikolskii`.  The rule samples nothing else, so it
+    does not call ``g``, which names the function of the level.  f_tau on
+    the level is one :func:`_on_panels`, so F is real for real g and
+    f_tau.  :func:`_panel_sup` takes the sup once, on the quarters of the
     panels, whatever p, with Bernstein's
     |F^(j)| <= a.sigma^j g_sup + (pi N / tau)^j sum |c_k|.  ``even``
     states that g(-x) = conj g(x) on the real line (``f.abs_even``, or
@@ -455,45 +454,49 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     e^(-i pi k x / tau), so |F(-x)| <= |F(x)| + 2 sum |Im c_k|, the defect
     with which :func:`_panel_sup` may certify the right half alone.
 
-    At even p, level n alone is the rule where the proved bound of
-    :func:`_gauss_bound` on |F|^p is at most rel_tol times its Gauss sum;
+    At even p, the level alone is the rule where the proved bound of
+    :func:`_gauss_bound` on |F|^p is at most rel_tol times its Gauss sum S;
     its error is then that bound plus stated rounding (README, "Not every
-    error column is a bound").  Otherwise, and at other p, each panel of
-    level n has a coarse Gauss value from level n and a fine one from its
-    two halves on level 2n.  For other p, |F|^p has a kink
-    at each real zero of F, found by :func:`_real_zeros`.  The level-n
-    panels within a level-2n panel of such a zero merge into stretches,
-    which are cut at the zeros into parts.  Each part is split at its
-    middle into a pair of pieces, each taking the rule of
-    :func:`_piece_nodes` with exponent 3 from its outer end (3 ORDER nodes:
-    ORDER against two halves of ORDER).  Complex F, as for ``mollify`` of
-    ``expi``, has no such zeros.  A panel or piece whose coarse and fine
-    values differ by more than max(abs_tol, rel_tol S) times its share of
-    [-tau, tau], S the sum of the level-n values, as in :func:`integrate`
-    (whose panels take the same rule with exponent 1), falls back on
+    error column is a bound").  Elsewhere, and at every other p, the rule
+    takes two rule sizes on the same level.  For p not an even integer,
+    |F|^p has a kink at each real zero of F, found by :func:`_real_zeros`
+    (complex F, as for ``mollify`` of ``expi``, has none).  [-tau, tau] is
+    cut at those zeros and at each panel edge with no zero in the panels
+    on either side of it, +-tau among them: a zero just beyond the edge of
+    a panel would slow both of its Gauss rules.  A panel between two such
+    edges keeps its ORDER-node Gauss value, against that of the 10-node
+    Gauss rule.  A segment with a zero at an end runs to the next zero or
+    to an edge a zero-free panel away, so it is at most three panels long;
+    on x = m + h t, t in [-1, 1], it takes the 15-node and the 10-node
+    rules of :func:`_kink_rules`: Gauss-Jacobi for the weight
+    (1 - t)^alpha (1 + t)^beta, alpha = p where its right end is a zero and
+    beta = p where its left end is one, 0 at an edge, on the quotient of
+    |F|^p by that weight, which is smooth between simple zeros.  A panel
+    or segment whose two values differ by more than max(abs_tol, rel_tol S)
+    times its share of [-tau, tau], as in :func:`integrate`, falls back on
     :func:`integrate` over its interval.
 
-    The pieces and the fallback take F from :func:`_interpolate` of the
-    level-2n values, which errs by the Hermite-Genocchi term of
+    The rules and the fallback take F from :func:`_interpolate` of the
+    level values, which errs by the Hermite-Genocchi term of
     :func:`_panel_sup` (F is entire of type a.sigma), about
-    1.3e-22 (g_sup + sum |c_k|) at half-widths up to pi / (8 a.sigma).
-    The integral is the sum of the fine values and of the fallback
+    4e-18 (g_sup + sum |c_k|) at half-widths up to pi / (4 a.sigma).
+    The integral is the sum of the 15-node values and of the fallback
     integrals, and its error that of the differences and of the fallback
     errors.  That error is an estimate: it leaves out rounding, of the node
     values and of the interpolant (up to its Lebesgue constant 6.85 times
     theirs, :func:`_cheb_maps`), and at p not an even integer a zero of F
-    that changes no sign at the level-2n nodes is not split at.
+    that changes no sign at the level's nodes is not cut at.
 
     The rule scales once: right after the sup, e of :func:`_power_scale`
-    for its ``grid_max``, the largest level-n |F|, and where e != 0, F,
-    g_sup and sum |c_k| are multiplied by 2^-e in place, and so is level 2n
-    where it is built.  Every later value (the power sums, the Gauss bound,
-    the rounding terms, the zero threshold) is in these units, exact as
-    2^-e is a power of two, and :func:`_scaled_norm` scales the norm back.
-    ValueError: a level value that is not finite (|F|^p overflows, checked
-    on level n before the sup), a certified sup that is not finite (|F|
-    beyond about 1e154), or an integral below the smallest normal float
-    while some node value is nonzero.
+    for its ``grid_max``, the largest |F| at the nodes, and where e != 0,
+    F, g_sup and sum |c_k| are multiplied by 2^-e in place.  Every later
+    value (the power sums, the Gauss bound, the rounding terms, the zero
+    threshold, the rules' quotients) is in these units, exact as 2^-e is a
+    power of two, and :func:`_scaled_norm` scales the norm back.
+    ValueError: a node value or a value of a rule that is not finite
+    (|F|^p overflows, checked at the nodes before the sup), a certified sup
+    that is not finite (|F| beyond about 1e154), or an integral below the
+    smallest normal float while some node value is nonzero.
     """
     tau = a.tau
     coeff_sum = float(np.abs(a.coefficients).sum())
@@ -506,61 +509,84 @@ def _interior_lp(g_sup: float, a: TrigApproximant, p: float,
     if e:
         diff *= math.ldexp(1.0, -e)
         g_sup, coeff_sum = math.ldexp(g_sup, -e), math.ldexp(coeff_sum, -e)
-    coarse = _power_sums(diff, hw, p, tau)
+    sums = _power_sums(diff, hw, p, tau)
     if not math.isfinite(sup_cert.certified_bound):
         raise ValueError(f"the certified sup of the interior error at "
                          f"tau={tau:g} is not finite")
+    S = float(sums.sum())
     if p % 2 == 0:
-        integral = float(coarse.sum())
         bound = _gauss_bound(g_sup + coeff_sum,
                              max(a.sigma, math.pi * a.N / tau), p, hw, tau)
-        if bound <= quad.rel_tol * integral:
+        if bound <= quad.rel_tol * S:
             eps, stages = math.ulp(1.0), (len(diff) - 1).bit_length()
             parts = 2 if np.iscomplexobj(diff) else 1
             node_err = parts * (4 * stages + 8) * eps * coeff_sum
-            err = (bound + (ORDER + stages + 16) * eps * integral
+            err = (bound + (ORDER + stages + 16) * eps * S
                    + p * node_err * (2.0 * tau) ** (1.0 / p)
-                   * integral ** (1.0 - 1.0 / p))
-            return _scaled_norm(integral, err, p, e, tau, sup_cert)
-    hw, diff = _gap(a, *_level(g, tau, a.N, 2 * len(diff)))
-    if e:
-        diff *= math.ldexp(1.0, -e)
-    halves = _power_sums(diff, hw, p, tau)
-    fine = halves[0::2] + halves[1::2]
-    scale = float(np.abs(coarse).sum())
-    edges = np.linspace(-tau, tau, len(coarse) + 1)
-    lefts, rights = edges[:-1], edges[1:]
-
-    def power(x):
-        return np.abs(_interpolate(diff, tau, x)) ** p
-
-    if p % 2:
-        held, roots = _real_zeros(diff, tau,
-                                  32.0 * math.ulp(1.0) * (g_sup + coeff_sum))
-        if roots.size:
-            ends, half = _pieces(edges, held, roots)
-            _check_nodes(3 * ORDER * len(ends), f"the interior L^{p:g} "
-                         f"pieces at tau={tau:g} need")
-            x = _piece_nodes(ends, half, 3)
-            pc, pf = _piece_sums(power(x.ravel()).reshape(x.shape), half, 3)
-            keep = ~held
-            coarse = np.concatenate([coarse[keep], pc])
-            fine = np.concatenate([fine[keep], pf])
-            lefts = np.concatenate([lefts[keep],
-                                    np.minimum(ends, ends + half)])
-            rights = np.concatenate([rights[keep],
-                                     np.maximum(ends, ends + half)])
-    spread = np.abs(coarse - fine)
-    tol = max(quad.abs_tol, quad.rel_tol * scale) * (rights - lefts) \
+                   * S ** (1.0 - 1.0 / p))
+            return _scaled_norm(S, err, p, e, tau, sup_cert)
+    delta = 32.0 * math.ulp(1.0) * (g_sup + coeff_sum)
+    roots = _real_zeros(diff, tau, delta) if p % 2 else np.empty(0)
+    # cut at the zeros and at each panel edge (+-tau among them) with no
+    # zero in the panels on either side; start is the edge index of a cut,
+    # -1 for a zero, and kind is 1 for a zero at a segment's left end plus
+    # 2 for one at its right end
+    near = np.zeros(len(diff), dtype=bool)
+    near[np.clip((roots + tau) // (2.0 * hw), 0, len(diff) - 1)
+         .astype(np.intp)] = True
+    kept = np.flatnonzero(np.r_[True, ~(near[:-1] | near[1:]), True])
+    edges = np.linspace(-tau, tau, len(diff) + 1)[kept]
+    at = np.searchsorted(edges, roots)
+    points, start = np.insert(edges, at, roots), np.insert(kept, at, -1)
+    keep = points[1:] > points[:-1]
+    lefts, rights = points[:-1][keep], points[1:][keep]
+    kind = ((start[:-1] < 0) + 2 * (start[1:] < 0))[keep]
+    start, cut = start[:-1][keep], kind > 0
+    mid, half = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+    (t10, c10), (t15, c15) = _kink_rules(10, p), _kink_rules(15, p)
+    x10 = mid[:, None] + half[:, None] * t10[kind]
+    x15 = mid[cut, None] + half[cut, None] * t15[kind[cut]]
+    _check_nodes(x10.size + x15.size, f"the interior L^{p:g} rule at "
+                 f"tau={tau:g} needs", "points")
+    with np.errstate(divide="ignore", over="ignore"):
+        F = np.abs(_interpolate(diff, tau, np.concatenate([x10.ravel(),
+                                                           x15.ravel()])))
+        F = np.multiply(np.log(F, out=F), p, out=F)  # p log |F|, in place
+        coarse = half * np.exp(c10[kind] + F[:x10.size].reshape(x10.shape)
+                               ).sum(axis=1)
+        # a panel between two kept edges keeps its Gauss value; the rows of
+        # the segments with a zero end are written next
+        fine = sums[start]
+        fine[cut] = half[cut] * np.exp(
+            c15[kind[cut]] + F[x10.size:].reshape(x15.shape)).sum(axis=1)
+    if not (np.isfinite(coarse).all() and np.isfinite(fine).all()):
+        raise ValueError(f"the interior L^{p:g} integral at tau={tau:g} "
+                         f"overflows")
+    spread = np.abs(fine - coarse)
+    tol = max(quad.abs_tol, quad.rel_tol * S) * (rights - lefts) \
         / (2.0 * tau)
     ok = spread <= tol
-    integral = float(fine[ok].sum())
-    err = float(spread[ok].sum())
+    integral, err = float(fine[ok].sum()), float(spread[ok].sum())
     for lo, hi in zip(lefts[~ok], rights[~ok]):
-        value, value_err = integrate(power, lo, hi, quad)
+        value, value_err = integrate(
+            lambda x: np.abs(_interpolate(diff, tau, x)) ** p, lo, hi, quad)
         integral += float(value)
         err += float(value_err)
     return _scaled_norm(integral, err, p, e, tau, sup_cert)
+
+
+def _kink_rules(n: int, p: float):
+    """(t, c), (4, n) arrays whose row k is the n-node rule of
+    :func:`_jacobi` for a segment of the interior rule with a zero at its
+    left end where k & 1 and at its right end where k & 2: nodes t, and
+    c = log w - p log d with the divisors d = (1 - t)^(k // 2)
+    (1 + t)^(k % 2), so that sum exp(c + p log |F|) = sum w (|F| / d)^p is
+    the rule on |F|^p, with no power of the weight or of the quotient that
+    could leave the float range alone."""
+    k = np.arange(4)[:, None]
+    t, log_w = map(np.array, zip(*(_jacobi(n, p * (j // 2), p * (j % 2))
+                                   for j in range(4))))
+    return t, log_w - p * (k // 2 * np.log1p(-t) + k % 2 * np.log1p(t))
 
 
 def _gap(a: TrigApproximant, samples, tables):
@@ -608,11 +634,8 @@ def _scaled_norm(integral: float, err: float, p: float, e: int, tau: float,
 
 
 def _real_zeros(diff, tau: float, delta: float):
-    """(held, zeros): the real zeros of F, sorted, from its (2n, ORDER)
-    values ``diff`` at the :func:`_panel_nodes` of 2n panels on
-    [-tau, tau], and the mask of the n level-n panels that overlap the
-    level-2n panel of a zero or either neighbour of it.  A zero just outside
-    a panel slows its Gauss rule too, hence the neighbours.
+    """The real zeros of F, sorted, from its (P, ORDER) values ``diff`` at
+    the :func:`_panel_nodes` of P panels on [-tau, tau].
 
     A zero is taken at each sign change of Re F between consecutive nodes
     where |Re F| is above ``delta`` at one of them, and, for complex F,
@@ -626,30 +649,7 @@ def _real_zeros(diff, tau: float, delta: float):
     if np.iscomplexobj(diff):
         im = np.abs(diff.imag.ravel())
         change &= np.maximum(im[:-1], im[1:]) <= delta
-    brackets = np.flatnonzero(change)
-    near = (brackets[:, None] + [0, 1]) // ORDER  # level-2n panels
-    near = np.concatenate([near - 1, near + 1]) // 2
-    held = np.zeros(len(diff) // 2, dtype=bool)
-    held[np.clip(near, 0, len(held) - 1)] = True
-    return held, _bracketed_roots(diff.real, tau, brackets)
-
-
-def _pieces(edges, held, roots):
-    """(ends, lengths) of the pieces of :func:`_piece_nodes`: the runs of
-    consecutive panels [edges[j], edges[j + 1]] with ``held[j]`` are cut at
-    the sorted ``roots`` (all of which lie in such runs), and each part
-    [l, r] of nonzero length at its middle m, into the pieces from l to m
-    and from r back to m."""
-    change = np.diff(np.concatenate([[0], held.astype(np.int8), [0]]))
-    starts, stops = np.flatnonzero(change == 1), np.flatnonzero(change == -1)
-    points = np.concatenate([edges[starts], roots, edges[stops]])
-    kinds = np.repeat([0, 1, 2], [len(starts), len(roots), len(stops)])
-    order = np.lexsort((kinds, points))
-    points, kinds = points[order], kinds[order]
-    part = (kinds[:-1] != 2) & (points[1:] > points[:-1])
-    lefts, rights = points[:-1][part], points[1:][part]
-    half = 0.5 * (rights - lefts)
-    return np.concatenate([lefts, rights]), np.concatenate([half, -half])
+    return _bracketed_roots(diff.real, tau, np.flatnonzero(change))
 
 
 def _exp_n_terms(sigma: float, tau: float) -> int:

@@ -186,9 +186,9 @@ def _coefficient_ladder(f: TestFunction, tau: float,
     abs_tol, r = parts C eps (4 ceil(log2 P0) + ORDER + 4), parts 2 for
     complex samples, and no sample above C), and where P doubles, that of
     the coarser count P of the pair that agreed.  The interior rule of
-    ``analysis`` takes it as its level n instead of sampling f and
-    building the tables again, and builds its level 2n itself.  Each
-    level's tables serve both its forward FFT and the inverse one."""
+    ``analysis`` takes it as its one level instead of sampling f and
+    building the tables again.  Each level's tables serve both its forward
+    FFT and the inverse one."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     quad = quad or QuadratureSpec()

@@ -65,10 +65,8 @@ class DecayEnvelope:
         if ap <= 1:
             raise ValueError("non-integrable tail envelope")
         try:
-            value = 2.0 * (math.ldexp(self.bound(cutoff), -e) ** p
-                           * (1.0 + cutoff) if e else
-                           self.C ** p * (1.0 + cutoff) ** (1.0 - ap)
-                           ) / (ap - 1.0)
+            value = (2.0 * math.ldexp(self.bound(cutoff), -e) ** p
+                     * (1.0 + cutoff) / (ap - 1.0))
         except OverflowError:
             value = math.inf
         what = (f"the envelope tail integral for C={self.C:g}, "

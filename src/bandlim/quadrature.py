@@ -1,12 +1,11 @@
 """Adaptive Gauss-Legendre quadrature, the certified panel sup rule, and
-the piece rule for integrands with kinks at known points.
+the Gauss-Jacobi rules for integrands with kinks at known points.
 
 The engine integrates scalar real or complex integrands over a finite
-interval.  Each panel is estimated twice by the piece rule (one Gauss rule
-over the whole panel, and the same rule over its two halves); the
-difference drives both refinement and the reported error bound.  Panels
-that fail to converge within ``max_depth`` bisections raise
-:class:`QuadratureNonConvergence`.
+interval.  Each panel is estimated twice (one Gauss rule over the whole
+panel, and the same rule over its two halves); the difference drives both
+refinement and the reported error bound.  Panels that fail to converge
+within ``max_depth`` bisections raise :class:`QuadratureNonConvergence`.
 """
 
 from __future__ import annotations
@@ -271,7 +270,11 @@ def _cheb_sums(values, pieces: int = 2):
     for a zero imaginary part the real sums bit for bit.  The panels stay
     on the rows of every product: with them on the columns, OpenBLAS
     rounds a panel's sums by the size of the block, and a scan split into
-    other passes would certify other bits."""
+    other passes would certify other bits.  A one-panel block runs as two
+    copies of its panel: numpy takes its matrix-vector kernel for a
+    one-row product, which rounds otherwise."""
+    if len(values) == 1:
+        return _cheb_sums(np.concatenate([values, values]), pieces)[:1]
     to_cheb, to_coeffs = _cheb_maps(values.shape[1], pieces)[:2]
     u = values.real @ to_cheb.T
     w = u * u
@@ -362,18 +365,21 @@ def _barycentric(v, t, slope: bool = True):
     r_q (p - v_q) / lambda_i (their (9.4)), so that neither is NaN."""
     lam = _barycentric_weights(v.shape[1])
     d = t[:, None] - _nodes(v.shape[1])[0]
-    row, i = np.nonzero(d == 0)
-    d[row, i] = np.inf  # r_i = 0 at the node t = x_i
-    r = lam / d
     with np.errstate(divide="ignore", invalid="ignore"):
-        den = r.sum(axis=1)
-        p = (r * v).sum(axis=1) / den
+        r = lam / d
+        den = np.einsum("ij->i", r)  # 3 times sum(axis=1)'s speed
+        # r_i is infinite at the node t = x_i, and is set to 0 there
+        row = np.flatnonzero(np.isinf(den))
+        i = np.abs(d[row]).argmin(axis=1)
+        d[row, i], r[row, i] = np.inf, 0.0
+        den[row] = np.einsum("ij->i", r[row])
+        p = np.einsum("ij,ij->i", r, v) / den
         p[row] = v[row, i]
         if not slope:
             return p
         u = r * (p[:, None] - v)
-        dp = (u / d).sum(axis=1) / den
-    dp[row] = -u[row].sum(axis=1) / lam[i]
+        dp = np.einsum("ij->i", u / d) / den
+    dp[row] = -np.einsum("ij->i", u[row]) / lam[i]
     return p, dp
 
 
@@ -384,9 +390,10 @@ def _interpolate(values, X: float, x):
     hw, n = X / len(values), _SUP_PASS * ORDER
     j = np.clip((x + X) // (2.0 * hw), 0, len(values) - 1).astype(np.intp)
     t = (x - (-X + hw * (2.0 * j + 1.0))) / hw
-    return np.concatenate([_barycentric(values[j[i:i + n]], t[i:i + n],
-                                        slope=False)
-                           for i in range(0, len(x), n)])
+    out = np.empty(len(x), dtype=values.dtype)
+    for i in range(0, len(x), n):
+        out[i:i + n] = _barycentric(values[j[i:i + n]], t[i:i + n], False)
+    return out
 
 
 def _bracketed_roots(values, X: float, brackets):
@@ -437,44 +444,32 @@ def _bracketed_roots(values, X: float, brackets):
 
 
 @lru_cache(maxsize=None)
-def _piece_rule(exponent: int):
-    """(u, wc, wf) of :func:`_piece_nodes` and :func:`_piece_sums` for
-    x = e + L t^``exponent``: u holds t^exponent at the 3 ORDER points t of
-    the Gauss rule of [0, 1] and of its two halves, wc the Jacobians
-    exponent t^(exponent - 1) times the weights of the first rule and wf
-    those of the two halves.  Exponent 1 is the plain coarse/fine rule of
-    :func:`integrate`, exponent 3 that of the interior rule's pieces."""
-    x, w = _nodes(ORDER)
-    t = 0.5 * (1.0 + x)
-    t = np.concatenate([t, 0.5 * t, 0.5 + 0.5 * t])
-    jacobian = exponent * t ** (exponent - 1)
-    return (t ** exponent, 0.5 * w * jacobian[:ORDER],
-            0.25 * np.concatenate([w, w]) * jacobian[ORDER:])
+def _jacobi(n: int, alpha: float, beta: float):
+    """(t, log w), the n-node Gauss-Jacobi rule on [-1, 1] for the weight
+    (1 - t)^alpha (1 + t)^beta, alpha, beta >= 0, once per process: t the
+    eigenvalues of the symmetric tridiagonal Jacobi matrix of the monic
+    Jacobi polynomials, and w_i mu0 times the squared first component of
+    the i-th unit eigenvector, mu0 = 2^(alpha + beta + 1)
+    B(alpha + 1, beta + 1) the integral of the weight (Golub and Welsch,
+    *Math. Comp.* 23, 1969).  The weights come as logs, since mu0 leaves
+    the float range at large exponents.  At alpha = beta = 0 it is
+    Gauss-Legendre.
 
-
-def _piece_nodes(ends, lengths, exponent: int):
-    """(K, 3 ORDER) nodes of the piece rule of :func:`_piece_rule` on the K
-    pieces from ``ends[k]`` to ``ends[k] + lengths[k]`` (a negative length
-    reaches left of the end): x = e + L t^exponent, its first ORDER nodes
-    at the Gauss nodes t of [0, 1], the other 2 ORDER at those of its two
-    halves.
-
-    With exponent 3 each end may be a kink of the integrand, such as a zero
-    of F in |F|^p.  A kink |x - e|^p becomes t^(3p + 2) times a smooth
-    function, on which Gauss converges fast again (Trefethen,
-    *Approximation Theory and Approximation Practice*, 2013, ch. 19);
-    plain Gauss on |x - e|^p converges only like ORDER^(-2(p + 1))."""
-    return ends[:, None] + lengths[:, None] * _piece_rule(exponent)[0]
-
-
-def _piece_sums(values, lengths, exponent: int):
-    """Per-piece (coarse, fine) estimates from the (K, 3 ORDER) integrand
-    values at :func:`_piece_nodes`: the rule on [0, 1] in t, and the sum of
-    the rules on its two halves."""
-    _, wc, wf = _piece_rule(exponent)
-    size = np.abs(lengths)
-    return (size * (values[:, :ORDER] @ wc),
-            size * (values[:, ORDER:] @ wf))
+    A kink |x - r|^p at an end r of a segment is the weight with exponent
+    p at that end times a smooth function, which this rule integrates as
+    fast as Gauss integrates a smooth one (Trefethen, *Approximation Theory
+    and Approximation Practice*, 2013, ch. 19); plain Gauss converges only
+    like n^(-2(p + 1)) there."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + alpha + beta
+    diag = np.concatenate([[(beta - alpha) / (alpha + beta + 2.0)],
+                           (beta - alpha) * (beta + alpha) / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    t, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    log_mu0 = ((alpha + beta + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+               + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
+    return t, log_mu0 + 2.0 * np.log(np.abs(v[0]))
 
 
 def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
@@ -484,13 +479,14 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
 
     ``g`` receives a 1-D numpy array of abscissae and must return a real or
     complex array of the same shape.  Each pass estimates every open panel
-    by the coarse/fine rule of :func:`_piece_sums` with exponent 1 (one
-    Gauss rule over the panel, x = l + L t, and the same rule over its two
-    halves); a panel whose estimates differ by more than its share of
-    max(abs_tol, rel_tol S), S the sum of |coarse| of the first pass, is
-    bisected.  Every panel starts at depth 0 and only bisected panels go
-    on, so the open panels of pass d all have depth d; a panel that fails
-    in the pass after ``max_depth`` bisections raises
+    [l, l + L] twice, by the ORDER-node Gauss rule over it (coarse) and by
+    the sum of the same rule over its two halves (fine), at the 3 ORDER
+    points x = l + L t of the Gauss nodes t of [0, 1] and of its halves; a
+    panel whose estimates differ by more than its share of max(abs_tol,
+    rel_tol S), S the sum of |coarse| of the first pass, is bisected.
+    Every panel starts at depth 0 and only bisected panels go on, so the
+    open panels of pass d all have depth d; a panel that fails in the pass
+    after ``max_depth`` bisections raises
     :class:`QuadratureNonConvergence`, naming the worst of them.  Returns
     ``(value, err)`` where ``err`` bounds the accumulated panel-estimate
     differences.  A pass that would take the call above
@@ -507,6 +503,10 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
             raise ValueError("max_panel_width must be positive")
         n0 = max(1, math.ceil((b - a) / max_panel_width))
     per_panel = 3 * ORDER
+    t, w = _nodes(ORDER)
+    t = 0.5 * (1.0 + t)
+    t, wc, wf = (np.concatenate([t, 0.5 * t, 0.5 + 0.5 * t]), 0.5 * w,
+                 0.25 * np.concatenate([w, w]))
     if n0 * per_panel > MAX_INTEGRAND_POINTS:
         raise _over_budget(a, b, n0 * per_panel)
     edges = np.linspace(a, b, n0 + 1)
@@ -522,9 +522,10 @@ def integrate(g, a: float, b: float, spec: QuadratureSpec | None = None, *,
         if points > MAX_INTEGRAND_POINTS:
             raise _over_budget(a, b, points)
         widths = rights - lefts
-        x = _piece_nodes(lefts, widths, 1)
-        coarse, fine = _piece_sums(
-            np.asarray(g(x.ravel())).reshape(x.shape), widths, 1)
+        x = lefts[:, None] + widths[:, None] * t
+        y = np.asarray(g(x.ravel())).reshape(x.shape)
+        coarse = widths * (y[:, :ORDER] @ wc)
+        fine = widths * (y[:, ORDER:] @ wf)
         if scale is None:
             scale = float(np.abs(coarse).sum())
         diff = np.abs(coarse - fine)

@@ -463,6 +463,18 @@ class TestNumericalFailures:
         assert values[4] == pytest.approx(5.5107e198, rel=1e-4)
         assert values[5] == values[4]
 
+    def test_tail_is_formed_in_one_scaled_expression(self, capsys):
+        # C = 1.6e181: C^2 overflows, but bound(tau)^2 = 2^500 and the tail
+        # 4.1e101 do not, and at e = 0 the tail no longer forms C^2
+        status, out, err = run_capture(
+            ["converge", "--fn", "fejer_square:sigma=1e-90", "--p", "2",
+             "--tau", "1e53"], capsys)
+        assert (status, err) == (0, "")
+        (row,) = out.split()[1:]
+        values = [float(v) for v in row.split(",")]
+        assert all(math.isfinite(v) for v in values)
+        assert values[4] == pytest.approx(4.1312e101, rel=1e-4)
+
     def test_underflowing_p_exits_1_with_one_line(self, capsys):
         # |f - f_tau|^5000 underflows at every node even when scaled to a
         # largest value of 0.61, which printed zeros

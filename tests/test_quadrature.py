@@ -71,20 +71,14 @@ class TestPanelNodes:
             self.assert_panel_nodes(x, tau)
 
     def test_interior_levels(self):
-        # at p = 2 the interior rule samples nothing: it takes the
-        # coefficient ladder's level alone; at p = 1.5 it samples the
-        # level of twice as many panels itself
+        # at every p the interior rule samples nothing: it takes the
+        # coefficient ladder's level alone
         tau = 80.3
-        calls = []
-        analysis.convergence_study(self.recording_sinc(calls), 2.0, [tau])
-        (level,) = calls
-        self.assert_panel_nodes(level, tau)
-        calls.clear()
-        analysis.convergence_study(self.recording_sinc(calls), 1.5, [tau])
-        coarse, fine = calls
-        assert fine.size == 2 * coarse.size == 2 * level.size
-        self.assert_panel_nodes(fine, tau)
-        self.assert_panel_nodes(coarse, tau)
+        for p in (2.0, 1.5):
+            calls = []
+            analysis.convergence_study(self.recording_sinc(calls), p, [tau])
+            (level,) = calls
+            self.assert_panel_nodes(level, tau)
 
     def test_sampled_sup(self):
         # the passes of at most 256 panels, joined, are the panel nodes
@@ -184,7 +178,8 @@ class TestChebSums:
         rng = np.random.default_rng(32)
         v = rng.standard_normal((256, 15))
         full = quadrature._cheb_sums(v, pieces)
-        for start, stop in ((0, 2), (3, 40), (17, 210), (100, 256)):
+        for start, stop in ((0, 1), (0, 2), (3, 40), (17, 210), (100, 256),
+                            (255, 256)):
             assert (quadrature._cheb_sums(v[start:stop], pieces).tobytes()
                     == full[start:stop].tobytes())
 
@@ -348,12 +343,12 @@ class TestPieceRule:
                                    fourier_coefficients(make_sinc(1.0), 20.3)],
                              ids=["expi", "sinc"])
     def test_interpolant_matches_evaluate(self, a):
-        # f_tau on the panels of the interior rule's level 2n: its node
+        # f_tau on the panels of the interior rule's level: its node
         # values are rounded to a few eps sum |c_k|, which the interpolant
         # amplifies by at most the Lebesgue constant, and evaluate rounds
         # as much at the point
         tau, Q = a.tau, quadrature.ORDER
-        P = 2 * _first_level(a.sigma, tau, "")
+        P = _first_level(a.sigma, tau, "")
         values = a.on_panels(P, quadrature._nodes(Q)[0])
         rounding = 16.0 * np.finfo(float).eps * np.abs(a.coefficients).sum()
         tol = (quadrature._lebesgue(Q) + 1.0) * rounding
@@ -387,17 +382,44 @@ class TestPieceRule:
     @pytest.mark.parametrize("p", [1.0, 1.3, 1.5, 3.0])
     @pytest.mark.parametrize("length", [0.7, -0.7])
     def test_kink_at_the_end(self, p, length):
-        # integral of |x - e|^p (1 + x) from e to e + length
+        # integral of |x - e|^p (1 + x) from e to e + length: on x = m + h t
+        # the kink is the Jacobi weight at the end t = -1 (length > 0) or
+        # t = 1, and 1 + x is linear, so both rule sizes are exact up to
+        # rounding
         e = 0.4
-        ends, lengths = np.array([e]), np.array([length])
-        x = quadrature._piece_nodes(ends, lengths, 3)
-        values = np.abs(x - e) ** p * (1.0 + x)
-        coarse, fine = quadrature._piece_sums(values, lengths, 3)
+        m, h = e + 0.5 * length, 0.5 * abs(length)
         L = abs(length)
         exact = L ** (p + 1) * ((1.0 + e) / (p + 1)
                                 + math.copysign(L, length) / (p + 2))
-        assert abs(fine[0] - exact) <= 4.0 * np.finfo(float).eps * exact
-        assert abs(coarse[0] - exact) <= 1e-13 * exact
+        for n in (10, 15):
+            t, log_w = quadrature._jacobi(n, *((0.0, p) if length > 0
+                                              else (p, 0.0)))
+            got = h * np.sum(np.exp(log_w) * h ** p * (1.0 + m + h * t))
+            assert abs(got - exact) <= 8.0 * np.finfo(float).eps * exact
+
+    @pytest.mark.parametrize("n", [10, 15])
+    def test_jacobi_rule_integrates_moments(self, n):
+        # sum w t^k against the integral of t^k (1 - t)^alpha (1 + t)^beta,
+        # for k <= 2n - 1, from the beta function at 30 digits, relative
+        # to that integral of |t|^k, which bounds the rounding of the sum
+        import mpmath as mp
+
+        for alpha in (0.0, 1.5, 3.0):
+            for beta in (0.0, 1.5, 3.0):
+                t, log_w = quadrature._jacobi(n, alpha, beta)
+                w = np.exp(log_w)
+                with mp.workdps(30):
+                    a, b = mp.mpf(alpha), mp.mpf(beta)
+                    for k in range(2 * n):
+                        # t = 2u - 1: 2^(a + b + 1) sum_j binom(k, j)
+                        # (2u)^j (-1)^(k - j) against u^b (1 - u)^a
+                        exact = 2 ** (a + b + 1) * mp.fsum(
+                            mp.binomial(k, j) * 2 ** j * (-1) ** (k - j)
+                            * mp.beta(j + b + 1, a + 1) for j in range(k + 1))
+                        size = mp.quad(lambda x: abs(x) ** k * (1 - x) ** a
+                                       * (1 + x) ** b, [-1, 0, 1])
+                        got = float(np.sum(w * t ** k))
+                        assert abs(got - float(exact)) <= 1e-14 * float(size)
 
 
 class TestNodeLimit:
